@@ -58,8 +58,10 @@ class GeometrySession:
     """Lazy builder for every object derived from one manifold + strategy.
 
     Numeric evaluation shares one memoizing evaluator per sample point
-    across all tensors, so common subtrees (connection components inside
-    pre-currents inside curvature parts) are computed once per point.
+    across all tensors.  Expression nodes are interned, so every distinct
+    subtree (connection components inside pre-currents inside curvature
+    parts) is computed once per point, however many times it was built.
+    Stacked tensor values are cached per tensor object.
     """
 
     def __init__(self, spec: ManifoldSpec, strategy: str = "auto",
@@ -80,7 +82,7 @@ class GeometrySession:
                 "numeric strategy only supports factor/verify")
         self.strategy = strategy
         self._evaluators = [Evaluator(p) for p in self.points]
-        self._vals_cache: dict[int, tuple[Tensor, np.ndarray]] = {}
+        self._vals_cache: dict[Tensor, np.ndarray] = {}
 
     # -- symbolic objects ---------------------------------------------------
 
@@ -178,15 +180,13 @@ class GeometrySession:
     # -- numeric evaluation ---------------------------------------------------
 
     def vals(self, tensor: Tensor) -> np.ndarray:
-        """Stacked component values, shape (n_points,) + component shape.
-        Cache entries hold the tensor itself so ids are never recycled."""
-        got = self._vals_cache.get(id(tensor))
+        """Stacked component values, shape (n_points,) + component shape."""
+        got = self._vals_cache.get(tensor)
         if got is None:
-            stacked = np.stack([tensor.evaluate(p, ev) for p, ev
-                                in zip(self.points, self._evaluators)])
-            self._vals_cache[id(tensor)] = (tensor, stacked)
-            return stacked
-        return got[1]
+            got = self._vals_cache[tensor] = np.stack([
+                tensor.evaluate(p, ev)
+                for p, ev in zip(self.points, self._evaluators)])
+        return got
 
     def scalar_vals(self, e: Expr) -> np.ndarray:
         return np.array([ev(e) for ev in self._evaluators])

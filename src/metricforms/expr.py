@@ -27,6 +27,8 @@ from __future__ import annotations
 import cmath
 import math
 import re
+import threading
+import weakref
 from fractions import Fraction
 
 from .errors import (
@@ -47,22 +49,25 @@ Number = int | float | complex
 # ---------------------------------------------------------------------------
 
 class Expr:
-    """Immutable expression node.  Equality and hash are structural."""
+    """Immutable, hash-consed expression node.
 
-    __slots__ = ("_hash",)
+    Every node is interned when it is constructed: building the same
+    structure twice, by any route, returns the one existing object.  So
+    structural equality is object identity, and caches keyed by node
+    share work between equal subtrees built separately.  The intern table
+    holds nodes weakly; a node lives only as long as something uses it.
 
-    def __hash__(self):
-        return self._hash
+    Non-constant nodes compare and hash by identity.  Constants compare by
+    value (``Const(2) == Const(2.0)``) but are interned by type and
+    spelling, so each keeps the form it prints with.
+    """
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(self) is not type(other) or self._hash != other._hash:
-            return False
-        return self._key() == other._key()
+    __slots__ = ("__weakref__",)
 
-    def _key(self):
-        raise NotImplementedError
+    def __reduce__(self):
+        # each node's constructor takes its slots in order; rebuilding
+        # through it keeps copied and unpickled nodes interned
+        return type(self), tuple(getattr(self, s) for s in self.__slots__)
 
     def __repr__(self):
         return f"Expr[{to_source(self)}]"
@@ -129,40 +134,65 @@ class Expr:
         return walk(self)
 
 
+# Intern table: key -> the one live node with that structure.  Composite
+# keys hold the ids of the children; a parent keeps its children alive, so
+# a child's id cannot be reused while an entry naming it is live.
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_NODES_LOCK = threading.Lock()
+
+
+def _intern(cls, key, *fields):
+    """The live ``cls`` node for ``key``, or a new one with its slots set
+    to ``fields``.  A node is published only once filled in, and the lock
+    keeps two threads from both creating the node for one key."""
+    node = _NODES.get(key)
+    if node is None:
+        with _NODES_LOCK:
+            node = _NODES.get(key)
+            if node is None:
+                node = object.__new__(cls)
+                for name, value in zip(cls.__slots__, fields):
+                    setattr(node, name, value)
+                _NODES[key] = node
+    return node
+
+
 class Const(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: Number):
-        if isinstance(value, complex) and value.imag == 0.0:
-            value = value.real
-        self.value = value
-        self._hash = hash(("c", value))
+    def __new__(cls, value: Number):
+        if isinstance(value, complex):
+            if value.imag == 0.0:
+                value = value.real
+            elif value.real == 0.0:
+                # the text form has no signed zero real part, and off the
+                # real axis the principal branch does not depend on it
+                value = complex(0.0, value.imag)
+        # keyed by spelling: 1 and 1.0 print differently, 0.0 and -0.0
+        # sit on different sides of a branch cut
+        return _intern(cls, (cls, type(value), repr(value)), value)
 
-    def _key(self):
-        # 2 == 2.0 == (2+0j) collapse to the same constant
-        return ("c", self.value)
+    def __eq__(self, other):
+        # 2 == 2.0 == (2+0j), as for the numbers themselves
+        return self is other or (isinstance(other, Const)
+                                 and self.value == other.value)
+
+    def __hash__(self):
+        return hash(self.value)
 
 
 class Sym(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash(("s", name))
-
-    def _key(self):
-        return ("s", self.name)
+    def __new__(cls, name: str):
+        return _intern(cls, (cls, name), name)
 
 
 class Add(Expr):
     __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple[Expr, ...]):
-        self.terms = terms
-        self._hash = hash(("+",) + tuple(t._hash for t in terms))
-
-    def _key(self):
-        return ("+", self.terms)
+    def __new__(cls, terms: tuple[Expr, ...]):
+        return _intern(cls, (cls, *map(id, terms)), terms)
 
     def children(self):
         return self.terms
@@ -171,12 +201,8 @@ class Add(Expr):
 class Mul(Expr):
     __slots__ = ("factors",)
 
-    def __init__(self, factors: tuple[Expr, ...]):
-        self.factors = factors
-        self._hash = hash(("*",) + tuple(f._hash for f in factors))
-
-    def _key(self):
-        return ("*", self.factors)
+    def __new__(cls, factors: tuple[Expr, ...]):
+        return _intern(cls, (cls, *map(id, factors)), factors)
 
     def children(self):
         return self.factors
@@ -185,12 +211,8 @@ class Mul(Expr):
 class Neg(Expr):
     __slots__ = ("arg",)
 
-    def __init__(self, arg: Expr):
-        self.arg = arg
-        self._hash = hash(("neg", arg._hash))
-
-    def _key(self):
-        return ("neg", self.arg)
+    def __new__(cls, arg: Expr):
+        return _intern(cls, (cls, id(arg)), arg)
 
     def children(self):
         return (self.arg,)
@@ -199,13 +221,8 @@ class Neg(Expr):
 class Div(Expr):
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Expr, den: Expr):
-        self.num = num
-        self.den = den
-        self._hash = hash(("/", num._hash, den._hash))
-
-    def _key(self):
-        return ("/", self.num, self.den)
+    def __new__(cls, num: Expr, den: Expr):
+        return _intern(cls, (cls, id(num), id(den)), num, den)
 
     def children(self):
         return (self.num, self.den)
@@ -214,13 +231,8 @@ class Div(Expr):
 class Pow(Expr):
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: Fraction):
-        self.base = base
-        self.exponent = exponent
-        self._hash = hash(("^", base._hash, exponent))
-
-    def _key(self):
-        return ("^", self.base, self.exponent)
+    def __new__(cls, base: Expr, exponent: Fraction):
+        return _intern(cls, (cls, id(base), exponent), base, exponent)
 
     def children(self):
         return (self.base,)
@@ -229,13 +241,8 @@ class Pow(Expr):
 class Fun(Expr):
     __slots__ = ("name", "arg")
 
-    def __init__(self, name: str, arg: Expr):
-        self.name = name
-        self.arg = arg
-        self._hash = hash((name, arg._hash))
-
-    def _key(self):
-        return (self.name, self.arg)
+    def __new__(cls, name: str, arg: Expr):
+        return _intern(cls, (cls, name, id(arg)), name, arg)
 
     def children(self):
         return (self.arg,)
@@ -447,28 +454,25 @@ def _fun_value(name: str, v: Number, node: Expr) -> Number:
 class Evaluator:
     """Evaluate many expressions at one point with shared subtree memoing.
 
-    The cache is keyed by node identity, so tensors built from shared
-    component trees evaluate each distinct subtree once.  Entries keep a
-    strong reference to their node: a cached id must never be recycled
-    by the allocator while this evaluator is alive.
+    The cache is keyed by node.  Nodes are interned, so every distinct
+    subtree is evaluated once per point however many tensors share it and
+    however separately they were built.  Constants bypass the cache: they
+    compare by value, and each must keep its own number type.
     """
 
     def __init__(self, env: dict[str, Number]):
         self.env = env
-        self._cache: dict[int, tuple[Expr, Number]] = {}
+        self._cache: dict[Expr, Number] = {}
 
     def __call__(self, e: Expr) -> Number:
-        cache = self._cache
-        got = cache.get(id(e))
-        if got is not None:
-            return got[1]
-        v = self._eval(e)
-        cache[id(e)] = (e, v)
-        return v
+        if type(e) is Const:
+            return e.value
+        got = self._cache.get(e)
+        if got is None:
+            got = self._cache[e] = self._eval(e)
+        return got
 
     def _eval(self, e: Expr) -> Number:
-        if isinstance(e, Const):
-            return e.value
         if isinstance(e, Sym):
             try:
                 return self.env[e.name]
@@ -478,8 +482,12 @@ class Evaluator:
             return sum(self(t) for t in e.terms)
         if isinstance(e, Mul):
             v = 1
-            for f in e.factors:
-                v = v * self(f)
+            try:
+                for f in e.factors:
+                    v = v * self(f)
+            except OverflowError:
+                raise EvalDomainError(
+                    f"overflow in '{to_source(e)}'", e) from None
             return v
         if isinstance(e, Neg):
             return -self(e.arg)
@@ -490,12 +498,16 @@ class Evaluator:
                     f"division by zero in '{to_source(e)}'", e)
             return self(e.num) / den
         if isinstance(e, Pow):
+            base = self(e.base)
             try:
-                return _pow_value(self(e.base), e.exponent)
+                return _pow_value(base, e.exponent)
             except ZeroDivisionError:
                 raise EvalDomainError(
                     f"zero raised to a negative power in '{to_source(e)}'",
                     e) from None
+            except OverflowError:
+                raise EvalDomainError(
+                    f"overflow in '{to_source(e)}'", e) from None
         if isinstance(e, Fun):
             return _fun_value(e.name, self(e.arg), e)
         raise TypeError(f"cannot evaluate {type(e).__name__}")
@@ -521,22 +533,22 @@ _CHAIN = {
 
 
 class Differentiator:
-    """Partial differentiation with a cache that preserves subtree sharing."""
+    """Partial differentiation with a per-node cache, so every distinct
+    subtree is differentiated once and derivatives share structure."""
 
     def __init__(self, coord: str):
         self.coord = coord
-        self._cache: dict[int, Expr] = {}
+        self._cache: dict[Expr, Expr] = {}
 
     def __call__(self, e: Expr) -> Expr:
-        got = self._cache.get(id(e))
+        if type(e) is Const:
+            return ZERO
+        got = self._cache.get(e)
         if got is None:
-            got = self._diff(e)
-            self._cache[id(e)] = got
+            got = self._cache[e] = self._diff(e)
         return got
 
     def _diff(self, e: Expr) -> Expr:
-        if isinstance(e, Const):
-            return ZERO
         if isinstance(e, Sym):
             return ONE if e.name == self.coord else ZERO
         if isinstance(e, Add):
@@ -590,16 +602,16 @@ def differentiate(e: Expr, coord: str, chart=None) -> Expr:
 def substitute(e: Expr, binding: dict[str, "Expr | Number"]) -> Expr:
     """Replace symbols by expressions or numbers, refolding constants."""
     binding = {k: _coerce(v) for k, v in binding.items()}
-    cache: dict[int, Expr] = {}
+    cache: dict[Expr, Expr] = {}
 
     def walk(node):
-        got = cache.get(id(node))
+        if type(node) is Const:
+            return node
+        got = cache.get(node)
         if got is not None:
             return got
         if isinstance(node, Sym):
             out = binding.get(node.name, node)
-        elif isinstance(node, Const):
-            out = node
         elif isinstance(node, Add):
             out = add(*[walk(t) for t in node.terms])
         elif isinstance(node, Mul):
@@ -612,7 +624,7 @@ def substitute(e: Expr, binding: dict[str, "Expr | Number"]) -> Expr:
             out = pow_(walk(node.base), node.exponent)
         else:
             out = fn(node.name, walk(node.arg))
-        cache[id(node)] = out
+        cache[node] = out
         return out
 
     return walk(e)
@@ -686,15 +698,15 @@ def _collect_mul(factors: tuple[Expr, ...]) -> Expr:
 def simplify(e: Expr) -> Expr:
     """Best-effort cleanup: constant folding, 0/1 identities, like-term and
     like-power collection.  Value preserving; never grows the tree."""
-    cache: dict[int, Expr] = {}
+    cache: dict[Expr, Expr] = {}
 
     def walk(node):
-        got = cache.get(id(node))
+        if isinstance(node, (Const, Sym)):
+            return node
+        got = cache.get(node)
         if got is not None:
             return got
-        if isinstance(node, (Const, Sym)):
-            out = node
-        elif isinstance(node, Add):
+        if isinstance(node, Add):
             rebuilt = add(*[walk(t) for t in node.terms])
             out = _collect_add(rebuilt.terms) if isinstance(rebuilt, Add) else rebuilt
         elif isinstance(node, Mul):
@@ -708,7 +720,7 @@ def simplify(e: Expr) -> Expr:
             out = pow_(walk(node.base), node.exponent)
         else:
             out = fn(node.name, walk(node.arg))
-        cache[id(node)] = out
+        cache[node] = out
         return out
 
     result = walk(e)

@@ -381,15 +381,13 @@ _PERM3 = tuple(
 def antisym_over_axes(vals: np.ndarray, axes: tuple[int, int, int]) -> np.ndarray:
     """Antisymmetrization of a numeric array over three of its axes."""
     out = np.zeros_like(vals)
-    for idx in np.ndindex(vals.shape):
-        total = 0.0
-        for perm, sign in _PERM3:
-            j = list(idx)
-            for k, ax in enumerate(axes):
-                j[ax] = idx[axes[perm[k]]]
-            total += sign * vals[tuple(j)]
-        out[idx] = total / 6.0
-    return out
+    for perm, sign in _PERM3:
+        # permuted[idx] = vals[j] with j[axes[k]] = idx[axes[perm[k]]]
+        order = list(range(vals.ndim))
+        for k, ax in enumerate(axes):
+            order[axes[perm[k]]] = ax
+        out = out + sign * np.transpose(vals, order)
+    return out / 6.0
 
 
 def antisym_cycle_residual(vals: np.ndarray, axes: tuple[int, int, int]) -> float:

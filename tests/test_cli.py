@@ -195,6 +195,27 @@ g 2 2 = 1
         code, out, err = run(capsys, "check", str(path))
         assert code == EXIT_NUMERIC
 
+    # the first overflows in a power, the second multiplies an exact
+    # 10^400 by a float
+    @pytest.mark.parametrize("g11", ["1e200 * x^2", "10^400 * x^2"])
+    def test_overflowing_user_metric_is_numeric_fault(self, capsys,
+                                                      tmp_path, g11):
+        path = tmp_path / "overflow.metric"
+        path.write_text(f"""
+name overflow
+dim 2
+coords x y
+signature 2 0
+domain x 0.5 2
+domain y -1 1
+g 1 1 = {g11}
+g 2 2 = 1
+""")
+        code, out, err = run(capsys, "check", str(path))
+        assert code == EXIT_NUMERIC
+        assert "overflow" in err
+        assert "Traceback" not in err
+
     def test_usage_error_exits_3(self, capsys):
         code = main(["analyze"])
         capsys.readouterr()

@@ -1,5 +1,10 @@
 import cmath
+import copy
+import gc
 import math
+import pickle
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -317,3 +322,159 @@ def test_derivative_matches_fd_property(e, env, coord):
     assume(abs(sym) < 1e4)
     fd = oracles.fd_partial(lambda p: complex(evaluate(e, p)), env, coord)
     assert abs(sym - fd) / (1 + abs(fd)) <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# hash-consing
+# ---------------------------------------------------------------------------
+
+def _recipes():
+    """Nested tuples that ``_build`` turns into an expression, so the same
+    expression can be built twice, independently."""
+    leaves = st.one_of(
+        st.tuples(st.just("const"), st.floats(-3, 3, allow_nan=False)
+                  | st.integers(-3, 3) | st.just(1.5j)),
+        st.tuples(st.just("sym"), st.sampled_from(["x", "y"])),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from(["neg", "sin", "cos", "sqrt"]),
+                      children),
+            st.tuples(st.sampled_from(["add", "mul", "div"]),
+                      children, children),
+            st.tuples(st.just("pow"), children,
+                      st.sampled_from([2, -1, Fraction(1, 2),
+                                       Fraction(-3, 2)])),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+def _constants(e):
+    stack, out = [e], []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ex.Const):
+            out.append(node)
+        stack.extend(node.children())
+    return out
+
+
+def _build(recipe):
+    op, *args = recipe
+    if op == "const":
+        return ex.const(args[0])
+    if op == "sym":
+        return ex.sym(args[0])
+    if op == "neg":
+        return ex.neg(_build(args[0]))
+    if op in ("sin", "cos", "sqrt"):
+        return ex.fn(op, _build(args[0]))
+    if op == "pow":
+        return ex.pow_(_build(args[0]), args[1])
+    a, b = _build(args[0]), _build(args[1])
+    return {"add": ex.add, "mul": ex.mul, "div": ex.div}[op](a, b)
+
+
+class TestInterning:
+    @given(_recipes())
+    @settings(max_examples=150, deadline=None)
+    def test_same_structure_is_same_object(self, recipe):
+        assert _build(recipe) is _build(recipe)
+
+    @given(_recipes())
+    @settings(max_examples=150, deadline=None)
+    def test_print_parse_returns_the_same_node(self, recipe):
+        e = _build(recipe)
+        # constant folding can overflow to inf, which has no text form
+        assume(all(cmath.isfinite(c.value) for c in _constants(e)))
+        assert parse_expr(to_source(e), _chart) is e
+
+    def test_signed_zero_real_part_of_imaginary_constants_is_dropped(self):
+        # "-1.5i" parses as -(0+1.5j) = (-0-1.5j); 1/(1.5j) folds to
+        # (0-0.67j).  Both print the same, so they must be one node.
+        assert ex.Const(complex(-0.0, -1.5)) is ex.Const(complex(0.0, -1.5))
+        e = ex.div(1, ex.const(1.5j))
+        assert parse_expr(to_source(e), _chart) is e
+
+    @given(_recipes())
+    @settings(max_examples=60, deadline=None)
+    def test_copies_and_pickles_are_the_same_node(self, recipe):
+        e = _build(recipe)
+        assert copy.copy(e) is e
+        assert copy.deepcopy(e) is e
+        assert pickle.loads(pickle.dumps(e)) is e
+
+    def test_direct_construction_is_interned(self):
+        x = ex.sym("x")
+        assert ex.Add((x, x)) is ex.Add((x, x))
+        assert ex.Mul((ex.const(2), x)) is ex.mul(2, x)
+        assert ex.Pow(x, Fraction(1, 2)) is ex.pow_(x, Fraction(1, 2))
+        assert ex.Fun("sin", x) is ex.fn("sin", x)
+
+    def test_signed_zeros_stay_apart(self):
+        assert ex.Const(0.0) is not ex.Const(-0.0)
+        assert to_source(ex.Const(-0.0)) == "-0.0"
+        assert to_source(ex.Const(0.0)) == "0.0"
+
+    def test_value_equal_constants_keep_their_spelling(self):
+        two, two_f = ex.Const(2), ex.Const(2.0)
+        assert two == two_f and hash(two) == hash(two_f)
+        assert two is not two_f
+        assert to_source(two) == "2"
+        assert to_source(two_f) == "2.0"
+        assert ex.Const(2 + 0j) is two_f
+        x = ex.sym("x")
+        assert to_source(ex.mul(two_f, x)) == "2.0 * x"
+        assert to_source(ex.mul(two, x)) == "2 * x"
+
+    def test_concurrent_builders_get_one_node(self):
+        # more threads than cores, switching often: a lost race would
+        # leave two live nodes for one structure
+        def build(base, out):
+            x, y = ex.sym("x"), ex.sym("y")
+            out.append([ex.add(ex.mul(ex.const(base + i), x),
+                               ex.fn("sin", y)) for i in range(2000)])
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(5):
+                built: list[list] = []
+                threads = [threading.Thread(
+                    target=build, args=(1e6 * (round_ + 1), built))
+                    for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert len(built) == 4
+                for nodes in zip(*built):
+                    assert all(n is nodes[0] for n in nodes)
+        finally:
+            sys.setswitchinterval(old)
+
+    def test_table_holds_nodes_weakly(self, polar):
+        gc.collect()
+        before = len(ex._NODES)
+        e = parse_expr("exp(r^7 * sin(theta)) / (r^5 + 17.25 * theta)",
+                       polar)
+        d = differentiate(differentiate(e, "r"), "theta")
+        evaluate(d, {"r": 1.2, "theta": 0.7})
+        assert len(ex._NODES) > before
+        del e, d
+        gc.collect()
+        assert len(ex._NODES) == before
+
+    def test_finished_analysis_leaves_no_nodes(self):
+        from metricforms import get_manifold, run_analysis
+
+        gc.collect()
+        before = len(ex._NODES)
+        report = run_analysis(get_manifold("sphere2"), seed=3, n_points=4)
+        assert report.overall_pass
+        del report
+        gc.collect()
+        assert len(ex._NODES) == before

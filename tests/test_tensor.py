@@ -23,7 +23,7 @@ from metricforms.errors import (
     VarianceError,
 )
 from metricforms import expr as ex
-from metricforms.tensor import max_abs
+from metricforms.tensor import _PERM3, antisym_over_axes, max_abs
 
 from conftest import sphere_metric
 
@@ -242,3 +242,36 @@ def test_sym_antisym_decomposition_property(seed):
     t = _const_tensor(chart, m, ("l", "l"))
     total = symmetrize(t, (0, 1)) + antisymmetrize(t, (0, 1))
     assert max_abs(total.evaluate({}) - m) <= 1e-14
+
+
+def _antisym_over_axes_loop(vals, axes):
+    """Element-by-element reference for the vectorised antisymmetrization."""
+    out = np.zeros_like(vals)
+    for idx in np.ndindex(vals.shape):
+        total = 0.0
+        for perm, sign in _PERM3:
+            j = list(idx)
+            for k, ax in enumerate(axes):
+                j[ax] = idx[axes[perm[k]]]
+            total += sign * vals[tuple(j)]
+        out[idx] = total / 6.0
+    return out
+
+
+@pytest.mark.parametrize("shape,axes", [
+    ((4, 4, 4), (0, 1, 2)),
+    ((3, 4, 4, 4), (1, 2, 3)),
+    ((4, 4, 4, 4), (0, 2, 3)),
+    ((4, 4, 4, 4), (3, 0, 2)),
+    ((4, 2, 4, 4), (2, 0, 3)),
+])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_antisym_over_axes_matches_loop(shape, axes, dtype):
+    rng = np.random.default_rng(17)
+    vals = rng.normal(size=shape)
+    if dtype is complex:
+        vals = vals + 1j * rng.normal(size=shape)
+    # the transposes are summed in the loop's permutation order, so every
+    # element sees the same operations in the same order
+    np.testing.assert_array_equal(antisym_over_axes(vals, axes),
+                                  _antisym_over_axes_loop(vals, axes))
