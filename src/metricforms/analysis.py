@@ -20,8 +20,13 @@ from functools import cached_property
 import numpy as np
 
 from .chart import Chart
-from .errors import ChartError, FactorizationError, NumericFaultError
-from .expr import Evaluator, Expr
+from .errors import (
+    ChartError,
+    EvalDomainError,
+    FactorizationError,
+    NumericFaultError,
+)
+from .expr import Evaluator, Expr, to_source
 from .factorization import (
     FactorizationCheck,
     FormSet,
@@ -183,13 +188,42 @@ class GeometrySession:
         """Stacked component values, shape (n_points,) + component shape."""
         got = self._vals_cache.get(tensor)
         if got is None:
-            got = self._vals_cache[tensor] = np.stack([
+            got = self._finite(np.stack([
                 tensor.evaluate(p, ev)
-                for p, ev in zip(self.points, self._evaluators)])
+                for p, ev in zip(self.points, self._evaluators)]), tensor)
+            self._vals_cache[tensor] = got
         return got
 
     def scalar_vals(self, e: Expr) -> np.ndarray:
-        return np.array([ev(e) for ev in self._evaluators])
+        return self._finite(np.array([ev(e) for ev in self._evaluators]), e)
+
+    def _finite(self, vals: np.ndarray, target: Tensor | Expr) -> np.ndarray:
+        """``vals``, or EvalDomainError naming the tensor and component
+        that evaluated to inf or nan: no report holds a non-finite number.
+        Division by zero and logs of non-positive reals raise on their
+        own, so a non-finite value comes from float overflow, which
+        Python arithmetic turns into inf without raising."""
+        bad = np.argwhere(~np.isfinite(vals))
+        if not bad.size:
+            return vals
+        point, *idx = (int(k) for k in bad[0])
+        node = target.comps[tuple(idx)] if isinstance(target, Tensor) \
+            else target
+        where = f" component {tuple(idx)}" if idx else ""
+        raise EvalDomainError(
+            f"overflow to a non-finite value in {self._name_of(target)}"
+            f"{where} '{to_source(node)[:80]}' at {self.points[point]}", node)
+
+    def _name_of(self, target: Tensor | Expr) -> str:
+        """Attribute path of an object this session built, for messages."""
+        for key, value in vars(self).items():
+            members = [("", value), *getattr(value, "__dict__", {}).items()]
+            if isinstance(value, tuple):
+                members += [(str(k), v) for k, v in enumerate(value)]
+            for sub, member in members:
+                if member is target:
+                    return f"{key}.{sub}" if sub else key
+        return "a derived tensor"
 
     def route_residual(self, a: Tensor, b: Tensor) -> float:
         return max_abs(self.vals(a) - self.vals(b))

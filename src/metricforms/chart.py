@@ -55,15 +55,6 @@ class Chart:
         r, s = self.signature
         return np.diag([1.0] * r + [-1.0] * s)
 
-    def axis(self, name: str) -> int:
-        try:
-            return self.coords.index(name)
-        except ValueError:
-            raise ChartError(f"no coordinate '{name}' in chart") from None
-
-    def domain_of(self, name: str) -> tuple[float, float]:
-        return self.domains[self.axis(name)]
-
     def contains(self, values) -> bool:
         return all(lo < v < hi
                    for v, (lo, hi) in zip(values, self.domains))

@@ -41,7 +41,9 @@ class UnboundSymbolError(ExprError):
 
 class EvalDomainError(ExprError):
     """Numeric evaluation left the function domain (log of a non-positive
-    real, division by zero, overflow).  Carries the offending subtree."""
+    real, division by zero, overflow, a non-finite value).  Carries the
+    offending subtree, or None when the fault is in a numeric product
+    rather than in one expression."""
 
     def __init__(self, message, subexpr):
         super().__init__(message)

@@ -73,28 +73,28 @@ class Expr:
         return f"Expr[{to_source(self)}]"
 
     def __add__(self, other):
-        return add(self, _coerce(other))
+        return _binary(add, self, other)
 
     def __radd__(self, other):
-        return add(_coerce(other), self)
+        return _binary(add, other, self)
 
     def __sub__(self, other):
-        return add(self, neg(_coerce(other)))
+        return _binary(sub, self, other)
 
     def __rsub__(self, other):
-        return add(_coerce(other), neg(self))
+        return _binary(sub, other, self)
 
     def __mul__(self, other):
-        return mul(self, _coerce(other))
+        return _binary(mul, self, other)
 
     def __rmul__(self, other):
-        return mul(_coerce(other), self)
+        return _binary(mul, other, self)
 
     def __truediv__(self, other):
-        return div(self, _coerce(other))
+        return _binary(div, self, other)
 
     def __rtruediv__(self, other):
-        return div(_coerce(other), self)
+        return _binary(div, other, self)
 
     def __pow__(self, exponent):
         return pow_(self, exponent)
@@ -264,6 +264,18 @@ def _coerce(x) -> Expr:
     if isinstance(x, (int, float, complex)):
         return Const(x)
     raise TypeError(f"cannot use {type(x).__name__} as an expression")
+
+
+def _binary(op, a, b):
+    """``op(a, b)`` for an operator dunder.  An operand that ``_coerce``
+    rejects gives NotImplemented, so Python tries the other operand's
+    reflected method: ``HALF * array`` then works elementwise like
+    ``array * HALF``, and ``expr + "s"`` still raises TypeError."""
+    try:
+        a, b = _coerce(a), _coerce(b)
+    except TypeError:
+        return NotImplemented
+    return op(a, b)
 
 
 def const(value: Number) -> Const:

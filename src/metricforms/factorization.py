@@ -47,7 +47,6 @@ class FormSet:
     point_factory: Callable[[dict], np.ndarray] | None = None
     choice: str = ""                            # orthogonal-family convention
     permutation: tuple[int, ...] | None = None  # ldl pivot order, if applied
-    normalized: bool = False                    # dual-closure gauge never applied
 
     @property
     def set_extent(self) -> int:
@@ -72,12 +71,6 @@ class FormSet:
         if self.comps is not None:
             return self.as_tensor().evaluate(point, evaluator)
         return self.point_factory(point)
-
-    def normalize_to_dual_closed(self) -> "FormSet":
-        """Gauge hook: dual-closure normalization is optional and this
-        toolkit never applies it; everything downstream works with the raw
-        factorization.  Returns self unchanged."""
-        return self
 
 
 # ---------------------------------------------------------------------------

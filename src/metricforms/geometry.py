@@ -18,7 +18,15 @@ not to compounded connection error.
 
 Index layout of component arrays (set axis first where present):
 Gamma[c,a,b], F[I,a,b], S[I,a,b], J_pre[I,a,b,c] = nabla_a F_Ibc,
-J[I,b], Riemann[a,b,c,d].
+J[I,b], Riemann[a,b,c,d].  Coordinate derivatives are stacked with the
+derivative slot first, d[k, ...] = d_k (...), so a derivative is one more
+index.
+
+Every symbolic builder is written as the formula in its docstring: index
+contractions through ``tensor.einsum``, sums and scalings through numpy
+object arithmetic, and ``simplified`` where the components are cleaned
+up.  A pair hint builds only one half of an (anti)symmetric pair of
+slots and mirrors the rest, so mirrored components share one node.
 """
 
 from __future__ import annotations
@@ -29,11 +37,20 @@ from functools import cached_property
 import numpy as np
 
 from .chart import Chart
-from .errors import NumericFaultError, TensorError
+from .errors import EvalDomainError, NumericFaultError, TensorError
 from . import expr as ex
 from .expr import Differentiator, Evaluator, Expr
 from .factorization import FormSet
-from .tensor import MetricField, Tensor, max_abs
+from .tensor import (
+    MetricField,
+    Pair,
+    Tensor,
+    einsum,
+    elementwise,
+    max_abs,
+    mirror,
+    simplified,
+)
 
 #: residual tolerances by derivative depth of the identity being checked
 TOL_FIRST_DERIV = 1e-9
@@ -54,61 +71,51 @@ class Connection:
     route: str       # "classical" | "factored"
 
 
-def _partials(chart: Chart, comps: np.ndarray) -> list[np.ndarray]:
-    """d[a][idx] = d/dx_a comps[idx], one shared-cache differentiator per a."""
-    out = []
-    for coord in chart.coords:
-        d = Differentiator(coord)
-        arr = np.empty(comps.shape, dtype=object)
-        for idx in np.ndindex(comps.shape):
-            arr[idx] = d(comps[idx])
-        out.append(arr)
-    return out
+def _partials(chart: Chart, comps: np.ndarray) -> np.ndarray:
+    """d[k, idx] = d/dx_k comps[idx]: the derivative slot is the first
+    axis, one shared-cache differentiator per coordinate."""
+    return np.stack([elementwise(Differentiator(coord), comps)
+                     for coord in chart.coords])
 
 
-def _mixed_from_lower(lower: np.ndarray, g_inv: Tensor, n: int) -> np.ndarray:
-    mixed = np.empty((n, n, n), dtype=object)
-    for a in range(n):
-        for b in range(a, n):
-            for c in range(n):
-                mixed[c, a, b] = ex.simplify(ex.add(
-                    *[ex.mul(g_inv.comps[c, d], lower[d, a, b])
-                      for d in range(n)]))
-                mixed[c, b, a] = mixed[c, a, b]
-    return mixed
+#: pair hints for einsum, mirror and simplified: which two component
+#: axes are symmetric (+1) or antisymmetric (-1)
+_SYM01 = (0, 1, +1)
+_SYM12 = (1, 2, +1)
+_ANTI12 = (1, 2, -1)
+_ANTI23 = (2, 3, -1)
+
+
+def _connection(chart: Chart, lower: np.ndarray, g_inv: Tensor,
+                route: str) -> Connection:
+    """Connection from its simplified all-lower components, raising the
+    first slot: Gamma^c_ab = g^cd Gamma_dab."""
+    mixed = simplified(einsum("cd,dab->cab", g_inv.comps, lower,
+                              pair=_SYM12), _SYM12)
+    return Connection(chart, Tensor(chart, lower, ("l", "l", "l")),
+                      Tensor(chart, mixed, ("u", "l", "l")), route)
 
 
 def christoffel_classical(g: MetricField, g_inv: Tensor) -> Connection:
     """Gamma_cab = (d_a g_cb + d_b g_ca - d_c g_ab) / 2."""
-    chart = g.chart
-    n = chart.dim
-    dg = _partials(chart, g.comps)
-    lower = np.empty((n, n, n), dtype=object)
-    for a in range(n):
-        for b in range(a, n):
-            for c in range(n):
-                lower[c, a, b] = ex.simplify(ex.mul(ex.HALF, ex.add(
-                    dg[a][c, b], dg[b][c, a], ex.neg(dg[c][a, b]))))
-                lower[c, b, a] = lower[c, a, b]
-    mixed = _mixed_from_lower(lower, g_inv, n)
-    return Connection(chart, Tensor(chart, lower, ("l", "l", "l")),
-                      Tensor(chart, mixed, ("u", "l", "l")), "classical")
+    dg = _partials(g.chart, g.comps)
+    lower = einsum("acb->cab + bca->cab - cab->cab", dg, dg, dg,
+                   pair=_SYM12) * ex.HALF
+    return _connection(g.chart, simplified(lower, _SYM12), g_inv,
+                       "classical")
 
 
 def sym_partial(forms: FormSet) -> Tensor:
     """P[I,a,b] = symmetrized coordinate derivative of the forms."""
-    a_comps = forms.as_tensor().comps
-    chart = forms.chart
-    n = chart.dim
-    m = a_comps.shape[0]
-    da = _partials(chart, a_comps)
-    p = np.empty((m, n, n), dtype=object)
-    for i in range(m):
-        for a in range(n):
-            for b in range(a, n):
-                p[i, a, b] = ex.mul(ex.HALF, ex.add(da[a][i, b], da[b][i, a]))
-                p[i, b, a] = p[i, a, b]
-    return Tensor(chart, p, ("l", "l"), set_indexed=True)
+    da = _partials(forms.chart, forms.as_tensor().comps)
+    p = einsum("aib->iab + bia->iab", da, da, pair=_SYM12) * ex.HALF
+    return Tensor(forms.chart, p, ("l", "l"), set_indexed=True)
+
+
+def _form_cross(a_comps: np.ndarray, f_comps: np.ndarray) -> np.ndarray:
+    """X[c,a,b] = A_a (.) F_bc + A_b (.) F_ac."""
+    return einsum("ia,ibc->cab + ib,iac->cab", a_comps, f_comps, a_comps,
+                  f_comps, pair=_SYM12)
 
 
 def christoffel_factored(forms: FormSet, f: Tensor, g_inv: Tensor) -> Connection:
@@ -116,42 +123,20 @@ def christoffel_factored(forms: FormSet, f: Tensor, g_inv: Tensor) -> Connection
 
     Gamma_cab = A_c (.) sym dA_ab + [A_a (.) F_bc + A_b (.) F_ac] / 2
     """
-    chart = forms.chart
-    n = chart.dim
-    a_comps = forms.as_tensor().comps
-    m = a_comps.shape[0]
+    ac = forms.as_tensor().comps
     p = sym_partial(forms).comps
-    fc = f.comps
-    lower = np.empty((n, n, n), dtype=object)
-    for a in range(n):
-        for b in range(a, n):
-            for c in range(n):
-                terms = [ex.mul(a_comps[i, c], p[i, a, b]) for i in range(m)]
-                cross = [ex.mul(a_comps[i, a], fc[i, b, c]) for i in range(m)]
-                cross += [ex.mul(a_comps[i, b], fc[i, a, c]) for i in range(m)]
-                lower[c, a, b] = ex.simplify(ex.add(
-                    *terms, ex.mul(ex.HALF, ex.add(*cross))))
-                lower[c, b, a] = lower[c, a, b]
-    mixed = _mixed_from_lower(lower, g_inv, n)
-    return Connection(chart, Tensor(chart, lower, ("l", "l", "l")),
-                      Tensor(chart, mixed, ("u", "l", "l")), "factored")
+    lower = (einsum("ic,iab->cab", ac, p, pair=_SYM12)
+             + _form_cross(ac, f.comps) * ex.HALF)
+    return _connection(forms.chart, simplified(lower, _SYM12), g_inv,
+                       "factored")
 
 
 def exterior_derivative(forms: FormSet) -> Tensor:
     """F[I,a,b] = d_a A_Ib - d_b A_Ia; antisymmetric by construction."""
-    chart = forms.chart
-    n = chart.dim
-    a_comps = forms.as_tensor().comps
-    m = a_comps.shape[0]
-    da = _partials(chart, a_comps)
-    f = np.empty((m, n, n), dtype=object)
-    for i in range(m):
-        for a in range(n):
-            f[i, a, a] = ex.ZERO
-            for b in range(a + 1, n):
-                f[i, a, b] = ex.simplify(ex.sub(da[a][i, b], da[b][i, a]))
-                f[i, b, a] = ex.neg(f[i, a, b])
-    return Tensor(chart, f, ("l", "l"), set_indexed=True)
+    da = _partials(forms.chart, forms.as_tensor().comps)
+    f = einsum("aib->iab - bia->iab", da, da, pair=_ANTI12)
+    return Tensor(forms.chart, simplified(f, _ANTI12), ("l", "l"),
+                  set_indexed=True)
 
 
 def sym_covariant_derivative(forms: FormSet, conn: Connection) -> Tensor:
@@ -159,20 +144,11 @@ def sym_covariant_derivative(forms: FormSet, conn: Connection) -> Tensor:
     if conn.route != "classical":
         raise TensorError("the direct symmetric derivative is defined "
                           "against the classical connection")
-    chart = forms.chart
-    n = chart.dim
-    a_comps = forms.as_tensor().comps
-    m = a_comps.shape[0]
+    ac = forms.as_tensor().comps
     p = sym_partial(forms).comps
-    gm = conn.mixed.comps
-    s = np.empty((m, n, n), dtype=object)
-    for i in range(m):
-        for a in range(n):
-            for b in range(a, n):
-                s[i, a, b] = ex.simplify(ex.sub(p[i, a, b], ex.add(
-                    *[ex.mul(gm[c, a, b], a_comps[i, c]) for c in range(n)])))
-                s[i, b, a] = s[i, a, b]
-    return Tensor(chart, s, ("l", "l"), set_indexed=True)
+    s = p - einsum("cab,ic->iab", conn.mixed.comps, ac, pair=_SYM12)
+    return Tensor(forms.chart, simplified(s, _SYM12), ("l", "l"),
+                  set_indexed=True)
 
 
 def sym_derivative_via_factors(forms: FormSet, f: Tensor,
@@ -184,48 +160,17 @@ def sym_derivative_via_factors(forms: FormSet, f: Tensor,
     Valid because the form rows are orthonormal against the inverse
     metric (A_Ic A_J^c = delta_IJ).
     """
-    chart = forms.chart
-    n = chart.dim
-    a_comps = forms.as_tensor().comps
-    m = a_comps.shape[0]
-    fc = f.comps
-    a_up = _raise_set_vector(a_comps, g_inv, n, m)
-    s = np.empty((m, n, n), dtype=object)
-    for j in range(m):
-        for a in range(n):
-            for b in range(a, n):
-                terms = []
-                for c in range(n):
-                    inner = [ex.mul(a_comps[i, a], fc[i, b, c])
-                             for i in range(m)]
-                    inner += [ex.mul(a_comps[i, b], fc[i, a, c])
-                              for i in range(m)]
-                    terms.append(ex.mul(a_up[j, c], ex.add(*inner)))
-                s[j, a, b] = ex.simplify(
-                    ex.mul(ex.Const(-0.5), ex.add(*terms)))
-                s[j, b, a] = s[j, a, b]
-    return Tensor(chart, s, ("l", "l"), set_indexed=True)
-
-
-def _raise_set_vector(a_comps: np.ndarray, g_inv: Tensor, n: int,
-                      m: int) -> np.ndarray:
-    out = np.empty((m, n), dtype=object)
-    for i in range(m):
-        for c in range(n):
-            out[i, c] = ex.add(*[ex.mul(g_inv.comps[c, d], a_comps[i, d])
-                                 for d in range(n)])
-    return out
+    ac = forms.as_tensor().comps
+    a_up = einsum("cd,id->ic", g_inv.comps, ac)
+    s = einsum("jc,cab->jab", a_up, _form_cross(ac, f.comps),
+               pair=_SYM12) * ex.Const(-0.5)
+    return Tensor(forms.chart, simplified(s, _SYM12), ("l", "l"),
+                  set_indexed=True)
 
 
 def sym_trace(s: Tensor, g_inv: Tensor) -> Tensor:
     """Scalar trace S_I = g^{ab} S_Iab per form (unnormalized gauge)."""
-    n = s.chart.dim
-    m = s.set_extent
-    out = np.empty((m,), dtype=object)
-    for i in range(m):
-        out[i] = ex.simplify(ex.add(
-            *[ex.mul(g_inv.comps[a, b], s.comps[i, a, b])
-              for a in range(n) for b in range(n)]))
+    out = simplified(einsum("ab,iab->i", g_inv.comps, s.comps))
     return Tensor(s.chart, out, (), set_indexed=True)
 
 
@@ -238,38 +183,19 @@ def precurrents(f: Tensor, conn: Connection) -> Tensor:
     """
     if conn.route != "classical":
         raise TensorError("pre-currents use the classical connection")
-    chart = f.chart
-    n = chart.dim
-    m = f.set_extent
     fc = f.comps
     gm = conn.mixed.comps
-    df = _partials(chart, fc)
-    jp = np.empty((m, n, n, n), dtype=object)
-    for i in range(m):
-        for a in range(n):
-            for b in range(n):
-                jp[i, a, b, b] = ex.ZERO
-                for c in range(b + 1, n):
-                    corr = [ex.mul(gm[e, a, b], fc[i, e, c]) for e in range(n)]
-                    corr += [ex.mul(gm[e, a, c], fc[i, b, e]) for e in range(n)]
-                    jp[i, a, b, c] = ex.simplify(
-                        ex.sub(df[a][i, b, c], ex.add(*corr)))
-                    jp[i, a, c, b] = ex.neg(jp[i, a, b, c])
-    return Tensor(chart, jp, ("l", "l", "l"), set_indexed=True)
+    df = _partials(f.chart, fc)
+    jp = einsum("aibc->iabc", df, pair=_ANTI23) - einsum(
+        "eab,iec->iabc + eac,ibe->iabc", gm, fc, gm, fc, pair=_ANTI23)
+    return Tensor(f.chart, simplified(jp, _ANTI23), ("l", "l", "l"),
+                  set_indexed=True)
 
 
 def currents(j_pre: Tensor, g_inv: Tensor) -> Tensor:
     """J[I,b] = nabla^a F_Iab: trace of the pre-current with its derivative
     slot raised against the first form slot."""
-    n = j_pre.chart.dim
-    m = j_pre.set_extent
-    jp = j_pre.comps
-    out = np.empty((m, n), dtype=object)
-    for i in range(m):
-        for b in range(n):
-            out[i, b] = ex.simplify(ex.add(
-                *[ex.mul(g_inv.comps[a, d], jp[i, d, a, b])
-                  for a in range(n) for d in range(n)]))
+    out = simplified(einsum("ad,idab->ib", g_inv.comps, j_pre.comps))
     return Tensor(j_pre.chart, out, ("l",), set_indexed=True)
 
 
@@ -281,29 +207,12 @@ def riemann_classical(conn: Connection, g: MetricField) -> tuple[Tensor, Tensor]
     """R^a_bcd = d_c G^a_bd - d_d G^a_bc + G^a_ec G^e_bd - G^a_ed G^e_bc,
     returned mixed and all-lower.  This is the oracle route."""
     chart = conn.chart
-    n = chart.dim
     gm = conn.mixed.comps
     dgm = _partials(chart, gm)
-    mixed = np.empty((n, n, n, n), dtype=object)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                mixed[a, b, c, c] = ex.ZERO
-                for d in range(c + 1, n):
-                    quad = [ex.mul(gm[a, e, c], gm[e, b, d]) for e in range(n)]
-                    quad += [ex.neg(ex.mul(gm[a, e, d], gm[e, b, c]))
-                             for e in range(n)]
-                    mixed[a, b, c, d] = ex.simplify(ex.add(
-                        dgm[c][a, b, d], ex.neg(dgm[d][a, b, c]), *quad))
-                    mixed[a, b, d, c] = ex.neg(mixed[a, b, c, d])
-    lower = np.empty((n, n, n, n), dtype=object)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    lower[a, b, c, d] = ex.add(
-                        *[ex.mul(g.comps[a, e], mixed[e, b, c, d])
-                          for e in range(n)])
+    mixed = simplified(einsum(
+        "cabd->abcd - dabc->abcd + aec,ebd->abcd - aed,ebc->abcd",
+        dgm, dgm, gm, gm, gm, gm, pair=_ANTI23), _ANTI23)
+    lower = einsum("ae,ebcd->abcd", g.comps, mixed)
     return (Tensor(chart, mixed, ("u", "l", "l", "l")),
             Tensor(chart, lower, ("l", "l", "l", "l")))
 
@@ -331,62 +240,29 @@ def riemann_decomposed(forms: FormSet, f: Tensor, s: Tensor,
     form set and the classical connection.
     """
     chart = forms.chart
-    n = chart.dim
     ac = forms.as_tensor().comps
-    m = ac.shape[0]
     fc, sc, jp = f.comps, s.comps, j_pre.comps
-
-    rc = np.empty((n, n, n, n), dtype=object)
-    rf = np.empty((n, n, n, n), dtype=object)
-    rs = np.empty((n, n, n, n), dtype=object)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                rc[a, b, c, c] = rf[a, b, c, c] = rs[a, b, c, c] = ex.ZERO
-                for d in range(c + 1, n):
-                    terms = []
-                    for i in range(m):
-                        terms.append(ex.mul(ac[i, a], jp[i, b, c, d]))
-                        terms.append(ex.neg(ex.mul(ac[i, b], jp[i, a, c, d])))
-                        terms.append(ex.mul(ac[i, c], jp[i, d, a, b]))
-                        terms.append(ex.neg(ex.mul(ac[i, d], jp[i, c, a, b])))
-                    rc[a, b, c, d] = ex.mul(ex.HALF, ex.add(*terms))
-                    rc[a, b, d, c] = ex.neg(rc[a, b, c, d])
-
-                    terms = []
-                    for i in range(m):
-                        terms.append(ex.mul(fc[i, a, d], fc[i, b, c]))
-                        terms.append(ex.neg(ex.mul(fc[i, a, c], fc[i, b, d])))
-                        terms.append(ex.mul(ex.Const(-2), fc[i, a, b],
-                                            fc[i, c, d]))
-                    rf[a, b, c, d] = ex.mul(ex.Const(0.25), ex.add(*terms))
-                    rf[a, b, d, c] = ex.neg(rf[a, b, c, d])
-
-                    terms = []
-                    for i in range(m):
-                        terms.append(ex.mul(sc[i, a, c], sc[i, b, d]))
-                        terms.append(ex.neg(ex.mul(sc[i, a, d], sc[i, b, c])))
-                    rs[a, b, c, d] = ex.add(*terms)
-                    rs[a, b, d, c] = ex.neg(rs[a, b, c, d])
-
+    rc = einsum("ia,ibcd->abcd - ib,iacd->abcd + ic,idab->abcd "
+                "- id,icab->abcd", ac, jp, ac, jp, ac, jp, ac, jp,
+                pair=_ANTI23) * ex.HALF
+    rf = einsum("iad,ibc->abcd - iac,ibd->abcd + ,iab,icd->abcd",
+                fc, fc, fc, fc, ex.Const(-2), fc, fc,
+                pair=_ANTI23) * ex.Const(0.25)
+    rs = einsum("iac,ibd->abcd - iad,ibc->abcd", sc, sc, sc, sc,
+                pair=_ANTI23)
+    # scaling the mirrored half gives Mul(c, Neg(sum)); mirror again to
+    # store Neg(Mul(c, sum)), the negation of the built component
     variance = ("l", "l", "l", "l")
-    return RiemannParts(Tensor(chart, rc, variance),
-                        Tensor(chart, rf, variance),
+    return RiemannParts(Tensor(chart, mirror(rc, _ANTI23), variance),
+                        Tensor(chart, mirror(rf, _ANTI23), variance),
                         Tensor(chart, rs, variance))
 
 
 def ricci_from_mixed(riemann_mixed: Tensor) -> Tensor:
     """Ric[a,b] = R^c_{acb}; mirrored since Ricci is symmetric."""
-    chart = riemann_mixed.chart
-    n = chart.dim
-    rm = riemann_mixed.comps
-    out = np.empty((n, n), dtype=object)
-    for a in range(n):
-        for b in range(a, n):
-            out[a, b] = ex.simplify(
-                ex.add(*[rm[c, a, c, b] for c in range(n)]))
-            out[b, a] = out[a, b]
-    return Tensor(chart, out, ("l", "l"))
+    out = simplified(einsum("cacb->ab", riemann_mixed.comps, pair=_SYM01),
+                     _SYM01)
+    return Tensor(riemann_mixed.chart, out, ("l", "l"))
 
 
 def ricci_from_lower(riemann_lower_vals: np.ndarray,
@@ -396,22 +272,13 @@ def ricci_from_lower(riemann_lower_vals: np.ndarray,
 
 
 def scalar_curvature(ricci: Tensor, g_inv: Tensor) -> Expr:
-    n = ricci.chart.dim
-    return ex.simplify(ex.add(
-        *[ex.mul(g_inv.comps[a, b], ricci.comps[a, b])
-          for a in range(n) for b in range(n)]))
+    return ex.simplify(einsum("ab,ab->", g_inv.comps, ricci.comps)[()])
 
 
 def einstein_tensor(ricci: Tensor, scalar: Expr, g: MetricField) -> Tensor:
     """G[a,b] = Ric[a,b] - g[a,b] R / 2 (exact identity of this route)."""
-    n = g.chart.dim
-    out = np.empty((n, n), dtype=object)
-    for a in range(n):
-        for b in range(a, n):
-            out[a, b] = ex.sub(ricci.comps[a, b],
-                               ex.mul(ex.HALF, g.comps[a, b], scalar))
-            out[b, a] = out[a, b]
-    return Tensor(g.chart, out, ("l", "l"))
+    return Tensor(g.chart, ricci.comps - ex.HALF * g.comps * scalar,
+                  ("l", "l"))
 
 
 @dataclass
@@ -441,77 +308,41 @@ def ricci_einstein_factored(forms: FormSet, f: Tensor, s: Tensor,
     plus the Einstein split G = T(f) + T(c) + T(s), whose sum equals
     Ric - g R / 2 of this route by construction.
     """
-    chart = forms.chart
-    n = chart.dim
     ac = forms.as_tensor().comps
-    m = ac.shape[0]
     fc, sc, st, jp, jc = f.comps, s.comps, s_trace.comps, j_pre.comps, j.comps
-    ginv = g_inv.comps
+    ginv, gc = g_inv.comps, g.comps
 
-    a_up = _raise_set_vector(ac, g_inv, n, m)
-    j_up = _raise_set_vector(jc, g_inv, n, m)
-
-    def raised2(t):  # t[I,a,b] -> t[I,a,^b]
-        out = np.empty((m, n, n), dtype=object)
-        for i in range(m):
-            for a in range(n):
-                for b in range(n):
-                    out[i, a, b] = ex.add(*[ex.mul(ginv[b, d], t[i, a, d])
-                                            for d in range(n)])
-        return out
-
-    f_mix = raised2(fc)   # F_Ia^b
-    s_mix = raised2(sc)   # S_Ia^b
+    a_up = einsum("cd,id->ic", ginv, ac)           # A_I^c
+    f_mix = einsum("bd,iad->iab", ginv, fc)        # F_Ia^b
+    s_mix = einsum("bd,iad->iab", ginv, sc)        # S_Ia^b
 
     # shared scalars
-    a_dot_j = ex.simplify(ex.add(*[ex.mul(ac[i, c], j_up[i, c])
-                                   for i in range(m) for c in range(n)]))
-    f_dot_f = ex.simplify(ex.add(*[ex.mul(fc[i, a, b], _raise_first(
-        f_mix, ginv, i, a, b, n)) for i in range(m)
-        for a in range(n) for b in range(n)]))
-    s_dot_s = ex.simplify(ex.add(*[ex.mul(sc[i, a, b], _raise_first(
-        s_mix, ginv, i, a, b, n)) for i in range(m)
-        for a in range(n) for b in range(n)]))
-    trace_sq = ex.add(*[ex.mul(st[i], st[i]) for i in range(m)])
+    a_dot_j = ex.simplify(einsum("ic,ic->", ac,
+                                 einsum("cd,id->ic", ginv, jc))[()])
+    f_dot_f = ex.simplify(einsum("iab,iab->", fc, einsum(
+        "ac,icb->iab", ginv, f_mix))[()])
+    s_dot_s = ex.simplify(einsum("iab,iab->", sc, einsum(
+        "ac,icb->iab", ginv, s_mix))[()])
+    trace_sq = einsum("i,i->", st, st)[()]
 
-    ricci = np.empty((n, n), dtype=object)
-    t_form = np.empty((n, n), dtype=object)
-    t_current = np.empty((n, n), dtype=object)
-    t_sym = np.empty((n, n), dtype=object)
-    for a in range(n):
-        for b in range(a, n):
-            cur = []
-            for i in range(m):
-                cur.append(ex.neg(ex.mul(ac[i, a], jc[i, b])))
-                cur.append(ex.neg(ex.mul(ac[i, b], jc[i, a])))
-                for c in range(n):
-                    cur.append(ex.mul(a_up[i, c], jp[i, a, c, b]))
-                    cur.append(ex.mul(a_up[i, c], jp[i, b, c, a]))
-            current_half = ex.mul(ex.HALF, ex.add(*cur))
+    # every part is symmetric in (a, b); built on a <= b and mirrored, the
+    # sums below share one node between ab and ba as well
+    current_half = einsum(
+        "-ia,ib->ab - ib,ia->ab + ic,iacb->ab + ic,ibca->ab",
+        ac, jc, ac, jc, a_up, jp, a_up, jp, pair=_SYM01) * ex.HALF
+    ff = einsum("iac,ibc->ab", fc, f_mix, pair=_SYM01)
+    ss = einsum("iac,ibc->ab", sc, s_mix, pair=_SYM01)
+    s_tr = einsum("i,iab->ab", st, sc)
 
-            ff = ex.add(*[ex.mul(fc[i, a, c], f_mix[i, b, c])
-                          for i in range(m) for c in range(n)])
-            ss = ex.add(*[ex.mul(sc[i, a, c], s_mix[i, b, c])
-                          for i in range(m) for c in range(n)])
-            s_tr = ex.add(*[ex.mul(st[i], sc[i, a, b]) for i in range(m)])
-
-            ricci[a, b] = ex.add(current_half,
-                                 ex.mul(ex.Const(-0.75), ff),
-                                 s_tr, ex.neg(ss))
-            t_form[a, b] = ex.mul(ex.Const(-0.75), ex.add(
-                ff, ex.mul(ex.Const(-0.5), g.comps[a, b], f_dot_f)))
-            t_current[a, b] = ex.add(current_half,
-                                     ex.mul(g.comps[a, b], a_dot_j))
-            t_sym[a, b] = ex.add(
-                s_tr, ex.neg(ss),
-                ex.mul(ex.Const(-0.5), g.comps[a, b], trace_sq),
-                ex.mul(ex.HALF, g.comps[a, b], s_dot_s))
-            for arr in (ricci, t_form, t_current, t_sym):
-                arr[b, a] = arr[a, b]
-
+    ricci = current_half + ff * ex.Const(-0.75) + s_tr - ss
+    t_form = (ff + ex.Const(-0.5) * gc * f_dot_f) * ex.Const(-0.75)
+    t_current = current_half + gc * a_dot_j
+    t_sym = (s_tr - ss + ex.Const(-0.5) * gc * trace_sq
+             + ex.HALF * gc * s_dot_s)
     scalar = ex.add(ex.mul(ex.Const(-2), a_dot_j),
                     ex.mul(ex.Const(-0.75), f_dot_f),
                     trace_sq, ex.neg(s_dot_s))
+    chart = forms.chart
     ll = ("l", "l")
     return FactoredCurvature(Tensor(chart, ricci, ll), scalar,
                              Tensor(chart, t_form, ll),
@@ -519,51 +350,25 @@ def ricci_einstein_factored(forms: FormSet, f: Tensor, s: Tensor,
                              Tensor(chart, t_sym, ll))
 
 
-def _raise_first(t_mix: np.ndarray, ginv: np.ndarray, i: int, a: int,
-                 b: int, n: int) -> Expr:
-    """t[I,^a,^b] from t[I,a,^b]."""
-    return ex.add(*[ex.mul(ginv[a, c], t_mix[i, c, b]) for c in range(n)])
+def _nabla_sym2(t: np.ndarray, conn: Connection,
+                pair: Pair | None = None) -> np.ndarray:
+    """D[c,a,b] = nabla_c t_ab of a rank-2 lower tensor."""
+    gm = conn.mixed.comps
+    return einsum("cab->cab - eca,eb->cab - ecb,ae->cab",
+                  _partials(conn.chart, t), gm, t, gm, t, pair=pair)
 
 
 def covariant_divergence_sym2(t: Tensor, conn: Connection,
                               g_inv: Tensor) -> Tensor:
     """div[a] = nabla^b t_ab for a symmetric rank-2 lower tensor."""
-    chart = t.chart
-    n = chart.dim
-    tc = t.comps
-    gm = conn.mixed.comps
-    dt = _partials(chart, tc)
-    out = np.empty((n,), dtype=object)
-    for a in range(n):
-        terms = []
-        for b in range(n):
-            for c in range(n):
-                cov = [dt[c][a, b]]
-                cov += [ex.neg(ex.mul(gm[e, c, a], tc[e, b])) for e in range(n)]
-                cov += [ex.neg(ex.mul(gm[e, c, b], tc[a, e])) for e in range(n)]
-                terms.append(ex.mul(g_inv.comps[b, c], ex.add(*cov)))
-        out[a] = ex.add(*terms)
-    return Tensor(chart, out, ("l",))
+    out = einsum("bc,cab->a", g_inv.comps, _nabla_sym2(t.comps, conn))
+    return Tensor(t.chart, out, ("l",))
 
 
 def metric_compatibility(g: MetricField, conn: Connection) -> Tensor:
     """nabla_c g_ab, identically zero for a Levi-Civita connection."""
-    chart = g.chart
-    n = chart.dim
-    dg = _partials(chart, g.comps)
-    gm = conn.mixed.comps
-    out = np.empty((n, n, n), dtype=object)
-    for c in range(n):
-        for a in range(n):
-            for b in range(a, n):
-                terms = [dg[c][a, b]]
-                terms += [ex.neg(ex.mul(gm[e, c, a], g.comps[e, b]))
-                          for e in range(n)]
-                terms += [ex.neg(ex.mul(gm[e, c, b], g.comps[a, e]))
-                          for e in range(n)]
-                out[c, a, b] = ex.add(*terms)
-                out[c, b, a] = out[c, a, b]
-    return Tensor(chart, out, ("l", "l", "l"))
+    return Tensor(g.chart, _nabla_sym2(g.comps, conn, _SYM12),
+                  ("l", "l", "l"))
 
 
 # ---------------------------------------------------------------------------
@@ -575,21 +380,11 @@ def lie_derivative_metric(forms: FormSet, g: MetricField,
     """(L_{A_I} g)_ab = A^c d_c g_ab + g_cb d_a A^c + g_ac d_b A^c,
     computed from coordinate derivatives only (no connection)."""
     chart = forms.chart
-    n = chart.dim
-    ac = forms.as_tensor().comps
-    m = ac.shape[0]
-    x = _raise_set_vector(ac, g_inv, n, m)
+    x = einsum("cd,id->ic", g_inv.comps, forms.as_tensor().comps)
     dg = _partials(chart, g.comps)
     dx = _partials(chart, x)
-    out = np.empty((m, n, n), dtype=object)
-    for i in range(m):
-        for a in range(n):
-            for b in range(a, n):
-                terms = [ex.mul(x[i, c], dg[c][a, b]) for c in range(n)]
-                terms += [ex.mul(g.comps[c, b], dx[a][i, c]) for c in range(n)]
-                terms += [ex.mul(g.comps[a, c], dx[b][i, c]) for c in range(n)]
-                out[i, a, b] = ex.add(*terms)
-                out[i, b, a] = out[i, a, b]
+    out = einsum("ic,cab->iab + cb,aic->iab + ac,bic->iab",
+                 x, dg, g.comps, dx, g.comps, dx, pair=_SYM12)
     return Tensor(chart, out, ("l", "l"), set_indexed=True)
 
 
@@ -773,20 +568,12 @@ def factored_rhs(forms: FormSet, f: Tensor, g_inv: Tensor):
     rounding level since the true right side is real.
     """
     chart = forms.chart
-    n = chart.dim
     a_t = forms.as_tensor()
-    m = a_t.comps.shape[0]
     p_t = sym_partial(forms)
-    a_up = Tensor(chart, _raise_set_vector(a_t.comps, g_inv, n, m), ("u",),
+    a_up = Tensor(chart, einsum("cd,id->ic", g_inv.comps, a_t.comps), ("u",),
                   set_indexed=True)
-    f_mixed_comps = np.empty((m, n, n), dtype=object)
-    for i in range(m):
-        for c in range(n):
-            for b in range(n):
-                f_mixed_comps[i, c, b] = ex.add(
-                    *[ex.mul(g_inv.comps[c, d], f.comps[i, d, b])
-                      for d in range(n)])
-    f_mixed = Tensor(chart, f_mixed_comps, ("u", "l"), set_indexed=True)
+    f_mixed = Tensor(chart, einsum("cd,idb->icb", g_inv.comps, f.comps),
+                     ("u", "l"), set_indexed=True)
     imag_seen = [0.0]
 
     def rhs(x, u):
@@ -833,6 +620,11 @@ def integrate_geodesic(g: MetricField, g_inv: Tensor, conn: Connection,
         gv = g.evaluate(_env(chart, x))
         norms.append(float(u @ gv @ u))
     norms = np.array(norms)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise EvalDomainError(
+            f"overflow to a non-finite g(u, u) on the geodesic at "
+            f"{_env(chart, traj_c.x[bad[0]])}", None)
     denom = max(1e-12, abs(norms[0]))
     norm_drift = float(np.max(np.abs(norms - norms[0])) / denom)
 

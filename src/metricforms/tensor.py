@@ -8,11 +8,23 @@ raising, or (anti)symmetrization.  The set product contracts it between
 two set-indexed tensors:
 
     (A (.) B)[a..., b...] = sum_I A[I, a...] * B[I, b...]
+
+Every index contraction, here and in the geometry built on top, goes
+through one primitive: ``einsum``, Einstein summation over object arrays
+of expressions.  Each component it returns is one ``ex.add`` of
+``ex.mul`` products, summed letters taken in lexicographic order, so a
+contraction written with it builds the same terms in the same order as
+the equivalent nest of loops, and hash-consing makes the results the
+very same nodes.  Elementwise sums and differences use numpy object
+arithmetic, which calls the same smart constructors.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import re
 
 import numpy as np
 
@@ -28,6 +40,160 @@ from . import expr as ex
 from .expr import Expr, Evaluator
 
 Variance = tuple[str, ...]
+Pair = tuple[int, int, int]
+
+
+# ---------------------------------------------------------------------------
+# the contraction primitive
+# ---------------------------------------------------------------------------
+
+def elementwise(f, arr: np.ndarray) -> np.ndarray:
+    """``f`` of every component of an object array.  Constant folding in
+    ``f`` is Python arithmetic, so numpy's floating-point warnings, which
+    would fire on an inf or nan constant, do not apply."""
+    with np.errstate(all="ignore"):
+        return np.frompyfunc(f, 1, 1)(arr)
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_masks(shape: tuple[int, ...], pair: Pair):
+    """Read-only masks of a pair hint over ``shape``: the entries it builds
+    (idx[i] <= idx[j], or < for an antisymmetric pair), the entries it
+    mirrors (idx[i] > idx[j]) and the diagonal (idx[i] == idx[j]).  Cached:
+    a handful of shapes recur on every call of a run."""
+    i, j, sign = pair
+    grid = np.indices(shape, sparse=True)
+    built = grid[i] < grid[j] if sign < 0 else grid[i] <= grid[j]
+    return tuple(np.broadcast_to(mask, shape) for mask in
+                 (built, grid[i] > grid[j], grid[i] == grid[j]))
+
+
+def mirror(arr: np.ndarray, pair: Pair) -> np.ndarray:
+    """Fill the entries of ``arr`` with idx[i] > idx[j] from their mirror
+    images, in place.  Sign +1 shares the mirrored node; sign -1 stores its
+    negation and puts ZERO on the diagonal idx[i] == idx[j]."""
+    i, j, sign = pair
+    _, low, diagonal = _pair_masks(arr.shape, pair)
+    if sign < 0:
+        arr[diagonal] = ex.ZERO
+    image = np.swapaxes(arr, i, j)[low]
+    arr[low] = image if sign > 0 else elementwise(ex.neg, image)
+    return arr
+
+
+def simplified(arr: np.ndarray, pair: Pair | None = None) -> np.ndarray:
+    """``ex.simplify`` of every component.  With a pair hint only the half
+    that ``einsum`` would build is simplified; the rest is mirrored from it."""
+    if pair is None:
+        return elementwise(ex.simplify, arr)
+    out = np.empty(arr.shape, dtype=object)
+    built = _pair_masks(arr.shape, pair)[0]
+    out[built] = elementwise(ex.simplify, arr[built])
+    return mirror(out, pair)
+
+
+_SIGN = re.compile(r"\s*([+-])(?!>)\s*")     # a sign, not the '-' of '->'
+
+
+def einsum(spec: str, *operands, pair: Pair | None = None) -> np.ndarray:
+    """Symbolic Einstein summation over object arrays of expressions.
+
+    ``spec`` is numpy's explicit form, ``"ic,iab->cab"``: one letter per
+    operand axis, the output letters after ``->``.  A letter missing from
+    the output is summed; a letter repeated within an operand takes its
+    diagonal.  An operand with no letters is a scalar factor.  Component
+
+        out[idx] = ex.add(*[ex.mul(*factors) for each summed index])
+
+    with the summed letters in order of first appearance and iterated
+    lexicographically (the last one fastest), which is the order of the
+    equivalent nest of loops.  With a single operand the terms are its
+    entries.
+
+    ``spec`` may also be a signed sum of contractions with one output,
+    ``"cab->cab - eca,eb->cab"``, each taking the next operands in turn.
+    Each component is then one flat sum of all their terms, in order, a
+    term of a subtracted contraction being negated: the one ``ex.add`` a
+    loop over the whole formula makes, with no partial sums.
+
+    ``pair=(i, j, sign)`` builds only the components with idx[i] <= idx[j]
+    (idx[i] < idx[j] for sign -1) and fills the rest by ``mirror``.
+    Mirroring is linear, so a sum of contractions hinted alike is exact
+    wherever the sum is (anti)symmetric, even where one term alone is not.
+    """
+    spec = spec.strip()
+    parts = _SIGN.split(spec if spec[:1] in ("+", "-") else "+" + spec)
+    ops = [np.asarray(op, dtype=object) for op in operands]
+    outputs = {term.partition("->")[2] for term in parts[2::2]}
+    if len(outputs) != 1:
+        raise TensorError(f"einsum spec '{spec}' has several outputs")
+    output = outputs.pop()
+    shape = None
+    chunks = []                     # per contraction: terms per component
+    for sign, term in zip(parts[1::2], parts[2::2]):
+        mine = ops[:term.partition("->")[0].count(",") + 1]
+        ops = ops[len(mine):]
+        plan = _plan(term, output, tuple(op.shape for op in mine), pair)
+        if shape not in (None, plan[0]):
+            raise TensorError(f"einsum spec '{spec}' sums different shapes")
+        shape, built, count, width, index = plan
+        factors = [np.take(op, idx) if idx is not None
+                   else np.full(count * width, op[()], dtype=object)
+                   for op, idx in zip(mine, index)]
+        terms = list(factors[0] if len(mine) == 1
+                     else map(ex.mul, *factors))
+        if sign == "-":
+            terms = list(map(ex.neg, terms))
+        chunks.append([terms[k * width:(k + 1) * width]
+                       for k in range(count)])
+    if ops:
+        raise TensorError(f"einsum spec '{spec}' does not match "
+                          f"{len(operands)} operand(s)")
+    out = np.empty(shape, dtype=object)
+    out[built] = np.fromiter(
+        (ex.add(*itertools.chain.from_iterable(per_component))
+         for per_component in zip(*chunks)), dtype=object, count=count)
+    return mirror(out, pair) if pair is not None else out
+
+
+def _plan(term: str, output: str, shapes: tuple[tuple[int, ...], ...],
+          pair: Pair | None):
+    """How one contraction of an einsum spec gathers its factors, for
+    operands of the given shapes: the output shape, the mask of built
+    components and their count, the terms per component, and per operand
+    the flat index of its factor in every term, in order (None for a
+    scalar)."""
+    inputs, arrow, _ = term.partition("->")
+    inputs = inputs.split(",")
+    if not arrow or len(inputs) != len(shapes):
+        raise TensorError(f"einsum term '{term}' does not match "
+                          f"{len(shapes)} operand(s)")
+    extent: dict[str, int] = {}
+    for letters, op_shape in zip(inputs, shapes):
+        if len(letters) != len(op_shape):
+            raise TensorError(f"einsum operand '{letters}' has "
+                              f"{len(op_shape)} axes")
+        for letter, size in zip(letters, op_shape):
+            if extent.setdefault(letter, size) != size:
+                raise TensorError(f"einsum index '{letter}' has extents "
+                                  f"{extent[letter]} and {size}")
+    if len(set(output)) != len(output) or not set(output) <= set(extent):
+        raise TensorError(f"einsum output '{output}' is not a set of "
+                          "operand letters")
+    shape = tuple(extent[c] for c in output)
+    built = (_pair_masks(shape, pair)[0] if pair is not None
+             else np.broadcast_to(True, shape))
+    summed = [c for c in dict.fromkeys("".join(inputs)) if c not in output]
+    # one row per built output index and summed index, summed fastest
+    grid = np.indices(shape + tuple(extent[c] for c in summed))
+    grid = grid[(slice(None), built)].reshape(grid.shape[0], -1)
+    letters = list(output) + summed
+    index = tuple(
+        np.ravel_multi_index([grid[letters.index(c)] for c in spec_k],
+                             op_shape) if spec_k else None
+        for spec_k, op_shape in zip(inputs, shapes))
+    return (shape, built, int(built.sum()),
+            math.prod(extent[c] for c in summed), index)
 
 
 class Tensor:
@@ -65,10 +231,8 @@ class Tensor:
         return self.comps[idx]
 
     def map(self, f) -> "Tensor":
-        out = np.empty(self.comps.shape, dtype=object)
-        for idx in np.ndindex(self.comps.shape):
-            out[idx] = f(self.comps[idx])
-        return Tensor(self.chart, out, self.variance, self.set_indexed)
+        return Tensor(self.chart, elementwise(f, self.comps), self.variance,
+                      self.set_indexed)
 
     def _check_same_shape(self, other: "Tensor"):
         if (self.chart is not other.chart and self.chart != other.chart) or \
@@ -79,17 +243,13 @@ class Tensor:
 
     def __add__(self, other: "Tensor") -> "Tensor":
         self._check_same_shape(other)
-        out = np.empty(self.comps.shape, dtype=object)
-        for idx in np.ndindex(self.comps.shape):
-            out[idx] = ex.add(self.comps[idx], other.comps[idx])
-        return Tensor(self.chart, out, self.variance, self.set_indexed)
+        return Tensor(self.chart, self.comps + other.comps, self.variance,
+                      self.set_indexed)
 
     def __sub__(self, other: "Tensor") -> "Tensor":
         self._check_same_shape(other)
-        out = np.empty(self.comps.shape, dtype=object)
-        for idx in np.ndindex(self.comps.shape):
-            out[idx] = ex.sub(self.comps[idx], other.comps[idx])
-        return Tensor(self.chart, out, self.variance, self.set_indexed)
+        return Tensor(self.chart, self.comps - other.comps, self.variance,
+                      self.set_indexed)
 
     def evaluate(self, point: dict[str, float],
                  evaluator: Evaluator | None = None) -> np.ndarray:
@@ -117,27 +277,12 @@ class Tensor:
         return slot - (1 if self.set_indexed else 0)
 
 
-def zeros(chart: Chart, variance: Variance, set_indexed: bool = False,
-          set_extent: int | None = None) -> Tensor:
-    shape = (((set_extent if set_extent is not None else chart.dim),)
-             if set_indexed else ()) + (chart.dim,) * len(variance)
-    comps = np.empty(shape, dtype=object)
-    comps[...] = ex.ZERO
-    return Tensor(chart, comps, variance, set_indexed)
-
-
-def from_function(chart: Chart, variance: Variance, build,
-                  set_indexed: bool = False,
-                  set_extent: int | None = None) -> Tensor:
-    t = zeros(chart, variance, set_indexed, set_extent)
-    for idx in np.ndindex(t.comps.shape):
-        t.comps[idx] = build(*idx)
-    return t
-
-
 # ---------------------------------------------------------------------------
 # set product
 # ---------------------------------------------------------------------------
+
+_LETTERS = "abcdefghjklmnopqrstuvwxy"   # coordinate slots; 'i' set, 'z' summed
+
 
 def set_product(a: Tensor, b: Tensor) -> Tensor:
     """Contract the set-enumeration axis between two set-indexed tensors."""
@@ -148,15 +293,8 @@ def set_product(a: Tensor, b: Tensor) -> Tensor:
     if a.set_extent != b.set_extent:
         raise TensorError(
             f"set extents differ: {a.set_extent} vs {b.set_extent}")
-    m = a.set_extent
-    n = a.chart.dim
-    out_shape = (n,) * (a.rank + b.rank)
-    comps = np.empty(out_shape, dtype=object)
-    for idx in np.ndindex(out_shape):
-        ia, ib = idx[:a.rank], idx[a.rank:]
-        comps[idx] = ex.add(*[
-            ex.mul(a.comps[(i,) + ia], b.comps[(i,) + ib])
-            for i in range(m)])
+    sa, sb = _LETTERS[:a.rank], _LETTERS[a.rank:a.rank + b.rank]
+    comps = einsum(f"i{sa},i{sb}->{sa}{sb}", a.comps, b.comps)
     return Tensor(a.chart, comps, a.variance + b.variance)
 
 
@@ -164,19 +302,17 @@ def set_product(a: Tensor, b: Tensor) -> Tensor:
 # index raising / lowering / contraction
 # ---------------------------------------------------------------------------
 
+def _axis_letters(t: Tensor) -> str:
+    return ("i" if t.set_indexed else "") + _LETTERS[:t.rank]
+
+
 def _apply_metric(t: Tensor, slot: int, metric_comps: np.ndarray,
                   new_variance_char: str) -> Tensor:
     axis = t._slot_axis(slot)
-    n = t.chart.dim
-    out = np.empty(t.comps.shape, dtype=object)
-    for idx in np.ndindex(t.comps.shape):
-        terms = []
-        for d in range(n):
-            src = list(idx)
-            src[axis] = d
-            terms.append(ex.mul(metric_comps[idx[axis], d],
-                                t.comps[tuple(src)]))
-        out[idx] = ex.add(*terms)
+    letters = _axis_letters(t)
+    summed = letters[:axis] + "z" + letters[axis + 1:]
+    out = einsum(f"{letters[axis]}z,{summed}->{letters}", metric_comps,
+                 t.comps)
     pos = t._slot_variance_pos(slot)
     variance = t.variance[:pos] + (new_variance_char,) + t.variance[pos + 1:]
     return Tensor(t.chart, out, variance, t.set_indexed)
@@ -207,20 +343,10 @@ def contract(t: Tensor, slot_a: int, slot_b: int) -> Tensor:
     vb = t.variance[t._slot_variance_pos(axis_b)]
     if {va, vb} != {"l", "u"}:
         raise VarianceError("contraction pairs one upper with one lower index")
-    n = t.chart.dim
-    keep = [ax for ax in range(t.comps.ndim) if ax not in (axis_a, axis_b)]
-    out_shape = tuple(t.comps.shape[ax] for ax in keep)
-    comps = np.empty(out_shape, dtype=object)
-    for idx in np.ndindex(out_shape):
-        full = [0] * t.comps.ndim
-        for ax, v in zip(keep, idx):
-            full[ax] = v
-        terms = []
-        for d in range(n):
-            full[axis_a] = d
-            full[axis_b] = d
-            terms.append(t.comps[tuple(full)])
-        comps[idx] = ex.add(*terms)
+    letters = _axis_letters(t)
+    traced = "".join("z" if ax in (axis_a, axis_b) else c
+                     for ax, c in enumerate(letters))
+    comps = einsum(f"{traced}->{traced.replace('z', '')}", t.comps)
     variance = tuple(v for k, v in enumerate(t.variance)
                      if k not in (t._slot_variance_pos(axis_a),
                                   t._slot_variance_pos(axis_b)))
@@ -238,16 +364,9 @@ def _pair_mix(t: Tensor, slots: tuple[int, int], sign: int) -> Tensor:
     if t.variance[t._slot_variance_pos(axis_a)] != \
             t.variance[t._slot_variance_pos(axis_b)]:
         raise VarianceError("symmetrization slots must share variance")
-    out = np.empty(t.comps.shape, dtype=object)
-    for idx in np.ndindex(t.comps.shape):
-        swapped = list(idx)
-        swapped[axis_a], swapped[axis_b] = idx[axis_b], idx[axis_a]
-        other = t.comps[tuple(swapped)]
-        if sign > 0:
-            out[idx] = ex.mul(ex.HALF, ex.add(t.comps[idx], other))
-        else:
-            out[idx] = ex.mul(ex.HALF, ex.sub(t.comps[idx], other))
-    return Tensor(t.chart, out, t.variance, t.set_indexed)
+    swapped = np.swapaxes(t.comps, axis_a, axis_b)
+    mixed = t.comps + swapped if sign > 0 else t.comps - swapped
+    return Tensor(t.chart, mixed * ex.HALF, t.variance, t.set_indexed)
 
 
 def symmetrize(t: Tensor, slots: tuple[int, int]) -> Tensor:
@@ -272,13 +391,9 @@ class MetricField:
             raise TensorError(f"metric shape {comps.shape} on a "
                               f"{n}-dimensional chart")
         # mirror the upper triangle so g[a,b] and g[b,a] share one tree
-        stored = np.empty((n, n), dtype=object)
-        for a in range(n):
-            for b in range(a, n):
-                stored[a, b] = stored[b, a] = comps[a, b]
+        stored = mirror(comps.copy(), (0, 1, +1))
         self.chart = chart
         self.tensor = Tensor(chart, stored, ("l", "l"))
-        self._inverse: Tensor | None = None
 
     @property
     def comps(self) -> np.ndarray:
@@ -301,11 +416,6 @@ class MetricField:
         if np.max(np.abs(vals.imag)) > 1e-12:
             raise TensorError("metric evaluated to a non-real matrix")
         return vals.real
-
-    def inverse(self) -> Tensor:
-        if self._inverse is None:
-            self._inverse = invert_metric(self)
-        return self._inverse
 
     def numeric_inverse(self, point: dict[str, float]) -> np.ndarray:
         """Pointwise fallback for dimensions without a symbolic inverse."""

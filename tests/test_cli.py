@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metricforms.cli import (
     EXIT_IDENTITY,
@@ -20,6 +25,17 @@ domain u -1 1
 domain v -1 1
 g 1 1 = 1 + k * u^2
 g 2 2 = 1
+"""
+
+NON_FINITE_FILE = """
+name non-finite
+dim 2
+coords x y
+signature 2 0
+domain x 0.5 2
+domain y 0.5 2
+g 1 1 = 1
+g 2 2 = 1e200*x*y*1e150
 """
 
 
@@ -216,7 +232,71 @@ g 2 2 = 1
         assert "overflow" in err
         assert "Traceback" not in err
 
+    # constant folding turns 1e200 * 1e150 into inf, so every derived
+    # tensor evaluates to inf or nan
+    @pytest.mark.parametrize("argv", [["analyze", "--json"], ["check"]])
+    def test_non_finite_user_metric_is_numeric_fault(self, capsys, tmp_path,
+                                                     argv):
+        path = tmp_path / "inf.metric"
+        path.write_text(NON_FINITE_FILE)
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == EXIT_NUMERIC
+        # the first tensor the suite evaluates, named with its component
+        assert "non-finite value in conn.lower component" in err
+        assert "Traceback" not in err
+
+    def test_non_finite_geodesic_norm_is_numeric_fault(self, capsys,
+                                                       tmp_path):
+        path = tmp_path / "inf.metric"
+        path.write_text(NON_FINITE_FILE)
+        code, out, err = run(capsys, "geodesic", str(path), "--start", "1,1",
+                             "--velocity", "1,0", "--steps", "5", "--json")
+        assert code == EXIT_NUMERIC
+        assert "non-finite g(u, u)" in err
+        assert "Traceback" not in err
+
     def test_usage_error_exits_3(self, capsys):
         code = main(["analyze"])
         capsys.readouterr()
         assert code == EXIT_INPUT
+
+
+# -- crash-free CLI over generated metric files --------------------------------
+
+_ATOMS = st.one_of(
+    st.sampled_from(["x", "y"]),
+    st.floats(min_value=1e-300, max_value=1e300).map(repr),
+    st.integers(min_value=1, max_value=10 ** 6).map(str))
+
+
+def _combine(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner)
+        .map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(["sqrt", "log", "exp"]), inner)
+        .map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(inner, st.sampled_from(["2", "3", "(-1)", "(1/2)",
+                                          "(-3/2)"]))
+        .map(lambda t: f"({t[0]})^{t[1]}"))
+
+
+_TERMS = st.recursive(_ATOMS, _combine, max_leaves=5)
+
+
+@given(_TERMS, _TERMS, st.none() | _TERMS)
+@settings(max_examples=25, deadline=None)
+def test_check_never_crashes_on_generated_metrics(g11, g22, g12):
+    lines = ["name generated", "dim 2", "coords x y", "signature 2 0",
+             "domain x 0.5 2", "domain y 0.5 2",
+             f"g 1 1 = {g11}", f"g 2 2 = {g22}"]
+    if g12 is not None:
+        lines.append(f"g 1 2 = {g12}")
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "generated.metric")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", path])
+    assert code in (EXIT_OK, EXIT_IDENTITY, EXIT_INPUT, EXIT_NUMERIC)
+    assert "Traceback" not in err.getvalue()

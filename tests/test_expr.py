@@ -2,6 +2,7 @@ import cmath
 import copy
 import gc
 import math
+import operator
 import pickle
 import sys
 import threading
@@ -35,6 +36,30 @@ import oracles
 @pytest.fixture
 def polar():
     return Chart(("r", "theta"), (2, 0), ((0.5, 3.0), (0.4, 2.7)))
+
+
+class TestOperators:
+    @pytest.mark.parametrize("op", [operator.add, operator.sub,
+                                    operator.mul, operator.truediv])
+    def test_array_operand_works_from_either_side(self, polar, op):
+        arr = np.array([parse_expr(s, polar) for s in ("r", "sin(theta)", "2")],
+                       dtype=object)
+        left, right = op(ex.HALF, arr), op(arr, ex.HALF)
+        for k, e in enumerate(arr):
+            assert left[k] is op(ex.HALF, e)
+            assert right[k] is op(e, ex.HALF)
+
+    def test_mul_by_array_is_commutative_elementwise(self, polar):
+        arr = np.array([parse_expr(s, polar) for s in ("r", "r * theta")],
+                       dtype=object)
+        assert all(a is b for a, b in zip(ex.HALF * arr, arr * ex.HALF))
+
+    def test_non_numeric_operand_still_raises(self, polar):
+        r = parse_expr("r", polar)
+        with pytest.raises(TypeError):
+            r + "s"
+        with pytest.raises(TypeError):
+            "s" * r
 
 
 # ---------------------------------------------------------------------------

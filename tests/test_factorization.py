@@ -66,11 +66,6 @@ class TestDiagonal:
         with pytest.raises(NonDiagonalMetricError):
             factor_diagonal(g)
 
-    def test_gauge_hook_is_a_recorded_noop(self):
-        forms = factor_diagonal(sphere_metric(1.0))
-        assert forms.normalize_to_dual_closed() is forms
-        assert not forms.normalized
-
 
 class TestLdl:
     def test_diagonal_degenerates_to_roots(self):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from metricforms import (
     currents,
     exterior_derivative,
     factor_diagonal,
+    get_manifold,
     integrate_geodesic,
     invert_metric,
     killing_check,
@@ -23,6 +25,7 @@ from metricforms import (
     sym_covariant_derivative,
     sym_derivative_via_factors,
 )
+from metricforms import expr as ex
 from metricforms.errors import TensorError
 from metricforms.geometry import (
     VERDICT_CLOSED_FLAT,
@@ -518,3 +521,103 @@ class TestGeodesics:
                                   200, 0.01)
         assert comp.classical.exited_domain
         assert len(comp.classical.s) < 201
+
+
+# ---------------------------------------------------------------------------
+# einsum builders against the index loops they replaced
+# ---------------------------------------------------------------------------
+
+def _loop_partials(chart, comps):
+    out = []
+    for coord in chart.coords:
+        d = ex.Differentiator(coord)
+        arr = np.empty(comps.shape, dtype=object)
+        for idx in np.ndindex(comps.shape):
+            arr[idx] = d(comps[idx])
+        out.append(arr)
+    return out
+
+
+def _loop_christoffel(g, g_inv):
+    n = g.chart.dim
+    dg = _loop_partials(g.chart, g.comps)
+    lower = np.empty((n, n, n), dtype=object)
+    mixed = np.empty((n, n, n), dtype=object)
+    for a in range(n):
+        for b in range(a, n):
+            for c in range(n):
+                lower[c, a, b] = ex.simplify(ex.mul(ex.HALF, ex.add(
+                    dg[a][c, b], dg[b][c, a], ex.neg(dg[c][a, b]))))
+                lower[c, b, a] = lower[c, a, b]
+    for a in range(n):
+        for b in range(a, n):
+            for c in range(n):
+                mixed[c, a, b] = ex.simplify(ex.add(
+                    *[ex.mul(g_inv.comps[c, d], lower[d, a, b])
+                      for d in range(n)]))
+                mixed[c, b, a] = mixed[c, a, b]
+    return lower, mixed
+
+
+def _loop_precurrents(f, gm):
+    m, n = f.comps.shape[:2]
+    fc = f.comps
+    df = _loop_partials(f.chart, fc)
+    jp = np.empty((m, n, n, n), dtype=object)
+    for i in range(m):
+        for a in range(n):
+            for b in range(n):
+                jp[i, a, b, b] = ex.ZERO
+                for c in range(b + 1, n):
+                    corr = [ex.mul(gm[e, a, b], fc[i, e, c]) for e in range(n)]
+                    corr += [ex.mul(gm[e, a, c], fc[i, b, e])
+                             for e in range(n)]
+                    jp[i, a, b, c] = ex.simplify(
+                        ex.sub(df[a][i, b, c], ex.add(*corr)))
+                    jp[i, a, c, b] = ex.neg(jp[i, a, b, c])
+    return jp
+
+
+def _loop_riemann(gm, g):
+    n = g.chart.dim
+    dgm = _loop_partials(g.chart, gm)
+    mixed = np.empty((n, n, n, n), dtype=object)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                mixed[a, b, c, c] = ex.ZERO
+                for d in range(c + 1, n):
+                    quad = [ex.mul(gm[a, e, c], gm[e, b, d]) for e in range(n)]
+                    quad += [ex.neg(ex.mul(gm[a, e, d], gm[e, b, c]))
+                             for e in range(n)]
+                    mixed[a, b, c, d] = ex.simplify(ex.add(
+                        dgm[c][a, b, d], ex.neg(dgm[d][a, b, c]), *quad))
+                    mixed[a, b, d, c] = ex.neg(mixed[a, b, c, d])
+    lower = np.empty((n, n, n, n), dtype=object)
+    for idx in np.ndindex(lower.shape):
+        a, rest = idx[0], idx[1:]
+        lower[idx] = ex.add(*[ex.mul(g.comps[a, e], mixed[(e,) + rest])
+                              for e in range(n)])
+    return mixed, lower
+
+
+def _same_nodes(got, want):
+    assert got.shape == want.shape
+    return all(got[idx] is want[idx] for idx in np.ndindex(want.shape))
+
+
+@pytest.mark.parametrize("name", ["sphere2", "schwarzschild",
+                                  "painleve-gullstrand"])
+def test_einsum_builders_return_the_loop_nodes(name, catalog):
+    spec = catalog.get(name) or get_manifold(
+        str(Path(__file__).parent / "data" / f"{name}.metric"))
+    session = GeometrySession(spec)
+    g, g_inv, conn = session.metric, session.g_inv, session.conn
+    lower, mixed = _loop_christoffel(g, g_inv)
+    assert _same_nodes(conn.lower.comps, lower)
+    assert _same_nodes(conn.mixed.comps, mixed)
+    assert _same_nodes(session.precurrent.comps,
+                       _loop_precurrents(session.curl, conn.mixed.comps))
+    r_mixed, r_lower = _loop_riemann(conn.mixed.comps, g)
+    assert _same_nodes(session.riemann_mixed.comps, r_mixed)
+    assert _same_nodes(session.riemann_lower.comps, r_lower)

@@ -23,7 +23,7 @@ from metricforms.errors import (
     VarianceError,
 )
 from metricforms import expr as ex
-from metricforms.tensor import _PERM3, antisym_over_axes, max_abs
+from metricforms.tensor import _PERM3, antisym_over_axes, einsum, max_abs
 
 from conftest import sphere_metric
 
@@ -275,3 +275,104 @@ def test_antisym_over_axes_matches_loop(shape, axes, dtype):
     # element sees the same operations in the same order
     np.testing.assert_array_equal(antisym_over_axes(vals, axes),
                                   _antisym_over_axes_loop(vals, axes))
+
+
+def _const_array(values):
+    return np.frompyfunc(ex.const, 1, 1)(np.asarray(values, dtype=float))
+
+
+def _values(arr):
+    return np.array([ex.evaluate(e, {}) for e in arr.flat],
+                    dtype=complex).reshape(arr.shape)
+
+
+class TestEinsum:
+    # one spec per kind of contraction the geometry builds
+    @pytest.mark.parametrize("spec,shapes", [
+        ("ic,iab->cab", [(3, 4), (3, 4, 4)]),        # set-axis contraction
+        ("ad,idab->ib", [(4, 4), (3, 4, 4, 4)]),     # double contraction
+        ("iac,ibd->abcd", [(3, 4, 4), (3, 4, 4)]),   # outer product over I
+        ("a,b->ab", [(4,), (4,)]),                   # outer product
+        ("cacb->ab", [(4, 4, 4, 4)]),                # repeated-letter trace
+        ("ab,ab->", [(4, 4), (4, 4)]),               # full contraction
+    ])
+    def test_agrees_with_numpy(self, spec, shapes):
+        rng = np.random.default_rng(23)
+        arrays = [rng.normal(size=shape) for shape in shapes]
+        got = einsum(spec, *[_const_array(a) for a in arrays])
+        np.testing.assert_allclose(_values(got),
+                                   np.einsum(spec, *arrays),
+                                   rtol=1e-13, atol=1e-13)
+
+    def test_component_is_the_loop_sum(self, sphere_chart):
+        x, y = (parse_expr(c, sphere_chart) for c in ("theta", "phi"))
+        a = np.array([x, y, ex.mul(x, y)], dtype=object)
+        b = np.array([ex.fn("sin", y), ex.ONE, x], dtype=object)
+        assert einsum("i,i->", a, b)[()] is ex.add(
+            *[ex.mul(a[i], b[i]) for i in range(3)])
+
+    def test_summed_letters_nest_in_order_of_first_appearance(self):
+        g = np.array([[ex.sym(f"g{a}{d}") for d in range(2)]
+                      for a in range(2)], dtype=object)
+        s = np.array([[[ex.sym(f"s{d}{a}{b}") for b in range(2)]
+                       for a in range(2)] for d in range(2)], dtype=object)
+        # a outermost: it appears first, as in "for a ...: for d ..."
+        got = einsum("ad,dab->b", g, s)
+        for b in range(2):
+            assert got[b] is ex.add(*[ex.mul(g[a, d], s[d, a, b])
+                                      for a in range(2) for d in range(2)])
+
+    def test_negated_spec_keeps_flat_signed_terms(self, sphere_chart):
+        x, y = (parse_expr(c, sphere_chart) for c in ("theta", "phi"))
+        a = np.array([x, y], dtype=object)
+        assert einsum("-i,i->", a, a)[()] is ex.add(
+            ex.neg(ex.mul(x, x)), ex.neg(ex.mul(y, y)))
+
+    def test_signed_sum_is_one_flat_add(self, sphere_chart):
+        x, y = (parse_expr(c, sphere_chart) for c in ("theta", "phi"))
+        a = np.array([x, y], dtype=object)
+        b = np.array([[x, ex.ONE], [y, x]], dtype=object)
+        got = einsum("a->a - ab,b->a + ,a->a", a, b, a, ex.HALF, a)
+        for k in range(2):
+            assert got[k] is ex.add(
+                a[k], *[ex.neg(ex.mul(b[k, j], a[j])) for j in range(2)],
+                ex.mul(ex.HALF, a[k]))
+
+    def test_symmetric_pair_shares_mirrors(self, sphere_chart):
+        x, y = (parse_expr(c, sphere_chart) for c in ("theta", "phi"))
+        a = np.array([[x, y, ex.ONE], [y, x, x]], dtype=object)
+        out = einsum("ia,ib->ab", a, a, pair=(0, 1, +1))
+        for i, j in np.ndindex(out.shape):
+            assert out[j, i] is out[i, j]
+        assert out[0, 1] is ex.add(ex.mul(x, y), ex.mul(y, x))
+
+    def test_antisymmetric_pair_negates_mirrors(self, sphere_chart):
+        x, y = (parse_expr(c, sphere_chart) for c in ("theta", "phi"))
+        a = np.array([[x, y, ex.ONE], [y, x, x]], dtype=object)
+        b = np.array([[y, x, x], [ex.ONE, y, x]], dtype=object)
+        out = einsum("ia,ib->ab", a, b, pair=(0, 1, -1))
+        for i in range(3):
+            assert out[i, i] is ex.ZERO
+            for j in range(i + 1, 3):
+                assert out[j, i] is ex.neg(out[i, j])
+        assert out[0, 1] is ex.add(ex.mul(x, x), ex.mul(y, y))
+
+    def test_empty_sum_is_zero(self):
+        empty = np.empty((0, 2), dtype=object)
+        out = einsum("ia,ib->ab", empty, empty)
+        assert all(v is ex.ZERO for v in out.flat)
+
+    @pytest.mark.parametrize("spec,shapes", [
+        ("ab,bc->ac", [(2, 3), (2, 3)]),     # extent mismatch on b
+        ("ab->ab", [(2,)]),                  # wrong number of letters
+        ("ab,b->ab", [(2, 2)]),              # too few operands
+        ("ab->c", [(2, 2)]),                 # output letter not in inputs
+        ("ab->ab + ab->ba", [(2, 2), (2, 2)]),  # two different outputs
+        ("ab->ab + ab->ab", [(2, 2), (3, 3)]),  # summands of different shapes
+        ("ab->ab", [(2, 2), (2, 2)]),        # an operand left over
+        ("", []),                            # no contraction
+    ])
+    def test_malformed_spec(self, spec, shapes):
+        ops = [_const_array(np.ones(shape)) for shape in shapes]
+        with pytest.raises(TensorError):
+            einsum(spec, *ops)
