@@ -26,7 +26,7 @@ from .errors import (
     ZeroPivotError,
 )
 from .expr import to_source
-from .factorization import make_formset, numeric_formset, verify_factorization
+from .factorization import make_formset, numeric_formset
 from . import geometry as geo
 from .manifolds import get_manifold
 from .report import dumps_canonical, render_human, render_json
@@ -66,14 +66,14 @@ def _complex_cell(value: complex) -> str:
 
 def cmd_factor(args) -> int:
     spec = get_manifold(args.metric)
-    g = spec.metric()
     strategy = args.strategy
     if strategy == "numeric" and args.point is None:
         raise ChartError("the numeric strategy factors at a point; "
                          "pass --point v1,...,vn")
-    forms = make_formset(g, strategy) if strategy != "numeric" \
-        else numeric_formset(g)
     if args.point is not None:
+        g = spec.metric()
+        forms = make_formset(g, strategy) if strategy != "numeric" \
+            else numeric_formset(g)
         vec = _parse_vector(args.point, spec.chart.dim, "--point")
         env = _point_env(spec.chart, vec)
         a = forms.components_at(env)
@@ -96,8 +96,9 @@ def cmd_factor(args) -> int:
                 print("  [" + ", ".join(_complex_cell(c) for c in row) + "]")
             print(f"reconstruction residual |V Vt - g| = {residual:.3e}")
         return EXIT_OK
-    points = spec.chart.sample_points(args.points, args.seed)
-    check = verify_factorization(forms, g, points)
+    session = GeometrySession(spec, strategy=strategy, seed=args.seed,
+                              n_points=args.points)
+    forms, check = session.forms, session.factorization_check
     if args.json:
         doc = {
             "manifold": spec.name,
@@ -116,7 +117,7 @@ def cmd_factor(args) -> int:
             print(f"  A_{i} = [{rendered}]")
         if forms.permutation:
             print(f"  pivot permutation: {forms.permutation}")
-        print(f"reconstruction residual over {len(points)} points: "
+        print(f"reconstruction residual over {len(session.points)} points: "
               f"{check.max_residual:.3e}  min |det A|: "
               f"{check.min_abs_det:.3e}  "
               f"{'PASS' if check.passed else 'FAIL'}")

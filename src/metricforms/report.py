@@ -207,7 +207,7 @@ def report_document(report: AnalysisReport) -> dict:
             "max": max(report.decomposition_per_point),
         },
         "factorization": {
-            "strategy": report.factorization.strategy,
+            "strategy": report.strategy,
             "max_residual": report.factorization.max_residual,
             "min_abs_det": report.factorization.min_abs_det,
             "choice": report.form_choice,

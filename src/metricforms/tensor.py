@@ -410,12 +410,8 @@ class MetricField:
     def det(self) -> Expr:
         return _determinant(self.comps)
 
-    def evaluate(self, point: dict[str, float],
-                 evaluator: Evaluator | None = None) -> np.ndarray:
-        vals = self.tensor.evaluate(point, evaluator)
-        if np.max(np.abs(vals.imag)) > 1e-12:
-            raise TensorError("metric evaluated to a non-real matrix")
-        return vals.real
+    def evaluate(self, point: dict[str, float]) -> np.ndarray:
+        return real_metric(self.tensor.evaluate(point))
 
     def numeric_inverse(self, point: dict[str, float]) -> np.ndarray:
         """Pointwise fallback for dimensions without a symbolic inverse."""
@@ -463,11 +459,13 @@ def invert_metric(g: MetricField) -> Tensor:
     inv = Tensor(chart, comps, ("u", "u"))
     for point in chart.sample_points(3, seed=1404):
         gv = g.evaluate(point)
-        if abs(np.linalg.det(gv)) < 1e-12:
-            raise SingularMetricError(point)
-        iv = inv.evaluate(point)
-        if np.max(np.abs(gv @ iv - np.eye(n))) > 1e-10:
-            raise SingularMetricError(point)
+        # non-finite values fail the comparisons, so numpy need not warn
+        with np.errstate(invalid="ignore", over="ignore"):
+            if abs(np.linalg.det(gv)) < 1e-12:
+                raise SingularMetricError(point)
+            err = np.max(np.abs(gv @ inv.evaluate(point) - np.eye(n)))
+            if not (err <= 1e-10):
+                raise SingularMetricError(point)
     return inv
 
 
@@ -481,6 +479,14 @@ def max_abs(values: np.ndarray) -> float:
 
 def max_imag(values: np.ndarray) -> float:
     return float(np.max(np.abs(values.imag))) if values.size else 0.0
+
+
+def real_metric(vals: np.ndarray) -> np.ndarray:
+    """Real part of evaluated metric components, or TensorError if the
+    metric is not real there."""
+    if max_imag(vals) > 1e-12:
+        raise TensorError("metric evaluated to a non-real matrix")
+    return vals.real
 
 
 _PERM3 = tuple(

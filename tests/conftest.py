@@ -3,6 +3,18 @@ import pytest
 
 from metricforms import Chart, GeometrySession, load_catalog
 
+# constant folding turns 1e200 * 1e150 into inf
+NON_FINITE_FILE = """
+name non-finite
+dim 2
+coords x y
+signature 2 0
+domain x 0.5 2
+domain y 0.5 2
+g 1 1 = 1
+g 2 2 = 1e200*x*y*1e150
+"""
+
 
 @pytest.fixture(scope="session")
 def catalog():
@@ -43,3 +55,14 @@ def sphere_metric(radius=1.0):
                              {"r": radius})
     comps[0, 1] = comps[1, 0] = substitute(parse_expr("0", chart), {})
     return MetricField(chart, comps)
+
+
+def stacked(evaluate, points):
+    """Values at each point, stacked on a leading axis: the layout the
+    numeric checks reduce over."""
+    return np.stack([evaluate(p) for p in points])
+
+
+def form_metric_vals(forms, g, points):
+    """Stacked form values A[p, I, a] and metric values g[p, a, b]."""
+    return stacked(forms.components_at, points), stacked(g.evaluate, points)

@@ -26,6 +26,8 @@ from metricforms.cli import main as cli_main
 from metricforms.expr import Evaluator
 from metricforms.tensor import max_abs
 
+from conftest import form_metric_vals
+
 SEED = 42
 N_POINTS = 20
 
@@ -65,7 +67,7 @@ def test_criterion_01_factorization_reconstruction(catalog):
         for strategy in ("diagonal", "ldl", "numeric"):
             forms = numeric_formset(g) if strategy == "numeric" \
                 else make_formset(g, strategy)
-            check = verify_factorization(forms, g, points)
+            check = verify_factorization(*form_metric_vals(forms, g, points))
             worst = max(worst, check.max_residual)
             if not (check.max_residual <= 1e-10):
                 criterion(1, "factorization reconstruction <= 1e-10", False,
@@ -80,7 +82,8 @@ def test_criterion_02_orthogonality(catalog):
         g = spec.metric()
         points = spec.chart.sample_points(N_POINTS, SEED)
         for forms in (make_formset(g), numeric_formset(g)):
-            worst = max(worst, orthogonality_residual(forms, g, points))
+            worst = max(worst, orthogonality_residual(
+                *form_metric_vals(forms, g, points)))
     criterion(2, "form rows orthonormal against the inverse metric <= 1e-9",
               worst <= 1e-9, f"worst {worst:.3e}")
 

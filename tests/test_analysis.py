@@ -52,10 +52,19 @@ class TestReportShape:
             "scalar_curvature_factored_vs_classical",
             "einstein_split_vs_classical",
             "ricci_decomposition_contraction_consistency",
+            # the sphere's forms are not closed, so S need not vanish
+            "killing_closed_set",
         }
         for row in sphere_report.identities:
             if not row.asserted:
                 assert row.tolerance is None and row.passed is None
+        assert sphere_report.identity("killing_closed_set").residual > 0.5
+
+    def test_closed_set_asserts_killing_row(self, catalog):
+        report = run_analysis(catalog["euclidean3-cartesian"], seed=42,
+                              n_points=6)
+        row = report.identity("killing_closed_set")
+        assert row.asserted and row.tolerance == 1e-9 and row.passed
 
     def test_points_and_seed_recorded(self, sphere_report):
         assert sphere_report.seed == 42

@@ -15,6 +15,8 @@ from metricforms.cli import (
     main,
 )
 
+from conftest import NON_FINITE_FILE
+
 GOOD_FILE = """
 name stretched-plane
 dim 2
@@ -27,16 +29,18 @@ g 1 1 = 1 + k * u^2
 g 2 2 = 1
 """
 
-NON_FINITE_FILE = """
-name non-finite
-dim 2
-coords x y
-signature 2 0
-domain x 0.5 2
-domain y 0.5 2
-g 1 1 = 1
-g 2 2 = 1e200*x*y*1e150
-"""
+# constant folding turns 1e200 * 1e150 into inf, so every derived tensor
+# evaluates to inf or nan; each command's message names the first one it
+# evaluates, with its component
+NON_FINITE_CASES = [
+    (["analyze", "--json"], "non-finite value in form_tensor component"),
+    (["check"], "non-finite value in form_tensor component"),
+    (["classify", "--json"], "non-finite value in curl component"),
+    (["factor", "--json"], "non-finite value in form_tensor component"),
+    # the inverse metric's multiply-back check comes first here
+    (["geodesic", "--start", "1,1", "--velocity", "1,0", "--steps", "5",
+      "--json"], "metric is singular"),
+]
 
 
 def run(capsys, *argv):
@@ -195,6 +199,16 @@ class TestErrors:
         code, out, err = run(capsys, "check", str(path), "--points", "6")
         assert code == EXIT_OK
 
+    # the metric values the checks reduce over must be real
+    @pytest.mark.parametrize("command", ["factor", "analyze"])
+    def test_non_real_user_metric_is_input_error(self, capsys, tmp_path,
+                                                 command):
+        path = tmp_path / "complex.metric"
+        path.write_text(GOOD_FILE.replace("1 + k * u^2", "sqrt(u - 2)"))
+        code, out, err = run(capsys, command, str(path))
+        assert code == EXIT_INPUT
+        assert "non-real" in err
+
     def test_singular_user_metric_is_numeric_fault(self, capsys, tmp_path):
         path = tmp_path / "singular.metric"
         path.write_text("""
@@ -232,25 +246,25 @@ g 2 2 = 1
         assert "overflow" in err
         assert "Traceback" not in err
 
-    # constant folding turns 1e200 * 1e150 into inf, so every derived
-    # tensor evaluates to inf or nan
-    @pytest.mark.parametrize("argv", [["analyze", "--json"], ["check"]])
+    @pytest.mark.parametrize(
+        "argv,message", NON_FINITE_CASES,
+        ids=[f"argv{k}" for k in range(len(NON_FINITE_CASES))])
     def test_non_finite_user_metric_is_numeric_fault(self, capsys, tmp_path,
-                                                     argv):
+                                                     argv, message):
         path = tmp_path / "inf.metric"
         path.write_text(NON_FINITE_FILE)
         code, out, err = run(capsys, argv[0], str(path), *argv[1:])
         assert code == EXIT_NUMERIC
-        # the first tensor the suite evaluates, named with its component
-        assert "non-finite value in conn.lower component" in err
+        assert message in err
         assert "Traceback" not in err
 
     def test_non_finite_geodesic_norm_is_numeric_fault(self, capsys,
                                                        tmp_path):
-        path = tmp_path / "inf.metric"
-        path.write_text(NON_FINITE_FILE)
-        code, out, err = run(capsys, "geodesic", str(path), "--start", "1,1",
-                             "--velocity", "1,0", "--steps", "5", "--json")
+        # a finite metric and velocity whose g(u, u) overflows
+        path = tmp_path / "big.metric"
+        path.write_text(GOOD_FILE.replace("1 + k * u^2", "1e300"))
+        code, out, err = run(capsys, "geodesic", str(path), "--start", "0,0",
+                             "--velocity", "1e10,0", "--steps", "5", "--json")
         assert code == EXIT_NUMERIC
         assert "non-finite g(u, u)" in err
         assert "Traceback" not in err

@@ -25,7 +25,7 @@ from metricforms import expr as ex
 from metricforms.factorization import FormSet
 from metricforms.tensor import max_abs
 
-from conftest import sphere_metric
+from conftest import form_metric_vals, sphere_metric
 
 
 def _metric(chart, entries):
@@ -87,7 +87,8 @@ class TestLdl:
         assert to_source(forms.comps[1, 0]) == "0"
         assert to_source(forms.comps[1, 1]) == "1"
         points = chart.sample_points(20, seed=4)
-        assert verify_factorization(forms, g, points).max_residual <= 1e-12
+        assert verify_factorization(
+            *form_metric_vals(forms, g, points)).max_residual <= 1e-12
 
     def test_zero_pivot_error(self):
         chart = Chart(("c", "d"), (2, 0), ((0.5, 2.0), (0.5, 2.0)))
@@ -102,7 +103,8 @@ class TestLdl:
         forms = factor_ldl(g)
         assert forms.permutation == (1, 0)
         points = chart.sample_points(20, seed=4)
-        assert verify_factorization(forms, g, points).max_residual <= 1e-10
+        assert verify_factorization(
+            *form_metric_vals(forms, g, points)).max_residual <= 1e-10
 
     def test_indefinite_metric_gets_imaginary_forms(self):
         chart = Chart(("x", "t"), (1, 1), (((-2.0, 2.0),) * 2))
@@ -162,7 +164,8 @@ class TestVerify:
         for spec in catalog.values():
             g = spec.metric()
             points = spec.chart.sample_points(20, seed=42)
-            check = verify_factorization(make_formset(g), g, points)
+            check = verify_factorization(
+                *form_metric_vals(make_formset(g), g, points))
             assert check.passed, spec.name
 
     def test_corrupted_component_fails_localized(self):
@@ -170,7 +173,7 @@ class TestVerify:
         bad = forms.comps.copy()
         bad[1, 1] = ex.mul(ex.const(1.01), bad[1, 1])
         corrupted = FormSet(g.chart, "diagonal", comps=bad)
-        check = verify_factorization(corrupted, g, points)
+        check = verify_factorization(*form_metric_vals(corrupted, g, points))
         assert not check.passed
         point = points[0]
         gv = g.evaluate(point)
@@ -187,7 +190,7 @@ class TestVerify:
         bad = forms.comps.copy()
         bad[1, :] = bad[0, :]
         degenerate = FormSet(g.chart, "diagonal", comps=bad)
-        check = verify_factorization(degenerate, g, points)
+        check = verify_factorization(*form_metric_vals(degenerate, g, points))
         assert check.min_abs_det <= 1e-12
         assert not check.passed
 
@@ -197,9 +200,9 @@ class TestOrthogonality:
         for spec in catalog.values():
             g = spec.metric()
             points = spec.chart.sample_points(10, seed=42)
-            assert orthogonality_residual(make_formset(g), g, points) <= 1e-9
-            assert orthogonality_residual(numeric_formset(g), g,
-                                          points) <= 1e-9
+            for forms in (make_formset(g), numeric_formset(g)):
+                assert orthogonality_residual(
+                    *form_metric_vals(forms, g, points)) <= 1e-9
 
     def test_holds_for_any_invertible_factor(self):
         # rows mixed by an invertible (not orthogonal) matrix still satisfy
@@ -218,5 +221,6 @@ class TestOrthogonality:
                                        for j in range(2)])
         rotated = FormSet(g.chart, "diagonal", comps=mixed)
         points = g.chart.sample_points(10, seed=8)
-        assert verify_factorization(rotated, g, points).max_residual <= 1e-12
-        assert orthogonality_residual(rotated, g, points) <= 1e-12
+        vals = form_metric_vals(rotated, g, points)
+        assert verify_factorization(*vals).max_residual <= 1e-12
+        assert orthogonality_residual(*vals) <= 1e-12

@@ -17,6 +17,7 @@ from metricforms import (
     integrate_geodesic,
     invert_metric,
     killing_check,
+    lie_derivative_metric,
     precurrents,
     ricci_from_mixed,
     riemann_classical,
@@ -35,7 +36,7 @@ from metricforms.geometry import (
 from metricforms.tensor import antisym_cycle_residual, max_abs
 
 import oracles
-from conftest import sphere_metric
+from conftest import form_metric_vals, sphere_metric, stacked
 
 
 @pytest.fixture(scope="module")
@@ -327,7 +328,9 @@ class TestKilling:
         f = exterior_derivative(forms)
         s = sym_covariant_derivative(forms, conn)
         points = g.chart.sample_points(10, seed=5)
-        report = killing_check(forms, f, s, g, g_inv, points)
+        lie = lie_derivative_metric(forms, g, g_inv)
+        report = killing_check(*(stacked(t.evaluate, points)
+                                 for t in (f, s, lie)))
         assert not report.set_closed
         assert report.f_max[1] > 1e-3
         assert report.lie_max[1] > 1e-3       # metric varies along A_2
@@ -360,7 +363,7 @@ class TestClassification:
 
         s = sessions("sphere2")
         fake_f = s.curl.map(lambda e: ZERO)
-        verdict = classify_flatness(fake_f, s.riemann_lower, s.points)
+        verdict = classify_flatness(s.vals(fake_f), s.vals(s.riemann_lower))
         assert verdict.verdict == VERDICT_INCONSISTENT
         assert "fault" in verdict.note
 
@@ -405,7 +408,7 @@ class TestSemiFlatLike:
         spec, forms = closed_forms
         g = spec.metric()
         points = spec.chart.sample_points(10, seed=21)
-        assert verify_factorization(forms, g, points).passed
+        assert verify_factorization(*form_metric_vals(forms, g, points)).passed
         f = exterior_derivative(forms)
         for point in points:
             assert max_abs(f.evaluate(point)) <= 1e-15
@@ -442,11 +445,14 @@ class TestSemiFlatLike:
         f = exterior_derivative(forms)
         s = sym_covariant_derivative(forms, conn)
         points = spec.chart.sample_points(10, seed=22)
-        report = killing_check(forms, f, s, g, g_inv, points)
+        lie = lie_derivative_metric(forms, g, g_inv)
+        report = killing_check(*(stacked(t.evaluate, points)
+                                 for t in (f, s, lie)))
         assert report.set_closed
         assert report.killing_residual <= 1e-9
         mixed, lower = riemann_classical(conn, g)
-        verdict = classify_flatness(f, lower, points)
+        verdict = classify_flatness(stacked(f.evaluate, points),
+                                    stacked(lower.evaluate, points))
         assert verdict.verdict == VERDICT_CLOSED_FLAT
 
 

@@ -23,9 +23,10 @@ from metricforms.errors import (
     VarianceError,
 )
 from metricforms import expr as ex
+from metricforms.manifolds import loads
 from metricforms.tensor import _PERM3, antisym_over_axes, einsum, max_abs
 
-from conftest import sphere_metric
+from conftest import NON_FINITE_FILE, sphere_metric
 
 
 def _const_tensor(chart, values, variance, set_indexed=False):
@@ -216,6 +217,13 @@ class TestInvertMetric:
         with pytest.raises(SingularMetricError) as err:
             invert_metric(g)
         assert err.value.point
+
+    def test_non_finite_metric_fails_multiply_back(self):
+        # inf * 0 puts nan in g @ g_inv, which no comparison may pass;
+        # SingularMetricError is a numeric fault, exit 4 on the CLI
+        g = loads(NON_FINITE_FILE).metric()
+        with pytest.raises(SingularMetricError):
+            invert_metric(g)
 
     def test_large_nondiagonal_uses_pointwise_fallback(self):
         names = tuple("abcde")
