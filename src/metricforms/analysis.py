@@ -26,7 +26,7 @@ from .errors import (
     FactorizationError,
     NumericFaultError,
 )
-from .expr import Evaluator, Expr, to_source
+from .expr import Expr, Tape, to_source
 from .factorization import (
     FactorizationCheck,
     FormSet,
@@ -50,6 +50,7 @@ from .tensor import (
     invert_metric,
     max_abs,
     max_imag,
+    reader,
     real_metric,
 )
 
@@ -62,11 +63,12 @@ GEODESIC_SPOT_STEP_SIZE = 0.002
 class GeometrySession:
     """Lazy builder for every object derived from one manifold + strategy.
 
-    Numeric evaluation shares one memoizing evaluator per sample point
-    across all tensors.  Expression nodes are interned, so every distinct
-    subtree (connection components inside pre-currents inside curvature
-    parts) is computed once per point, however many times it was built.
-    Stacked tensor values are cached per tensor object.
+    Numeric evaluation runs one tape, grown as tensors are asked for,
+    with one slot list per sample point.  Expression nodes are interned,
+    so every distinct subtree (connection components inside pre-currents
+    inside curvature parts) is compiled once and computed once per point,
+    however many times it was built.  Stacked tensor values are cached
+    per tensor object.
     """
 
     def __init__(self, spec: ManifoldSpec, strategy: str = "auto",
@@ -86,7 +88,8 @@ class GeometrySession:
                 "a full analysis differentiates the form components; the "
                 "numeric strategy only supports factor/verify")
         self.strategy = strategy
-        self._evaluators = [Evaluator(p) for p in self.points]
+        self._tape = Tape()
+        self._slots: list[list] = [[] for _ in self.points]
         self._vals_cache: dict[Tensor, np.ndarray] = {}
 
     # -- symbolic objects ---------------------------------------------------
@@ -197,14 +200,23 @@ class GeometrySession:
         """Stacked component values, shape (n_points,) + component shape."""
         got = self._vals_cache.get(tensor)
         if got is None:
-            got = self._finite(np.stack([
-                tensor.evaluate(p, ev)
-                for p, ev in zip(self.points, self._evaluators)]), tensor)
+            self._run(tensor.comps.flat)
+            read = reader(self._tape, tensor.comps)
+            got = self._finite(np.stack([read(v) for v in self._slots]),
+                               tensor)
             self._vals_cache[tensor] = got
         return got
 
     def scalar_vals(self, e: Expr) -> np.ndarray:
-        return self._finite(np.array([ev(e) for ev in self._evaluators]), e)
+        self._run((e,))
+        k = self._tape.slot_of(e)
+        return self._finite(np.array([v[k] for v in self._slots]), e)
+
+    def _run(self, roots) -> None:
+        """Put ``roots`` on the tape and fill every point's slot list."""
+        self._tape.extend(roots)
+        for point, v in zip(self.points, self._slots):
+            self._tape.run(point, v)
 
     def _finite(self, vals: np.ndarray, target: Tensor | Expr) -> np.ndarray:
         """``vals``, or EvalDomainError naming the tensor and component

@@ -24,8 +24,10 @@ division of a square by three.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
+import operator
 import re
 import threading
 import weakref
@@ -298,20 +300,16 @@ def add(*terms) -> Expr:
     flat: list[Expr] = []
     acc: complex | int | float = 0
     has_const = False
-    for t in terms:
-        t = _coerce(t)
-        if isinstance(t, Add):
-            for u in t.terms:
-                if isinstance(u, Const):
+    for t in map(_coerce, terms):
+        for u in t.terms if isinstance(t, Add) else (t,):
+            if isinstance(u, Const):
+                try:
                     acc = acc + u.value
                     has_const = True
-                else:
-                    flat.append(u)
-        elif isinstance(t, Const):
-            acc = acc + t.value
-            has_const = True
-        else:
-            flat.append(t)
+                    continue
+                except OverflowError:
+                    pass    # an exact integer beyond floats stays a term
+            flat.append(u)
     if has_const and acc != 0:
         flat.append(Const(acc))
     if not flat:
@@ -325,20 +323,16 @@ def mul(*factors) -> Expr:
     flat: list[Expr] = []
     acc: complex | int | float = 1
     has_const = False
-    for f in factors:
-        f = _coerce(f)
-        if isinstance(f, Mul):
-            for u in f.factors:
-                if isinstance(u, Const):
+    for f in map(_coerce, factors):
+        for u in f.factors if isinstance(f, Mul) else (f,):
+            if isinstance(u, Const):
+                try:
                     acc = acc * u.value
                     has_const = True
-                else:
-                    flat.append(u)
-        elif isinstance(f, Const):
-            acc = acc * f.value
-            has_const = True
-        else:
-            flat.append(f)
+                    continue
+                except OverflowError:
+                    pass    # an exact integer beyond floats stays a factor
+            flat.append(u)
     if has_const and acc == 0:
         return ZERO
     if has_const and acc != 1:
@@ -368,7 +362,10 @@ def div(num, den) -> Expr:
     den = _coerce(den)
     if isinstance(den, Const) and den.value != 0:
         if isinstance(num, Const):
-            return Const(num.value / den.value)
+            try:
+                return Const(num.value / den.value)
+            except OverflowError:
+                return Div(num, den)
         if den.value == 1:
             return num
     if _is_zero(num) and not _is_zero(den):
@@ -400,7 +397,7 @@ def fn(name: str, arg) -> Expr:
     if isinstance(arg, Const):
         try:
             return Const(_fun_value(name, arg.value, arg))
-        except (EvalDomainError, OverflowError):
+        except (EvalDomainError, OverflowError, ValueError):
             pass
     return Fun(name, arg)
 
@@ -463,71 +460,238 @@ def _fun_value(name: str, v: Number, node: Expr) -> Number:
         raise EvalDomainError(f"overflow in '{to_source(node)}'", node) from None
 
 
-class Evaluator:
-    """Evaluate many expressions at one point with shared subtree memoing.
+# Statements per compiled function.  Bigger functions cost peak memory:
+# one function per tensor raised it by a tenth on the Kerr metric, where
+# 64 statements keep it at the level of a tree walk.
+TAPE_CHUNK = 64
 
-    The cache is keyed by node.  Nodes are interned, so every distinct
-    subtree is evaluated once per point however many tensors share it and
-    however separately they were built.  Constants bypass the cache: they
-    compare by value, and each must keep its own number type.
+_CHUNK_HEAD = "def _chunk(v, c, env, _pow=_pow_value, _fun=_fun_value):\n"
+
+
+def _slot_key(e: Expr):
+    """Constants compare by value, so a tape keys them by identity."""
+    return id(e) if type(e) is Const else e
+
+
+def _operands(e: Expr) -> tuple[Expr, ...]:
+    """Children in the order evaluation reaches them: a quotient's
+    denominator comes first, so a zero denominator fails before its
+    numerator is evaluated."""
+    return (e.den, e.num) if type(e) is Div else e.children()
+
+
+class Tape:
+    """Straight-line code that evaluates many expressions at a point.
+
+    Every distinct non-constant node of the roots gets one slot and one
+    statement, in the order a memoising depth-first walk finishes them.
+    Interning makes equal subtrees one node, so each is computed once.  A
+    constant root gets a slot too, so every root is read from the slot
+    list.  The statements are compiled into functions of at most
+    ``TAPE_CHUNK`` lines over a slot list ``v``.  Each applies the
+    arithmetic of its node: ``0 + a + b`` for a sum, ``1 * a * b`` for a
+    product, ``-a``, ``a / b``, ``a ** p`` for an integer power, and
+    ``_pow_value`` / ``_fun_value`` otherwise, so purely real subtrees
+    stay real and roots take the principal branch.
+
+    The source holds only slot and table indices, function names and
+    quoted symbol names: numbers, exponents and function nodes are read
+    from the table ``consts``.
+
+    A tape grows: ``extend`` appends the nodes of new roots that are not
+    on it yet, and ``run`` fills a slot list past the slots it holds.
     """
 
-    def __init__(self, env: dict[str, Number]):
-        self.env = env
-        self._cache: dict[Expr, Number] = {}
+    def __init__(self, roots=()):
+        self.nodes: list[Expr] = []        # slot -> node
+        self.consts: list = []             # table read by the statements
+        self.sources: list[str] = []       # the source of each chunk
+        self._slot: dict = {}              # _slot_key(node) -> slot
+        self._const: dict[int, int] = {}   # id of a constant -> table index
+        self._via: list = []               # slot -> node whose walk reached it
+        self._starts: list[int] = []       # first slot of each chunk
+        self._chunks: list = []            # compiled chunks
+        self.extend(roots)
 
-    def __call__(self, e: Expr) -> Number:
-        if type(e) is Const:
-            return e.value
-        got = self._cache.get(e)
-        if got is None:
-            got = self._cache[e] = self._eval(e)
-        return got
+    def slot_of(self, e: Expr) -> int:
+        return self._slot[_slot_key(e)]
 
-    def _eval(self, e: Expr) -> Number:
-        if isinstance(e, Sym):
-            try:
-                return self.env[e.name]
-            except KeyError:
-                raise UnboundSymbolError(e.name) from None
-        if isinstance(e, Add):
-            return sum(self(t) for t in e.terms)
-        if isinstance(e, Mul):
-            v = 1
-            try:
-                for f in e.factors:
-                    v = v * self(f)
-            except OverflowError:
-                raise EvalDomainError(
-                    f"overflow in '{to_source(e)}'", e) from None
+    def extend(self, roots) -> None:
+        """Append and compile the nodes of ``roots`` not on the tape."""
+        first = len(self.nodes)
+        slot = self._slot
+        for root in roots:
+            if _slot_key(root) in slot:
+                continue
+            if type(root) is Const:
+                self._append(root, None)
+                continue
+            stack = [(root, iter(_operands(root)))]
+            while stack:
+                node, rest = stack[-1]
+                for child in rest:
+                    if type(child) is not Const and child not in slot:
+                        stack.append((child, iter(_operands(child))))
+                        break
+                else:
+                    stack.pop()
+                    self._append(node, stack[-1][0] if stack else None)
+        for start in range(first, len(self.nodes), TAPE_CHUNK):
+            stop = min(start + TAPE_CHUNK, len(self.nodes))
+            source = _CHUNK_HEAD + "".join(
+                f"    {self._statement(k)}\n" for k in range(start, stop))
+            namespace = {"_pow_value": _pow_value, "_fun_value": _fun_value}
+            exec(compile(source, "<tape>", "exec"), namespace)
+            self.sources.append(source)
+            self._starts.append(start)
+            self._chunks.append(namespace["_chunk"])
+
+    def _append(self, node: Expr, via: Expr | None) -> None:
+        self._slot[_slot_key(node)] = len(self.nodes)
+        self.nodes.append(node)
+        self._via.append(via)
+
+    def _table(self, value) -> str:
+        self.consts.append(value)
+        return f"c[{len(self.consts) - 1}]"
+
+    def _ref(self, e: Expr) -> str:
+        if type(e) is not Const:
+            return f"v[{self._slot[e]}]"
+        k = self._const.get(id(e))
+        if k is None:
+            k = self._const[id(e)] = len(self.consts)
+            self.consts.append(e.value)
+        return f"c[{k}]"
+
+    def _statement(self, k: int) -> str:
+        e = self.nodes[k]
+        t = type(e)
+        if t is Const:
+            rhs = self._ref(e)
+        elif t is Sym:
+            rhs = f"env[{e.name!r}]"
+        elif t is Add:
+            rhs = " + ".join(["0", *map(self._ref, e.terms)])
+        elif t is Mul:
+            rhs = " * ".join(["1", *map(self._ref, e.factors)])
+        elif t is Neg:
+            rhs = "-" + self._ref(e.arg)
+        elif t is Div:
+            rhs = f"{self._ref(e.num)} / {self._ref(e.den)}"
+        elif t is Pow and e.exponent.denominator == 1:
+            rhs = f"{self._ref(e.base)} ** {self._table(e.exponent.numerator)}"
+        elif t is Pow:
+            rhs = f"_pow({self._ref(e.base)}, {self._table(e.exponent)})"
+        elif t is Fun:
+            rhs = f"_fun({e.name!r}, {self._ref(e.arg)}, {self._table(e)})"
+        else:
+            raise TypeError(f"cannot evaluate {t.__name__}")
+        return f"v[{k}] = {rhs}"
+
+    def run(self, env: dict[str, Number], v: list | None = None) -> list:
+        """The slot list ``v`` (a new one when None) filled at the point
+        ``env``; only the chunks past the slots ``v`` holds run.  On an
+        error ``v`` keeps the chunks that completed."""
+        if v is None:
+            v = []
+        done = len(v)
+        if done == len(self.nodes):
             return v
-        if isinstance(e, Neg):
-            return -self(e.arg)
-        if isinstance(e, Div):
-            den = self(e.den)
-            if den == 0:
-                raise EvalDomainError(
-                    f"division by zero in '{to_source(e)}'", e)
-            return self(e.num) / den
-        if isinstance(e, Pow):
-            base = self(e.base)
+        v.extend([None] * (len(self.nodes) - done))
+        c = self.consts
+        first = bisect.bisect_left(self._starts, done)
+        for start, chunk in zip(self._starts[first:], self._chunks[first:]):
             try:
-                return _pow_value(base, e.exponent)
-            except ZeroDivisionError:
-                raise EvalDomainError(
-                    f"zero raised to a negative power in '{to_source(e)}'",
-                    e) from None
-            except OverflowError:
-                raise EvalDomainError(
-                    f"overflow in '{to_source(e)}'", e) from None
-        if isinstance(e, Fun):
-            return _fun_value(e.name, self(e.arg), e)
-        raise TypeError(f"cannot evaluate {type(e).__name__}")
+                chunk(v, c, env)
+            # any error: name the node, and drop the unfinished chunk
+            except Exception as exc:
+                err = self._fault(exc, chunk, start, v)
+                del v[start:]
+                if err is exc:
+                    raise
+                raise err from None
+        return v
+
+    def getter(self, roots):
+        """Function from a slot list filled by ``run`` to the tuple of the
+        values of ``roots``, which must be on the tape."""
+        slots = [self.slot_of(e) for e in roots]
+        if len(slots) == 1:
+            s = slots[0]
+            return lambda v: (v[s],)
+        return operator.itemgetter(*slots) if slots else (lambda v: ())
+
+    def _fault(self, exc: Exception, chunk, start: int, v: list) -> Exception:
+        """The error a depth-first walk raises at the point where the
+        statement of ``chunk`` on the failing line raised ``exc``.
+
+        The walk combines operands as it reaches them.  Before it reached
+        the failing node, each ancestor on its path had already added or
+        multiplied the operands it evaluated first, or tested its
+        denominator; the node itself does the same with all its operands
+        before its own operation.  The first of those steps that fails,
+        from the root down, gives the error; otherwise ``exc`` does.
+        """
+        tb = exc.__traceback__
+        while tb.tb_frame.f_code is not chunk.__code__:
+            tb = tb.tb_next
+        node = self.nodes[start + tb.tb_lineno - 2]
+        steps = [(node, None)]
+        while (parent := self._via[self.slot_of(steps[-1][0])]) is not None:
+            steps.append((parent, steps[-1][0]))
+        for parent, child in reversed(steps):
+            err = self._partial_fault(parent, child, v)
+            if err is not None:
+                return err
+        return _node_fault(node, exc)
+
+    def _partial_fault(self, parent: Expr, child: Expr, v: list):
+        def value(e):
+            return e.value if type(e) is Const else v[self._slot[e]]
+
+        if type(parent) is Div:
+            if child is not parent.den and value(parent.den) == 0:
+                return EvalDomainError(
+                    f"division by zero in '{to_source(parent)}'", parent)
+            return None
+        if type(parent) is Add:
+            acc, operands, op = 0, parent.terms, operator.add
+        elif type(parent) is Mul:
+            acc, operands, op = 1, parent.factors, operator.mul
+        else:
+            return None
+        try:
+            for e in operands:
+                if e is child:
+                    return None
+                acc = op(acc, value(e))
+        except OverflowError:
+            return EvalDomainError(f"overflow in '{to_source(parent)}'", parent)
+        return None
+
+
+def _node_fault(node: Expr, exc: Exception) -> Exception:
+    """The package error for ``exc`` raised evaluating ``node``; an error
+    with no such meaning is returned as it is."""
+    if isinstance(exc, KeyError) and type(node) is Sym:
+        return UnboundSymbolError(node.name)
+    if isinstance(exc, ZeroDivisionError) and type(node) is Pow:
+        what = "zero raised to a negative power"
+    elif isinstance(exc, OverflowError):
+        what = "overflow"
+    elif isinstance(exc, ValueError):
+        # the math functions refuse only an infinite argument
+        what = "non-finite argument"
+    else:
+        return exc
+    return EvalDomainError(f"{what} in '{to_source(node)}'", node)
 
 
 def evaluate(e: Expr, env: dict[str, Number]) -> Number:
     """Evaluate ``e`` with every free symbol bound by ``env``."""
-    return Evaluator(env)(e)
+    tape = Tape((e,))
+    return tape.run(env)[tape.slot_of(e)]
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +899,11 @@ def simplify(e: Expr) -> Expr:
         cache[node] = out
         return out
 
-    result = walk(e)
+    try:
+        result = walk(e)
+    except OverflowError:
+        # collecting constants met an exact integer beyond floats
+        return e
     return result if result.size() <= e.size() else e
 
 

@@ -215,17 +215,27 @@ def verify_factorization(a_vals: np.ndarray, g_vals: np.ndarray,
                          residual_tol: float = 1e-10,
                          det_bound: float = 1e-12) -> FactorizationCheck:
     """Reconstruction residual and linear-independence bound over stacked
-    form values A[p, I, a] and real metric values g[p, a, b]."""
+    form values A[p, I, a] and real metric values g[p, a, b].  A
+    determinant too large for a float is a numeric fault: a report
+    cannot hold inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        min_abs_det = float(np.abs(np.linalg.det(a_vals)).min())
+    if not np.isfinite(min_abs_det):
+        raise NumericFaultError(
+            f"min |det A| over the sample points is {min_abs_det}: the form "
+            "determinant overflows")
     return FactorizationCheck(
         max_abs(np.swapaxes(a_vals, 1, 2) @ a_vals - g_vals),
-        float(np.abs(np.linalg.det(a_vals)).min()), residual_tol, det_bound)
+        min_abs_det, residual_tol, det_bound)
 
 
 def orthogonality_residual(a_vals: np.ndarray, g_vals: np.ndarray) -> float:
     """Max deviation of A_Ic A_J^c from the identity matrix over stacked
     form values and real metric values.  The inverse metric is taken
     numerically here, so the check does not lean on the symbolic one."""
-    singular = np.flatnonzero(np.abs(np.linalg.det(g_vals)) < 1e-12)
+    # an overflowing determinant is not small, so it need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        singular = np.flatnonzero(np.abs(np.linalg.det(g_vals)) < 1e-12)
     if singular.size:
         raise SingularMetricError(f"sample point {int(singular[0])}")
     gram = a_vals @ np.linalg.inv(g_vals) @ np.swapaxes(a_vals, 1, 2)

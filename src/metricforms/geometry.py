@@ -39,16 +39,19 @@ import numpy as np
 from .chart import Chart
 from .errors import EvalDomainError, NumericFaultError, TensorError
 from . import expr as ex
-from .expr import Differentiator, Evaluator, Expr
+from .expr import Differentiator, Expr, Tape
 from .factorization import FormSet
 from .tensor import (
     MetricField,
     Pair,
     Tensor,
+    compiled,
     einsum,
     elementwise,
     max_abs,
     mirror,
+    reader,
+    real_metric,
     simplified,
 )
 
@@ -530,10 +533,10 @@ def _env(chart: Chart, x: np.ndarray) -> dict[str, float]:
 def classical_rhs(conn: Connection):
     """du^c/ds = -Gamma^c_ab u^a u^b."""
     chart = conn.chart
-    mixed = conn.mixed
+    mixed = compiled(conn.mixed.comps)
 
     def rhs(x, u):
-        gv = mixed.evaluate(_env(chart, x)).real
+        gv = mixed(_env(chart, x)).real
         return -np.einsum("cab,a,b->c", gv, u, u)
 
     return rhs
@@ -552,15 +555,14 @@ def factored_rhs(forms: FormSet, f: Tensor, g_inv: Tensor):
                   set_indexed=True)
     f_mixed = Tensor(chart, einsum("cd,idb->icb", g_inv.comps, f.comps),
                      ("u", "l"), set_indexed=True)
+    tensors = (a_t, p_t, a_up, f_mixed)
+    tape = Tape(e for t in tensors for e in t.comps.flat)
+    reads = [reader(tape, t.comps) for t in tensors]
     imag_seen = [0.0]
 
     def rhs(x, u):
-        env = _env(chart, x)
-        evaluator = Evaluator(env)
-        av = a_t.evaluate(env, evaluator)
-        pv = p_t.evaluate(env, evaluator)
-        auv = a_up.evaluate(env, evaluator)
-        fmv = f_mixed.evaluate(env, evaluator)
+        v = tape.run(_env(chart, x))
+        av, pv, auv, fmv = (read(v) for read in reads)
         quad = np.einsum("iab,a,b->i", pv, u, u)
         du = -np.einsum("ic,i->c", auv, quad)
         a_dot_u = av @ u
@@ -593,9 +595,10 @@ def integrate_geodesic(g: MetricField, g_inv: Tensor, conn: Connection,
         float(np.max(np.abs(traj_c.x[:k] - traj_f.x[:k]))) if k else 0.0,
         float(np.max(np.abs(traj_c.u[:k] - traj_f.u[:k]))) if k else 0.0)
 
+    metric = compiled(g.comps)
     # a non-finite norm raises below, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.array([float(u @ g.evaluate(_env(chart, x)) @ u)
+        norms = np.array([float(u @ real_metric(metric(_env(chart, x))) @ u)
                           for x, u in zip(traj_c.x, traj_c.u)])
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:

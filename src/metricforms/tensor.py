@@ -31,13 +31,14 @@ import numpy as np
 from .chart import Chart
 from .errors import (
     ChartError,
+    EvalDomainError,
     SetAxisError,
     SingularMetricError,
     TensorError,
     VarianceError,
 )
 from . import expr as ex
-from .expr import Expr, Evaluator
+from .expr import Expr, Tape
 
 Variance = tuple[str, ...]
 Pair = tuple[int, int, int]
@@ -251,14 +252,9 @@ class Tensor:
         return Tensor(self.chart, self.comps - other.comps, self.variance,
                       self.set_indexed)
 
-    def evaluate(self, point: dict[str, float],
-                 evaluator: Evaluator | None = None) -> np.ndarray:
+    def evaluate(self, point: dict[str, float]) -> np.ndarray:
         """Numeric component array at a point (complex dtype)."""
-        ev = evaluator if evaluator is not None else Evaluator(point)
-        out = np.empty(self.comps.shape, dtype=complex)
-        for idx in np.ndindex(self.comps.shape):
-            out[idx] = complex(ev(self.comps[idx]))
-        return out
+        return compiled(self.comps)(point)
 
     def _coord_axes(self) -> range:
         first = 1 if self.set_indexed else 0
@@ -457,13 +453,14 @@ def invert_metric(g: MetricField) -> Tensor:
             "symbolic inverse implemented for n <= 4 only; use "
             "MetricField.numeric_inverse per point")
     inv = Tensor(chart, comps, ("u", "u"))
+    g_at, inv_at = compiled(g.comps), compiled(comps)
     for point in chart.sample_points(3, seed=1404):
-        gv = g.evaluate(point)
+        gv = real_metric(g_at(point))
         # non-finite values fail the comparisons, so numpy need not warn
         with np.errstate(invalid="ignore", over="ignore"):
             if abs(np.linalg.det(gv)) < 1e-12:
                 raise SingularMetricError(point)
-            err = np.max(np.abs(gv @ inv.evaluate(point) - np.eye(n)))
+            err = np.max(np.abs(gv @ inv_at(point) - np.eye(n)))
             if not (err <= 1e-10):
                 raise SingularMetricError(point)
     return inv
@@ -472,6 +469,37 @@ def invert_metric(g: MetricField) -> Tensor:
 # ---------------------------------------------------------------------------
 # numeric helpers used by verification code
 # ---------------------------------------------------------------------------
+
+def reader(tape: Tape, comps: np.ndarray):
+    """Function from a slot list of ``tape`` to the values of ``comps``,
+    expressions on the tape, as a complex array of their shape."""
+    get = tape.getter(comps.flat)
+    shape = comps.shape
+
+    def read(v: list) -> np.ndarray:
+        values = get(v)
+        try:
+            return np.array(values, dtype=complex).reshape(shape)
+        except OverflowError:
+            # an exact integer beyond the float range
+            for e, x in zip(comps.flat, values):
+                try:
+                    complex(x)
+                except OverflowError:
+                    raise EvalDomainError(
+                        f"overflow in '{ex.to_source(e)}'", e) from None
+            raise
+
+    return read
+
+
+def compiled(comps: np.ndarray):
+    """Function from a point to the values of ``comps`` as a complex
+    array, from one tape compiled here and run on each call."""
+    tape = Tape(comps.flat)
+    read = reader(tape, comps)
+    return lambda point: read(tape.run(point))
+
 
 def max_abs(values: np.ndarray) -> float:
     return float(np.max(np.abs(values))) if values.size else 0.0

@@ -3,9 +3,15 @@
 These deliberately avoid the symbolic differentiation path of the
 package: derivatives are central finite differences of numerically
 evaluated fields, so route agreement actually checks something.
+``TreeEvaluator`` is the tree walk that numeric evaluation compiles away.
 """
 
+import operator
+
 import numpy as np
+
+from metricforms import expr as ex
+from metricforms.errors import EvalDomainError, UnboundSymbolError
 
 
 def fd_step(x: float, h: float = 1e-6) -> float:
@@ -51,3 +57,69 @@ def fd_riemann_mixed(gamma_mixed_at, env: dict, coords) -> np.ndarray:
                             - gm[a, e, d] * gm[e, b, c]
                     riem[a, b, c, d] = val
     return riem
+
+
+class TreeEvaluator:
+    """The reference for ``expr.Tape``: a memoised depth-first walk over
+    the expression tree, evaluating at one point.
+
+    It combines operands as it reaches them (a running sum or product, a
+    denominator tested before the numerator is evaluated), with the
+    arithmetic and error messages the tape must reproduce: the same
+    values bit for bit, and the same exception for the first fault the
+    walk meets.
+    """
+
+    def __init__(self, env: dict):
+        self.env = env
+        self._cache: dict = {}
+
+    def __call__(self, e):
+        if type(e) is ex.Const:
+            return e.value
+        got = self._cache.get(e)
+        if got is None:
+            got = self._cache[e] = self._eval(e)
+        return got
+
+    def _eval(self, e):
+        if isinstance(e, ex.Sym):
+            try:
+                return self.env[e.name]
+            except KeyError:
+                raise UnboundSymbolError(e.name) from None
+        if isinstance(e, ex.Add):
+            v = 0
+            for t in e.terms:
+                v = _apply(e, operator.add, v, self(t))
+            return v
+        if isinstance(e, ex.Mul):
+            v = 1
+            for f in e.factors:
+                v = _apply(e, operator.mul, v, self(f))
+            return v
+        if isinstance(e, ex.Neg):
+            return -self(e.arg)
+        if isinstance(e, ex.Div):
+            den = self(e.den)
+            if den == 0:
+                raise EvalDomainError(
+                    f"division by zero in '{ex.to_source(e)}'", e)
+            return _apply(e, operator.truediv, self(e.num), den)
+        if isinstance(e, ex.Pow):
+            return _apply(e, ex._pow_value, self(e.base), e.exponent)
+        if isinstance(e, ex.Fun):
+            return _apply(e, ex._fun_value, e.name, self(e.arg), e)
+        raise TypeError(f"cannot evaluate {type(e).__name__}")
+
+
+def _apply(node, f, *args):
+    try:
+        return f(*args)
+    except ZeroDivisionError:
+        what = "zero raised to a negative power"
+    except OverflowError:
+        what = "overflow"
+    except ValueError:
+        what = "non-finite argument"
+    raise EvalDomainError(f"{what} in '{ex.to_source(node)}'", node)

@@ -1,7 +1,11 @@
+import numpy as np
 import pytest
 
-from metricforms import run_analysis
+from metricforms import GeometrySession, run_analysis
+from metricforms import expr as ex
 from metricforms.errors import FactorizationError
+
+from conftest import stacked
 
 EXPECTED_IDENTITIES = [
     "factorization_reconstruction",
@@ -107,6 +111,47 @@ class TestStrategies:
         assert report.overall_pass
         session = GeometrySession(catalog["sphere2"], seed=42, n_points=4,
                                   constants={"r": 2.0})
-        for ev in session._evaluators:
-            assert complex(ev(session.scalar)) \
-                == pytest.approx(0.5, rel=1e-10)
+        for scal in session.scalar_vals(session.scalar):
+            assert complex(scal) == pytest.approx(0.5, rel=1e-10)
+
+
+def _tape_nodes(*tensors):
+    """The slots a tape needs for the components of ``tensors``: every
+    distinct non-constant node, and each distinct constant component."""
+    seen, stack = {}, [e for t in tensors for e in t.comps.flat]
+    consts = {id(e) for e in stack if type(e) is ex.Const}
+    while stack:
+        node = stack.pop()
+        if type(node) is not ex.Const and node not in seen:
+            seen[node] = None
+            stack.extend(node.children())
+    return len(seen) + len(consts)
+
+
+class TestSessionTape:
+    def test_tensors_sharing_nodes_grow_the_tape_by_their_union(self,
+                                                                catalog):
+        session = GeometrySession(catalog["schwarzschild"], seed=5,
+                                  n_points=3)
+        lower, mixed = session.conn.lower, session.conn.mixed
+        assert 0 < _tape_nodes(lower) < _tape_nodes(mixed) \
+            < _tape_nodes(lower) + _tape_nodes(mixed)
+        tape = session._tape
+        session.vals(lower)
+        assert len(tape.nodes) == _tape_nodes(lower)
+        chunks = len(tape.sources)
+        session.vals(mixed)
+        assert len(tape.nodes) == _tape_nodes(lower, mixed)
+        assert len(tape.sources) > chunks
+        # the metric's components are inside the mixed connection
+        chunks = len(tape.sources)
+        session.vals(session.metric.tensor)
+        session.scalar_vals(lower.comps[0, 0, 0])
+        assert len(tape.nodes) == _tape_nodes(lower, mixed,
+                                              session.metric.tensor) \
+            == _tape_nodes(lower, mixed)
+        assert len(tape.sources) == chunks
+        assert all(len(v) == len(tape.nodes) for v in session._slots)
+        for t in (lower, mixed):
+            assert np.array_equal(session.vals(t),
+                                  stacked(t.evaluate, session.points))

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +42,25 @@ NON_FINITE_CASES = [
     (["geodesic", "--start", "1,1", "--velocity", "1,0", "--steps", "5",
       "--json"], "metric is singular"),
 ]
+
+
+OVERFLOWING_G11 = ["1e200 * x^2", "10^400 * x^2", "10^400 + x^2",
+                   "x / 10^400 + 1", "10^400", "10^400 * 1.5 + x^2"]
+
+
+def _overflow_file(tmp_path, g11):
+    path = tmp_path / "overflow.metric"
+    path.write_text(f"""
+name overflow
+dim 2
+coords x y
+signature 2 0
+domain x 0.5 2
+domain y -1 1
+g 1 1 = {g11}
+g 2 2 = 1
+""")
+    return path
 
 
 def run(capsys, *argv):
@@ -225,26 +245,64 @@ g 2 2 = 1
         code, out, err = run(capsys, "check", str(path))
         assert code == EXIT_NUMERIC
 
-    # the first overflows in a power, the second multiplies an exact
-    # 10^400 by a float
-    @pytest.mark.parametrize("g11", ["1e200 * x^2", "10^400 * x^2"])
+    # the first overflows in a power; the others take an exact 10^400
+    # into float arithmetic: a product, a sum, a quotient, a square root
+    # and a folded constant
+    @pytest.mark.parametrize("g11", OVERFLOWING_G11)
     def test_overflowing_user_metric_is_numeric_fault(self, capsys,
                                                       tmp_path, g11):
-        path = tmp_path / "overflow.metric"
-        path.write_text(f"""
-name overflow
-dim 2
-coords x y
-signature 2 0
-domain x 0.5 2
-domain y -1 1
-g 1 1 = {g11}
-g 2 2 = 1
-""")
+        path = _overflow_file(tmp_path, g11)
         code, out, err = run(capsys, "check", str(path))
         assert code == EXIT_NUMERIC
         assert "overflow" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["analyze", "--json"],
+                                      ["factor", "--json"],
+                                      ["classify", "--json"]])
+    @pytest.mark.parametrize("g11", OVERFLOWING_G11[1:])
+    def test_exact_integer_overflow_is_numeric_fault_in_every_command(
+            self, capsys, tmp_path, g11, argv):
+        path = _overflow_file(tmp_path, g11)
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == EXIT_NUMERIC
+        assert "overflow" in err
+        assert "Traceback" not in err
+
+    def test_function_of_infinity_is_numeric_fault(self, capsys, tmp_path):
+        # 1e200 * 1e200 folds to inf, and sin(inf) has no value
+        path = tmp_path / "sin-inf.metric"
+        path.write_text(GOOD_FILE.replace("1 + k * u^2",
+                                          "2 + sin(u * 1e200 * 1e200)"))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == EXIT_NUMERIC
+        assert "non-finite argument in 'sin(inf * u)'" in err
+
+    @pytest.mark.parametrize("argv", [["check"], ["analyze", "--json"],
+                                      ["factor", "--json"]])
+    def test_overflowing_form_determinant_is_numeric_fault(self, capsys,
+                                                           tmp_path, argv):
+        # finite metric values whose form determinant, 1e500, is not
+        path = tmp_path / "huge.metric"
+        path.write_text("""
+name huge
+dim 4
+coords a b c d
+signature 4 0
+domain a 0.5 2
+domain b 0.5 2
+domain c 0.5 2
+domain d 0.5 2
+g 1 1 = 1e250
+g 2 2 = 1e250
+g 3 3 = 1e250
+g 4 4 = 1e250
+""")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == EXIT_NUMERIC
+        assert "min |det A| over the sample points is inf" in err
 
     @pytest.mark.parametrize(
         "argv,message", NON_FINITE_CASES,

@@ -1,3 +1,4 @@
+import ast
 import cmath
 import copy
 import gc
@@ -6,11 +7,12 @@ import operator
 import pickle
 import sys
 import threading
+import tokenize
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from metricforms import (
     Chart,
@@ -316,21 +318,40 @@ _points = st.fixed_dictionaries({
 })
 
 
+def _value_in_domain(e, env):
+    """``complex(evaluate(e, env))``, or None where evaluation leaves the
+    function domain, as for the constant ``cos(sin(sin(2 * 1.5i)))``,
+    which overflows and which folding therefore leaves unfolded.  The
+    properties hold on the domain only."""
+    try:
+        return complex(evaluate(e, env))
+    except EvalDomainError:
+        return None
+
+
+# sin(sin(2 * 1.5i)) folds to 11211.86i, whose cos and sin overflow
+_OVERFLOWING_SIN = ex.fn("sin", ex.fn("sin", ex.mul(ex.const(2.0),
+                                                    ex.const(1.5j))))
+_ORIGIN = {"x": 0.0, "y": 0.0}
+
+
 @given(_exprs(), _points)
+@example(ex.fn("cos", _OVERFLOWING_SIN), _ORIGIN)
 @settings(max_examples=120, deadline=None)
 def test_print_parse_round_trip_property(e, env):
-    v = complex(evaluate(e, env))
-    assume(abs(v) < 1e9)
+    v = _value_in_domain(e, env)
+    assume(v is not None and abs(v) < 1e9)
     back = parse_expr(to_source(e), _chart)
     v2 = complex(evaluate(back, env))
     assert abs(v - v2) <= 1e-12 * (1 + abs(v))
 
 
 @given(_exprs(), _points)
+@example(ex.fn("cos", _OVERFLOWING_SIN), _ORIGIN)
 @settings(max_examples=120, deadline=None)
 def test_simplify_preserves_value_property(e, env):
-    v = complex(evaluate(e, env))
-    assume(abs(v) < 1e9)
+    v = _value_in_domain(e, env)
+    assume(v is not None and abs(v) < 1e9)
     s = simplify(e)
     vs = complex(evaluate(s, env))
     assert abs(v - vs) <= 1e-12 * (1 + abs(v))
@@ -382,16 +403,148 @@ def test_branch_cut_detector():
 
 
 @given(_exprs(), _points, st.sampled_from(["x", "y"]))
+@example(ex.fn("sin", _OVERFLOWING_SIN), _ORIGIN, "x")
 @settings(max_examples=80, deadline=None)
 def test_derivative_matches_fd_property(e, env, coord):
     # keep the finite-difference oracle in its comfort zone
-    v = complex(evaluate(e, env))
-    assume(abs(v) < 1e4)
+    v = _value_in_domain(e, env)
+    assume(v is not None and abs(v) < 1e4)
     sym = complex(evaluate(differentiate(e, coord), env))
     assume(abs(sym) < 1e4)
     assume(not _straddles_branch_cut(e, env, coord))
     fd = oracles.fd_partial(lambda p: complex(evaluate(e, p)), env, coord)
     assert abs(sym - fd) / (1 + abs(fd)) <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the tape against the tree walk
+# ---------------------------------------------------------------------------
+
+def _faulty_exprs():
+    """Expressions that reach every fault evaluation names: zero
+    denominators (``x - x``), exact integers beyond the float range,
+    float overflow, functions of inf, logs of non-positive reals,
+    negative powers of zero, and the unbound symbol ``z``."""
+    x, y, z = ex.sym("x"), ex.sym("y"), ex.sym("z")
+    leaves = st.one_of(
+        st.sampled_from([x, y, z, ex.const(0), ex.const(-0.0),
+                         ex.const(2), ex.const(1.5j), ex.const(1e300),
+                         ex.const(float("inf")), ex.const(10 ** 400)]),
+        st.floats(-3, 3, allow_nan=False).map(ex.const))
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from(ex.FUNCTIONS), children)
+            .map(lambda t: ex.fn(*t)),
+            children.map(ex.neg),
+            st.tuples(st.sampled_from([ex.add, ex.sub, ex.mul, ex.div]),
+                      children, children).map(lambda t: t[0](t[1], t[2])),
+            st.tuples(children, st.sampled_from(
+                [2, 3, -1, -2, Fraction(1, 2), Fraction(-3, 2),
+                 Fraction(1, 3)])).map(lambda t: ex.pow_(*t)))
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+_coordinate = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 710.0, 1e10, 1e-300,
+                     complex(-1.0, 0.0), complex(-1.0, -0.0), 1j]),
+    st.floats(-5, 5, allow_nan=False))
+_fault_points = st.fixed_dictionaries(
+    {"x": _coordinate, "y": _coordinate}, optional={"z": _coordinate})
+
+
+def _outcome(compute):
+    """The reprs of the values ``compute`` returns, or the class and
+    message of what it raised."""
+    try:
+        return [repr(v) for v in compute()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(st.lists(_faulty_exprs(), min_size=1, max_size=4), _fault_points,
+       st.integers(0, 4))
+@settings(max_examples=400, deadline=None)
+def test_tape_matches_tree_walk_property(roots, env, split):
+    # the tape grows between two runs, as a session's does
+    reference = oracles.TreeEvaluator(env)
+    tape, v = ex.Tape(), []
+    for batch in (roots[:split], roots[split:]):
+        want = _outcome(lambda: [reference(e) for e in batch])
+        tape.extend(batch)
+        assert _outcome(lambda: tape.getter(batch)(tape.run(env, v))) == want
+        if not isinstance(want, list):
+            break
+
+
+_X = ex.sym("x")
+
+
+@pytest.mark.parametrize("e,x,expected", [
+    # the principal branch: a negative real gives +i
+    (ex.fn("sqrt", ex.sub(_X, 1)), 0.0, "1j"),
+    (ex.pow_(ex.sub(_X, 4), Fraction(3, 2)), 0.0, "(-0-8j)"),
+    # off the real axis the sign of a zero imaginary part picks the side
+    (ex.fn("sqrt", _X), complex(-4.0, 0.0), "2j"),
+    (ex.fn("sqrt", _X), complex(-4.0, -0.0), "-2j"),
+    (ex.neg(ex.mul(_X, ex.I_UNIT)), 0.0, "(-0-0j)"),
+    # a zero imaginary part takes the real logarithm
+    (ex.fn("log", ex.mul(_X, ex.I_UNIT)), complex(0.0, -1.0), "0.0"),
+])
+def test_tape_branches_and_signed_zeros(e, x, expected):
+    env = {"x": x}
+    assert repr(evaluate(e, env)) == expected
+    assert repr(oracles.TreeEvaluator(env)(e)) == expected
+
+
+def test_tape_spans_many_chunks():
+    x, y = ex.sym("x"), ex.sym("y")
+    roots = [ex.fn("sin", ex.add(ex.mul(ex.const(k + 0.5), x), y))
+             for k in range(150)]
+    tape = ex.Tape(roots)
+    assert len(tape.nodes) == 2 + 3 * 150
+    assert len(tape.sources) == -(-len(tape.nodes) // ex.TAPE_CHUNK) > 3
+    assert all(len(src.splitlines()) <= 1 + ex.TAPE_CHUNK
+               for src in tape.sources)
+    env = {"x": 0.7, "y": -1.3}
+    reference = oracles.TreeEvaluator(env)
+    assert [repr(v) for v in tape.getter(roots)(tape.run(env))] \
+        == [repr(reference(e)) for e in roots]
+    # a fault in the last chunk names its node, and the slot list keeps
+    # the chunks before it
+    bad = ex.div(roots[-1], ex.sub(x, x))
+    tape.extend([bad])
+    v = []
+    with pytest.raises(EvalDomainError, match="division by zero in") as err:
+        tape.run(env, v)
+    assert err.value.subexpr is bad
+    assert len(v) == 2 + 3 * 150
+
+
+def test_tape_source_holds_no_user_text():
+    # symbol names that are Python code, or that shadow the chunk's
+    # own names, appear only as quoted keys
+    names = ["v", "c", "env", "_pow", "x'); import os; ('", "theta"]
+    syms = [ex.sym(n) for n in names]
+    e = ex.add(*(ex.fn("sqrt", ex.div(ex.mul(s, ex.const(2.5)),
+                                      ex.pow_(s, Fraction(-3, 2))))
+                 for s in syms), ex.const(float("inf")))
+    tape = ex.Tape([e])
+    allowed = {"def", "_chunk", "v", "c", "env", "_pow", "_fun",
+               "_pow_value", "_fun_value"}
+    for src in tape.sources:
+        for tok in tokenize.generate_tokens(iter(src.splitlines(True))
+                                            .__next__):
+            if tok.type == tokenize.NAME:
+                assert tok.string in allowed
+            elif tok.type == tokenize.STRING:
+                assert ast.literal_eval(tok.string) in {*names, *ex.FUNCTIONS}
+            elif tok.type == tokenize.NUMBER:
+                assert tok.string.isdigit()
+    env = {n: 4.0 for n in names}
+    assert repr(tape.run(env)[tape.slot_of(e)]) \
+        == repr(oracles.TreeEvaluator(env)(e))
 
 
 # ---------------------------------------------------------------------------

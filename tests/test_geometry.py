@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from metricforms import (
-    Evaluator,
     GeometrySession,
     christoffel_classical,
     christoffel_factored,
@@ -211,8 +210,8 @@ class TestRiemannClassical:
             rv = lower.evaluate(point)
             expected = (1.3 * math.sin(theta)) ** 2
             assert rv[0, 1, 0, 1] == pytest.approx(expected, rel=1e-10)
-            assert Evaluator(point)(scal) == pytest.approx(2 / 1.3 ** 2,
-                                                           rel=1e-10)
+            assert ex.evaluate(scal, point) == pytest.approx(2 / 1.3 ** 2,
+                                                             rel=1e-10)
 
     def test_schwarzschild_is_vacuum(self, sessions):
         s = sessions("schwarzschild")
@@ -302,14 +301,13 @@ class TestRicciEinstein:
 
     def test_flrw_scalar_curvature(self, sessions):
         s = sessions("flrw-flat")
-        for point, ev in zip(s.points, s._evaluators):
-            assert ev(s.scalar) == pytest.approx(6.0 / point["t"] ** 2,
-                                                 rel=1e-10)
+        for point, scal in zip(s.points, s.scalar_vals(s.scalar)):
+            assert scal == pytest.approx(6.0 / point["t"] ** 2, rel=1e-10)
 
     def test_einstein_definition_identity(self, sessions):
         s = sessions("flrw-flat")
         g_vals = s.vals(s.metric.tensor)
-        scal = np.array([ev(s.scalar) for ev in s._evaluators])
+        scal = s.scalar_vals(s.scalar)
         g_term = 0.5 * g_vals * scal[:, None, None]
         assert max_abs(s.vals(s.einstein)
                        - (s.vals(s.ricci) - g_term)) <= 1e-12
