@@ -1,14 +1,15 @@
 """Full-run orchestration: build every derived object for a manifold and
 quantify every identity of the suite at seeded sample points.
 
-Residual tolerances follow the derivative depth of each identity: 1e-9
-at first-derivative level, 1e-8 at second, 1e-7 at third (contracted
-divergence of the Einstein tensor), reflecting conditioning loss per
-differentiation.  The decomposition-sum and factored Ricci/Einstein
-rows are reported, never asserted: whether the three-part curvature
-split reproduces the classical tensor in a general frame is measured by
-this harness, and the observed residuals are pinned as regression
-baselines by the acceptance suite rather than assumed to vanish.
+Residual tolerances, the ``TOL_*`` constants of ``geometry`` and
+``factorization``, follow the derivative depth of each identity (the
+third is the contracted divergence of the Einstein tensor), reflecting
+conditioning loss per differentiation.  The decomposition-sum and
+factored Ricci/Einstein rows are reported, never asserted: whether the
+three-part curvature split reproduces the classical tensor in a general
+frame is measured by this harness, and the observed residuals are
+pinned as regression baselines by the acceptance suite rather than
+assumed to vanish.
 """
 
 from __future__ import annotations
@@ -20,14 +21,10 @@ from functools import cached_property
 import numpy as np
 
 from .chart import Chart
-from .errors import (
-    ChartError,
-    EvalDomainError,
-    FactorizationError,
-    NumericFaultError,
-)
-from .expr import Expr, Tape, to_source
+from .errors import ChartError, FactorizationError, NumericFaultError
+from .expr import Expr, Tape
 from .factorization import (
+    TOL_RECONSTRUCTION,
     FactorizationCheck,
     FormSet,
     make_formset,
@@ -52,6 +49,7 @@ from .tensor import (
     max_imag,
     reader,
     real_metric,
+    require_finite,
 )
 
 DEFAULT_SEED = 0
@@ -219,21 +217,8 @@ class GeometrySession:
             self._tape.run(point, v)
 
     def _finite(self, vals: np.ndarray, target: Tensor | Expr) -> np.ndarray:
-        """``vals``, or EvalDomainError naming the tensor and component
-        that evaluated to inf or nan: no report holds a non-finite number.
-        Division by zero and logs of non-positive reals raise on their
-        own, so a non-finite value comes from float overflow, which
-        Python arithmetic turns into inf without raising."""
-        bad = np.argwhere(~np.isfinite(vals))
-        if not bad.size:
-            return vals
-        point, *idx = (int(k) for k in bad[0])
-        node = target.comps[tuple(idx)] if isinstance(target, Tensor) \
-            else target
-        where = f" component {tuple(idx)}" if idx else ""
-        raise EvalDomainError(
-            f"overflow to a non-finite value in {self._name_of(target)}"
-            f"{where} '{to_source(node)[:80]}' at {self.points[point]}", node)
+        comps = target.comps if isinstance(target, Tensor) else target
+        return require_finite(vals, comps, self._name_of(target), self.points)
 
     def _name_of(self, target: Tensor | Expr) -> str:
         """Attribute path of an object this session built, for messages."""
@@ -374,15 +359,19 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
     """Build all derived objects and measure every identity of the suite."""
     started = time.perf_counter()
     session = GeometrySession(spec, strategy, seed, n_points, constants)
-    ts = tol_scale
+    (reconstruction, exact, first, second, third, imag_residue,
+     geodesic_tol) = (tol * tol_scale for tol in (
+        TOL_RECONSTRUCTION, geo.TOL_EXACT_CONSTRUCTION, geo.TOL_FIRST_DERIV,
+        geo.TOL_SECOND_DERIV, geo.TOL_THIRD_DERIV, geo.TOL_IMAG_RESIDUE,
+        geo.TOL_GEODESIC))
     rows: list[IdentityRow] = []
 
     # factorization level
     fact = session.factorization_check
     rows.append(IdentityRow.check("factorization_reconstruction",
-                                  fact.max_residual, 1e-10 * ts))
+                                  fact.max_residual, reconstruction))
     rows.append(IdentityRow.check("orthogonality_identity",
-                                  session.orthogonality, 1e-9 * ts))
+                                  session.orthogonality, first))
 
     # connection level
     gamma_gap = max(session.route_residual(session.conn.lower,
@@ -390,16 +379,16 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
                     session.route_residual(session.conn.mixed,
                                            session.conn_factored.mixed))
     rows.append(IdentityRow.check("christoffel_route_agreement",
-                                  gamma_gap, 1e-9 * ts))
+                                  gamma_gap, first))
     rows.append(IdentityRow.check("metric_compatibility",
                                   max_abs(session.vals(session.metric_compat)),
-                                  1e-8 * ts))
+                                  second))
 
     # first-derivative objects
     rows.append(IdentityRow.check(
         "sym_derivative_route_agreement",
         session.route_residual(session.sym_deriv, session.sym_deriv_alt),
-        1e-9 * ts))
+        first))
 
     a_vals = session.vals(session.form_tensor)
     s_vals = session.vals(session.sym_deriv)
@@ -408,30 +397,30 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
         np.einsum("pia,pibc->pcab", a_vals, f_vals)
         + np.einsum("pib,piac->pcab", a_vals, f_vals))
     rows.append(IdentityRow.check("sym_antisym_cancellation",
-                                  max_abs(balance), 1e-9 * ts))
+                                  max_abs(balance), first))
 
     # pre-currents
     jp_vals = session.vals(session.precurrent)
     rows.append(IdentityRow.check("precurrent_pair_antisymmetry",
                                   _pair_swap_residual(jp_vals, 3, 4, +1.0),
-                                  1e-12 * ts))
+                                  exact))
     rows.append(IdentityRow.check("precurrent_cyclic_identity",
                                   antisym_cycle_residual(jp_vals, (2, 3, 4)),
-                                  1e-8 * ts))
+                                  second))
 
     # classical curvature symmetries
     r_vals = session.vals(session.riemann_lower)
     rows.append(IdentityRow.check("riemann_antisym_first_pair",
                                   _pair_swap_residual(r_vals, 1, 2, +1.0),
-                                  1e-8 * ts))
+                                  second))
     rows.append(IdentityRow.check("riemann_antisym_second_pair",
                                   _pair_swap_residual(r_vals, 3, 4, +1.0),
-                                  1e-8 * ts))
+                                  second))
     rows.append(IdentityRow.check("riemann_pair_interchange",
-                                  _interchange_residual(r_vals), 1e-8 * ts))
+                                  _interchange_residual(r_vals), second))
     rows.append(IdentityRow.check("riemann_first_bianchi",
                                   antisym_cycle_residual(r_vals, (2, 3, 4)),
-                                  1e-8 * ts))
+                                  second))
 
     # per-term first Bianchi of the decomposition
     for label, tensor in (("bianchi_current_part", session.parts.current_part),
@@ -439,7 +428,7 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
                           ("bianchi_sym_part", session.parts.sym_part)):
         rows.append(IdentityRow.check(
             label, antisym_cycle_residual(session.vals(tensor), (2, 3, 4)),
-            1e-8 * ts))
+            second))
 
     # decomposition vs classical: measured, never asserted here
     total_vals = session.vals(session.parts_total)
@@ -471,10 +460,10 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
     # Killing / Lie derivative
     killing = session.killing
     rows.append(IdentityRow.check("lie_derivative_identity",
-                                  killing.lie_vs_2s, 1e-9 * ts))
+                                  killing.lie_vs_2s, first))
     # S and L_A g vanish only for a closed set: otherwise measured
     rows.append(IdentityRow.check("killing_closed_set",
-                                  killing.killing_residual, 1e-9 * ts)
+                                  killing.killing_residual, first)
                 if killing.set_closed else
                 IdentityRow.report("killing_closed_set",
                                    killing.killing_residual))
@@ -489,19 +478,19 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
                    session.parts.form_part, session.parts.sym_part):
         imag = max(imag, max_imag(session.vals(tensor)))
     rows.append(IdentityRow.check("imaginary_residue_physical", imag,
-                                  1e-10 * ts))
+                                  imag_residue))
 
     # third-derivative level
     rows.append(IdentityRow.check(
         "contracted_bianchi_classical",
-        max_abs(session.vals(session.einstein_divergence)), 1e-7 * ts))
+        max_abs(session.vals(session.einstein_divergence)), third))
 
     # geodesic spot check from the domain midpoint
     comparison = session.geodesic_spot_check()
     rows.append(IdentityRow.check("geodesic_route_divergence",
-                                  comparison.divergence, 1e-6 * ts))
+                                  comparison.divergence, geodesic_tol))
     rows.append(IdentityRow.check("geodesic_norm_drift",
-                                  comparison.norm_drift, 1e-6 * ts))
+                                  comparison.norm_drift, geodesic_tol))
     geodesic = GeodesicCheck(comparison.divergence, comparison.norm_drift,
                              GEODESIC_SPOT_STEPS, GEODESIC_SPOT_STEP_SIZE,
                              comparison.classical.exited_domain

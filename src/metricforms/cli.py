@@ -30,7 +30,7 @@ from .factorization import make_formset, numeric_formset
 from . import geometry as geo
 from .manifolds import get_manifold
 from .report import dumps_canonical, render_human, render_json
-from .tensor import max_abs
+from .tensor import max_abs, require_finite
 
 EXIT_OK = 0
 EXIT_IDENTITY = 2
@@ -76,9 +76,11 @@ def cmd_factor(args) -> int:
             else numeric_formset(g)
         vec = _parse_vector(args.point, spec.chart.dim, "--point")
         env = _point_env(spec.chart, vec)
-        a = forms.components_at(env)
-        v = a.T  # V[a, I]
-        residual = max_abs(v @ v.T - g.evaluate(env))
+        gv = require_finite(g.evaluate(env)[np.newaxis], g.comps, "metric",
+                            [env])[0]
+        v = require_finite(forms.components_at(env)[np.newaxis], forms.comps,
+                           "forms", [env])[0].T  # V[a, I]
+        residual = max_abs(v @ v.T - gv)
         if args.json:
             doc = {
                 "manifold": spec.name,

@@ -62,10 +62,6 @@ class VarianceError(TensorError):
     pass
 
 
-class SetAxisError(TensorError):
-    """An operation was asked to act on the set-enumeration axis."""
-
-
 class FactorizationError(MetricFormsError):
     pass
 

@@ -288,12 +288,23 @@ def sym(name: str) -> Sym:
     return Sym(name)
 
 
+# Constant folding keeps exact integers up to this many bits: beyond the
+# float range, so exact cancellations still fold, yet far below the
+# 4,300 digits Python prints and quick to compute.  A wider result is an
+# overflow: the operation is left unfolded, and evaluating it faults.
+EXACT_INT_BITS = 4096
+
+
+def _exact(value: Number) -> Number:
+    """``value``, or OverflowError for an integer wider than
+    ``EXACT_INT_BITS``."""
+    if type(value) is int and value.bit_length() > EXACT_INT_BITS:
+        raise OverflowError("exact integer beyond the folding bound")
+    return value
+
+
 def _is_zero(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 0
-
-
-def _is_one(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 1
 
 
 def add(*terms) -> Expr:
@@ -304,11 +315,11 @@ def add(*terms) -> Expr:
         for u in t.terms if isinstance(t, Add) else (t,):
             if isinstance(u, Const):
                 try:
-                    acc = acc + u.value
+                    acc = _exact(acc + u.value)
                     has_const = True
                     continue
                 except OverflowError:
-                    pass    # an exact integer beyond floats stays a term
+                    pass    # an integer too wide to fold stays a term
             flat.append(u)
     if has_const and acc != 0:
         flat.append(Const(acc))
@@ -327,11 +338,11 @@ def mul(*factors) -> Expr:
         for u in f.factors if isinstance(f, Mul) else (f,):
             if isinstance(u, Const):
                 try:
-                    acc = acc * u.value
+                    acc = _exact(acc * u.value)
                     has_const = True
                     continue
                 except OverflowError:
-                    pass    # an exact integer beyond floats stays a factor
+                    pass    # an integer too wide to fold stays a factor
             flat.append(u)
     if has_const and acc == 0:
         return ZERO
@@ -419,18 +430,27 @@ def _sqrt_value(v: Number) -> Number:
     return complex(0.0, math.sqrt(-v))
 
 
+def _int_pow(v: Number, p: int) -> Number:
+    """``v ** p``; for an exact integer ``v``, OverflowError before
+    computing a result wider than ``EXACT_INT_BITS``."""
+    if type(v) is int and p > 0 and \
+            (abs(v).bit_length() - 1) * p > EXACT_INT_BITS:
+        raise OverflowError("exact integer power beyond the folding bound")
+    return _exact(v ** p)
+
+
 def _pow_value(v: Number, q: Fraction) -> Number:
     p, d = q.numerator, q.denominator
     if d == 1:
         if v == 0 and p < 0:
             raise ZeroDivisionError
-        return v ** p
+        return _int_pow(v, p)
     if d == 2:
         s = _sqrt_value(v)
         k = (p - 1) // 2 if p > 0 else -((-p + 1) // 2)
         # v^(p/2) = v^k * sqrt(v)^(p-2k); p odd, so p-2k = +/-1
         rest = s if p - 2 * k == 1 else 1 / s
-        return (v ** k) * rest
+        return _int_pow(v, k) * rest
     if isinstance(v, complex) or v < 0:
         if v == 0:
             raise ZeroDivisionError
@@ -490,9 +510,11 @@ class Tape:
     list.  The statements are compiled into functions of at most
     ``TAPE_CHUNK`` lines over a slot list ``v``.  Each applies the
     arithmetic of its node: ``0 + a + b`` for a sum, ``1 * a * b`` for a
-    product, ``-a``, ``a / b``, ``a ** p`` for an integer power, and
-    ``_pow_value`` / ``_fun_value`` otherwise, so purely real subtrees
-    stay real and roots take the principal branch.
+    product, ``-a``, ``a / b``, ``a ** p`` for an integer power of a
+    non-constant, and ``_pow_value`` / ``_fun_value`` otherwise, so
+    purely real subtrees stay real, roots take the principal branch, and
+    a power of a constant that did not fold stays within the bound on
+    exact integers.
 
     The source holds only slot and table indices, function names and
     quoted symbol names: numbers, exponents and function nodes are read
@@ -579,7 +601,8 @@ class Tape:
             rhs = "-" + self._ref(e.arg)
         elif t is Div:
             rhs = f"{self._ref(e.num)} / {self._ref(e.den)}"
-        elif t is Pow and e.exponent.denominator == 1:
+        elif t is Pow and e.exponent.denominator == 1 \
+                and type(e.base) is not Const:
             rhs = f"{self._ref(e.base)} ** {self._table(e.exponent.numerator)}"
         elif t is Pow:
             rhs = f"_pow({self._ref(e.base)}, {self._table(e.exponent)})"
@@ -822,7 +845,7 @@ def _collect_add(terms: tuple[Expr, ...]) -> Expr:
     const_part: complex | int | float = 0
     for t in terms:
         if isinstance(t, Const):
-            const_part = const_part + t.value
+            const_part = _exact(const_part + t.value)
             continue
         c, core = _split_coeff(t)
         if core in coeffs:
@@ -852,7 +875,7 @@ def _collect_mul(factors: tuple[Expr, ...]) -> Expr:
     coeff: complex | int | float = 1
     for f in factors:
         if isinstance(f, Const):
-            coeff = coeff * f.value
+            coeff = _exact(coeff * f.value)
             continue
         base, q = (f.base, f.exponent) if isinstance(f, Pow) else (f, Fraction(1))
         if base in powers:
@@ -902,7 +925,7 @@ def simplify(e: Expr) -> Expr:
     try:
         result = walk(e)
     except OverflowError:
-        # collecting constants met an exact integer beyond floats
+        # collecting constants overflowed a float or the integer bound
         return e
     return result if result.size() <= e.size() else e
 
@@ -935,7 +958,11 @@ def _tokenize(src: str):
             elif "." in body or exp10:
                 value = float(text)
             else:
-                value = int(text)
+                try:
+                    value = int(text)
+                except ValueError:      # more digits than Python converts
+                    raise ParseError(f"integer literal of {len(text)} "
+                                     "digits is too long", pos) from None
             tokens.append(("num", value, pos))
             pos = m.end()
             continue

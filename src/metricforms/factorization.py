@@ -5,9 +5,9 @@ that sum_I A[I, a] A[I, b] = g[a, b]:
 
 * ``diagonal`` - componentwise symbolic square roots of a diagonal metric;
   negative components get +i times the real root.
-* ``ldl`` - symbolic unit-lower-triangular L and diagonal D with
-  L D Lt = g, then V = L sqrt(D); a symmetric pivot permutation is tried
-  when a leading pivot vanishes identically.
+* ``ldl`` - V = L sqrt(D) from the metric's symbolic L D Lt = g
+  (``tensor.ldl``, which the inverse metric is built from as well); a
+  symmetric pivot permutation is tried when a pivot vanishes identically.
 * ``numeric`` - pointwise real eigendecomposition g = Q L Qt giving
   V = Q sqrt(L); supports evaluation-only work (no derivatives).
 
@@ -28,13 +28,12 @@ from .errors import (
     NonDiagonalMetricError,
     NumericFaultError,
     SingularMetricError,
-    ZeroPivotError,
 )
 from . import expr as ex
-from .expr import Expr
-from .tensor import MetricField, Tensor, max_abs
+from .tensor import MetricField, Tensor, einsum, max_abs, simplified
 
-STRATEGIES = ("diagonal", "ldl", "numeric")
+#: bound on |A (.) A - g|, a purely algebraic residual
+TOL_RECONSTRUCTION = 1e-10
 
 
 @dataclass
@@ -47,16 +46,6 @@ class FormSet:
     point_factory: Callable[[dict], np.ndarray] | None = None
     choice: str = ""                            # orthogonal-family convention
     permutation: tuple[int, ...] | None = None  # ldl pivot order, if applied
-
-    @property
-    def set_extent(self) -> int:
-        if self.comps is not None:
-            return self.comps.shape[0]
-        return self.chart.dim
-
-    @property
-    def symbolic(self) -> bool:
-        return self.comps is not None
 
     def as_tensor(self) -> Tensor:
         if self.comps is None:
@@ -90,66 +79,20 @@ def factor_diagonal(g: MetricField) -> FormSet:
                    choice="principal square root per axis")
 
 
-def _try_ldl(work: np.ndarray, n: int):
-    """One LDL pass; returns (L, D) or the index of an identically zero pivot."""
-    L = np.empty((n, n), dtype=object)
-    L[...] = ex.ZERO
-    D = [ex.ZERO] * n
-    for j in range(n):
-        acc = [work[j, j]]
-        for k in range(j):
-            acc.append(ex.neg(ex.mul(L[j, k], L[j, k], D[k])))
-        pivot = ex.simplify(ex.add(*acc))
-        if isinstance(pivot, ex.Const) and pivot.value == 0:
-            return None, None, j
-        D[j] = pivot
-        L[j, j] = ex.ONE
-        for i in range(j + 1, n):
-            acc = [work[i, j]]
-            for k in range(j):
-                acc.append(ex.neg(ex.mul(L[i, k], L[j, k], D[k])))
-            L[i, j] = ex.simplify(ex.div(ex.add(*acc), pivot))
-    return L, D, None
-
-
 def factor_ldl(g: MetricField) -> FormSet:
-    """Symbolic L D Lt = g with unit-lower-triangular L, V = L sqrt(D).
+    """V = L sqrt(D) from the metric's symbolic L D Lt = g, with
+    unit-lower-triangular L.
 
     An identically zero pivot triggers a symmetric reordering of the
     coordinates; the permutation used is recorded.  If no reordering
     clears the pivot, the factorization fails.
     """
-    n = g.chart.dim
-    order = list(range(n))
-    first_failure = None
-    for attempt in range(n):
-        work = g.comps[np.ix_(order, order)]
-        L, D, bad = _try_ldl(work, n)
-        if bad is None:
-            break
-        if first_failure is None:
-            first_failure = bad
-        # move a later coordinate with a nonzero diagonal entry up front
-        swapped = False
-        for k in range(bad + 1, n):
-            cand = ex.simplify(work[k, k])
-            if not (isinstance(cand, ex.Const) and cand.value == 0):
-                order[bad], order[k] = order[k], order[bad]
-                swapped = True
-                break
-        if not swapped:
-            raise ZeroPivotError(first_failure, tried_permutations=True)
-    else:
-        raise ZeroPivotError(first_failure, tried_permutations=True)
-
+    L, D, order = g.ldl
+    roots = np.array([ex.fn("sqrt", d) for d in D], dtype=object)
     # V[a, I] in original coordinates: row order[i] of V is row i of L sqrt(D)
-    comps = np.empty((n, n), dtype=object)
-    comps[...] = ex.ZERO
-    roots = [ex.fn("sqrt", D[i]) for i in range(n)]
-    for i in range(n):
-        for I in range(n):
-            comps[I, order[i]] = ex.simplify(ex.mul(L[i, I], roots[I]))
-    perm = tuple(order) if order != list(range(n)) else None
+    comps = np.empty(L.shape, dtype=object)
+    comps[:, order] = simplified(einsum("iI,I->Ii", L, roots))
+    perm = order if order != tuple(range(len(order))) else None
     return FormSet(g.chart, "ldl", comps=comps,
                    choice="unit lower-triangular factor, pivots in "
                           "coordinate order",
@@ -212,7 +155,7 @@ class FactorizationCheck:
 
 
 def verify_factorization(a_vals: np.ndarray, g_vals: np.ndarray,
-                         residual_tol: float = 1e-10,
+                         residual_tol: float = TOL_RECONSTRUCTION,
                          det_bound: float = 1e-12) -> FactorizationCheck:
     """Reconstruction residual and linear-independence bound over stacked
     form values A[p, I, a] and real metric values g[p, a, b].  A

@@ -1,13 +1,9 @@
-"""Dense tensors of symbolic components, with an optional set-enumeration axis.
+"""Dense tensors of symbolic components, metric fields and their inverse.
 
 Components are expression trees; every verification downstream contracts
 them to numbers at sampled points.  Coordinate indices carry a variance
 ('l' lower / 'u' upper).  The set-enumeration axis, when present, is the
-leading axis and has no variance: it never takes part in contraction,
-raising, or (anti)symmetrization.  The set product contracts it between
-two set-indexed tensors:
-
-    (A (.) B)[a..., b...] = sum_I A[I, a...] * B[I, b...]
+leading axis and has no variance.
 
 Every index contraction, here and in the geometry built on top, goes
 through one primitive: ``einsum``, Einstein summation over object arrays
@@ -17,6 +13,10 @@ contraction written with it builds the same terms in the same order as
 the equivalent nest of loops, and hash-consing makes the results the
 very same nodes.  Elementwise sums and differences use numpy object
 arithmetic, which calls the same smart constructors.
+
+A metric is factored once, symbolically, as L D Lt (``ldl``).  The
+``ldl`` form set V = L sqrt(D) and the inverse metric L^-t D^-1 L^-1 are
+both built from those factors.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ import numpy as np
 
 from .chart import Chart
 from .errors import (
-    ChartError,
     EvalDomainError,
-    SetAxisError,
     SingularMetricError,
     TensorError,
     VarianceError,
+    ZeroPivotError,
 )
 from . import expr as ex
 from .expr import Expr, Tape
@@ -218,19 +217,6 @@ class Tensor:
         self.variance = variance
         self.set_indexed = set_indexed
 
-    @property
-    def rank(self) -> int:
-        return len(self.variance)
-
-    @property
-    def set_extent(self) -> int:
-        if not self.set_indexed:
-            raise SetAxisError("tensor has no set-enumeration axis")
-        return self.comps.shape[0]
-
-    def __getitem__(self, idx):
-        return self.comps[idx]
-
     def map(self, f) -> "Tensor":
         return Tensor(self.chart, elementwise(f, self.comps), self.variance,
                       self.set_indexed)
@@ -256,122 +242,6 @@ class Tensor:
         """Numeric component array at a point (complex dtype)."""
         return compiled(self.comps)(point)
 
-    def _coord_axes(self) -> range:
-        first = 1 if self.set_indexed else 0
-        return range(first, first + self.rank)
-
-    def _slot_axis(self, slot: int) -> int:
-        """Validate a component-array axis referring to a coordinate index."""
-        if self.set_indexed and slot == 0:
-            raise SetAxisError(
-                "the set-enumeration index is excluded from index operations")
-        if slot not in self._coord_axes():
-            raise TensorError(f"slot {slot} out of range")
-        return slot
-
-    def _slot_variance_pos(self, slot: int) -> int:
-        return slot - (1 if self.set_indexed else 0)
-
-
-# ---------------------------------------------------------------------------
-# set product
-# ---------------------------------------------------------------------------
-
-_LETTERS = "abcdefghjklmnopqrstuvwxy"   # coordinate slots; 'i' set, 'z' summed
-
-
-def set_product(a: Tensor, b: Tensor) -> Tensor:
-    """Contract the set-enumeration axis between two set-indexed tensors."""
-    if not (a.set_indexed and b.set_indexed):
-        raise SetAxisError("set product needs two set-indexed tensors")
-    if a.chart != b.chart:
-        raise ChartError("set product operands live on different charts")
-    if a.set_extent != b.set_extent:
-        raise TensorError(
-            f"set extents differ: {a.set_extent} vs {b.set_extent}")
-    sa, sb = _LETTERS[:a.rank], _LETTERS[a.rank:a.rank + b.rank]
-    comps = einsum(f"i{sa},i{sb}->{sa}{sb}", a.comps, b.comps)
-    return Tensor(a.chart, comps, a.variance + b.variance)
-
-
-# ---------------------------------------------------------------------------
-# index raising / lowering / contraction
-# ---------------------------------------------------------------------------
-
-def _axis_letters(t: Tensor) -> str:
-    return ("i" if t.set_indexed else "") + _LETTERS[:t.rank]
-
-
-def _apply_metric(t: Tensor, slot: int, metric_comps: np.ndarray,
-                  new_variance_char: str) -> Tensor:
-    axis = t._slot_axis(slot)
-    letters = _axis_letters(t)
-    summed = letters[:axis] + "z" + letters[axis + 1:]
-    out = einsum(f"{letters[axis]}z,{summed}->{letters}", metric_comps,
-                 t.comps)
-    pos = t._slot_variance_pos(slot)
-    variance = t.variance[:pos] + (new_variance_char,) + t.variance[pos + 1:]
-    return Tensor(t.chart, out, variance, t.set_indexed)
-
-
-def raise_index(t: Tensor, slot: int, g_inv: Tensor) -> Tensor:
-    """Contract a lower slot with the inverse metric."""
-    pos = t._slot_variance_pos(t._slot_axis(slot))
-    if t.variance[pos] != "l":
-        raise VarianceError(f"slot {slot} is already upper")
-    return _apply_metric(t, slot, g_inv.comps, "u")
-
-
-def lower_index(t: Tensor, slot: int, g: "MetricField") -> Tensor:
-    """Contract an upper slot with the metric."""
-    pos = t._slot_variance_pos(t._slot_axis(slot))
-    if t.variance[pos] != "u":
-        raise VarianceError(f"slot {slot} is already lower")
-    return _apply_metric(t, slot, g.tensor.comps, "l")
-
-
-def contract(t: Tensor, slot_a: int, slot_b: int) -> Tensor:
-    """Trace over one upper and one lower coordinate slot."""
-    axis_a, axis_b = t._slot_axis(slot_a), t._slot_axis(slot_b)
-    if axis_a == axis_b:
-        raise TensorError("cannot contract a slot with itself")
-    va = t.variance[t._slot_variance_pos(axis_a)]
-    vb = t.variance[t._slot_variance_pos(axis_b)]
-    if {va, vb} != {"l", "u"}:
-        raise VarianceError("contraction pairs one upper with one lower index")
-    letters = _axis_letters(t)
-    traced = "".join("z" if ax in (axis_a, axis_b) else c
-                     for ax, c in enumerate(letters))
-    comps = einsum(f"{traced}->{traced.replace('z', '')}", t.comps)
-    variance = tuple(v for k, v in enumerate(t.variance)
-                     if k not in (t._slot_variance_pos(axis_a),
-                                  t._slot_variance_pos(axis_b)))
-    return Tensor(t.chart, comps, variance, t.set_indexed)
-
-
-# ---------------------------------------------------------------------------
-# (anti)symmetrization over a pair of coordinate slots
-# ---------------------------------------------------------------------------
-
-def _pair_mix(t: Tensor, slots: tuple[int, int], sign: int) -> Tensor:
-    axis_a, axis_b = (t._slot_axis(s) for s in slots)
-    if axis_a == axis_b:
-        raise TensorError("symmetrization slots must differ")
-    if t.variance[t._slot_variance_pos(axis_a)] != \
-            t.variance[t._slot_variance_pos(axis_b)]:
-        raise VarianceError("symmetrization slots must share variance")
-    swapped = np.swapaxes(t.comps, axis_a, axis_b)
-    mixed = t.comps + swapped if sign > 0 else t.comps - swapped
-    return Tensor(t.chart, mixed * ex.HALF, t.variance, t.set_indexed)
-
-
-def symmetrize(t: Tensor, slots: tuple[int, int]) -> Tensor:
-    return _pair_mix(t, slots, +1)
-
-
-def antisymmetrize(t: Tensor, slots: tuple[int, int]) -> Tensor:
-    return _pair_mix(t, slots, -1)
-
 
 # ---------------------------------------------------------------------------
 # metric fields
@@ -395,75 +265,117 @@ class MetricField:
     def comps(self) -> np.ndarray:
         return self.tensor.comps
 
-    def component(self, a: int, b: int) -> Expr:
-        return self.tensor.comps[a, b]
-
     def is_diagonal(self) -> bool:
         n = self.chart.dim
         return all(ex._is_zero(ex.simplify(self.comps[a, b]))
                    for a in range(n) for b in range(a + 1, n))
 
-    def det(self) -> Expr:
-        return _determinant(self.comps)
-
     def evaluate(self, point: dict[str, float]) -> np.ndarray:
         return real_metric(self.tensor.evaluate(point))
 
-    def numeric_inverse(self, point: dict[str, float]) -> np.ndarray:
-        """Pointwise fallback for dimensions without a symbolic inverse."""
-        g = self.evaluate(point)
-        if abs(np.linalg.det(g)) < 1e-12:
-            raise SingularMetricError(point)
-        return np.linalg.inv(g)
+    @functools.cached_property
+    def ldl(self) -> tuple:
+        """The one symbolic factorization of this metric, ``ldl`` of its
+        components: the ``ldl`` form set and the inverse metric are both
+        built from it."""
+        return ldl(self.comps)
 
 
-def _determinant(m: np.ndarray) -> Expr:
-    n = m.shape[0]
-    if n == 1:
-        return m[0, 0]
-    terms = []
+def _ldl_pass(work: np.ndarray):
+    """One LDL pass in the given order: (L, D, None), or (None, None, j)
+    when pivot j is identically zero."""
+    n = work.shape[0]
+    L = np.full((n, n), ex.ZERO, dtype=object)
+    D = [ex.ZERO] * n
+
+    def reduced(i, j):      # work[i, j] - sum_k<j L[i, k] L[j, k] D[k]
+        return ex.add(work[i, j], *[ex.neg(ex.mul(L[i, k], L[j, k], D[k]))
+                                    for k in range(j)])
+
     for j in range(n):
-        minor = np.delete(np.delete(m, 0, axis=0), j, axis=1)
-        term = ex.mul(m[0, j], _determinant(minor))
-        terms.append(term if j % 2 == 0 else ex.neg(term))
-    return ex.add(*terms)
+        pivot = ex.simplify(reduced(j, j))
+        if ex._is_zero(pivot):
+            return None, None, j
+        D[j], L[j, j] = pivot, ex.ONE
+        for i in range(j + 1, n):
+            L[i, j] = ex.simplify(ex.div(reduced(i, j), pivot))
+    return L, tuple(D), None
 
 
-def invert_metric(g: MetricField) -> Tensor:
-    """Symbolic inverse: reciprocal diagonal when the metric is diagonal,
-    cofactor expansion otherwise (n <= 4).  Verified by multiplying back
-    at a few seeded sample points; a singular point raises."""
-    chart = g.chart
-    n = chart.dim
-    comps = np.empty((n, n), dtype=object)
-    if g.is_diagonal():
-        for a in range(n):
-            for b in range(n):
-                comps[a, b] = ex.div(ex.ONE, g.comps[a, a]) if a == b else ex.ZERO
-    elif n <= 4:
-        det = ex.simplify(g.det())
-        for a in range(n):
-            for b in range(a, n):
-                minor = np.delete(np.delete(g.comps, b, axis=0), a, axis=1)
-                cof = ex.simplify(_determinant(minor))
-                signed = cof if (a + b) % 2 == 0 else ex.neg(cof)
-                comps[a, b] = comps[b, a] = ex.div(signed, det)
-    else:
-        raise TensorError(
-            "symbolic inverse implemented for n <= 4 only; use "
-            "MetricField.numeric_inverse per point")
-    inv = Tensor(chart, comps, ("u", "u"))
-    g_at, inv_at = compiled(g.comps), compiled(comps)
-    for point in chart.sample_points(3, seed=1404):
+def ldl(g: np.ndarray):
+    """Symbolic L D Lt of a symmetric matrix of expressions, as
+    ``(L, D, order)`` with g[order][:, order] = L diag(D) Lt and L unit
+    lower triangular.
+
+    An identically zero pivot moves a later coordinate with a nonzero
+    diagonal entry in front of it, and the pass starts again; when no
+    such coordinate is left, ZeroPivotError names the first zero pivot.
+    """
+    n = g.shape[0]
+    order = list(range(n))
+    first_bad = None
+    for _ in range(n):
+        work = g[np.ix_(order, order)]
+        L, D, bad = _ldl_pass(work)
+        if bad is None:
+            return L, D, tuple(order)
+        if first_bad is None:
+            first_bad = bad
+        swap = next((k for k in range(bad + 1, n)
+                     if not ex._is_zero(ex.simplify(work[k, k]))), None)
+        if swap is None:
+            break
+        order[bad], order[swap] = order[swap], order[bad]
+    raise ZeroPivotError(first_bad, tried_permutations=True)
+
+
+def _checked_points(g: MetricField):
+    """The seeded points at which the inverse is verified, each with the
+    real metric there; SingularMetricError at the first where |det g|
+    is below 1e-12."""
+    g_at = compiled(g.comps)
+    for point in g.chart.sample_points(3, seed=1404):
         gv = real_metric(g_at(point))
-        # non-finite values fail the comparisons, so numpy need not warn
+        # an overflowing determinant is not small, so it need not warn
         with np.errstate(invalid="ignore", over="ignore"):
             if abs(np.linalg.det(gv)) < 1e-12:
                 raise SingularMetricError(point)
+        yield point, gv
+
+
+def invert_metric(g: MetricField) -> Tensor:
+    """g^-1 = L^-t D^-1 L^-1 from the metric's LDL factors, for any
+    dimension; a diagonal metric gets its reciprocal diagonal.  Verified
+    by multiplying back at three seeded sample points.  A singular point
+    raises SingularMetricError, also when the factorization finds no
+    nonzero pivot; a metric regular there that has none raises
+    ZeroPivotError."""
+    try:
+        L, D, order = g.ldl
+    except ZeroPivotError:
+        for _ in _checked_points(g):
+            pass
+        raise
+    n = g.chart.dim
+    # M = L^-1, unit lower triangular, by forward substitution
+    m = np.full((n, n), ex.ZERO, dtype=object)
+    for i in range(n):
+        m[i, i] = ex.ONE
+        for j in range(i):
+            m[i, j] = ex.simplify(ex.neg(ex.add(
+                *[ex.mul(L[i, k], m[k, j]) for k in range(j, i)])))
+    d_inv = np.array([ex.div(ex.ONE, d) for d in D], dtype=object)
+    comps = np.empty((n, n), dtype=object)
+    comps[np.ix_(order, order)] = simplified(
+        einsum("ka,k,kb->ab", m, d_inv, m, pair=(0, 1, +1)), (0, 1, +1))
+    inv_at = compiled(comps)
+    for point, gv in _checked_points(g):
+        # non-finite values fail the comparison, so numpy need not warn
+        with np.errstate(invalid="ignore", over="ignore"):
             err = np.max(np.abs(gv @ inv_at(point) - np.eye(n)))
-            if not (err <= 1e-10):
-                raise SingularMetricError(point)
-    return inv
+        if not (err <= 1e-10):
+            raise SingularMetricError(point)
+    return Tensor(g.chart, comps, ("u", "u"))
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +411,26 @@ def compiled(comps: np.ndarray):
     tape = Tape(comps.flat)
     read = reader(tape, comps)
     return lambda point: read(tape.run(point))
+
+
+def require_finite(vals: np.ndarray, comps, what: str,
+                   points: list[dict[str, float]]) -> np.ndarray:
+    """``vals``, stacked over ``points``, or EvalDomainError naming the
+    point and the component of ``what`` that evaluated to inf or nan, with
+    its expression when ``comps`` (an array of them, or one) holds it: no
+    report holds a non-finite number.  Division by zero and logs of
+    non-positive reals raise on their own, so a non-finite value comes
+    from float overflow, which Python arithmetic turns into inf without
+    raising."""
+    bad = np.argwhere(~np.isfinite(vals))
+    if not bad.size:
+        return vals
+    point, *idx = (int(k) for k in bad[0])
+    node = comps[tuple(idx)] if isinstance(comps, np.ndarray) else comps
+    where = f" component {tuple(idx)}" if idx else ""
+    source = f" '{ex.to_source(node)[:80]}'" if node is not None else ""
+    raise EvalDomainError(f"overflow to a non-finite value in {what}{where}"
+                          f"{source} at {points[point]}", node)
 
 
 def max_abs(values: np.ndarray) -> float:

@@ -2,12 +2,15 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import metricforms
 from metricforms.cli import (
     EXIT_IDENTITY,
     EXIT_INPUT,
@@ -41,11 +44,22 @@ NON_FINITE_CASES = [
     # the inverse metric's multiply-back check comes first here
     (["geodesic", "--start", "1,1", "--velocity", "1,0", "--steps", "5",
       "--json"], "metric is singular"),
+    # factoring at one point evaluates outside the session
+    (["factor", "--point", "1,1", "--json"],
+     "non-finite value in metric component (1, 1) 'inf * x * y'"),
+    (["factor", "--point", "1,1"],
+     "non-finite value in metric component (1, 1) 'inf * x * y'"),
+    (["factor", "--point", "1,1", "--strategy", "numeric"],
+     "non-finite value in metric component (1, 1) 'inf * x * y'"),
 ]
 
 
 OVERFLOWING_G11 = ["1e200 * x^2", "10^400 * x^2", "10^400 + x^2",
-                   "x / 10^400 + 1", "10^400", "10^400 * 1.5 + x^2"]
+                   "x / 10^400 + 1", "10^400", "10^400 * 1.5 + x^2",
+                   "2^20000 * x^2 + 1", "2^100000000000 * x^2"]
+# computed exactly, this power takes unbounded time and memory, so it
+# runs only in a child process with limits on both
+UNBOUNDED_POWER = OVERFLOWING_G11[-1]
 
 
 def _overflow_file(tmp_path, g11):
@@ -245,10 +259,10 @@ g 2 2 = 1
         code, out, err = run(capsys, "check", str(path))
         assert code == EXIT_NUMERIC
 
-    # the first overflows in a power; the others take an exact 10^400
+    # the first overflows in a power; the next take an exact 10^400
     # into float arithmetic: a product, a sum, a quotient, a square root
-    # and a folded constant
-    @pytest.mark.parametrize("g11", OVERFLOWING_G11)
+    # and a folded constant; the last are integer powers too wide to fold
+    @pytest.mark.parametrize("g11", OVERFLOWING_G11[:-1])
     def test_overflowing_user_metric_is_numeric_fault(self, capsys,
                                                       tmp_path, g11):
         path = _overflow_file(tmp_path, g11)
@@ -260,7 +274,7 @@ g 2 2 = 1
     @pytest.mark.parametrize("argv", [["analyze", "--json"],
                                       ["factor", "--json"],
                                       ["classify", "--json"]])
-    @pytest.mark.parametrize("g11", OVERFLOWING_G11[1:])
+    @pytest.mark.parametrize("g11", OVERFLOWING_G11[1:-1])
     def test_exact_integer_overflow_is_numeric_fault_in_every_command(
             self, capsys, tmp_path, g11, argv):
         path = _overflow_file(tmp_path, g11)
@@ -268,6 +282,51 @@ g 2 2 = 1
         assert code == EXIT_NUMERIC
         assert "overflow" in err
         assert "Traceback" not in err
+
+    def test_unbounded_integer_power_is_numeric_fault(self, tmp_path):
+        path = _overflow_file(tmp_path, UNBOUNDED_POWER)
+        child = (
+            "import json, resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))\n"
+            "from metricforms.cli import main\n"
+            "codes = [main([c, sys.argv[1], *rest]) for c, *rest in\n"
+            "         (['check'], ['analyze', '--json'], ['factor', '--json'],\n"
+            "          ['classify', '--json'])]\n"
+            "print(json.dumps(codes))\n")
+        src = os.path.dirname(os.path.dirname(metricforms.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", child, str(path)],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert json.loads(done.stdout.splitlines()[-1]) == [EXIT_NUMERIC] * 4
+        assert done.stderr.count("overflow in '2^100000000000'") == 4
+
+    def test_overlong_integer_literal_is_parse_error(self, capsys, tmp_path):
+        path = _overflow_file(tmp_path, "1 + " + "7" * 5001 + " * x^2")
+        code, out, err = run(capsys, "check", str(path))
+        assert code == EXIT_INPUT
+        assert "integer literal of 5001 digits is too long (offset 4)" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["check"], ["classify"], ["factor"],
+        ["geodesic", "--start", "0,0", "--velocity", "1,0"]])
+    def test_null_metric_has_no_nonzero_pivot(self, capsys, tmp_path, argv):
+        # g = [[0, -1/2], [-1/2, 0]] is regular, but no symmetric pivot
+        # order gives its LDL factorization a nonzero first pivot
+        path = tmp_path / "null.metric"
+        path.write_text("""
+name null
+dim 2
+coords u v
+signature 1 1
+domain u -1 1
+domain v -1 1
+g 1 2 = -0.5
+""")
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == EXIT_NUMERIC
+        assert "zero pivot at index 0" in err
 
     def test_function_of_infinity_is_numeric_fault(self, capsys, tmp_path):
         # 1e200 * 1e200 folds to inf, and sin(inf) has no value

@@ -125,10 +125,41 @@ class TestParse:
             parse_expr("r @ 2", polar)
         assert err.value.offset == 2
 
+    def test_overlong_integer_literal(self, polar):
+        # more digits than Python converts to an int
+        with pytest.raises(ParseError) as err:
+            parse_expr("r + " + "7" * 5001, polar)
+        assert err.value.offset == 4
+        assert "5001 digits" in str(err.value)
+
 
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
+
+class TestExactIntegerBound:
+    def test_power_within_bound_folds_exactly(self):
+        assert ex.pow_(ex.const(10), 400).value == 10 ** 400
+        assert ex.pow_(ex.const(4), Fraction(801, 2)).value == 2 ** 801
+
+    @pytest.mark.parametrize("exponent", [20000, 10 ** 11, 10 ** 100,
+                                          Fraction(2 * 10 ** 11 + 1, 2)])
+    def test_wider_power_stays_unfolded_and_overflows(self, exponent):
+        # computed exactly, 2^(10^11) would take unbounded time and memory
+        e = ex.pow_(ex.const(2), exponent)
+        assert isinstance(e, ex.Pow)
+        with pytest.raises(EvalDomainError, match="overflow in '2\\^"):
+            evaluate(e, {})
+
+    def test_wider_product_and_sum_stay_unfolded(self):
+        big = ex.const(2 ** 4000)
+        product = ex.mul(big, big, ex.sym("x"))
+        assert [f.value for f in product.factors[:2]] == [2 ** 4000] * 2
+        assert ex.add(big, big).value == 2 ** 4001
+        total = ex.add(ex.const(2 ** 4096), ex.const(2 ** 4096))
+        assert isinstance(total, ex.Add)
+        assert simplify(total) is total
+
 
 class TestEval:
     def test_closed_form(self, polar):

@@ -1,32 +1,41 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from metricforms import (
-    Chart,
-    MetricField,
-    Tensor,
-    antisymmetrize,
-    contract,
-    invert_metric,
-    lower_index,
-    parse_expr,
-    raise_index,
-    set_product,
-    symmetrize,
-)
-from metricforms import exterior_derivative, factor_diagonal
-from metricforms.errors import (
-    SetAxisError,
-    SingularMetricError,
-    TensorError,
-    VarianceError,
-)
+from metricforms import Chart, MetricField, Tensor, invert_metric, parse_expr
+from metricforms.cli import EXIT_OK, main
+from metricforms.errors import SingularMetricError, TensorError
 from metricforms import expr as ex
 from metricforms.manifolds import loads
-from metricforms.tensor import _PERM3, antisym_over_axes, einsum, max_abs
+from metricforms.tensor import (
+    _PERM3,
+    antisym_over_axes,
+    compiled,
+    einsum,
+    max_abs,
+)
 
 from conftest import NON_FINITE_FILE, sphere_metric
+
+# a positive definite 5-D metric with three off-diagonal entries
+FIVE_D_FILE = """
+name five-d
+dim 5
+coords a b c d e
+signature 5 0
+domain a 0.1 0.9
+domain b 0.1 0.9
+domain c 0.1 0.9
+domain d 0.1 0.9
+domain e 0.1 0.9
+g 1 1 = 2
+g 1 2 = a
+g 2 2 = 2 + e^2
+g 2 3 = b * c / 2
+g 3 3 = 2
+g 4 4 = 2 + a
+g 4 5 = sin(d) / 2
+g 5 5 = 2
+"""
 
 
 def _const_tensor(chart, values, variance, set_indexed=False):
@@ -35,134 +44,6 @@ def _const_tensor(chart, values, variance, set_indexed=False):
     for idx in np.ndindex(arr.shape):
         comps[idx] = ex.const(complex(arr[idx]))
     return Tensor(chart, comps, variance, set_indexed)
-
-
-@pytest.fixture
-def chart3():
-    return Chart(("x", "y", "z"), (3, 0),
-                 ((-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0)))
-
-
-class TestSetProduct:
-    def test_identity_factorization_reproduces_euclidean_metric(self, chart3):
-        a = _const_tensor(chart3, np.eye(3), ("l",), set_indexed=True)
-        g = set_product(a, a)
-        vals = g.evaluate({})
-        assert np.allclose(vals, np.eye(3))
-
-    def test_distributivity(self, chart3):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            a = _const_tensor(chart3, rng.normal(size=(3, 3)), ("l",), True)
-            b = _const_tensor(chart3, rng.normal(size=(3, 3)), ("l",), True)
-            c = _const_tensor(chart3, rng.normal(size=(3, 3)), ("l",), True)
-            lhs = set_product(a, b + c).evaluate({})
-            rhs = set_product(a, b).evaluate({}) \
-                + set_product(a, c).evaluate({})
-            assert max_abs(lhs - rhs) <= 1e-12
-
-    def test_operand_symmetry_but_tensor_asymmetry(self, chart3):
-        rng = np.random.default_rng(11)
-        a = _const_tensor(chart3, rng.normal(size=(3, 3)), ("l",), True)
-        b = _const_tensor(chart3, rng.normal(size=(3, 3)), ("l",), True)
-        ab = set_product(a, b).evaluate({})
-        ba = set_product(b, a).evaluate({})
-        # A_a (.) B_b == B_b (.) A_a ...
-        assert max_abs(ab - ba.T) <= 1e-14
-        # ... while swapping the tensor indices changes the result
-        assert max_abs(ab - ab.T) > 1e-3
-
-    def test_mismatched_set_extent(self, chart3):
-        a = _const_tensor(chart3, np.eye(3), ("l",), True)
-        b = Tensor(chart3, np.array(
-            [[ex.ONE] * 3, [ex.ONE] * 3], dtype=object), ("l",), True)
-        with pytest.raises(TensorError):
-            set_product(a, b)
-
-    def test_needs_set_axis(self, chart3):
-        a = _const_tensor(chart3, np.eye(3), ("l", "l"))
-        with pytest.raises(SetAxisError):
-            set_product(a, a)
-
-
-class TestRaiseLower:
-    def test_euclidean_raising_is_identity(self, chart3):
-        g = MetricField(chart3, _const_tensor(chart3, np.eye(3),
-                                              ("l", "l")).comps)
-        g_inv = invert_metric(g)
-        w = _const_tensor(chart3, [1.0, 2.0, 3.0], ("l",))
-        up = raise_index(w, 0, g_inv)
-        assert np.allclose(up.evaluate({}), [1.0, 2.0, 3.0])
-
-    def test_minkowski_signature_flip(self):
-        chart = Chart(("x", "y", "z", "t"), (3, 1), (((-2.0, 2.0),) * 4))
-        eta = np.diag([1.0, 1.0, 1.0, -1.0])
-        g = MetricField(chart, _const_tensor(chart, eta, ("l", "l")).comps)
-        g_inv = invert_metric(g)
-        w = _const_tensor(chart, [0.0, 0.0, 0.0, 1.0], ("l",))
-        up = raise_index(w, 0, g_inv)
-        assert np.allclose(up.evaluate({}), [0.0, 0.0, 0.0, -1.0])
-
-    def test_raise_lower_round_trip_on_sphere_curl(self):
-        g = sphere_metric(1.3)
-        g_inv = invert_metric(g)
-        forms = factor_diagonal(g)
-        f = exterior_derivative(forms)
-        up = raise_index(f, 2, g_inv)
-        back = lower_index(up, 2, g)
-        point = g.chart.sample_points(1, seed=5)[0]
-        assert max_abs(back.evaluate(point) - f.evaluate(point)) <= 1e-12
-
-    def test_wrong_variance(self, chart3):
-        g = MetricField(chart3, _const_tensor(chart3, np.eye(3),
-                                              ("l", "l")).comps)
-        w = _const_tensor(chart3, [1.0, 2.0, 3.0], ("u",))
-        with pytest.raises(VarianceError):
-            raise_index(w, 0, invert_metric(g))
-
-    def test_slot_out_of_range(self, chart3):
-        g = MetricField(chart3, _const_tensor(chart3, np.eye(3),
-                                              ("l", "l")).comps)
-        w = _const_tensor(chart3, [1.0, 2.0, 3.0], ("l",))
-        with pytest.raises(TensorError):
-            raise_index(w, 3, invert_metric(g))
-
-
-class TestSymmetrize:
-    def test_antisymmetrize_symmetric_is_zero(self, chart3):
-        m = np.array([[1.0, 2.0, 3.0], [2.0, 5.0, 6.0], [3.0, 6.0, 9.0]])
-        t = _const_tensor(chart3, m, ("l", "l"))
-        vals = antisymmetrize(t, (0, 1)).evaluate({})
-        assert max_abs(vals) == 0.0
-
-    def test_sym_plus_antisym_reproduces(self, chart3):
-        rng = np.random.default_rng(3)
-        m = rng.normal(size=(3, 3))
-        t = _const_tensor(chart3, m, ("l", "l"))
-        total = symmetrize(t, (0, 1)) + antisymmetrize(t, (0, 1))
-        assert max_abs(total.evaluate({}) - m) <= 1e-14
-
-    def test_set_axis_rejected(self):
-        g = sphere_metric()
-        f = exterior_derivative(factor_diagonal(g))
-        with pytest.raises(SetAxisError):
-            antisymmetrize(f, (0, 1))
-
-    def test_mixed_variance_rejected(self, chart3):
-        t = _const_tensor(chart3, np.eye(3), ("l", "u"))
-        with pytest.raises(VarianceError):
-            symmetrize(t, (0, 1))
-
-
-class TestContract:
-    def test_trace_of_identity(self, chart3):
-        t = _const_tensor(chart3, np.eye(3), ("u", "l"))
-        assert contract(t, 0, 1).evaluate({}) == pytest.approx(3.0)
-
-    def test_requires_opposite_variance(self, chart3):
-        t = _const_tensor(chart3, np.eye(3), ("l", "l"))
-        with pytest.raises(VarianceError):
-            contract(t, 0, 1)
 
 
 class TestInvertMetric:
@@ -195,7 +76,7 @@ class TestInvertMetric:
             prod = g.evaluate(point) @ inv.evaluate(point).real
             assert max_abs(prod - np.eye(4)) <= 1e-12
 
-    def test_cofactor_path_on_nondiagonal(self):
+    def test_ldl_inverse_on_nondiagonal(self):
         chart = Chart(("a", "b"), (2, 0), ((0.2, 0.8), (0.2, 0.8)))
         comps = np.empty((2, 2), dtype=object)
         comps[0, 0] = parse_expr("1", chart)
@@ -225,31 +106,35 @@ class TestInvertMetric:
         with pytest.raises(SingularMetricError):
             invert_metric(g)
 
-    def test_large_nondiagonal_uses_pointwise_fallback(self):
-        names = tuple("abcde")
-        chart = Chart(names, (5, 0), (((0.1, 0.9),) * 5))
-        comps = np.empty((5, 5), dtype=object)
-        comps[...] = ex.ZERO
-        for k in range(5):
-            comps[k, k] = parse_expr("2", chart)
-        comps[0, 1] = comps[1, 0] = parse_expr("a", chart)
-        g = MetricField(chart, comps)
-        with pytest.raises(TensorError):
-            invert_metric(g)
-        point = chart.sample_points(1, seed=2)[0]
-        inv = g.numeric_inverse(point)
-        assert max_abs(g.evaluate(point) @ inv - np.eye(5)) <= 1e-12
+    def test_reciprocal_diagonal_on_catalog_bit_for_bit(self, catalog):
+        # the reciprocal diagonal the inverse was built from before it
+        # came from the LDL factors, kept as the reference
+        def reciprocal_diagonal(g):
+            n = g.chart.dim
+            comps = np.full((n, n), ex.ZERO, dtype=object)
+            for a in range(n):
+                comps[a, a] = ex.div(ex.ONE, g.comps[a, a])
+            return comps
 
+        for spec in catalog.values():
+            g = spec.metric()
+            inv = invert_metric(g)
+            ref = reciprocal_diagonal(g)
+            for point in g.chart.sample_points(20, seed=42):
+                np.testing.assert_array_equal(inv.evaluate(point),
+                                              compiled(ref)(point))
 
-@given(st.integers(0, 2 ** 31 - 1))
-@settings(max_examples=30, deadline=None)
-def test_sym_antisym_decomposition_property(seed):
-    chart = Chart(("x", "y", "z"), (3, 0), (((-2.0, 2.0),) * 3))
-    rng = np.random.default_rng(seed)
-    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    t = _const_tensor(chart, m, ("l", "l"))
-    total = symmetrize(t, (0, 1)) + antisymmetrize(t, (0, 1))
-    assert max_abs(total.evaluate({}) - m) <= 1e-14
+    def test_five_dimensional_nondiagonal(self, tmp_path, capsys):
+        path = tmp_path / "five.metric"
+        path.write_text(FIVE_D_FILE)
+        g = loads(FIVE_D_FILE).metric()
+        assert not g.is_diagonal()
+        inv = invert_metric(g)
+        for point in g.chart.sample_points(10, seed=2):
+            assert max_abs(g.evaluate(point) @ inv.evaluate(point).real
+                           - np.eye(5)) <= 1e-12
+        assert main(["check", str(path)]) == EXIT_OK
+        capsys.readouterr()
 
 
 def _antisym_over_axes_loop(vals, axes):
