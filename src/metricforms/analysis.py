@@ -79,13 +79,11 @@ class GeometrySession:
         if n_points < 1:
             raise ChartError("at least one sample point is required")
         self.points = self.chart.sample_points(n_points, seed)
-        if strategy == "auto":
-            strategy = "diagonal" if self.metric.is_diagonal() else "ldl"
         if strategy == "numeric":
             raise FactorizationError(
                 "a full analysis differentiates the form components; the "
                 "numeric strategy only supports factor/verify")
-        self.strategy = strategy
+        self._strategy = strategy
         self._tape = Tape()
         self._slots: list[list] = [[] for _ in self.points]
         self._vals_cache: dict[Tensor, np.ndarray] = {}
@@ -98,7 +96,7 @@ class GeometrySession:
 
     @cached_property
     def forms(self) -> FormSet:
-        return make_formset(self.metric, self.strategy)
+        return make_formset(self.metric, self._strategy)
 
     @cached_property
     def form_tensor(self) -> Tensor:
@@ -241,10 +239,10 @@ class GeometrySession:
 
     # -- checks: reductions over stacked values -------------------------------
 
-    @cached_property
-    def factorization_check(self) -> FactorizationCheck:
+    def factorization_check(self, residual_tol: float = TOL_RECONSTRUCTION
+                            ) -> FactorizationCheck:
         return verify_factorization(self.vals(self.form_tensor),
-                                    self.metric_vals)
+                                    self.metric_vals, residual_tol)
 
     @cached_property
     def orthogonality(self) -> float:
@@ -367,7 +365,7 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
     rows: list[IdentityRow] = []
 
     # factorization level
-    fact = session.factorization_check
+    fact = session.factorization_check(reconstruction)
     rows.append(IdentityRow.check("factorization_reconstruction",
                                   fact.max_residual, reconstruction))
     rows.append(IdentityRow.check("orthogonality_identity",
@@ -500,7 +498,7 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
     elapsed = time.perf_counter() - started
     return AnalysisReport(
         manifold=spec.name,
-        strategy=session.strategy,
+        strategy=session.forms.strategy,
         seed=seed,
         tol_scale=tol_scale,
         points=session.points,
@@ -508,7 +506,7 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
         tensor_summaries=summaries,
         classification=session.classification,
         decomposition_per_point=per_point,
-        factorization=session.factorization_check,
+        factorization=fact,
         form_choice=session.forms.choice,
         pivot_permutation=session.forms.permutation,
         geodesic=geodesic,

@@ -26,7 +26,7 @@ from .errors import (
     ZeroPivotError,
 )
 from .expr import to_source
-from .factorization import make_formset, numeric_formset
+from .factorization import make_formset
 from . import geometry as geo
 from .manifolds import get_manifold
 from .report import dumps_canonical, render_human, render_json
@@ -72,8 +72,7 @@ def cmd_factor(args) -> int:
                          "pass --point v1,...,vn")
     if args.point is not None:
         g = spec.metric()
-        forms = make_formset(g, strategy) if strategy != "numeric" \
-            else numeric_formset(g)
+        forms = make_formset(g, strategy)
         vec = _parse_vector(args.point, spec.chart.dim, "--point")
         env = _point_env(spec.chart, vec)
         gv = require_finite(g.evaluate(env)[np.newaxis], g.comps, "metric",
@@ -100,7 +99,7 @@ def cmd_factor(args) -> int:
         return EXIT_OK
     session = GeometrySession(spec, strategy=strategy, seed=args.seed,
                               n_points=args.points)
-    forms, check = session.forms, session.factorization_check
+    forms, check = session.forms, session.factorization_check()
     if args.json:
         doc = {
             "manifold": spec.name,

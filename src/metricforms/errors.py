@@ -58,10 +58,6 @@ class TensorError(MetricFormsError):
     pass
 
 
-class VarianceError(TensorError):
-    pass
-
-
 class FactorizationError(MetricFormsError):
     pass
 

@@ -52,7 +52,7 @@ class FormSet:
             raise FactorizationError(
                 "the numeric strategy has no symbolic components; "
                 "derivative-based operations need 'diagonal' or 'ldl'")
-        return Tensor(self.chart, self.comps, ("l",), set_indexed=True)
+        return Tensor(self.comps)
 
     def components_at(self, point: dict[str, float]) -> np.ndarray:
         """Numeric (m, n) matrix of form components at a point."""

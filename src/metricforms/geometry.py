@@ -95,8 +95,7 @@ def _connection(chart: Chart, lower: np.ndarray, g_inv: Tensor,
     first slot: Gamma^c_ab = g^cd Gamma_dab."""
     mixed = simplified(einsum("cd,dab->cab", g_inv.comps, lower,
                               pair=_SYM12), _SYM12)
-    return Connection(chart, Tensor(chart, lower, ("l", "l", "l")),
-                      Tensor(chart, mixed, ("u", "l", "l")), route)
+    return Connection(chart, Tensor(lower), Tensor(mixed), route)
 
 
 def christoffel_classical(g: MetricField, g_inv: Tensor) -> Connection:
@@ -111,8 +110,8 @@ def christoffel_classical(g: MetricField, g_inv: Tensor) -> Connection:
 def sym_partial(forms: FormSet) -> Tensor:
     """P[I,a,b] = symmetrized coordinate derivative of the forms."""
     da = _partials(forms.chart, forms.as_tensor().comps)
-    p = einsum("aib->iab + bia->iab", da, da, pair=_SYM12) * ex.HALF
-    return Tensor(forms.chart, p, ("l", "l"), set_indexed=True)
+    return Tensor(einsum("aib->iab + bia->iab", da, da, pair=_SYM12)
+                  * ex.HALF)
 
 
 def _form_cross(a_comps: np.ndarray, f_comps: np.ndarray) -> np.ndarray:
@@ -138,8 +137,7 @@ def exterior_derivative(forms: FormSet) -> Tensor:
     """F[I,a,b] = d_a A_Ib - d_b A_Ia; antisymmetric by construction."""
     da = _partials(forms.chart, forms.as_tensor().comps)
     f = einsum("aib->iab - bia->iab", da, da, pair=_ANTI12)
-    return Tensor(forms.chart, simplified(f, _ANTI12), ("l", "l"),
-                  set_indexed=True)
+    return Tensor(simplified(f, _ANTI12))
 
 
 def sym_covariant_derivative(forms: FormSet, conn: Connection) -> Tensor:
@@ -150,8 +148,7 @@ def sym_covariant_derivative(forms: FormSet, conn: Connection) -> Tensor:
     ac = forms.as_tensor().comps
     p = sym_partial(forms).comps
     s = p - einsum("cab,ic->iab", conn.mixed.comps, ac, pair=_SYM12)
-    return Tensor(forms.chart, simplified(s, _SYM12), ("l", "l"),
-                  set_indexed=True)
+    return Tensor(simplified(s, _SYM12))
 
 
 def sym_derivative_via_factors(forms: FormSet, f: Tensor,
@@ -167,14 +164,12 @@ def sym_derivative_via_factors(forms: FormSet, f: Tensor,
     a_up = einsum("cd,id->ic", g_inv.comps, ac)
     s = einsum("jc,cab->jab", a_up, _form_cross(ac, f.comps),
                pair=_SYM12) * ex.Const(-0.5)
-    return Tensor(forms.chart, simplified(s, _SYM12), ("l", "l"),
-                  set_indexed=True)
+    return Tensor(simplified(s, _SYM12))
 
 
 def sym_trace(s: Tensor, g_inv: Tensor) -> Tensor:
     """Scalar trace S_I = g^{ab} S_Iab per form (unnormalized gauge)."""
-    out = simplified(einsum("ab,iab->i", g_inv.comps, s.comps))
-    return Tensor(s.chart, out, (), set_indexed=True)
+    return Tensor(simplified(einsum("ab,iab->i", g_inv.comps, s.comps)))
 
 
 def precurrents(f: Tensor, conn: Connection) -> Tensor:
@@ -188,18 +183,17 @@ def precurrents(f: Tensor, conn: Connection) -> Tensor:
         raise TensorError("pre-currents use the classical connection")
     fc = f.comps
     gm = conn.mixed.comps
-    df = _partials(f.chart, fc)
+    df = _partials(conn.chart, fc)
     jp = einsum("aibc->iabc", df, pair=_ANTI23) - einsum(
         "eab,iec->iabc + eac,ibe->iabc", gm, fc, gm, fc, pair=_ANTI23)
-    return Tensor(f.chart, simplified(jp, _ANTI23), ("l", "l", "l"),
-                  set_indexed=True)
+    return Tensor(simplified(jp, _ANTI23))
 
 
 def currents(j_pre: Tensor, g_inv: Tensor) -> Tensor:
     """J[I,b] = nabla^a F_Iab: trace of the pre-current with its derivative
     slot raised against the first form slot."""
-    out = simplified(einsum("ad,idab->ib", g_inv.comps, j_pre.comps))
-    return Tensor(j_pre.chart, out, ("l",), set_indexed=True)
+    return Tensor(simplified(einsum("ad,idab->ib", g_inv.comps,
+                                    j_pre.comps)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +203,12 @@ def currents(j_pre: Tensor, g_inv: Tensor) -> Tensor:
 def riemann_classical(conn: Connection, g: MetricField) -> tuple[Tensor, Tensor]:
     """R^a_bcd = d_c G^a_bd - d_d G^a_bc + G^a_ec G^e_bd - G^a_ed G^e_bc,
     returned mixed and all-lower.  This is the oracle route."""
-    chart = conn.chart
     gm = conn.mixed.comps
-    dgm = _partials(chart, gm)
+    dgm = _partials(conn.chart, gm)
     mixed = simplified(einsum(
         "cabd->abcd - dabc->abcd + aec,ebd->abcd - aed,ebc->abcd",
         dgm, dgm, gm, gm, gm, gm, pair=_ANTI23), _ANTI23)
-    lower = einsum("ae,ebcd->abcd", g.comps, mixed)
-    return (Tensor(chart, mixed, ("u", "l", "l", "l")),
-            Tensor(chart, lower, ("l", "l", "l", "l")))
+    return Tensor(mixed), Tensor(einsum("ae,ebcd->abcd", g.comps, mixed))
 
 
 @dataclass
@@ -242,7 +233,6 @@ def riemann_decomposed(forms: FormSet, f: Tensor, s: Tensor,
     with (.) contracting the set axis.  All inputs must come from one
     form set and the classical connection.
     """
-    chart = forms.chart
     ac = forms.as_tensor().comps
     fc, sc, jp = f.comps, s.comps, j_pre.comps
     rc = einsum("ia,ibcd->abcd - ib,iacd->abcd + ic,idab->abcd "
@@ -255,17 +245,14 @@ def riemann_decomposed(forms: FormSet, f: Tensor, s: Tensor,
                 pair=_ANTI23)
     # scaling the mirrored half gives Mul(c, Neg(sum)); mirror again to
     # store Neg(Mul(c, sum)), the negation of the built component
-    variance = ("l", "l", "l", "l")
-    return RiemannParts(Tensor(chart, mirror(rc, _ANTI23), variance),
-                        Tensor(chart, mirror(rf, _ANTI23), variance),
-                        Tensor(chart, rs, variance))
+    return RiemannParts(Tensor(mirror(rc, _ANTI23)),
+                        Tensor(mirror(rf, _ANTI23)), Tensor(rs))
 
 
 def ricci_from_mixed(riemann_mixed: Tensor) -> Tensor:
     """Ric[a,b] = R^c_{acb}; mirrored since Ricci is symmetric."""
-    out = simplified(einsum("cacb->ab", riemann_mixed.comps, pair=_SYM01),
-                     _SYM01)
-    return Tensor(riemann_mixed.chart, out, ("l", "l"))
+    return Tensor(simplified(einsum("cacb->ab", riemann_mixed.comps,
+                                    pair=_SYM01), _SYM01))
 
 
 def ricci_from_lower(riemann_lower_vals: np.ndarray,
@@ -281,8 +268,7 @@ def scalar_curvature(ricci: Tensor, g_inv: Tensor) -> Expr:
 
 def einstein_tensor(ricci: Tensor, scalar: Expr, g: MetricField) -> Tensor:
     """G[a,b] = Ric[a,b] - g[a,b] R / 2 (exact identity of this route)."""
-    return Tensor(g.chart, ricci.comps - ex.HALF * g.comps * scalar,
-                  ("l", "l"))
+    return Tensor(ricci.comps - ex.HALF * g.comps * scalar)
 
 
 @dataclass
@@ -346,12 +332,8 @@ def ricci_einstein_factored(forms: FormSet, f: Tensor, s: Tensor,
     scalar = ex.add(ex.mul(ex.Const(-2), a_dot_j),
                     ex.mul(ex.Const(-0.75), f_dot_f),
                     trace_sq, ex.neg(s_dot_s))
-    chart = forms.chart
-    ll = ("l", "l")
-    return FactoredCurvature(Tensor(chart, ricci, ll), scalar,
-                             Tensor(chart, t_form, ll),
-                             Tensor(chart, t_current, ll),
-                             Tensor(chart, t_sym, ll))
+    return FactoredCurvature(Tensor(ricci), scalar, Tensor(t_form),
+                             Tensor(t_current), Tensor(t_sym))
 
 
 def _nabla_sym2(t: np.ndarray, conn: Connection,
@@ -365,14 +347,13 @@ def _nabla_sym2(t: np.ndarray, conn: Connection,
 def covariant_divergence_sym2(t: Tensor, conn: Connection,
                               g_inv: Tensor) -> Tensor:
     """div[a] = nabla^b t_ab for a symmetric rank-2 lower tensor."""
-    out = einsum("bc,cab->a", g_inv.comps, _nabla_sym2(t.comps, conn))
-    return Tensor(t.chart, out, ("l",))
+    return Tensor(einsum("bc,cab->a", g_inv.comps,
+                         _nabla_sym2(t.comps, conn)))
 
 
 def metric_compatibility(g: MetricField, conn: Connection) -> Tensor:
     """nabla_c g_ab, identically zero for a Levi-Civita connection."""
-    return Tensor(g.chart, _nabla_sym2(g.comps, conn, _SYM12),
-                  ("l", "l", "l"))
+    return Tensor(_nabla_sym2(g.comps, conn, _SYM12))
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +368,8 @@ def lie_derivative_metric(forms: FormSet, g: MetricField,
     x = einsum("cd,id->ic", g_inv.comps, forms.as_tensor().comps)
     dg = _partials(chart, g.comps)
     dx = _partials(chart, x)
-    out = einsum("ic,cab->iab + cb,aic->iab + ac,bic->iab",
-                 x, dg, g.comps, dx, g.comps, dx, pair=_SYM12)
-    return Tensor(chart, out, ("l", "l"), set_indexed=True)
+    return Tensor(einsum("ic,cab->iab + cb,aic->iab + ac,bic->iab",
+                         x, dg, g.comps, dx, g.comps, dx, pair=_SYM12))
 
 
 @dataclass
@@ -495,7 +475,6 @@ class GeodesicComparison:
     factored: Trajectory
     divergence: float      # max pointwise gap between the two routes
     norm_drift: float      # relative drift of g(u, u) along the way
-    max_imag: float        # imaginary residue of the factored right side
 
 
 def _rk4(rhs, chart: Chart, start: np.ndarray, velocity: np.ndarray,
@@ -545,20 +524,16 @@ def classical_rhs(conn: Connection):
 def factored_rhs(forms: FormSet, f: Tensor, g_inv: Tensor):
     """du^c/ds = -A^c (.) [sym dA_ab u^a u^b] + (A_a u^a) (.) F^c_b u^b.
 
-    Tracks the largest imaginary residue seen, which must stay at
-    rounding level since the true right side is real.
+    The true right side is real; the real part of the complex form
+    products is returned.
     """
     chart = forms.chart
-    a_t = forms.as_tensor()
-    p_t = sym_partial(forms)
-    a_up = Tensor(chart, einsum("cd,id->ic", g_inv.comps, a_t.comps), ("u",),
-                  set_indexed=True)
-    f_mixed = Tensor(chart, einsum("cd,idb->icb", g_inv.comps, f.comps),
-                     ("u", "l"), set_indexed=True)
-    tensors = (a_t, p_t, a_up, f_mixed)
-    tape = Tape(e for t in tensors for e in t.comps.flat)
-    reads = [reader(tape, t.comps) for t in tensors]
-    imag_seen = [0.0]
+    a = forms.as_tensor().comps
+    arrays = (a, sym_partial(forms).comps,
+              einsum("cd,id->ic", g_inv.comps, a),          # A_I^c
+              einsum("cd,idb->icb", g_inv.comps, f.comps))  # F_I^c_b
+    tape = Tape(e for arr in arrays for e in arr.flat)
+    reads = [reader(tape, arr) for arr in arrays]
 
     def rhs(x, u):
         v = tape.run(_env(chart, x))
@@ -567,10 +542,8 @@ def factored_rhs(forms: FormSet, f: Tensor, g_inv: Tensor):
         du = -np.einsum("ic,i->c", auv, quad)
         a_dot_u = av @ u
         du = du + np.einsum("i,icb,b->c", a_dot_u, fmv, u)
-        imag_seen[0] = max(imag_seen[0], float(np.max(np.abs(du.imag))))
         return du.real
 
-    rhs.imag_seen = imag_seen
     return rhs
 
 
@@ -586,9 +559,9 @@ def integrate_geodesic(g: MetricField, g_inv: Tensor, conn: Connection,
     if not chart.contains(start):
         raise NumericFaultError(f"start point {start.tolist()} is outside "
                                 "the chart domain")
-    rhs_f = factored_rhs(forms, f, g_inv)
     traj_c = _rk4(classical_rhs(conn), chart, start, velocity, steps, h)
-    traj_f = _rk4(rhs_f, chart, start, velocity, steps, h)
+    traj_f = _rk4(factored_rhs(forms, f, g_inv), chart, start, velocity,
+                  steps, h)
 
     k = min(len(traj_c.s), len(traj_f.s))
     divergence = max(
@@ -608,5 +581,4 @@ def integrate_geodesic(g: MetricField, g_inv: Tensor, conn: Connection,
     denom = max(1e-12, abs(norms[0]))
     norm_drift = float(np.max(np.abs(norms - norms[0])) / denom)
 
-    return GeodesicComparison(traj_c, traj_f, divergence, norm_drift,
-                              rhs_f.imag_seen[0])
+    return GeodesicComparison(traj_c, traj_f, divergence, norm_drift)

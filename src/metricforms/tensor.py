@@ -1,9 +1,10 @@
 """Dense tensors of symbolic components, metric fields and their inverse.
 
 Components are expression trees; every verification downstream contracts
-them to numbers at sampled points.  Coordinate indices carry a variance
-('l' lower / 'u' upper).  The set-enumeration axis, when present, is the
-leading axis and has no variance.
+them to numbers at sampled points.  A ``Tensor`` is its object array of
+components and nothing more: which slot is upper, lower or the leading
+set axis is fixed by the formula that builds it, and each builder states
+its layout in its docstring.
 
 Every index contraction, here and in the geometry built on top, goes
 through one primitive: ``einsum``, Einstein summation over object arrays
@@ -31,15 +32,14 @@ import numpy as np
 from .chart import Chart
 from .errors import (
     EvalDomainError,
+    NumericFaultError,
     SingularMetricError,
     TensorError,
-    VarianceError,
     ZeroPivotError,
 )
 from . import expr as ex
 from .expr import Expr, Tape
 
-Variance = tuple[str, ...]
 Pair = tuple[int, int, int]
 
 
@@ -197,46 +197,21 @@ def _plan(term: str, output: str, shapes: tuple[tuple[int, ...], ...],
 
 
 class Tensor:
-    __slots__ = ("chart", "comps", "variance", "set_indexed")
+    """An object array of expression components."""
 
-    def __init__(self, chart: Chart, comps: np.ndarray, variance: Variance,
-                 set_indexed: bool = False):
-        n = chart.dim
-        variance = tuple(variance)
-        if any(v not in ("l", "u") for v in variance):
-            raise VarianceError(f"bad variance {variance}")
-        comps = np.asarray(comps, dtype=object)
-        expected = ((comps.shape[0],) if set_indexed else ()) + (n,) * len(variance)
-        if comps.shape != expected:
-            raise TensorError(
-                f"component shape {comps.shape} does not match "
-                f"{'set-indexed ' if set_indexed else ''}rank {len(variance)} "
-                f"over a {n}-dimensional chart")
-        self.chart = chart
-        self.comps = comps
-        self.variance = variance
-        self.set_indexed = set_indexed
+    __slots__ = ("comps",)
+
+    def __init__(self, comps: np.ndarray):
+        self.comps = np.asarray(comps, dtype=object)
 
     def map(self, f) -> "Tensor":
-        return Tensor(self.chart, elementwise(f, self.comps), self.variance,
-                      self.set_indexed)
-
-    def _check_same_shape(self, other: "Tensor"):
-        if (self.chart is not other.chart and self.chart != other.chart) or \
-                self.variance != other.variance or \
-                self.set_indexed != other.set_indexed or \
-                self.comps.shape != other.comps.shape:
-            raise TensorError("tensor layouts differ")
+        return Tensor(elementwise(f, self.comps))
 
     def __add__(self, other: "Tensor") -> "Tensor":
-        self._check_same_shape(other)
-        return Tensor(self.chart, self.comps + other.comps, self.variance,
-                      self.set_indexed)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        self._check_same_shape(other)
-        return Tensor(self.chart, self.comps - other.comps, self.variance,
-                      self.set_indexed)
+        if self.comps.shape != other.comps.shape:
+            raise TensorError(f"cannot add component shapes "
+                              f"{self.comps.shape} and {other.comps.shape}")
+        return Tensor(self.comps + other.comps)
 
     def evaluate(self, point: dict[str, float]) -> np.ndarray:
         """Numeric component array at a point (complex dtype)."""
@@ -259,7 +234,7 @@ class MetricField:
         # mirror the upper triangle so g[a,b] and g[b,a] share one tree
         stored = mirror(comps.copy(), (0, 1, +1))
         self.chart = chart
-        self.tensor = Tensor(chart, stored, ("l", "l"))
+        self.tensor = Tensor(stored)
 
     @property
     def comps(self) -> np.ndarray:
@@ -331,11 +306,13 @@ def ldl(g: np.ndarray):
 
 def _checked_points(g: MetricField):
     """The seeded points at which the inverse is verified, each with the
-    real metric there; SingularMetricError at the first where |det g|
-    is below 1e-12."""
+    real metric there: EvalDomainError at the first with a non-finite
+    metric value, SingularMetricError at the first where |det g| is below
+    1e-12."""
     g_at = compiled(g.comps)
     for point in g.chart.sample_points(3, seed=1404):
-        gv = real_metric(g_at(point))
+        gv = real_metric(require_finite(g_at(point)[np.newaxis], g.comps,
+                                        "metric", [point])[0])
         # an overflowing determinant is not small, so it need not warn
         with np.errstate(invalid="ignore", over="ignore"):
             if abs(np.linalg.det(gv)) < 1e-12:
@@ -349,7 +326,8 @@ def invert_metric(g: MetricField) -> Tensor:
     by multiplying back at three seeded sample points.  A singular point
     raises SingularMetricError, also when the factorization finds no
     nonzero pivot; a metric regular there that has none raises
-    ZeroPivotError."""
+    ZeroPivotError.  At a regular point a failed multiply-back is a
+    wrong inverse, not a singular metric: NumericFaultError."""
     try:
         L, D, order = g.ldl
     except ZeroPivotError:
@@ -374,8 +352,10 @@ def invert_metric(g: MetricField) -> Tensor:
         with np.errstate(invalid="ignore", over="ignore"):
             err = np.max(np.abs(gv @ inv_at(point) - np.eye(n)))
         if not (err <= 1e-10):
-            raise SingularMetricError(point)
-    return Tensor(g.chart, comps, ("u", "u"))
+            raise NumericFaultError(
+                f"inverse metric fails the multiply-back check at {point}: "
+                f"max |g g^-1 - 1| = {err:.3e}")
+    return Tensor(comps)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,17 @@ g 1 1 = 1 + k * u^2
 g 2 2 = 1
 """
 
+BIG_SPHERE_FILE = """
+name sphere-radius-1000
+dim 2
+coords theta phi
+signature 2 0
+domain theta 0.4 2.7
+domain phi 0 7
+g 1 1 = 1000000
+g 2 2 = 1000000 * sin(theta)^2
+"""
+
 # constant folding turns 1e200 * 1e150 into inf, so every derived tensor
 # evaluates to inf or nan; each command's message names the first one it
 # evaluates, with its component
@@ -41,9 +52,10 @@ NON_FINITE_CASES = [
     (["check"], "non-finite value in form_tensor component"),
     (["classify", "--json"], "non-finite value in curl component"),
     (["factor", "--json"], "non-finite value in form_tensor component"),
-    # the inverse metric's multiply-back check comes first here
+    # the inverse metric's check of the metric values comes first here
     (["geodesic", "--start", "1,1", "--velocity", "1,0", "--steps", "5",
-      "--json"], "metric is singular"),
+      "--json"],
+     "non-finite value in metric component (1, 1) 'inf * x * y'"),
     # factoring at one point evaluates outside the session
     (["factor", "--point", "1,1", "--json"],
      "non-finite value in metric component (1, 1) 'inf * x * y'"),
@@ -164,6 +176,23 @@ class TestCheck:
         for name in catalog:
             code, out, err = run(capsys, "check", name, "--points", "6")
             assert code == EXIT_OK, name
+
+    def test_tol_scale_applies_to_the_factorization_verdict(self, capsys,
+                                                           tmp_path):
+        # the reconstruction residual of a radius-1000 sphere is just above
+        # 1e-10; the scaled bound must decide the overall verdict as it
+        # decides the row
+        path = tmp_path / "big-sphere.metric"
+        path.write_text(BIG_SPHERE_FILE)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == EXIT_IDENTITY
+        failed = [l.split()[1] for l in out.splitlines()
+                  if l.startswith("FAIL")]
+        assert failed == ["factorization_reconstruction", "overall"]
+        code, out, err = run(capsys, "check", str(path), "--tol-scale", "10")
+        assert code == EXIT_OK
+        assert "FAIL" not in out
+        assert out.splitlines()[-1] == "PASS  overall"
 
 
 class TestClassify:

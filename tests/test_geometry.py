@@ -563,10 +563,9 @@ def _loop_christoffel(g, g_inv):
     return lower, mixed
 
 
-def _loop_precurrents(f, gm):
-    m, n = f.comps.shape[:2]
-    fc = f.comps
-    df = _loop_partials(f.chart, fc)
+def _loop_precurrents(chart, fc, gm):
+    m, n = fc.shape[:2]
+    df = _loop_partials(chart, fc)
     jp = np.empty((m, n, n, n), dtype=object)
     for i in range(m):
         for a in range(n):
@@ -621,7 +620,8 @@ def test_einsum_builders_return_the_loop_nodes(name, catalog):
     assert _same_nodes(conn.lower.comps, lower)
     assert _same_nodes(conn.mixed.comps, mixed)
     assert _same_nodes(session.precurrent.comps,
-                       _loop_precurrents(session.curl, conn.mixed.comps))
+                       _loop_precurrents(session.chart, session.curl.comps,
+                                         conn.mixed.comps))
     r_mixed, r_lower = _loop_riemann(conn.mixed.comps, g)
     assert _same_nodes(session.riemann_mixed.comps, r_mixed)
     assert _same_nodes(session.riemann_lower.comps, r_lower)

@@ -1,11 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from metricforms import Chart, MetricField, Tensor, invert_metric, parse_expr
 from metricforms.cli import EXIT_OK, main
-from metricforms.errors import SingularMetricError, TensorError
+from metricforms.errors import (
+    EvalDomainError,
+    NumericFaultError,
+    SingularMetricError,
+    TensorError,
+)
 from metricforms import expr as ex
-from metricforms.manifolds import loads
+from metricforms.manifolds import get_manifold, loads
 from metricforms.tensor import (
     _PERM3,
     antisym_over_axes,
@@ -15,6 +22,8 @@ from metricforms.tensor import (
 )
 
 from conftest import NON_FINITE_FILE, sphere_metric
+
+DATA = Path(__file__).parent / "data"
 
 # a positive definite 5-D metric with three off-diagonal entries
 FIVE_D_FILE = """
@@ -38,12 +47,19 @@ g 5 5 = 2
 """
 
 
-def _const_tensor(chart, values, variance, set_indexed=False):
+def _const_tensor(values):
     arr = np.asarray(values, dtype=complex)
     comps = np.empty(arr.shape, dtype=object)
     for idx in np.ndindex(arr.shape):
         comps[idx] = ex.const(complex(arr[idx]))
-    return Tensor(chart, comps, variance, set_indexed)
+    return Tensor(comps)
+
+
+def test_adding_tensors_of_different_shapes_raises():
+    a = _const_tensor(np.ones((2, 2)))
+    assert np.array_equal((a + a).evaluate({}), 2 * np.ones((2, 2)))
+    with pytest.raises(TensorError, match=r"\(2, 2\) and \(2, 3\)"):
+        a + _const_tensor(np.ones((2, 3)))
 
 
 class TestInvertMetric:
@@ -57,7 +73,7 @@ class TestInvertMetric:
     def test_minkowski_self_inverse(self):
         chart = Chart(("x", "y", "z", "t"), (3, 1), (((-2.0, 2.0),) * 4))
         eta = np.diag([1.0, 1.0, 1.0, -1.0])
-        g = MetricField(chart, _const_tensor(chart, eta, ("l", "l")).comps)
+        g = MetricField(chart, _const_tensor(eta).comps)
         inv = invert_metric(g)
         assert np.allclose(inv.evaluate({}).real, eta)
 
@@ -100,10 +116,26 @@ class TestInvertMetric:
         assert err.value.point
 
     def test_non_finite_metric_fails_multiply_back(self):
-        # inf * 0 puts nan in g @ g_inv, which no comparison may pass;
-        # SingularMetricError is a numeric fault, exit 4 on the CLI
+        # inf * 0 would put nan in g @ g_inv; the metric values at the
+        # check points are tested first, so the message names the
+        # non-finite component (EvalDomainError, exit 4 on the CLI)
         g = loads(NON_FINITE_FILE).metric()
-        with pytest.raises(SingularMetricError):
+        with pytest.raises(EvalDomainError,
+                           match=r"non-finite value in metric component "
+                                 r"\(1, 1\) 'inf \* x \* y'"):
+            invert_metric(g)
+
+    def test_wrong_inverse_at_regular_point_is_numeric_fault(self):
+        # a perturbed LDL factor gives a wrong inverse of a regular
+        # metric: the multiply-back fails, and the metric is not singular
+        g = get_manifold(str(DATA / "painleve-gullstrand.metric")).metric()
+        L, D, order = g.ldl
+        bad = L.copy()
+        n = bad.shape[0]
+        bad[n - 1, 0] = ex.mul(ex.Const(1.01), L[n - 1, 0])
+        g.__dict__["ldl"] = (bad, D, order)
+        with pytest.raises(NumericFaultError,
+                           match=r"max \|g g\^-1 - 1\| = "):
             invert_metric(g)
 
     def test_reciprocal_diagonal_on_catalog_bit_for_bit(self, catalog):
