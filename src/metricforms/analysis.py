@@ -15,13 +15,13 @@ assumed to vanish.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .chart import Chart
-from .errors import ChartError, FactorizationError, NumericFaultError
+from .errors import ChartError, NumericFaultError
 from .expr import Expr, Tape
 from .factorization import (
     TOL_RECONSTRUCTION,
@@ -79,10 +79,6 @@ class GeometrySession:
         if n_points < 1:
             raise ChartError("at least one sample point is required")
         self.points = self.chart.sample_points(n_points, seed)
-        if strategy == "numeric":
-            raise FactorizationError(
-                "a full analysis differentiates the form components; the "
-                "numeric strategy only supports factor/verify")
         self._strategy = strategy
         self._tape = Tape()
         self._slots: list[list] = [[] for _ in self.points]
@@ -97,10 +93,6 @@ class GeometrySession:
     @cached_property
     def forms(self) -> FormSet:
         return make_formset(self.metric, self._strategy)
-
-    @cached_property
-    def form_tensor(self) -> Tensor:
-        return self.forms.as_tensor()
 
     @cached_property
     def conn(self) -> Connection:
@@ -153,10 +145,6 @@ class GeometrySession:
     def parts(self) -> RiemannParts:
         return geo.riemann_decomposed(self.forms, self.curl, self.sym_deriv,
                                       self.precurrent)
-
-    @cached_property
-    def parts_total(self) -> Tensor:
-        return self.parts.total
 
     @cached_property
     def ricci(self) -> Tensor:
@@ -235,18 +223,18 @@ class GeometrySession:
     @cached_property
     def metric_vals(self) -> np.ndarray:
         """Stacked metric values, real."""
-        return real_metric(self.vals(self.metric.tensor))
+        return real_metric(self.vals(self.metric))
 
     # -- checks: reductions over stacked values -------------------------------
 
     def factorization_check(self, residual_tol: float = TOL_RECONSTRUCTION
                             ) -> FactorizationCheck:
-        return verify_factorization(self.vals(self.form_tensor),
+        return verify_factorization(self.vals(self.forms),
                                     self.metric_vals, residual_tol)
 
     @cached_property
     def orthogonality(self) -> float:
-        return orthogonality_residual(self.vals(self.form_tensor),
+        return orthogonality_residual(self.vals(self.forms),
                                       self.metric_vals)
 
     @cached_property
@@ -388,7 +376,7 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
         session.route_residual(session.sym_deriv, session.sym_deriv_alt),
         first))
 
-    a_vals = session.vals(session.form_tensor)
+    a_vals = session.vals(session.forms)
     s_vals = session.vals(session.sym_deriv)
     f_vals = session.vals(session.curl)
     balance = np.einsum("pic,piab->pcab", a_vals, s_vals) + 0.5 * (
@@ -429,7 +417,7 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
             second))
 
     # decomposition vs classical: measured, never asserted here
-    total_vals = session.vals(session.parts_total)
+    total_vals = session.vals(session.parts.total)
     per_point = np.max(np.abs(total_vals - r_vals),
                        axis=(1, 2, 3, 4)).tolist()
     rows.append(IdentityRow.report("decomposition_sum_vs_classical",
@@ -455,8 +443,9 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
         "ricci_decomposition_contraction_consistency",
         max_abs(contracted - ricci_f_vals)))
 
-    # Killing / Lie derivative
-    killing = session.killing
+    # Killing / Lie derivative, the set's closedness judged at the scaled
+    # second-derivative bound
+    killing = replace(session.killing, closed_tol=second)
     rows.append(IdentityRow.check("lie_derivative_identity",
                                   killing.lie_vs_2s, first))
     # S and L_A g vanish only for a closed set: otherwise measured
@@ -468,9 +457,9 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
 
     # physical tensors must be real
     imag = 0.0
-    for tensor in (session.metric.tensor, session.conn.lower,
+    for tensor in (session.metric, session.conn.lower,
                    session.conn.mixed, session.conn_factored.lower,
-                   session.riemann_lower, session.parts_total,
+                   session.riemann_lower, session.parts.total,
                    session.ricci, session.factored.ricci, session.einstein,
                    session.factored.einstein, session.parts.current_part,
                    session.parts.form_part, session.parts.sym_part):
@@ -504,7 +493,7 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
         points=session.points,
         identities=rows,
         tensor_summaries=summaries,
-        classification=session.classification,
+        classification=geo.classify_flatness(f_vals, r_vals, second, second),
         decomposition_per_point=per_point,
         factorization=fact,
         form_choice=session.forms.choice,
@@ -518,11 +507,11 @@ def _tensor_summaries(session: GeometrySession
                       ) -> list[tuple[str, float, float | None]]:
     """Name, max |component|, max |imaginary part| (None when complex values
     are expected, i.e. for the form set and its direct derivatives)."""
-    out = [("metric", max_abs(session.vals(session.metric.tensor)),
-            max_imag(session.vals(session.metric.tensor))),
+    out = [("metric", max_abs(session.vals(session.metric)),
+            max_imag(session.vals(session.metric))),
            ("metric_inverse", max_abs(session.vals(session.g_inv)),
             max_imag(session.vals(session.g_inv))),
-           ("forms", max_abs(session.vals(session.form_tensor)), None),
+           ("forms", max_abs(session.vals(session.forms)), None),
            ("exterior_derivative", max_abs(session.vals(session.curl)), None),
            ("sym_derivative", max_abs(session.vals(session.sym_deriv)), None),
            ("precurrents", max_abs(session.vals(session.precurrent)), None),
@@ -534,7 +523,7 @@ def _tensor_summaries(session: GeometrySession
             ("riemann_current_part", session.parts.current_part),
             ("riemann_form_part", session.parts.form_part),
             ("riemann_sym_part", session.parts.sym_part),
-            ("riemann_decomposed_sum", session.parts_total),
+            ("riemann_decomposed_sum", session.parts.total),
             ("ricci_classical", session.ricci),
             ("ricci_factored", session.factored.ricci),
             ("einstein_classical", session.einstein),

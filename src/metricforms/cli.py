@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
     ZeroPivotError,
 )
 from .expr import to_source
-from .factorization import make_formset
+from .factorization import factor_takagi_numeric, make_formset
 from . import geometry as geo
 from .manifolds import get_manifold
 from .report import dumps_canonical, render_human, render_json
@@ -41,6 +42,30 @@ EXIT_NUMERIC = 4
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _ranged(convert, ok, requirement: str):
+    """argparse type: ``convert`` the text and require ``ok`` of the
+    value, else an error through the parser (exit 3)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"'{text}' is not {requirement}")
+    return parse
+
+
+# the numeric options' ranges: a report holds only finite numbers, and
+# no step, or a zero one, would let an integration pass vacuously
+_seed = _ranged(int, lambda v: v >= 0, "a non-negative integer")
+_count = _ranged(int, lambda v: v >= 1, "a positive integer")
+_scale = _ranged(float, lambda v: math.isfinite(v) and v > 0,
+                 "a finite number > 0")
+_step = _ranged(float, lambda v: math.isfinite(v) and v != 0,
+                "a finite non-zero number")
 
 
 def _parse_vector(text: str, dim: int, what: str) -> np.ndarray:
@@ -72,18 +97,24 @@ def cmd_factor(args) -> int:
                          "pass --point v1,...,vn")
     if args.point is not None:
         g = spec.metric()
-        forms = make_formset(g, strategy)
+        # the numeric strategy is a pointwise factor, not a form set
+        forms = make_formset(g, strategy) if strategy != "numeric" else None
         vec = _parse_vector(args.point, spec.chart.dim, "--point")
         env = _point_env(spec.chart, vec)
         gv = require_finite(g.evaluate(env)[np.newaxis], g.comps, "metric",
                             [env])[0]
-        v = require_finite(forms.components_at(env)[np.newaxis], forms.comps,
-                           "forms", [env])[0].T  # V[a, I]
+        if forms is None:
+            comps, a = None, factor_takagi_numeric(g, env).T
+        else:
+            comps, a = forms.comps, forms.evaluate(env)
+            strategy = forms.strategy
+        v = require_finite(a[np.newaxis], comps, "forms",
+                           [env])[0].T  # V[a, I]
         residual = max_abs(v @ v.T - gv)
         if args.json:
             doc = {
                 "manifold": spec.name,
-                "strategy": forms.strategy,
+                "strategy": strategy,
                 "point": {k: float(x) for k, x in env.items()},
                 "factor_matrix": [[[float(c.real), float(c.imag)]
                                    for c in row] for row in v],
@@ -91,7 +122,7 @@ def cmd_factor(args) -> int:
             }
             print(dumps_canonical(doc))
         else:
-            print(f"V at {env} ({forms.strategy} strategy), rows are "
+            print(f"V at {env} ({strategy} strategy), rows are "
                   "coordinate index a, columns form index I:")
             for row in v:
                 print("  [" + ", ".join(_complex_cell(c) for c in row) + "]")
@@ -241,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("metric",
                        help="catalog name or metric definition file")
         p.add_argument("--strategy", choices=strategies, default="auto")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--points", type=int, default=DEFAULT_POINTS)
+        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+        p.add_argument("--points", type=_count, default=DEFAULT_POINTS)
 
     p = sub.add_parser("factor", help="factor the metric and verify V Vt = g")
     common(p, strategies=("auto", "diagonal", "ldl", "numeric"))
@@ -253,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="run the full identity suite")
     common(p)
-    p.add_argument("--tol-scale", type=float, default=1.0,
+    p.add_argument("--tol-scale", type=_scale, default=1.0,
                    help="multiply every tolerance by this factor")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_analyze)
@@ -261,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the suite; exit 0 iff all "
                                      "asserted identities pass")
     common(p)
-    p.add_argument("--tol-scale", type=float, default=1.0)
+    p.add_argument("--tol-scale", type=_scale, default=1.0)
     p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("classify", help="flat/curved verdict by the form "
@@ -276,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated start coordinates")
     p.add_argument("--velocity", required=True,
                    help="comma-separated initial velocity components")
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--step-size", type=float, default=0.001, dest="step_size")
+    p.add_argument("--steps", type=_count, default=1000)
+    p.add_argument("--step-size", type=_step, default=0.001, dest="step_size")
     p.add_argument("--out", help="write the trajectory as CSV")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_geodesic)

@@ -487,6 +487,11 @@ TAPE_CHUNK = 64
 
 _CHUNK_HEAD = "def _chunk(v, c, env, _pow=_pow_value, _fun=_fun_value):\n"
 
+# Operands per statement of a sum or product.  Python's compiler recurses
+# once per binary operator and gives up near 3,000 of them in one
+# expression; third derivatives of deeply nested functions reach that.
+TAPE_CHAIN = 1000
+
 
 def _slot_key(e: Expr):
     """Constants compare by value, so a tape keys them by identity."""
@@ -510,11 +515,11 @@ class Tape:
     list.  The statements are compiled into functions of at most
     ``TAPE_CHUNK`` lines over a slot list ``v``.  Each applies the
     arithmetic of its node: ``0 + a + b`` for a sum, ``1 * a * b`` for a
-    product, ``-a``, ``a / b``, ``a ** p`` for an integer power of a
-    non-constant, and ``_pow_value`` / ``_fun_value`` otherwise, so
-    purely real subtrees stay real, roots take the principal branch, and
-    a power of a constant that did not fold stays within the bound on
-    exact integers.
+    product (continued in the slot past ``TAPE_CHAIN`` operands), ``-a``,
+    ``a / b``, ``a ** p`` for an integer power of a non-constant, and
+    ``_pow_value`` / ``_fun_value`` otherwise, so purely real subtrees
+    stay real, roots take the principal branch, and a power of a constant
+    that did not fold stays within the bound on exact integers.
 
     The source holds only slot and table indices, function names and
     quoted symbol names: numbers, exponents and function nodes are read
@@ -593,10 +598,14 @@ class Tape:
             rhs = self._ref(e)
         elif t is Sym:
             rhs = f"env[{e.name!r}]"
-        elif t is Add:
-            rhs = " + ".join(["0", *map(self._ref, e.terms)])
-        elif t is Mul:
-            rhs = " * ".join(["1", *map(self._ref, e.factors)])
+        elif t is Add or t is Mul:
+            op, first = (" + ", "0") if t is Add else (" * ", "1")
+            refs = list(map(self._ref, e.terms if t is Add else e.factors))
+            # a longer chain goes on in the slot, left to right as before
+            return "; ".join(
+                f"v[{k}] = " + op.join([f"v[{k}]" if i else first,
+                                        *refs[i:i + TAPE_CHAIN]])
+                for i in range(0, len(refs), TAPE_CHAIN))
         elif t is Neg:
             rhs = "-" + self._ref(e.arg)
         elif t is Div:
@@ -980,12 +989,20 @@ def _tokenize(src: str):
     return tokens
 
 
+#: deepest nesting of '(', function calls and unary '-' the parser takes;
+#: each level is a few frames of this parser and of every tree walk after
+#: it, so a bound well below the interpreter's recursion limit keeps a
+#: deep input an input error rather than a RecursionError
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, src: str, allowed: frozenset[str]):
         self.src = src
         self.allowed = allowed
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -1059,6 +1076,17 @@ class _Parser:
             self.expect(")")
         return Fraction(numerator, denominator)
 
+    def nested(self, offset: int, parse) -> Expr:
+        """``parse()`` one nesting level deeper, the level opened at
+        ``offset``."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nested deeper than {MAX_NESTING} levels",
+                             offset)
+        self.depth += 1
+        e = parse()
+        self.depth -= 1
+        return e
+
     def base(self) -> Expr:
         kind, value, offset = self.peek()
         if kind == "num":
@@ -1066,10 +1094,10 @@ class _Parser:
             return Const(value)
         if kind == "-":
             self.advance()
-            return neg(self.base())
+            return neg(self.nested(offset, self.base))
         if kind == "(":
             self.advance()
-            e = self.expr()
+            e = self.nested(offset, self.expr)
             self.expect(")")
             return e
         if kind == "name":
@@ -1078,7 +1106,7 @@ class _Parser:
                 if value not in FUNCTIONS:
                     raise ParseError(f"unknown function '{value}'", offset)
                 self.advance()
-                arg = self.expr()
+                arg = self.nested(offset, self.expr)
                 self.expect(")")
                 return fn(value, arg)
             if value not in self.allowed:

@@ -1,24 +1,23 @@
 """Factor a metric field into a set of 1-forms V with V Vt = g.
 
-Three strategies produce the form set A, stored row-wise as A[I, a] so
-that sum_I A[I, a] A[I, b] = g[a, b]:
+Two symbolic strategies produce the form set A, stored row-wise as
+A[I, a] so that sum_I A[I, a] A[I, b] = g[a, b]:
 
 * ``diagonal`` - componentwise symbolic square roots of a diagonal metric;
   negative components get +i times the real root.
 * ``ldl`` - V = L sqrt(D) from the metric's symbolic L D Lt = g
   (``tensor.ldl``, which the inverse metric is built from as well); a
   symmetric pivot permutation is tried when a pivot vanishes identically.
-* ``numeric`` - pointwise real eigendecomposition g = Q L Qt giving
-  V = Q sqrt(L); supports evaluation-only work (no derivatives).
 
 Which member of the orthogonal family {V O : O Ot = 1} comes out is a
-convention of each strategy and is recorded in ``FormSet.choice``.
+convention of each strategy and is recorded in ``FormSet.choice``.  The
+numeric strategy is no form set: ``factor_takagi_numeric`` factors
+g = Q L Qt at one point as V = Q sqrt(L), with nothing to differentiate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -36,29 +35,19 @@ from .tensor import MetricField, Tensor, einsum, max_abs, simplified
 TOL_RECONSTRUCTION = 1e-10
 
 
-@dataclass
-class FormSet:
-    """n linearly independent (possibly complex) 1-forms factoring a metric."""
+class FormSet(Tensor):
+    """n linearly independent (possibly complex) 1-forms A[I, a] factoring
+    a metric, with the strategy's orthogonal-family convention and the
+    ldl pivot order, if one was applied."""
 
-    chart: Chart
-    strategy: str
-    comps: np.ndarray | None = None            # (m, n) Expr array, A[I, a]
-    point_factory: Callable[[dict], np.ndarray] | None = None
-    choice: str = ""                            # orthogonal-family convention
-    permutation: tuple[int, ...] | None = None  # ldl pivot order, if applied
-
-    def as_tensor(self) -> Tensor:
-        if self.comps is None:
-            raise FactorizationError(
-                "the numeric strategy has no symbolic components; "
-                "derivative-based operations need 'diagonal' or 'ldl'")
-        return Tensor(self.comps)
-
-    def components_at(self, point: dict[str, float]) -> np.ndarray:
-        """Numeric (m, n) matrix of form components at a point."""
-        if self.comps is not None:
-            return self.as_tensor().evaluate(point)
-        return self.point_factory(point)
+    def __init__(self, chart: Chart, strategy: str, comps: np.ndarray,
+                 choice: str = "",
+                 permutation: tuple[int, ...] | None = None):
+        super().__init__(comps)
+        self.chart = chart
+        self.strategy = strategy
+        self.choice = choice
+        self.permutation = permutation
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +106,6 @@ def factor_takagi_numeric(g: MetricField, point: dict[str, float]) -> np.ndarray
     return q.astype(complex) * roots[np.newaxis, :]
 
 
-def numeric_formset(g: MetricField) -> FormSet:
-    """Per-point factory wrapper around the numeric strategy."""
-    def factory(point):
-        return factor_takagi_numeric(g, point).T  # A[I, a] = V[a, I]
-    return FormSet(g.chart, "numeric", point_factory=factory,
-                   choice="eigenvector columns in ascending eigenvalue order")
-
-
 def make_formset(g: MetricField, strategy: str = "auto") -> FormSet:
     if strategy == "auto":
         strategy = "diagonal" if g.is_diagonal() else "ldl"
@@ -133,7 +114,9 @@ def make_formset(g: MetricField, strategy: str = "auto") -> FormSet:
     if strategy == "ldl":
         return factor_ldl(g)
     if strategy == "numeric":
-        return numeric_formset(g)
+        raise FactorizationError(
+            "a full analysis differentiates the form components; the "
+            "numeric strategy only supports factor/verify")
     raise FactorizationError(f"unknown strategy '{strategy}'")
 
 

@@ -109,7 +109,7 @@ def christoffel_classical(g: MetricField, g_inv: Tensor) -> Connection:
 
 def sym_partial(forms: FormSet) -> Tensor:
     """P[I,a,b] = symmetrized coordinate derivative of the forms."""
-    da = _partials(forms.chart, forms.as_tensor().comps)
+    da = _partials(forms.chart, forms.comps)
     return Tensor(einsum("aib->iab + bia->iab", da, da, pair=_SYM12)
                   * ex.HALF)
 
@@ -125,7 +125,7 @@ def christoffel_factored(forms: FormSet, f: Tensor, g_inv: Tensor) -> Connection
 
     Gamma_cab = A_c (.) sym dA_ab + [A_a (.) F_bc + A_b (.) F_ac] / 2
     """
-    ac = forms.as_tensor().comps
+    ac = forms.comps
     p = sym_partial(forms).comps
     lower = (einsum("ic,iab->cab", ac, p, pair=_SYM12)
              + _form_cross(ac, f.comps) * ex.HALF)
@@ -135,7 +135,7 @@ def christoffel_factored(forms: FormSet, f: Tensor, g_inv: Tensor) -> Connection
 
 def exterior_derivative(forms: FormSet) -> Tensor:
     """F[I,a,b] = d_a A_Ib - d_b A_Ia; antisymmetric by construction."""
-    da = _partials(forms.chart, forms.as_tensor().comps)
+    da = _partials(forms.chart, forms.comps)
     f = einsum("aib->iab - bia->iab", da, da, pair=_ANTI12)
     return Tensor(simplified(f, _ANTI12))
 
@@ -145,7 +145,7 @@ def sym_covariant_derivative(forms: FormSet, conn: Connection) -> Tensor:
     if conn.route != "classical":
         raise TensorError("the direct symmetric derivative is defined "
                           "against the classical connection")
-    ac = forms.as_tensor().comps
+    ac = forms.comps
     p = sym_partial(forms).comps
     s = p - einsum("cab,ic->iab", conn.mixed.comps, ac, pair=_SYM12)
     return Tensor(simplified(s, _SYM12))
@@ -160,7 +160,7 @@ def sym_derivative_via_factors(forms: FormSet, f: Tensor,
     Valid because the form rows are orthonormal against the inverse
     metric (A_Ic A_J^c = delta_IJ).
     """
-    ac = forms.as_tensor().comps
+    ac = forms.comps
     a_up = einsum("cd,id->ic", g_inv.comps, ac)
     s = einsum("jc,cab->jab", a_up, _form_cross(ac, f.comps),
                pair=_SYM12) * ex.Const(-0.5)
@@ -233,7 +233,7 @@ def riemann_decomposed(forms: FormSet, f: Tensor, s: Tensor,
     with (.) contracting the set axis.  All inputs must come from one
     form set and the classical connection.
     """
-    ac = forms.as_tensor().comps
+    ac = forms.comps
     fc, sc, jp = f.comps, s.comps, j_pre.comps
     rc = einsum("ia,ibcd->abcd - ib,iacd->abcd + ic,idab->abcd "
                 "- id,icab->abcd", ac, jp, ac, jp, ac, jp, ac, jp,
@@ -298,7 +298,7 @@ def ricci_einstein_factored(forms: FormSet, f: Tensor, s: Tensor,
     plus the Einstein split G = T(f) + T(c) + T(s), whose sum equals
     Ric - g R / 2 of this route by construction.
     """
-    ac = forms.as_tensor().comps
+    ac = forms.comps
     fc, sc, st, jp, jc = f.comps, s.comps, s_trace.comps, j_pre.comps, j.comps
     ginv, gc = g_inv.comps, g.comps
 
@@ -365,7 +365,7 @@ def lie_derivative_metric(forms: FormSet, g: MetricField,
     """(L_{A_I} g)_ab = A^c d_c g_ab + g_cb d_a A^c + g_ac d_b A^c,
     computed from coordinate derivatives only (no connection)."""
     chart = forms.chart
-    x = einsum("cd,id->ic", g_inv.comps, forms.as_tensor().comps)
+    x = einsum("cd,id->ic", g_inv.comps, forms.comps)
     dg = _partials(chart, g.comps)
     dx = _partials(chart, x)
     return Tensor(einsum("ic,cab->iab + cb,aic->iab + ac,bic->iab",
@@ -490,18 +490,21 @@ def _rk4(rhs, chart: Chart, start: np.ndarray, velocity: np.ndarray,
         return np.concatenate([u, rhs(x, u)])
 
     state = np.concatenate([xs[0], us[0]])
-    for k in range(steps):
-        k1 = deriv(state)
-        k2 = deriv(state + 0.5 * h * k1)
-        k3 = deriv(state + 0.5 * h * k2)
-        k4 = deriv(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not chart.contains(state[:n]):
-            exited = True
-            break
-        xs.append(state[:n].copy())
-        us.append(state[n:].copy())
-        ss.append((k + 1) * h)
+    # a stage that overflows raises in the next evaluation or makes the
+    # step non-finite, which fails the domain check: numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            k1 = deriv(state)
+            k2 = deriv(state + 0.5 * h * k1)
+            k3 = deriv(state + 0.5 * h * k2)
+            k4 = deriv(state + h * k3)
+            state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not chart.contains(state[:n]):
+                exited = True
+                break
+            xs.append(state[:n].copy())
+            us.append(state[n:].copy())
+            ss.append((k + 1) * h)
     return Trajectory(np.array(ss), np.array(xs), np.array(us), exited)
 
 
@@ -528,7 +531,7 @@ def factored_rhs(forms: FormSet, f: Tensor, g_inv: Tensor):
     products is returned.
     """
     chart = forms.chart
-    a = forms.as_tensor().comps
+    a = forms.comps
     arrays = (a, sym_partial(forms).comps,
               einsum("cd,id->ic", g_inv.comps, a),          # A_I^c
               einsum("cd,idb->icb", g_inv.comps, f.comps))  # F_I^c_b

@@ -2,9 +2,9 @@
 
 Components are expression trees; every verification downstream contracts
 them to numbers at sampled points.  A ``Tensor`` is its object array of
-components and nothing more: which slot is upper, lower or the leading
-set axis is fixed by the formula that builds it, and each builder states
-its layout in its docstring.
+components (the metric and the form set also carry a chart and labels):
+which slot is upper, lower or the leading set axis is fixed by the
+formula that builds it, and each builder states its layout in its docstring.
 
 Every index contraction, here and in the geometry built on top, goes
 through one primitive: ``einsum``, Einstein summation over object arrays
@@ -222,8 +222,8 @@ class Tensor:
 # metric fields
 # ---------------------------------------------------------------------------
 
-class MetricField:
-    """Symmetric rank-2 field of expressions over a chart."""
+class MetricField(Tensor):
+    """Symmetric rank-2 field of expressions g[a, b] over a chart."""
 
     def __init__(self, chart: Chart, comps: np.ndarray):
         comps = np.asarray(comps, dtype=object)
@@ -232,13 +232,8 @@ class MetricField:
             raise TensorError(f"metric shape {comps.shape} on a "
                               f"{n}-dimensional chart")
         # mirror the upper triangle so g[a,b] and g[b,a] share one tree
-        stored = mirror(comps.copy(), (0, 1, +1))
+        super().__init__(mirror(comps.copy(), (0, 1, +1)))
         self.chart = chart
-        self.tensor = Tensor(stored)
-
-    @property
-    def comps(self) -> np.ndarray:
-        return self.tensor.comps
 
     def is_diagonal(self) -> bool:
         n = self.chart.dim
@@ -246,7 +241,7 @@ class MetricField:
                    for a in range(n) for b in range(a + 1, n))
 
     def evaluate(self, point: dict[str, float]) -> np.ndarray:
-        return real_metric(self.tensor.evaluate(point))
+        return real_metric(super().evaluate(point))
 
     @functools.cached_property
     def ldl(self) -> tuple:

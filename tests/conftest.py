@@ -1,7 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from metricforms import Chart, GeometrySession, load_catalog
+from metricforms import (
+    Chart,
+    GeometrySession,
+    factor_takagi_numeric,
+    load_catalog,
+)
 
 # constant folding turns 1e200 * 1e150 into inf
 NON_FINITE_FILE = """
@@ -65,4 +72,11 @@ def stacked(evaluate, points):
 
 def form_metric_vals(forms, g, points):
     """Stacked form values A[p, I, a] and metric values g[p, a, b]."""
-    return stacked(forms.components_at, points), stacked(g.evaluate, points)
+    return stacked(forms.evaluate, points), stacked(g.evaluate, points)
+
+
+def numeric_forms(g):
+    """The numeric strategy in the form-set layout: ``evaluate(point)``
+    is the pointwise factor A[I, a] = V[a, I]."""
+    return SimpleNamespace(
+        evaluate=lambda point: factor_takagi_numeric(g, point).T)

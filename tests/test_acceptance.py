@@ -17,7 +17,6 @@ from metricforms import (
     evaluate,
     integrate_geodesic,
     make_formset,
-    numeric_formset,
     orthogonality_residual,
     run_analysis,
     verify_factorization,
@@ -25,7 +24,7 @@ from metricforms import (
 from metricforms.cli import main as cli_main
 from metricforms.tensor import max_abs
 
-from conftest import form_metric_vals
+from conftest import form_metric_vals, numeric_forms
 
 SEED = 42
 N_POINTS = 20
@@ -64,7 +63,7 @@ def test_criterion_01_factorization_reconstruction(catalog):
         g = spec.metric()
         points = spec.chart.sample_points(N_POINTS, SEED)
         for strategy in ("diagonal", "ldl", "numeric"):
-            forms = numeric_formset(g) if strategy == "numeric" \
+            forms = numeric_forms(g) if strategy == "numeric" \
                 else make_formset(g, strategy)
             check = verify_factorization(*form_metric_vals(forms, g, points))
             worst = max(worst, check.max_residual)
@@ -80,7 +79,7 @@ def test_criterion_02_orthogonality(catalog):
     for spec in catalog.values():
         g = spec.metric()
         points = spec.chart.sample_points(N_POINTS, SEED)
-        for forms in (make_formset(g), numeric_formset(g)):
+        for forms in (make_formset(g), numeric_forms(g)):
             worst = max(worst, orthogonality_residual(
                 *form_metric_vals(forms, g, points)))
     criterion(2, "form rows orthonormal against the inverse metric <= 1e-9",

@@ -145,10 +145,10 @@ class TestSessionTape:
         assert len(tape.sources) > chunks
         # the metric's components are inside the mixed connection
         chunks = len(tape.sources)
-        session.vals(session.metric.tensor)
+        session.vals(session.metric)
         session.scalar_vals(lower.comps[0, 0, 0])
         assert len(tape.nodes) == _tape_nodes(lower, mixed,
-                                              session.metric.tensor) \
+                                              session.metric) \
             == _tape_nodes(lower, mixed)
         assert len(tape.sources) == chunks
         assert all(len(v) == len(tape.nodes) for v in session._slots)

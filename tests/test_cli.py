@@ -8,7 +8,7 @@ import tempfile
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import metricforms
 from metricforms.cli import (
@@ -18,6 +18,7 @@ from metricforms.cli import (
     EXIT_OK,
     main,
 )
+from metricforms.expr import MAX_NESTING
 
 from conftest import NON_FINITE_FILE
 
@@ -48,10 +49,10 @@ g 2 2 = 1000000 * sin(theta)^2
 # evaluates to inf or nan; each command's message names the first one it
 # evaluates, with its component
 NON_FINITE_CASES = [
-    (["analyze", "--json"], "non-finite value in form_tensor component"),
-    (["check"], "non-finite value in form_tensor component"),
+    (["analyze", "--json"], "non-finite value in forms component"),
+    (["check"], "non-finite value in forms component"),
     (["classify", "--json"], "non-finite value in curl component"),
-    (["factor", "--json"], "non-finite value in form_tensor component"),
+    (["factor", "--json"], "non-finite value in forms component"),
     # the inverse metric's check of the metric values comes first here
     (["geodesic", "--start", "1,1", "--velocity", "1,0", "--steps", "5",
       "--json"],
@@ -72,6 +73,37 @@ OVERFLOWING_G11 = ["1e200 * x^2", "10^400 * x^2", "10^400 + x^2",
 # computed exactly, this power takes unbounded time and memory, so it
 # runs only in a child process with limits on both
 UNBOUNDED_POWER = OVERFLOWING_G11[-1]
+
+
+# an entry nested ``depth`` levels deep by each kind the parser counts;
+# calls of a constant fold, so a file at the bound checks quickly
+NESTED_G11 = {
+    "parenthesis": lambda depth: "(" * depth + "2 + x^2" + ")" * depth,
+    "call": lambda depth: "2 + x^2 + " + "sin(" * depth + "1" + ")" * depth,
+    "minus": lambda depth: "3 + " + "-" * depth + "x",
+}
+
+SPHERE_GEODESIC = ["geodesic", "sphere2", "--start", "1.5,0.4",
+                   "--velocity", "0,1"]
+
+# each option value outside its range, with the option named in the error
+OUT_OF_RANGE = [
+    *[([command, "sphere2", "--seed", "-1"], "--seed")
+      for command in ("check", "analyze", "factor", "classify")],
+    (SPHERE_GEODESIC + ["--seed", "-1"], "--seed"),
+    (["check", "sphere2", "--points", "0"], "--points"),
+    (["classify", "sphere2", "--points", "-2"], "--points"),
+    (["analyze", "sphere2", "--json", "--tol-scale", "nan"], "--tol-scale"),
+    (["analyze", "sphere2", "--json", "--tol-scale", "inf"], "--tol-scale"),
+    (["analyze", "sphere2", "--json", "--tol-scale", "-1"], "--tol-scale"),
+    (["check", "sphere2", "--tol-scale", "0"], "--tol-scale"),
+    (SPHERE_GEODESIC + ["--steps", "-3", "--json"], "--steps"),
+    (SPHERE_GEODESIC + ["--steps", "0", "--json"], "--steps"),
+    (SPHERE_GEODESIC + ["--steps", "3", "--step-size", "nan", "--json"],
+     "--step-size"),
+    (SPHERE_GEODESIC + ["--steps", "3", "--step-size", "0", "--json"],
+     "--step-size"),
+]
 
 
 def _overflow_file(tmp_path, g11):
@@ -158,6 +190,14 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "sphere2",
                              "--strategy", "numeric")
         assert code == EXIT_INPUT
+
+    def test_tol_scale_reaches_classification(self, capsys):
+        code, out, err = run(capsys, "analyze", "sphere2", "--json",
+                             "--tol-scale", "10")
+        assert code == EXIT_OK
+        doc = json.loads(out)["classification"]
+        assert doc["form_tolerance"] == pytest.approx(1e-7, rel=1e-12)
+        assert doc["riemann_tolerance"] == pytest.approx(1e-7, rel=1e-12)
 
     def test_tol_scale_impossible_tolerance_fails(self, capsys):
         code, out, err = run(capsys, "analyze", "sphere2",
@@ -415,6 +455,32 @@ g 4 4 = 1e250
         assert "non-finite g(u, u)" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv,option", OUT_OF_RANGE,
+        ids=[f"argv{k}" for k in range(len(OUT_OF_RANGE))])
+    def test_out_of_range_option_is_input_error(self, capsys, argv, option):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert f"error: argument {option}: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind,depth", [
+        *[(kind, MAX_NESTING + 1) for kind in NESTED_G11],
+        ("parenthesis", 300), ("call", 300), ("minus", 1200)])
+    def test_nesting_past_the_bound_is_input_error(self, capsys, tmp_path,
+                                                   kind, depth):
+        path = _overflow_file(tmp_path, NESTED_G11[kind](depth))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == EXIT_INPUT
+        assert f"nested deeper than {MAX_NESTING} levels" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", sorted(NESTED_G11))
+    def test_nesting_at_the_bound_checks(self, capsys, tmp_path, kind):
+        path = _overflow_file(tmp_path, NESTED_G11[kind](MAX_NESTING))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == EXIT_OK, err
+
     def test_usage_error_exits_3(self, capsys):
         code = main(["analyze"])
         capsys.readouterr()
@@ -460,3 +526,48 @@ def test_check_never_crashes_on_generated_metrics(g11, g22, g12):
             code = main(["check", path])
     assert code in (EXIT_OK, EXIT_IDENTITY, EXIT_INPUT, EXIT_NUMERIC)
     assert "Traceback" not in err.getvalue()
+
+
+# -- crash-free CLI over generated option values ------------------------------
+
+def _option_text(in_range, small=False):
+    """Option text: a value in range three times in four, so that whole
+    runs are common, else any integer (kept small for the counts that set
+    the work), any float or a value a range must reject."""
+    numbers = (st.integers(min_value=-3, max_value=3) if small
+               else st.integers(min_value=-10 ** 30, max_value=10 ** 30))
+    anything = st.one_of(numbers.map(str), st.floats().map(repr),
+                         st.sampled_from(["0", "-0", "nan", "inf", "-inf",
+                                          "1e400", "2.5", "x"]))
+    return st.one_of(in_range, in_range, in_range, anything)
+
+
+_COUNT_TEXT = _option_text(st.integers(min_value=1, max_value=3).map(str),
+                           small=True)
+
+
+@given(seed=_option_text(st.integers(min_value=0,
+                                     max_value=10 ** 30).map(str)),
+       points=_COUNT_TEXT,
+       tol_scale=_option_text(st.floats(min_value=0, exclude_min=True,
+                                        allow_infinity=False).map(repr)),
+       steps=_COUNT_TEXT,
+       step_size=_option_text(st.floats(allow_nan=False,
+                                        allow_infinity=False).map(repr)))
+@example(seed="-1", points="3", tol_scale="1", steps="3", step_size="0.001")
+@example(seed="0", points="3", tol_scale="nan", steps="3", step_size="0.001")
+@example(seed="0", points="3", tol_scale="inf", steps="3", step_size="0.001")
+@example(seed="0", points="3", tol_scale="-1", steps="-3", step_size="nan")
+@example(seed="0", points="3", tol_scale="1", steps="3", step_size="1e300")
+@settings(max_examples=40, deadline=None)
+def test_numeric_options_never_crash(seed, points, tol_scale, steps,
+                                     step_size):
+    for argv in (["check", "sphere2", f"--seed={seed}", f"--points={points}",
+                  f"--tol-scale={tol_scale}"],
+                 SPHERE_GEODESIC + [f"--seed={seed}", f"--steps={steps}",
+                                    f"--step-size={step_size}", "--json"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_IDENTITY, EXIT_INPUT, EXIT_NUMERIC)
+        assert "Traceback" not in err.getvalue()

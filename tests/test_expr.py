@@ -132,6 +132,21 @@ class TestParse:
         assert err.value.offset == 4
         assert "5001 digits" in str(err.value)
 
+    @pytest.mark.parametrize("left,right", [("(", ")"), ("sin(", ")"),
+                                            ("-", "")])
+    def test_nesting_bound(self, polar, left, right):
+        # each '(', call and unary '-' is one level; the level past the
+        # bound is named by its offset
+        def nested(depth):
+            return left * depth + "r" + right * depth
+
+        parse_expr(nested(ex.MAX_NESTING), polar)
+        with pytest.raises(ParseError) as err:
+            parse_expr(nested(ex.MAX_NESTING + 1), polar)
+        assert err.value.offset == len(left) * ex.MAX_NESTING
+        assert f"nested deeper than {ex.MAX_NESTING} levels" \
+            in str(err.value)
+
 
 # ---------------------------------------------------------------------------
 # evaluation
@@ -551,6 +566,24 @@ def test_tape_spans_many_chunks():
         tape.run(env, v)
     assert err.value.subexpr is bad
     assert len(v) == 2 + 3 * 150
+
+
+def test_tape_long_sum_and_product():
+    # past a few thousand operators in one expression Python's compiler
+    # gives up; a longer chain goes on in further statements, and both
+    # keep their left-to-right order
+    x = ex.sym("x")
+    roots = [ex.add(*[ex.fn("sin", ex.mul(ex.const(k + 0.5), x))
+                      for k in range(3500)]),
+             ex.mul(*[ex.add(ex.ONE, ex.mul(ex.const(1e-4 * (k + 0.5)), x))
+                      for k in range(3500)])]
+    assert all(len(r.children()) == 3500 for r in roots)
+    tape = ex.Tape(roots)
+    assert len(tape.sources[-1].splitlines()) <= 1 + ex.TAPE_CHUNK
+    env = {"x": 0.3}
+    reference = oracles.TreeEvaluator(env)
+    assert [repr(v) for v in tape.getter(roots)(tape.run(env))] \
+        == [repr(reference(e)) for e in roots]
 
 
 def test_tape_source_holds_no_user_text():

@@ -10,7 +10,6 @@ from metricforms import (
     factor_ldl,
     factor_takagi_numeric,
     make_formset,
-    numeric_formset,
     orthogonality_residual,
     parse_expr,
     to_source,
@@ -25,7 +24,7 @@ from metricforms import expr as ex
 from metricforms.factorization import FormSet
 from metricforms.tensor import max_abs
 
-from conftest import form_metric_vals, sphere_metric
+from conftest import form_metric_vals, numeric_forms, sphere_metric
 
 
 def _metric(chart, entries):
@@ -41,7 +40,7 @@ class TestDiagonal:
         g = sphere_metric(1.0)
         forms = factor_diagonal(g)
         point = {"theta": 1.1, "phi": 2.0}
-        a = forms.components_at(point)
+        a = forms.evaluate(point)
         assert a[0, 0] == pytest.approx(1.0)
         assert a[1, 1] == pytest.approx(math.sin(1.1))
         assert a[0, 1] == a[1, 0] == 0
@@ -73,8 +72,8 @@ class TestLdl:
         forms = factor_ldl(g)
         ref = factor_diagonal(g)
         point = {"theta": 0.9, "phi": 1.0}
-        assert max_abs(forms.components_at(point)
-                       - ref.components_at(point)) <= 1e-14
+        assert max_abs(forms.evaluate(point)
+                       - ref.evaluate(point)) <= 1e-14
 
     def test_hand_worked_two_by_two(self):
         # g = [[1, a], [a, 1 + a^2]] factors with unit L = [[1,0],[a,1]]
@@ -110,7 +109,7 @@ class TestLdl:
         chart = Chart(("x", "t"), (1, 1), (((-2.0, 2.0),) * 2))
         g = _metric(chart, {(0, 0): "1", (1, 1): "-1"})
         forms = factor_ldl(g)
-        a = forms.components_at({"x": 0.1, "t": 0.2})
+        a = forms.evaluate({"x": 0.1, "t": 0.2})
         assert abs(a[1, 1] - 1j) <= 1e-15
 
 
@@ -178,7 +177,7 @@ class TestVerify:
         point = points[0]
         gv = g.evaluate(point)
         expected = abs(1.01 ** 2 - 1.0) * abs(gv[1, 1])
-        a = corrupted.components_at(point)
+        a = corrupted.evaluate(point)
         residual_matrix = np.abs(a.T @ a - gv)
         assert residual_matrix[1, 1] == pytest.approx(expected, rel=1e-9)
         # corruption does not leak into other entries
@@ -200,7 +199,7 @@ class TestOrthogonality:
         for spec in catalog.values():
             g = spec.metric()
             points = spec.chart.sample_points(10, seed=42)
-            for forms in (make_formset(g), numeric_formset(g)):
+            for forms in (make_formset(g), numeric_forms(g)):
                 assert orthogonality_residual(
                     *form_metric_vals(forms, g, points)) <= 1e-9
 

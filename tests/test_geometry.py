@@ -128,7 +128,7 @@ class TestSymDerivative:
     def test_cancellation_identity_on_schwarzschild(self, sessions):
         s = sessions("schwarzschild")
         for k, point in enumerate(s.points):
-            a = s.forms.components_at(point)
+            a = s.forms.evaluate(point)
             sv = s.vals(s.sym_deriv)[k]
             fv = s.vals(s.curl)[k]
             balance = np.einsum("ic,iab->cab", a, sv) + 0.5 * (
@@ -248,7 +248,7 @@ class TestDecomposition:
         # flat chart with a non-trivial factorization where dA = 0 would be
         # semi-flat; the cartesian factorizations realize dA = 0 exactly
         s = sessions("euclidean2-cartesian")
-        assert max_abs(s.vals(s.parts_total)) == 0.0
+        assert max_abs(s.vals(s.parts.total)) == 0.0
         assert max_abs(s.vals(s.riemann_lower)) == 0.0
 
     @pytest.mark.parametrize("name", [
@@ -256,7 +256,7 @@ class TestDecomposition:
         "schwarzschild", "flrw-flat"])
     def test_sum_reproduces_classical(self, sessions, name):
         s = sessions(name)
-        gap = max_abs(s.vals(s.parts_total) - s.vals(s.riemann_lower))
+        gap = max_abs(s.vals(s.parts.total) - s.vals(s.riemann_lower))
         assert gap <= 1e-10   # measured at machine precision on the catalog
 
     def test_per_term_bianchi(self, sessions):
@@ -306,7 +306,7 @@ class TestRicciEinstein:
 
     def test_einstein_definition_identity(self, sessions):
         s = sessions("flrw-flat")
-        g_vals = s.vals(s.metric.tensor)
+        g_vals = s.vals(s.metric)
         scal = s.scalar_vals(s.scalar)
         g_term = 0.5 * g_vals * scal[:, None, None]
         assert max_abs(s.vals(s.einstein)
