@@ -11,8 +11,8 @@ Grammar of the text form (offsets in errors are 0-based byte positions)::
 
     expr     := term (('+'|'-') term)*
     term     := factor (('*'|'/') factor)*
-    factor   := base ('^' rational)?
-    base     := number | symbol | func '(' expr ')' | '(' expr ')' | '-' base
+    factor   := '-' factor | base ('^' rational)?
+    base     := number | symbol | func '(' expr ')' | '(' expr ')'
     func     := sin | cos | tan | exp | log | sinh | cosh | sqrt
     number   := decimal with optional exponent and optional 'i' suffix
     rational := ['-'] integer | '(' ['-'] integer ['/' integer] ')'
@@ -1045,6 +1045,11 @@ class _Parser:
         return e
 
     def factor(self) -> Expr:
+        kind, _, offset = self.peek()
+        if kind == "-":
+            # below '^': -x^2 is -(x^2)
+            self.advance()
+            return neg(self.nested(offset, self.factor))
         e = self.base()
         if self.peek()[0] == "^":
             self.advance()
@@ -1092,9 +1097,6 @@ class _Parser:
         if kind == "num":
             self.advance()
             return Const(value)
-        if kind == "-":
-            self.advance()
-            return neg(self.nested(offset, self.base))
         if kind == "(":
             self.advance()
             e = self.nested(offset, self.expr)

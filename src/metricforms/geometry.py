@@ -31,6 +31,7 @@ slots and mirrors the rest, so mirrored components share one node.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,7 +51,6 @@ from .tensor import (
     elementwise,
     max_abs,
     mirror,
-    reader,
     real_metric,
     simplified,
 )
@@ -479,75 +479,81 @@ class GeodesicComparison:
 
 def _rk4(rhs, chart: Chart, start: np.ndarray, velocity: np.ndarray,
          steps: int, h: float) -> Trajectory:
+    """Fixed-step RK4 on the state (x, u), a tuple of floats; ``rhs(x, u)``
+    gives du/ds.  Stops before the first step that leaves the chart."""
     n = chart.dim
-    xs = [start.astype(float)]
-    us = [velocity.astype(float)]
-    ss = [0.0]
-    exited = False
+    half, sixth = 0.5 * h, h / 6.0
 
     def deriv(state):
-        x, u = state[:n], state[n:]
-        return np.concatenate([u, rhs(x, u)])
+        return state[n:] + rhs(state[:n], state[n:])
 
-    state = np.concatenate([xs[0], us[0]])
-    # a stage that overflows raises in the next evaluation or makes the
-    # step non-finite, which fails the domain check: numpy need not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            k1 = deriv(state)
-            k2 = deriv(state + 0.5 * h * k1)
-            k3 = deriv(state + 0.5 * h * k2)
-            k4 = deriv(state + h * k3)
-            state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not chart.contains(state[:n]):
-                exited = True
-                break
-            xs.append(state[:n].copy())
-            us.append(state[n:].copy())
-            ss.append((k + 1) * h)
-    return Trajectory(np.array(ss), np.array(xs), np.array(us), exited)
+    # float arithmetic turns an overflow into inf or nan without raising:
+    # the next evaluation raises, or the domain check ends the integration
+    state = tuple(map(float, start)) + tuple(map(float, velocity))
+    states = [state]
+    exited = False
+    for _ in range(steps):
+        k1 = deriv(state)
+        k2 = deriv(tuple([s + half * k for s, k in zip(state, k1)]))
+        k3 = deriv(tuple([s + half * k for s, k in zip(state, k2)]))
+        k4 = deriv(tuple([s + h * k for s, k in zip(state, k3)]))
+        state = tuple([s + sixth * (a + 2 * b + 2 * c + d)
+                       for s, a, b, c, d in zip(state, k1, k2, k3, k4)])
+        if not chart.contains(state[:n]):
+            exited = True
+            break
+        states.append(state)
+    xu = np.array(states)
+    ss = np.array([0.0] + [k * h for k in range(1, len(states))])
+    return Trajectory(ss, xu[:, :n], xu[:, n:], exited)
 
 
 def _env(chart: Chart, x: np.ndarray) -> dict[str, float]:
     return dict(zip(chart.coords, (float(v) for v in x)))
 
 
-def classical_rhs(conn: Connection):
-    """du^c/ds = -Gamma^c_ab u^a u^b."""
-    chart = conn.chart
-    mixed = compiled(conn.mixed.comps)
+def _velocity(chart: Chart) -> np.ndarray:
+    """Velocity symbols u'x, one per coordinate x: the grammar cannot spell
+    them, so none collides with a coordinate or a constant."""
+    return np.array([ex.Sym(f"u'{c}") for c in chart.coords], dtype=object)
+
+
+def _rhs(chart: Chart, u: np.ndarray, du: np.ndarray):
+    """rhs(x, u) -> du/ds as a tuple of floats, from one tape whose roots
+    are the components ``du``, expressions in the coordinates and the
+    velocity symbols ``u``: the real part of each value."""
+    names = chart.coords + tuple(e.name for e in u)
+    tape = Tape(du)
+    get = tape.getter(du)
 
     def rhs(x, u):
-        gv = mixed(_env(chart, x)).real
-        return -np.einsum("cab,a,b->c", gv, u, u)
+        values = get(tape.run(dict(zip(names, itertools.chain(x, u)))))
+        return tuple([float(v.real) for v in values])
 
     return rhs
+
+
+def classical_rhs(conn: Connection):
+    """du^c/ds = -Gamma^c_ab u^a u^b."""
+    u = _velocity(conn.chart)
+    return _rhs(conn.chart, u, -einsum("cab,a,b->c", conn.mixed.comps, u, u))
 
 
 def factored_rhs(forms: FormSet, f: Tensor, g_inv: Tensor):
     """du^c/ds = -A^c (.) [sym dA_ab u^a u^b] + (A_a u^a) (.) F^c_b u^b.
 
-    The true right side is real; the real part of the complex form
-    products is returned.
+    Each sum over a form index, quad_I = sym dA_Iab u^a u^b and A_I.u, is
+    one node.  The true right side is real; the real part of the complex
+    form products is returned.
     """
-    chart = forms.chart
     a = forms.comps
-    arrays = (a, sym_partial(forms).comps,
-              einsum("cd,id->ic", g_inv.comps, a),          # A_I^c
-              einsum("cd,idb->icb", g_inv.comps, f.comps))  # F_I^c_b
-    tape = Tape(e for arr in arrays for e in arr.flat)
-    reads = [reader(tape, arr) for arr in arrays]
-
-    def rhs(x, u):
-        v = tape.run(_env(chart, x))
-        av, pv, auv, fmv = (read(v) for read in reads)
-        quad = np.einsum("iab,a,b->i", pv, u, u)
-        du = -np.einsum("ic,i->c", auv, quad)
-        a_dot_u = av @ u
-        du = du + np.einsum("i,icb,b->c", a_dot_u, fmv, u)
-        return du.real
-
-    return rhs
+    u = _velocity(forms.chart)
+    a_up = einsum("cd,id->ic", g_inv.comps, a)                 # A_I^c
+    f_mix = einsum("cd,idb->icb", g_inv.comps, f.comps)        # F_I^c_b
+    quad = einsum("iab,a,b->i", sym_partial(forms).comps, u, u)
+    a_dot_u = einsum("ia,a->i", a, u)
+    du = -einsum("ic,i->c - i,icb,b->c", a_up, quad, a_dot_u, f_mix, u)
+    return _rhs(forms.chart, u, du)
 
 
 def integrate_geodesic(g: MetricField, g_inv: Tensor, conn: Connection,
@@ -567,9 +573,8 @@ def integrate_geodesic(g: MetricField, g_inv: Tensor, conn: Connection,
                   steps, h)
 
     k = min(len(traj_c.s), len(traj_f.s))
-    divergence = max(
-        float(np.max(np.abs(traj_c.x[:k] - traj_f.x[:k]))) if k else 0.0,
-        float(np.max(np.abs(traj_c.u[:k] - traj_f.u[:k]))) if k else 0.0)
+    divergence = max(max_abs(traj_c.x[:k] - traj_f.x[:k]),
+                     max_abs(traj_c.u[:k] - traj_f.u[:k]))
 
     metric = compiled(g.comps)
     # a non-finite norm raises below, so numpy need not warn
@@ -581,6 +586,10 @@ def integrate_geodesic(g: MetricField, g_inv: Tensor, conn: Connection,
         raise EvalDomainError(
             f"overflow to a non-finite g(u, u) on the geodesic at "
             f"{_env(chart, traj_c.x[bad[0]])}", None)
+    if len(traj_c.s) == 1 or len(traj_f.s) == 1:
+        raise NumericFaultError(
+            f"the geodesic from {start.tolist()} integrated no step of size "
+            f"{h} inside the chart domain: nothing to compare")
     denom = max(1e-12, abs(norms[0]))
     norm_drift = float(np.max(np.abs(norms - norms[0])) / denom)
 

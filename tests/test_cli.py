@@ -278,6 +278,26 @@ class TestGeodesic:
         assert doc["route_divergence"] <= 1e-6
         assert len(doc["classical"]["x"]) == 11
 
+    def test_no_step_inside_the_domain_is_numeric_fault(self, capsys):
+        # the first step leaves the chart: the routes have nothing to compare
+        code, out, err = run(capsys, *SPHERE_GEODESIC, "--steps", "3",
+                             "--step-size", "1e5")
+        assert code == EXIT_NUMERIC
+        assert ("the geodesic from [1.5, 0.4] integrated no step of size "
+                "100000.0 inside the chart domain") in err
+
+    @pytest.mark.parametrize("argv", [["analyze", "--json"], ["check"]])
+    def test_spot_check_with_no_step_is_numeric_fault(self, capsys, tmp_path,
+                                                      argv):
+        # the spot check's first step of 0.002 along u leaves the domain
+        path = tmp_path / "narrow.metric"
+        path.write_text(GOOD_FILE.replace("domain u -1 1",
+                                          "domain u 0 0.001"))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == EXIT_NUMERIC
+        assert ("the geodesic from [0.0005, 0.0] integrated no step of size "
+                "0.002") in err
+
     def test_start_outside_domain(self, capsys):
         code, out, err = run(capsys, "geodesic", "sphere2",
                              "--start", "5,0.4", "--velocity", "0,1")

@@ -112,6 +112,18 @@ class TestParse:
             assert evaluate(e, {"r": 2.0, "theta": 1.0}) \
                 == pytest.approx(0.25)
 
+    def test_unary_minus_binds_below_power(self, polar):
+        # -r^2 is -(r^2), the square that binary minus subtracts
+        env = {"r": 2.0, "theta": 1.0}
+        assert evaluate(parse_expr("5 - r^2 + -r^2", polar), env) == -3.0
+        assert evaluate(parse_expr("2*-r^2", polar), env) \
+            == evaluate(parse_expr("-2*r^2", polar), env) == -8.0
+        square = parse_expr("r^2", polar)
+        assert parse_expr("-r^2", polar) is ex.neg(square)
+        assert parse_expr("--r^2", polar) is square
+        assert parse_expr("(-r)^2", polar) is ex.pow_(ex.neg(ex.sym("r")), 2)
+        assert evaluate(parse_expr("-2^2", polar), env) == -4
+
     def test_float_exponent_rejected(self, polar):
         with pytest.raises(ParseError):
             parse_expr("r^2.5", polar)

@@ -31,8 +31,12 @@ from metricforms.geometry import (
     VERDICT_CLOSED_FLAT,
     VERDICT_CURVED,
     VERDICT_INCONSISTENT,
+    classical_rhs,
+    factored_rhs,
+    sym_partial,
 )
-from metricforms.tensor import antisym_cycle_residual, max_abs
+from metricforms.manifolds import CATALOG_NAMES
+from metricforms.tensor import antisym_cycle_residual, compiled, einsum, max_abs
 
 import oracles
 from conftest import form_metric_vals, sphere_metric, stacked
@@ -525,6 +529,104 @@ class TestGeodesics:
                                   200, 0.01)
         assert comp.classical.exited_domain
         assert len(comp.classical.s) < 201
+
+
+# ---------------------------------------------------------------------------
+# geodesic right-hand sides against the numeric formulas they replaced
+# ---------------------------------------------------------------------------
+
+DATA = Path(__file__).parent / "data"
+RHS_TARGETS = [*CATALOG_NAMES,
+               *(str(DATA / name) for name in ("painleve-gullstrand.metric",
+                                               "kerr-boyer-lindquist.metric"))]
+
+
+@pytest.fixture(scope="module")
+def rhs_sessions():
+    cache = {}
+
+    def get(target):
+        if target not in cache:
+            cache[target] = GeometrySession(get_manifold(target), seed=42)
+        return cache[target]
+
+    return get
+
+
+def _reference_rhs(s):
+    """(classical, factored) du/ds from component arrays compiled per
+    tensor, evaluated at x and contracted with np.einsum."""
+    chart = s.chart
+    mixed = compiled(s.conn.mixed.comps)
+    a = s.forms.comps
+    arrays = [compiled(comps) for comps in (
+        a, sym_partial(s.forms).comps,
+        einsum("cd,id->ic", s.g_inv.comps, a),
+        einsum("cd,idb->icb", s.g_inv.comps, s.curl.comps))]
+
+    def at(x):
+        return dict(zip(chart.coords, map(float, x)))
+
+    def classical(x, u):
+        return -np.einsum("cab,a,b->c", mixed(at(x)).real, u, u)
+
+    def factored(x, u):
+        av, pv, auv, fmv = (values(at(x)) for values in arrays)
+        quad = np.einsum("iab,a,b->i", pv, u, u)
+        du = -np.einsum("ic,i->c", auv, quad)
+        du = du + np.einsum("i,icb,b->c", av @ u, fmv, u)
+        return du.real
+
+    return classical, factored
+
+
+def _reference_rk4(rhs, start, velocity, steps, h):
+    """Stacked states (x, u) of fixed-step RK4 on numpy arrays."""
+    n = len(start)
+
+    def deriv(state):
+        return np.concatenate([state[n:], rhs(state[:n], state[n:])])
+
+    state = np.concatenate([start, velocity])
+    states = [state]
+    for _ in range(steps):
+        k1 = deriv(state)
+        k2 = deriv(state + 0.5 * h * k1)
+        k3 = deriv(state + 0.5 * h * k2)
+        k4 = deriv(state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        states.append(state)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("target", RHS_TARGETS,
+                         ids=[Path(t).stem for t in RHS_TARGETS])
+def test_rhs_match_numeric_reference(rhs_sessions, target):
+    s = rhs_sessions(target)
+    rng = np.random.default_rng(7)
+    fused = (classical_rhs(s.conn), factored_rhs(s.forms, s.curl, s.g_inv))
+    for point in s.chart.sample_points(5, seed=11):
+        x = tuple(point[c] for c in s.chart.coords)
+        u = tuple(rng.normal(size=s.chart.dim).tolist())
+        for rhs, reference in zip(fused, _reference_rhs(s)):
+            got = rhs(x, u)
+            assert type(got) is tuple
+            assert all(type(v) is float for v in got)
+            want = reference(np.array(x), np.array(u))
+            assert max_abs(np.array(got) - want) <= 1e-13 * max_abs(want)
+
+
+def test_schwarzschild_trajectory_matches_numeric_reference(rhs_sessions):
+    s = rhs_sessions("schwarzschild")
+    start = np.array([5.0, 1.2, 1.0, 0.0])
+    velocity = np.array([0.1, 0.05, 0.1, 1.2])
+    comp = integrate_geodesic(s.metric, s.g_inv, s.conn, s.forms, s.curl,
+                              start, velocity, 200, 0.005)
+    assert len(comp.classical.s) == 201
+    for traj, rhs in zip((comp.classical, comp.factored), _reference_rhs(s)):
+        want = _reference_rk4(rhs, start, velocity, 200, 0.005)
+        got = np.hstack([traj.x, traj.u])
+        assert max_abs(got - want) <= 1e-13 * max_abs(want)
 
 
 # ---------------------------------------------------------------------------
