@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,10 @@ class Chart:
         if len(self.domains) != n:
             raise ChartError("one domain interval required per coordinate")
         for name, (lo, hi) in zip(self.coords, self.domains):
+            # a width is finite only if both ends are
+            if not math.isfinite(float(hi) - float(lo)):
+                raise ChartError(f"domain for coordinate '{name}' needs "
+                                 "finite ends and a finite width")
             if not (lo < hi):
                 raise ChartError(f"empty domain for coordinate '{name}'")
 

@@ -962,10 +962,12 @@ def _tokenize(src: str):
                 raise ParseError("malformed number", pos)
             body, exp10, imag = m.groups()
             text = body + (exp10 or "")
-            if imag:
-                value: Number = complex(0.0, float(text))
-            elif "." in body or exp10:
-                value = float(text)
+            if imag or "." in body or exp10:
+                value: Number = float(text)
+                if math.isinf(value):
+                    raise ParseError("number literal out of range", pos)
+                if imag:
+                    value = complex(0.0, value)
             else:
                 try:
                     value = int(text)

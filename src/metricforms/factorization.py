@@ -29,7 +29,7 @@ from .errors import (
     SingularMetricError,
 )
 from . import expr as ex
-from .tensor import MetricField, Tensor, einsum, max_abs, simplified
+from .tensor import MetricField, Tensor, einsum, elementwise, max_abs
 
 #: bound on |A (.) A - g|, a purely algebraic residual
 TOL_RECONSTRUCTION = 1e-10
@@ -80,7 +80,7 @@ def factor_ldl(g: MetricField) -> FormSet:
     roots = np.array([ex.fn("sqrt", d) for d in D], dtype=object)
     # V[a, I] in original coordinates: row order[i] of V is row i of L sqrt(D)
     comps = np.empty(L.shape, dtype=object)
-    comps[:, order] = simplified(einsum("iI,I->Ii", L, roots))
+    comps[:, order] = elementwise(ex.simplify, einsum("iI,I->Ii", L, roots))
     perm = order if order != tuple(range(len(order))) else None
     return FormSet(g.chart, "ldl", comps=comps,
                    choice="unit lower-triangular factor, pivots in "

@@ -22,11 +22,12 @@ J[I,b], Riemann[a,b,c,d].  Coordinate derivatives are stacked with the
 derivative slot first, d[k, ...] = d_k (...), so a derivative is one more
 index.
 
-Every symbolic builder is written as the formula in its docstring: index
-contractions through ``tensor.einsum``, sums and scalings through numpy
-object arithmetic, and ``simplified`` where the components are cleaned
-up.  A pair hint builds only one half of an (anti)symmetric pair of
-slots and mirrors the rest, so mirrored components share one node.
+Every symbolic builder returns the formula in its docstring as built:
+index contractions through ``tensor.einsum``, sums and scalings through
+numpy object arithmetic, and no simplification (every object is
+compared numerically with the other route, never by its symbolic form).
+A pair hint builds only one half of an (anti)symmetric pair of slots
+and mirrors the rest, so mirrored components share one node.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .tensor import (
     max_abs,
     mirror,
     real_metric,
-    simplified,
 )
 
 #: residual tolerances by derivative depth of the identity being checked
@@ -81,8 +81,8 @@ def _partials(chart: Chart, comps: np.ndarray) -> np.ndarray:
                      for coord in chart.coords])
 
 
-#: pair hints for einsum, mirror and simplified: which two component
-#: axes are symmetric (+1) or antisymmetric (-1)
+#: pair hints for einsum and mirror: which two component axes are
+#: symmetric (+1) or antisymmetric (-1)
 _SYM01 = (0, 1, +1)
 _SYM12 = (1, 2, +1)
 _ANTI12 = (1, 2, -1)
@@ -91,10 +91,9 @@ _ANTI23 = (2, 3, -1)
 
 def _connection(chart: Chart, lower: np.ndarray, g_inv: Tensor,
                 route: str) -> Connection:
-    """Connection from its simplified all-lower components, raising the
-    first slot: Gamma^c_ab = g^cd Gamma_dab."""
-    mixed = simplified(einsum("cd,dab->cab", g_inv.comps, lower,
-                              pair=_SYM12), _SYM12)
+    """Connection from its all-lower components, raising the first slot:
+    Gamma^c_ab = g^cd Gamma_dab."""
+    mixed = einsum("cd,dab->cab", g_inv.comps, lower, pair=_SYM12)
     return Connection(chart, Tensor(lower), Tensor(mixed), route)
 
 
@@ -103,8 +102,7 @@ def christoffel_classical(g: MetricField, g_inv: Tensor) -> Connection:
     dg = _partials(g.chart, g.comps)
     lower = einsum("acb->cab + bca->cab - cab->cab", dg, dg, dg,
                    pair=_SYM12) * ex.HALF
-    return _connection(g.chart, simplified(lower, _SYM12), g_inv,
-                       "classical")
+    return _connection(g.chart, lower, g_inv, "classical")
 
 
 def sym_partial(forms: FormSet) -> Tensor:
@@ -129,15 +127,13 @@ def christoffel_factored(forms: FormSet, f: Tensor, g_inv: Tensor) -> Connection
     p = sym_partial(forms).comps
     lower = (einsum("ic,iab->cab", ac, p, pair=_SYM12)
              + _form_cross(ac, f.comps) * ex.HALF)
-    return _connection(forms.chart, simplified(lower, _SYM12), g_inv,
-                       "factored")
+    return _connection(forms.chart, lower, g_inv, "factored")
 
 
 def exterior_derivative(forms: FormSet) -> Tensor:
     """F[I,a,b] = d_a A_Ib - d_b A_Ia; antisymmetric by construction."""
     da = _partials(forms.chart, forms.comps)
-    f = einsum("aib->iab - bia->iab", da, da, pair=_ANTI12)
-    return Tensor(simplified(f, _ANTI12))
+    return Tensor(einsum("aib->iab - bia->iab", da, da, pair=_ANTI12))
 
 
 def sym_covariant_derivative(forms: FormSet, conn: Connection) -> Tensor:
@@ -147,8 +143,8 @@ def sym_covariant_derivative(forms: FormSet, conn: Connection) -> Tensor:
                           "against the classical connection")
     ac = forms.comps
     p = sym_partial(forms).comps
-    s = p - einsum("cab,ic->iab", conn.mixed.comps, ac, pair=_SYM12)
-    return Tensor(simplified(s, _SYM12))
+    return Tensor(p - einsum("cab,ic->iab", conn.mixed.comps, ac,
+                             pair=_SYM12))
 
 
 def sym_derivative_via_factors(forms: FormSet, f: Tensor,
@@ -162,14 +158,13 @@ def sym_derivative_via_factors(forms: FormSet, f: Tensor,
     """
     ac = forms.comps
     a_up = einsum("cd,id->ic", g_inv.comps, ac)
-    s = einsum("jc,cab->jab", a_up, _form_cross(ac, f.comps),
-               pair=_SYM12) * ex.Const(-0.5)
-    return Tensor(simplified(s, _SYM12))
+    return Tensor(einsum("jc,cab->jab", a_up, _form_cross(ac, f.comps),
+                         pair=_SYM12) * ex.Const(-0.5))
 
 
 def sym_trace(s: Tensor, g_inv: Tensor) -> Tensor:
     """Scalar trace S_I = g^{ab} S_Iab per form (unnormalized gauge)."""
-    return Tensor(simplified(einsum("ab,iab->i", g_inv.comps, s.comps)))
+    return Tensor(einsum("ab,iab->i", g_inv.comps, s.comps))
 
 
 def precurrents(f: Tensor, conn: Connection) -> Tensor:
@@ -186,14 +181,15 @@ def precurrents(f: Tensor, conn: Connection) -> Tensor:
     df = _partials(conn.chart, fc)
     jp = einsum("aibc->iabc", df, pair=_ANTI23) - einsum(
         "eab,iec->iabc + eac,ibe->iabc", gm, fc, gm, fc, pair=_ANTI23)
-    return Tensor(simplified(jp, _ANTI23))
+    # the difference of two mirrored halves stores neg(a) - neg(b) below the
+    # diagonal; mirror again to store the negation of the built component
+    return Tensor(mirror(jp, _ANTI23))
 
 
 def currents(j_pre: Tensor, g_inv: Tensor) -> Tensor:
     """J[I,b] = nabla^a F_Iab: trace of the pre-current with its derivative
     slot raised against the first form slot."""
-    return Tensor(simplified(einsum("ad,idab->ib", g_inv.comps,
-                                    j_pre.comps)))
+    return Tensor(einsum("ad,idab->ib", g_inv.comps, j_pre.comps))
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +201,9 @@ def riemann_classical(conn: Connection, g: MetricField) -> tuple[Tensor, Tensor]
     returned mixed and all-lower.  This is the oracle route."""
     gm = conn.mixed.comps
     dgm = _partials(conn.chart, gm)
-    mixed = simplified(einsum(
+    mixed = einsum(
         "cabd->abcd - dabc->abcd + aec,ebd->abcd - aed,ebc->abcd",
-        dgm, dgm, gm, gm, gm, gm, pair=_ANTI23), _ANTI23)
+        dgm, dgm, gm, gm, gm, gm, pair=_ANTI23)
     return Tensor(mixed), Tensor(einsum("ae,ebcd->abcd", g.comps, mixed))
 
 
@@ -251,8 +247,7 @@ def riemann_decomposed(forms: FormSet, f: Tensor, s: Tensor,
 
 def ricci_from_mixed(riemann_mixed: Tensor) -> Tensor:
     """Ric[a,b] = R^c_{acb}; mirrored since Ricci is symmetric."""
-    return Tensor(simplified(einsum("cacb->ab", riemann_mixed.comps,
-                                    pair=_SYM01), _SYM01))
+    return Tensor(einsum("cacb->ab", riemann_mixed.comps, pair=_SYM01))
 
 
 def ricci_from_lower(riemann_lower_vals: np.ndarray,
@@ -263,7 +258,8 @@ def ricci_from_lower(riemann_lower_vals: np.ndarray,
 
 
 def scalar_curvature(ricci: Tensor, g_inv: Tensor) -> Expr:
-    return ex.simplify(einsum("ab,ab->", g_inv.comps, ricci.comps)[()])
+    """R = g^ab Ric_ab."""
+    return einsum("ab,ab->", g_inv.comps, ricci.comps)[()]
 
 
 def einstein_tensor(ricci: Tensor, scalar: Expr, g: MetricField) -> Tensor:
@@ -307,12 +303,11 @@ def ricci_einstein_factored(forms: FormSet, f: Tensor, s: Tensor,
     s_mix = einsum("bd,iad->iab", ginv, sc)        # S_Ia^b
 
     # shared scalars
-    a_dot_j = ex.simplify(einsum("ic,ic->", ac,
-                                 einsum("cd,id->ic", ginv, jc))[()])
-    f_dot_f = ex.simplify(einsum("iab,iab->", fc, einsum(
-        "ac,icb->iab", ginv, f_mix))[()])
-    s_dot_s = ex.simplify(einsum("iab,iab->", sc, einsum(
-        "ac,icb->iab", ginv, s_mix))[()])
+    a_dot_j = einsum("ic,ic->", ac, einsum("cd,id->ic", ginv, jc))[()]
+    f_dot_f = einsum("iab,iab->", fc,
+                     einsum("ac,icb->iab", ginv, f_mix))[()]
+    s_dot_s = einsum("iab,iab->", sc,
+                     einsum("ac,icb->iab", ginv, s_mix))[()]
     trace_sq = einsum("i,i->", st, st)[()]
 
     # every part is symmetric in (a, b); built on a <= b and mirrored, the

@@ -18,6 +18,7 @@ imaginary unit on the final form.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -123,6 +124,9 @@ def loads(text: str, origin: str = "<string>") -> ManifoldSpec:
                 if not cname:
                     raise ValueError
                 constants[cname] = float(cval)
+                if not math.isfinite(constants[cname]):
+                    raise ManifoldFormatError(
+                        f"constant '{cname}' is not finite", lineno)
             elif head == "domain":
                 cname, lo, hi = rest.split()
                 domains[cname] = (float(lo), float(hi))

@@ -17,7 +17,10 @@ arithmetic, which calls the same smart constructors.
 
 A metric is factored once, symbolically, as L D Lt (``ldl``).  The
 ``ldl`` form set V = L sqrt(D) and the inverse metric L^-t D^-1 L^-1 are
-both built from those factors.
+both built from those factors.  Only the factorization simplifies: a
+pivot must be recognised as identically zero, and ``factor`` prints the
+forms.  Nothing reads the inverse symbolically, so it is left as built
+and checked by multiplying back at sample points.
 """
 
 from __future__ import annotations
@@ -79,17 +82,6 @@ def mirror(arr: np.ndarray, pair: Pair) -> np.ndarray:
     image = np.swapaxes(arr, i, j)[low]
     arr[low] = image if sign > 0 else elementwise(ex.neg, image)
     return arr
-
-
-def simplified(arr: np.ndarray, pair: Pair | None = None) -> np.ndarray:
-    """``ex.simplify`` of every component.  With a pair hint only the half
-    that ``einsum`` would build is simplified; the rest is mirrored from it."""
-    if pair is None:
-        return elementwise(ex.simplify, arr)
-    out = np.empty(arr.shape, dtype=object)
-    built = _pair_masks(arr.shape, pair)[0]
-    out[built] = elementwise(ex.simplify, arr[built])
-    return mirror(out, pair)
 
 
 _SIGN = re.compile(r"\s*([+-])(?!>)\s*")     # a sign, not the '-' of '->'
@@ -335,12 +327,12 @@ def invert_metric(g: MetricField) -> Tensor:
     for i in range(n):
         m[i, i] = ex.ONE
         for j in range(i):
-            m[i, j] = ex.simplify(ex.neg(ex.add(
-                *[ex.mul(L[i, k], m[k, j]) for k in range(j, i)])))
+            m[i, j] = ex.neg(ex.add(
+                *[ex.mul(L[i, k], m[k, j]) for k in range(j, i)]))
     d_inv = np.array([ex.div(ex.ONE, d) for d in D], dtype=object)
     comps = np.empty((n, n), dtype=object)
-    comps[np.ix_(order, order)] = simplified(
-        einsum("ka,k,kb->ab", m, d_inv, m, pair=(0, 1, +1)), (0, 1, +1))
+    comps[np.ix_(order, order)] = einsum("ka,k,kb->ab", m, d_inv, m,
+                                         pair=(0, 1, +1))
     inv_at = compiled(comps)
     for point, gv in _checked_points(g):
         # non-finite values fail the comparison, so numpy need not warn

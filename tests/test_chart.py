@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from metricforms import Chart
@@ -20,6 +22,14 @@ class TestValidation:
     def test_empty_domain_rejected(self):
         with pytest.raises(ChartError):
             Chart(("x",), (1, 0), ((2.0, 1.0),))
+
+    @pytest.mark.parametrize("domain", [
+        (0.5, math.inf), (-math.inf, 0.0), (math.nan, 1.0),
+        (-1e308, 1e308)])
+    def test_non_finite_domain_or_width_rejected(self, domain):
+        # sampling scales by hi - lo, which must be a finite float
+        with pytest.raises(ChartError, match="finite ends and a finite"):
+            Chart(("x",), (1, 0), (domain,))
 
     def test_eta_matrix(self):
         chart = Chart(("x", "t"), (1, 1), (((-1.0, 1.0),) * 2))

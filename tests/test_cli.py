@@ -397,6 +397,26 @@ g 2 2 = 1
         assert "integer literal of 5001 digits is too long (offset 4)" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("edit,message", [
+        (("domain x 0.5 2", "domain x 0.5 inf"),
+         "domain for coordinate 'x' needs finite ends and a finite width"),
+        (("domain x 0.5 2", "domain x -1e308 1e308"),
+         "domain for coordinate 'x' needs finite ends and a finite width"),
+        (("domain y", "const M=1e999\ndomain y"),
+         "line 7: constant 'M' is not finite"),
+        (("g 1 1 = 1 + x^2", "g 1 1 = 1e999*x"),
+         "line 8: number literal out of range (offset 0)"),
+    ], ids=["infinite-end", "infinite-width", "const", "literal"])
+    @pytest.mark.parametrize("command", ["check", "classify"])
+    def test_non_finite_input_number_is_input_error(self, capsys, tmp_path,
+                                                     edit, message, command):
+        path = _overflow_file(tmp_path, "1 + x^2")
+        path.write_text(path.read_text().replace(*edit))
+        code, out, err = run(capsys, command, str(path))
+        assert code == EXIT_INPUT
+        assert message in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ["analyze"], ["check"], ["classify"], ["factor"],
         ["geodesic", "--start", "0,0", "--velocity", "1,0"]])

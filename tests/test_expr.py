@@ -144,6 +144,13 @@ class TestParse:
         assert err.value.offset == 4
         assert "5001 digits" in str(err.value)
 
+    @pytest.mark.parametrize("literal", ["1e999", "1.5e400i", "2e308"])
+    def test_float_literal_out_of_range(self, polar, literal):
+        with pytest.raises(ParseError) as err:
+            parse_expr("r * " + literal, polar)
+        assert err.value.offset == 4
+        assert "number literal out of range" in str(err.value)
+
     @pytest.mark.parametrize("left,right", [("(", ")"), ("sin(", ")"),
                                             ("-", "")])
     def test_nesting_bound(self, polar, left, right):

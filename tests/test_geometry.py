@@ -652,15 +652,15 @@ def _loop_christoffel(g, g_inv):
     for a in range(n):
         for b in range(a, n):
             for c in range(n):
-                lower[c, a, b] = ex.simplify(ex.mul(ex.HALF, ex.add(
-                    dg[a][c, b], dg[b][c, a], ex.neg(dg[c][a, b]))))
+                lower[c, a, b] = ex.mul(ex.HALF, ex.add(
+                    dg[a][c, b], dg[b][c, a], ex.neg(dg[c][a, b])))
                 lower[c, b, a] = lower[c, a, b]
     for a in range(n):
         for b in range(a, n):
             for c in range(n):
-                mixed[c, a, b] = ex.simplify(ex.add(
+                mixed[c, a, b] = ex.add(
                     *[ex.mul(g_inv.comps[c, d], lower[d, a, b])
-                      for d in range(n)]))
+                      for d in range(n)])
                 mixed[c, b, a] = mixed[c, a, b]
     return lower, mixed
 
@@ -677,8 +677,7 @@ def _loop_precurrents(chart, fc, gm):
                     corr = [ex.mul(gm[e, a, b], fc[i, e, c]) for e in range(n)]
                     corr += [ex.mul(gm[e, a, c], fc[i, b, e])
                              for e in range(n)]
-                    jp[i, a, b, c] = ex.simplify(
-                        ex.sub(df[a][i, b, c], ex.add(*corr)))
+                    jp[i, a, b, c] = ex.sub(df[a][i, b, c], ex.add(*corr))
                     jp[i, a, c, b] = ex.neg(jp[i, a, b, c])
     return jp
 
@@ -695,8 +694,8 @@ def _loop_riemann(gm, g):
                     quad = [ex.mul(gm[a, e, c], gm[e, b, d]) for e in range(n)]
                     quad += [ex.neg(ex.mul(gm[a, e, d], gm[e, b, c]))
                              for e in range(n)]
-                    mixed[a, b, c, d] = ex.simplify(ex.add(
-                        dgm[c][a, b, d], ex.neg(dgm[d][a, b, c]), *quad))
+                    mixed[a, b, c, d] = ex.add(
+                        dgm[c][a, b, d], ex.neg(dgm[d][a, b, c]), *quad)
                     mixed[a, b, d, c] = ex.neg(mixed[a, b, c, d])
     lower = np.empty((n, n, n, n), dtype=object)
     for idx in np.ndindex(lower.shape):
@@ -712,7 +711,8 @@ def _same_nodes(got, want):
 
 
 @pytest.mark.parametrize("name", ["sphere2", "schwarzschild",
-                                  "painleve-gullstrand"])
+                                  "painleve-gullstrand",
+                                  "kerr-boyer-lindquist"])
 def test_einsum_builders_return_the_loop_nodes(name, catalog):
     spec = catalog.get(name) or get_manifold(
         str(Path(__file__).parent / "data" / f"{name}.metric"))
@@ -727,3 +727,34 @@ def test_einsum_builders_return_the_loop_nodes(name, catalog):
     r_mixed, r_lower = _loop_riemann(conn.mixed.comps, g)
     assert _same_nodes(session.riemann_mixed.comps, r_mixed)
     assert _same_nodes(session.riemann_lower.comps, r_lower)
+
+
+# ---------------------------------------------------------------------------
+# only the factorization simplifies
+# ---------------------------------------------------------------------------
+
+#: every symbolic object a GeometrySession builds
+SESSION_TENSORS = ("g_inv", "conn", "conn_factored", "curl", "sym_deriv",
+                   "sym_deriv_alt", "sym_trace", "precurrent", "current",
+                   "riemann", "parts", "ricci", "scalar", "einstein",
+                   "factored", "einstein_divergence", "metric_compat",
+                   "lie_deriv")
+
+
+@pytest.mark.parametrize("target", [
+    "schwarzschild", "flrw-flat", str(DATA / "painleve-gullstrand.metric"),
+    str(DATA / "kerr-boyer-lindquist.metric")],
+    ids=lambda t: Path(t).stem)
+def test_geometry_builders_never_simplify(target, monkeypatch):
+    session = GeometrySession(get_manifold(target), seed=42)
+    session.forms, session.metric.ldl      # the factorization simplifies
+    calls = []
+    simplify = ex.simplify
+    monkeypatch.setattr(ex, "simplify",
+                        lambda e: calls.append(e) or simplify(e))
+    for name in SESSION_TENSORS:
+        getattr(session, name)
+    session.parts.total, session.factored.einstein
+    classical_rhs(session.conn)
+    factored_rhs(session.forms, session.curl, session.g_inv)
+    assert len(calls) == 0

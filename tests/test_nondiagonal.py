@@ -1,9 +1,10 @@
 """The non-diagonal stress metrics through the full identity suite.
 
 Painleve-Gullstrand and Kerr are the metrics that take the ``ldl``
-factorization and the cofactor inverse.  Both are vacuum solutions, so the
-classical Ricci tensor must vanish to rounding relative to the Riemann
-scale.  The runs happen in a fresh interpreter, once before and once after
+factorization and the inverse built from it.  Both are vacuum solutions,
+so the classical Ricci tensor must vanish to rounding relative to the
+Riemann scale.  A fully dense 4-D metric, every entry non-zero, runs the
+same suite.  The runs happen in a fresh interpreter, once before and once after
 a catalog analysis, so the canonical report can be shown not to depend on
 what the process built earlier.
 """
@@ -17,7 +18,8 @@ from pathlib import Path
 import pytest
 
 import metricforms
-from metricforms.cli import EXIT_OK
+from metricforms import get_manifold
+from metricforms.cli import EXIT_OK, main
 
 DATA = Path(__file__).parent / "data"
 STRESS = ("painleve-gullstrand.metric", "kerr-boyer-lindquist.metric")
@@ -71,3 +73,12 @@ def test_report_does_not_depend_on_process_history(runs):
     (code_first, first), (code_after, after) = runs[0], runs[-1]
     assert code_first == code_after == EXIT_OK
     assert first == after
+
+
+def test_dense_metric_passes_full_suite(capsys):
+    path = str(DATA / "dense-4d.metric")
+    g = get_manifold(path).metric()
+    for point in g.chart.sample_points(5, seed=1):
+        assert (g.evaluate(point) != 0).all()
+    assert main(["check", path, "--strategy", "ldl"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("PASS  overall\n")
