@@ -215,7 +215,7 @@ def cmd_geodesic(args) -> int:
             "steps": args.steps,
             "step_size": args.step_size,
             "coords": list(chart.coords),
-            "s": [float(v) for v in comparison.classical.s],
+            "s": comparison.classical.s.tolist(),
             "classical": _trajectory_doc(comparison.classical),
             "factored": _trajectory_doc(comparison.factored),
             "route_divergence": comparison.divergence,
@@ -237,8 +237,8 @@ def cmd_geodesic(args) -> int:
 
 def _trajectory_doc(traj: geo.Trajectory) -> dict:
     return {
-        "x": [[float(v) for v in row] for row in traj.x],
-        "u": [[float(v) for v in row] for row in traj.u],
+        "x": traj.x.tolist(),
+        "u": traj.u.tolist(),
         "exited_domain": traj.exited_domain,
     }
 

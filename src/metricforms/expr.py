@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import math
 import operator
 import re
@@ -303,6 +304,24 @@ def _exact(value: Number) -> Number:
     return value
 
 
+def _folded(value: Number) -> Const:
+    """The constant ``value``, or OverflowError for a float or complex
+    with an inf or nan part.  The grammar cannot spell such a constant, so
+    the operation that would fold to it is left unfolded, and evaluating
+    it gives what the arithmetic gives."""
+    if isinstance(value, int) or cmath.isfinite(value):
+        return Const(value)
+    raise OverflowError("non-finite constant")
+
+
+def _unfolded(cls, args) -> Expr:
+    """The sum or product ``cls`` of ``args``, flattened, with no constant
+    folded."""
+    flat = tuple(u for a in map(_coerce, args)
+                 for u in (a.children() if type(a) is cls else (a,)))
+    return flat[0] if len(flat) == 1 else cls(flat)
+
+
 def _is_zero(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 0
 
@@ -322,7 +341,10 @@ def add(*terms) -> Expr:
                     pass    # an integer too wide to fold stays a term
             flat.append(u)
     if has_const and acc != 0:
-        flat.append(Const(acc))
+        try:
+            flat.append(_folded(acc))
+        except OverflowError:
+            return _unfolded(Add, terms)
     if not flat:
         return ZERO
     if len(flat) == 1:
@@ -347,7 +369,10 @@ def mul(*factors) -> Expr:
     if has_const and acc == 0:
         return ZERO
     if has_const and acc != 1:
-        flat.insert(0, Const(acc))
+        try:
+            flat.insert(0, _folded(acc))
+        except OverflowError:
+            return _unfolded(Mul, factors)
     if not flat:
         return ONE
     if len(flat) == 1:
@@ -358,7 +383,10 @@ def mul(*factors) -> Expr:
 def neg(x) -> Expr:
     x = _coerce(x)
     if isinstance(x, Const):
-        return Const(-x.value)
+        try:
+            return _folded(-x.value)
+        except OverflowError:
+            return Neg(x)
     if isinstance(x, Neg):
         return x.arg
     return Neg(x)
@@ -374,7 +402,7 @@ def div(num, den) -> Expr:
     if isinstance(den, Const) and den.value != 0:
         if isinstance(num, Const):
             try:
-                return Const(num.value / den.value)
+                return _folded(num.value / den.value)
             except OverflowError:
                 return Div(num, den)
         if den.value == 1:
@@ -395,7 +423,7 @@ def pow_(base, exponent) -> Expr:
         return ONE
     if isinstance(base, Const):
         try:
-            return Const(_pow_value(base.value, exponent))
+            return _folded(_pow_value(base.value, exponent))
         except (EvalDomainError, OverflowError, ZeroDivisionError):
             pass
     return Pow(base, exponent)
@@ -407,7 +435,7 @@ def fn(name: str, arg) -> Expr:
     arg = _coerce(arg)
     if isinstance(arg, Const):
         try:
-            return Const(_fun_value(name, arg.value, arg))
+            return _folded(_fun_value(name, arg.value, arg))
         except (EvalDomainError, OverflowError, ValueError):
             pass
     return Fun(name, arg)
@@ -485,7 +513,21 @@ def _fun_value(name: str, v: Number, node: Expr) -> Number:
 # 64 statements keep it at the level of a tree walk.
 TAPE_CHUNK = 64
 
-_CHUNK_HEAD = "def _chunk(v, c, env, _pow=_pow_value, _fun=_fun_value):\n"
+_CHUNK_HEAD = "def _chunk(v, c, env, _pow=_pow_value):\n"
+
+
+def _real_or_complex(name: str):
+    """``name`` from ``cmath`` for a complex argument, else from ``math``."""
+    real, cplx = getattr(math, name), getattr(cmath, name)
+    return lambda v: cplx(v) if isinstance(v, complex) else real(v)
+
+
+# The callable a function node's statement calls, bound when the tape
+# compiles; ``Tape._fault`` names the node in its errors.  ``log`` raises
+# its own error, which names the node, so it is bound per node.
+_BOUND = {name: _real_or_complex(name)
+          for name in ("sin", "cos", "tan", "exp", "sinh", "cosh")}
+_BOUND["sqrt"] = _sqrt_value
 
 # Operands per statement of a sum or product.  Python's compiler recurses
 # once per binary operator and gives up near 3,000 of them in one
@@ -517,13 +559,15 @@ class Tape:
     arithmetic of its node: ``0 + a + b`` for a sum, ``1 * a * b`` for a
     product (continued in the slot past ``TAPE_CHAIN`` operands), ``-a``,
     ``a / b``, ``a ** p`` for an integer power of a non-constant, and
-    ``_pow_value`` / ``_fun_value`` otherwise, so purely real subtrees
-    stay real, roots take the principal branch, and a power of a constant
-    that did not fold stays within the bound on exact integers.
+    ``_pow_value`` otherwise, so purely real subtrees stay real, roots
+    take the principal branch, and a power of a constant that did not fold
+    stays within the bound on exact integers.  A function node calls the
+    callable bound for it in the table, ``c[j](a)``: the ``math`` or
+    ``cmath`` function by the type of ``a``, as ``_fun_value`` picks it.
 
     The source holds only slot and table indices, function names and
-    quoted symbol names: numbers, exponents and function nodes are read
-    from the table ``consts``.
+    quoted symbol names: numbers, exponents and function callables are
+    read from the table ``consts``.
 
     A tape grows: ``extend`` appends the nodes of new roots that are not
     on it yet, and ``run`` fills a slot list past the slots it holds.
@@ -567,7 +611,7 @@ class Tape:
             stop = min(start + TAPE_CHUNK, len(self.nodes))
             source = _CHUNK_HEAD + "".join(
                 f"    {self._statement(k)}\n" for k in range(start, stop))
-            namespace = {"_pow_value": _pow_value, "_fun_value": _fun_value}
+            namespace = {"_pow_value": _pow_value}
             exec(compile(source, "<tape>", "exec"), namespace)
             self.sources.append(source)
             self._starts.append(start)
@@ -616,7 +660,9 @@ class Tape:
         elif t is Pow:
             rhs = f"_pow({self._ref(e.base)}, {self._table(e.exponent)})"
         elif t is Fun:
-            rhs = f"_fun({e.name!r}, {self._ref(e.arg)}, {self._table(e)})"
+            bound = (functools.partial(_fun_value, "log", node=e)
+                     if e.name == "log" else _BOUND[e.name])
+            rhs = f"{self._table(bound)}({self._ref(e.arg)})"
         else:
             raise TypeError(f"cannot evaluate {t.__name__}")
         return f"v[{k}] = {rhs}"
@@ -626,14 +672,17 @@ class Tape:
         ``env``; only the chunks past the slots ``v`` holds run.  On an
         error ``v`` keeps the chunks that completed."""
         if v is None:
-            v = []
-        done = len(v)
-        if done == len(self.nodes):
-            return v
-        v.extend([None] * (len(self.nodes) - done))
+            v = [None] * len(self.nodes)
+            chunks = zip(self._starts, self._chunks)
+        else:
+            done = len(v)
+            if done == len(self.nodes):
+                return v
+            v.extend([None] * (len(self.nodes) - done))
+            first = bisect.bisect_left(self._starts, done)
+            chunks = zip(self._starts[first:], self._chunks[first:])
         c = self.consts
-        first = bisect.bisect_left(self._starts, done)
-        for start, chunk in zip(self._starts[first:], self._chunks[first:]):
+        for start, chunk in chunks:
             try:
                 chunk(v, c, env)
             # any error: name the node, and drop the unfinished chunk
@@ -872,9 +921,9 @@ def _collect_add(terms: tuple[Expr, ...]) -> Expr:
         elif c == -1:
             out.append(neg(core))
         else:
-            out.append(mul(Const(c), core))
+            out.append(mul(_folded(c), core))
     if const_part != 0:
-        out.append(Const(const_part))
+        out.append(_folded(const_part))
     return add(*out)
 
 
@@ -899,7 +948,7 @@ def _collect_mul(factors: tuple[Expr, ...]) -> Expr:
             continue
         out.append(pow_(base, q))
     if coeff != 1:
-        out.insert(0, Const(coeff))
+        out.insert(0, _folded(coeff))
     return mul(*out)
 
 
@@ -934,7 +983,8 @@ def simplify(e: Expr) -> Expr:
     try:
         result = walk(e)
     except OverflowError:
-        # collecting constants overflowed a float or the integer bound
+        # collecting constants overflowed the integer bound or a float, or
+        # made an inf or nan
         return e
     return result if result.size() <= e.size() else e
 

@@ -572,10 +572,12 @@ def integrate_geodesic(g: MetricField, g_inv: Tensor, conn: Connection,
                      max_abs(traj_c.u[:k] - traj_f.u[:k]))
 
     metric = compiled(g.comps)
+    gs = np.stack([metric(dict(zip(chart.coords, x)))
+                   for x in traj_c.x.tolist()])
+    u = traj_c.u
     # a non-finite norm raises below, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.array([float(u @ real_metric(metric(_env(chart, x))) @ u)
-                          for x, u in zip(traj_c.x, traj_c.u)])
+        norms = (u[:, None, :] @ real_metric(gs) @ u[:, :, None])[:, 0, 0]
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
         raise EvalDomainError(

@@ -120,9 +120,9 @@ REPORT_SCHEMA = {
 # ---------------------------------------------------------------------------
 
 def format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError("reports must contain finite numbers")
-    if x == int(x) and abs(x) < 1e16:
+    if x.is_integer() and abs(x) < 1e16:
         return f"{x:.1f}"
     return format(x, ".17g")
 
@@ -142,35 +142,56 @@ def _escape(s: str) -> str:
 
 def dumps_canonical(obj, indent: int = 0) -> str:
     """Deterministic JSON: insertion-ordered keys, floats at 17 significant
-    digits, two-space indentation."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    digits, two-space indentation.  One pass appends the pieces to one
+    list, joined at the end; a list of floats is one join."""
+    out: list[str] = []
+    _write(obj, indent, out)
+    return "".join(out)
+
+
+def _write(obj, indent: int, out: list[str]) -> None:
     if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return _escape(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, complex):
-        return dumps_canonical([obj.real, obj.imag], indent)
-    if isinstance(obj, (list, tuple)):
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, str):
+        out.append(_escape(obj))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(format_float(obj))
+    elif isinstance(obj, complex):
+        _write([obj.real, obj.imag], indent, out)
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        items = [dumps_canonical(v, indent + 1) for v in obj]
-        return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
+            out.append("[]")
+            return
+        inner = "\n" + "  " * (indent + 1)
+        if all(type(v) is float for v in obj):
+            out.append("[" + inner
+                       + ("," + inner).join(map(format_float, obj)))
+        else:
+            sep = "[" + inner
+            for v in obj:
+                out.append(sep)
+                _write(v, indent + 1, out)
+                sep = "," + inner
+        out.append("\n" + "  " * indent + "]")
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = [f"{inner}{_escape(str(k))}: {dumps_canonical(v, indent + 1)}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+            out.append("{}")
+            return
+        inner = "\n" + "  " * (indent + 1)
+        sep = "{" + inner
+        for k, v in obj.items():
+            out.append(f"{sep}{_escape(str(k))}: ")
+            _write(v, indent + 1, out)
+            sep = "," + inner
+        out.append("\n" + "  " * indent + "}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def report_document(report: AnalysisReport) -> dict:

@@ -10,7 +10,7 @@ from metricforms import (
     load_catalog,
 )
 
-# constant folding turns 1e200 * 1e150 into inf
+# 1e200 * 1e150 stays unfolded and evaluates to inf
 NON_FINITE_FILE = """
 name non-finite
 dim 2

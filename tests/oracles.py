@@ -3,15 +3,19 @@
 These deliberately avoid the symbolic differentiation path of the
 package: derivatives are central finite differences of numerically
 evaluated fields, so route agreement actually checks something.
-``TreeEvaluator`` is the tree walk that numeric evaluation compiles away.
+``TreeEvaluator`` is the tree walk that numeric evaluation compiles away,
+and ``dumps_canonical`` the recursive writer of canonical JSON that the
+one-pass writer in ``metricforms.report`` replaced.
 """
 
+import math
 import operator
 
 import numpy as np
 
 from metricforms import expr as ex
 from metricforms.errors import EvalDomainError, UnboundSymbolError
+from metricforms.report import _escape
 
 
 def fd_step(x: float, h: float = 1e-6) -> float:
@@ -123,3 +127,44 @@ def _apply(node, f, *args):
     except ValueError:
         what = "non-finite argument"
     raise EvalDomainError(f"{what} in '{ex.to_source(node)}'", node)
+
+
+def format_float(x: float) -> str:
+    if math.isnan(x) or math.isinf(x):
+        raise ValueError("reports must contain finite numbers")
+    if x == int(x) and abs(x) < 1e16:
+        return f"{x:.1f}"
+    return format(x, ".17g")
+
+
+def dumps_canonical(obj, indent: int = 0) -> str:
+    """The reference for ``report.dumps_canonical``: one call per value,
+    each returning its own string."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return _escape(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, complex):
+        return dumps_canonical([obj.real, obj.imag], indent)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [dumps_canonical(v, indent + 1) for v in obj]
+        return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{inner}{_escape(str(k))}: {dumps_canonical(v, indent + 1)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -45,9 +45,9 @@ g 1 1 = 1000000
 g 2 2 = 1000000 * sin(theta)^2
 """
 
-# constant folding turns 1e200 * 1e150 into inf, so every derived tensor
-# evaluates to inf or nan; each command's message names the first one it
-# evaluates, with its component
+# constant folding leaves 1e200 * 1e150 unfolded, and it evaluates to inf,
+# so every derived tensor evaluates to inf or nan; each command's message
+# names the first one it evaluates, with its component
 NON_FINITE_CASES = [
     (["analyze", "--json"], "non-finite value in forms component"),
     (["check"], "non-finite value in forms component"),
@@ -56,14 +56,14 @@ NON_FINITE_CASES = [
     # the inverse metric's check of the metric values comes first here
     (["geodesic", "--start", "1,1", "--velocity", "1,0", "--steps", "5",
       "--json"],
-     "non-finite value in metric component (1, 1) 'inf * x * y'"),
+     "non-finite value in metric component (1, 1) '1e+200 * x * y * 1e+150'"),
     # factoring at one point evaluates outside the session
     (["factor", "--point", "1,1", "--json"],
-     "non-finite value in metric component (1, 1) 'inf * x * y'"),
+     "non-finite value in metric component (1, 1) '1e+200 * x * y * 1e+150'"),
     (["factor", "--point", "1,1"],
-     "non-finite value in metric component (1, 1) 'inf * x * y'"),
+     "non-finite value in metric component (1, 1) '1e+200 * x * y * 1e+150'"),
     (["factor", "--point", "1,1", "--strategy", "numeric"],
-     "non-finite value in metric component (1, 1) 'inf * x * y'"),
+     "non-finite value in metric component (1, 1) '1e+200 * x * y * 1e+150'"),
 ]
 
 
@@ -438,13 +438,26 @@ g 1 2 = -0.5
         assert "zero pivot at index 0" in err
 
     def test_function_of_infinity_is_numeric_fault(self, capsys, tmp_path):
-        # 1e200 * 1e200 folds to inf, and sin(inf) has no value
+        # 1e200 * 1e200 stays unfolded and evaluates to inf, and sin(inf)
+        # has no value
         path = tmp_path / "sin-inf.metric"
         path.write_text(GOOD_FILE.replace("1 + k * u^2",
                                           "2 + sin(u * 1e200 * 1e200)"))
         code, out, err = run(capsys, "check", str(path))
         assert code == EXIT_NUMERIC
-        assert "non-finite argument in 'sin(inf * u)'" in err
+        assert "non-finite argument in 'sin(1e+200 * u * 1e+200)'" in err
+
+    @pytest.mark.parametrize("command", ["check", "classify"])
+    def test_product_folding_to_nan_stays_unfolded(self, capsys, tmp_path,
+                                                   command):
+        # the constants fold to inf * 0 = nan; left unfolded, the entry
+        # evaluates to nan, and the message spells it as written
+        path = _overflow_file(tmp_path, "1 + 1e200*1e200*x*0")
+        code, out, err = run(capsys, command, str(path))
+        assert code == EXIT_NUMERIC
+        assert "1e+200 * 1e+200 * x * 0 + 1" in err
+        assert "Traceback" not in err
+        assert "inf" not in err and "nan" not in err
 
     @pytest.mark.parametrize("argv", [["check"], ["analyze", "--json"],
                                       ["factor", "--json"]])

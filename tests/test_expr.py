@@ -31,6 +31,7 @@ from metricforms.errors import (
     UnknownSymbolError,
 )
 from metricforms import expr as ex
+from metricforms.tensor import compiled, require_finite
 
 import oracles
 
@@ -193,6 +194,51 @@ class TestExactIntegerBound:
         total = ex.add(ex.const(2 ** 4096), ex.const(2 ** 4096))
         assert isinstance(total, ex.Add)
         assert simplify(total) is total
+
+
+class TestNonFiniteFolding:
+    """Folding never makes an inf or nan constant, which the grammar
+    cannot spell: the operation stays as written."""
+
+    _X = ex.sym("x")
+    CASES = {
+        "product": (ex.mul(1e200, 1e200, _X), "1e+200 * 1e+200 * x"),
+        "sum": (ex.add(1e308, 1e308, _X), "1e+308 + 1e+308 + x"),
+        "quotient": (ex.div(1e300, 1e-300), "1e+300 / 1e-300"),
+        "power": (ex.pow_(ex.const(1e300), Fraction(3, 2)),
+                  "1e+300^(3/2)"),
+        # the product of the constants is nan, and the zero does not
+        # cancel the factors before it
+        "times zero": (ex.add(1, ex.mul(1e200, 1e200, _X, 0)),
+                       "1e+200 * 1e+200 * x * 0 + 1"),
+        "collected": (simplify(ex.add(ex.mul(1e308, _X), ex.mul(1e308, _X))),
+                      "1e+308 * x + 1e+308 * x"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_prints_parses_back_and_faults_when_evaluated(self, case):
+        e, source = self.CASES[case]
+        assert to_source(e) == source
+        assert parse_expr(source, _chart) is e
+        point = {"x": 1.0, "y": 0.0}
+        vals = compiled(np.array([e], dtype=object))(point)
+        with pytest.raises(EvalDomainError, match="non-finite value") as err:
+            require_finite(vals[np.newaxis], np.array([e], dtype=object),
+                           "case", [point])
+        assert err.value.subexpr is e
+        assert f"'{source}'" in str(err.value)
+
+    def test_non_finite_constant_is_not_folded_further(self):
+        inf = ex.const(math.inf)
+        assert isinstance(ex.neg(inf), ex.Neg)
+        assert isinstance(ex.fn("sqrt", inf), ex.Fun)
+        assert isinstance(ex.fn("exp", inf), ex.Fun)
+        assert isinstance(ex.div(inf, 2), ex.Div)
+        assert ex.mul(inf, ex.sym("x")).factors[0] is inf
+        assert ex.add(inf, -inf).terms == (inf, ex.neg(inf))
+        # finite folds are unchanged
+        assert ex.mul(1e200, 1e-200).value == 1e200 * 1e-200
+        assert ex.fn("exp", ex.const(700.0)).value == math.exp(700.0)
 
 
 class TestEval:
@@ -630,6 +676,45 @@ def test_tape_source_holds_no_user_text():
         == repr(oracles.TreeEvaluator(env)(e))
 
 
+# real, complex (a numpy complex scalar among them), huge and infinite
+# arguments: exp(1000) and cosh(1000) overflow, functions of inf either
+# have a value or refuse it, and 10^400 has no float
+_FUNCTION_ARGS = [2.5, -2.5, 0.0, -0.0, 3, 1000.0, -1000.0, 10 ** 400,
+                  complex(0.5, -1.5), complex(-2.0, 0.0), complex(-2.0, -0.0),
+                  np.complex128(0.5 - 1.5j), complex(1000.0, 1.0),
+                  math.inf, -math.inf, complex(math.inf, 1.0)]
+
+
+@pytest.mark.parametrize("name", ex.FUNCTIONS)
+def test_tape_function_calls_match_tree_walk(name):
+    e = ex.fn(name, ex.sym("x"))
+    tape = ex.Tape([e])
+    for x in _FUNCTION_ARGS:
+        env = {"x": x}
+        want = _outcome(lambda: [oracles.TreeEvaluator(env)(e)])
+        assert _outcome(lambda: [tape.run(env)[tape.slot_of(e)]]) == want, x
+
+
+@pytest.mark.parametrize("source,x,message", [
+    ("log(x)", -1.0, "log of non-positive real in 'log(x)'"),
+    ("log(x)", 0.0, "log of non-positive real in 'log(x)'"),
+    ("exp(x)", 1000.0, "overflow in 'exp(x)'"),
+    ("cosh(x)", -1000.0, "overflow in 'cosh(x)'"),
+    ("sin(x)", math.inf, "non-finite argument in 'sin(x)'"),
+    ("sqrt(x)", 10 ** 400, "overflow in 'sqrt(x)'"),
+    # the walk tests a denominator before it reaches the numerator, so
+    # the zero denominator is named, not the overflow the tape meets first
+    ("exp(1000 * x) / (x - x)", 1.0, "division by zero in"),
+])
+def test_tape_function_errors_name_the_node(source, x, message):
+    e = parse_expr(source, _chart)
+    for run in (lambda: evaluate(e, {"x": x}),
+                lambda: oracles.TreeEvaluator({"x": x})(e)):
+        with pytest.raises(EvalDomainError) as err:
+            run()
+        assert str(err.value).startswith(message)
+
+
 # ---------------------------------------------------------------------------
 # hash-consing
 # ---------------------------------------------------------------------------
@@ -693,8 +778,8 @@ class TestInterning:
     @settings(max_examples=150, deadline=None)
     def test_print_parse_returns_the_same_node(self, recipe):
         e = _build(recipe)
-        # constant folding can overflow to inf, which has no text form
-        assume(all(cmath.isfinite(c.value) for c in _constants(e)))
+        # folding makes no inf or nan, which would have no text form
+        assert all(cmath.isfinite(c.value) for c in _constants(e))
         assert parse_expr(to_source(e), _chart) is e
 
     def test_signed_zero_real_part_of_imaginary_constants_is_dropped(self):

@@ -36,7 +36,14 @@ from metricforms.geometry import (
     sym_partial,
 )
 from metricforms.manifolds import CATALOG_NAMES
-from metricforms.tensor import antisym_cycle_residual, compiled, einsum, max_abs
+from metricforms.tensor import (
+    MetricField,
+    antisym_cycle_residual,
+    compiled,
+    einsum,
+    max_abs,
+    real_metric,
+)
 
 import oracles
 from conftest import form_metric_vals, sphere_metric, stacked
@@ -627,6 +634,54 @@ def test_schwarzschild_trajectory_matches_numeric_reference(rhs_sessions):
         want = _reference_rk4(rhs, start, velocity, 200, 0.005)
         got = np.hstack([traj.x, traj.u])
         assert max_abs(got - want) <= 1e-13 * max_abs(want)
+
+
+# ---------------------------------------------------------------------------
+# the norm monitor against the per-point loop it replaced
+# ---------------------------------------------------------------------------
+
+NORM_TARGETS = [*RHS_TARGETS, str(DATA / "dense-4d.metric")]
+
+
+def _reference_norm_drift(g, traj):
+    """Relative drift of g(u, u), evaluated point by point."""
+    metric = compiled(g.comps)
+    norms = np.array([
+        float(u @ real_metric(metric(dict(zip(g.chart.coords, map(float, x)))))
+              @ u)
+        for x, u in zip(traj.x, traj.u)])
+    return float(np.max(np.abs(norms - norms[0]))
+                 / max(1e-12, abs(norms[0])))
+
+
+@pytest.mark.parametrize("target", NORM_TARGETS,
+                         ids=[Path(t).stem for t in NORM_TARGETS])
+def test_norm_drift_matches_per_point_reference(rhs_sessions, target):
+    s = rhs_sessions(target)
+    chart = s.chart
+    mid = chart.midpoint()
+    start = np.array([mid[c] for c in chart.coords])
+    widths = np.array([hi - lo for lo, hi in chart.domains])
+    velocity = np.random.default_rng(5).uniform(-1, 1, chart.dim) * widths
+    comp = integrate_geodesic(s.metric, s.g_inv, s.conn, s.forms, s.curl,
+                              start, velocity, 200, 0.001)
+    assert len(comp.classical.s) > 1
+    assert comp.norm_drift == _reference_norm_drift(s.metric,
+                                                    comp.classical)
+
+
+def test_metric_non_real_on_the_path_raises(rhs_sessions):
+    # straight lines of the plane, monitored with a metric whose sqrt(x)
+    # turns non-real once the path crosses x = 0
+    s = rhs_sessions("euclidean2-cartesian")
+    x = ex.sym("x")
+    comps = np.array([[ex.add(1, ex.mul(1e-3, ex.sqrt(x))), ex.ZERO],
+                      [ex.ZERO, ex.ONE]], dtype=object)
+    g = MetricField(s.chart, comps)
+    with pytest.raises(TensorError, match="non-real"):
+        integrate_geodesic(g, s.g_inv, s.conn, s.forms, s.curl,
+                           np.array([0.05, 0.0]), np.array([-1.0, 0.0]),
+                           20, 0.01)
 
 
 # ---------------------------------------------------------------------------

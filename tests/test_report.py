@@ -1,0 +1,94 @@
+"""The canonical JSON writer against the recursive writer it replaced."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from metricforms.cli import main
+from metricforms.report import dumps_canonical, format_float
+
+import oracles
+
+# integer-valued floats print as .1f below 1e16 and as .17g from there;
+# subnormals, signed zeros and the largest float sit at the edges
+EDGE_FLOATS = [0.0, -0.0, 1.0, -3.0, 1e16, -1e16, 9999999999999998.0,
+               1e17, 0.1, 1 / 3, 5e-324, -2.2250738585072014e-308,
+               1.7976931348623157e308]
+EDGE_STRINGS = ['', 'a"b', 'back\\slash', 'tab\tnew\nline', '\x00\x1f\x7f',
+                'ünï', '"\\"']
+
+_floats = st.one_of(st.sampled_from(EDGE_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_leaves = st.one_of(
+    _floats,
+    # a float subclass goes through the general branch, one at a time
+    _floats.map(np.float64),
+    st.integers(), st.booleans(), st.none(),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.sampled_from(EDGE_STRINGS), st.text(max_size=6))
+_documents = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        # lists of floats only take the one-join branch
+        st.lists(_floats, max_size=5),
+        st.dictionaries(st.one_of(st.sampled_from(EDGE_STRINGS),
+                                  st.text(max_size=4)),
+                        children, max_size=4)),
+    max_leaves=20)
+
+
+@given(_documents, st.integers(0, 3))
+@example([], 0)
+@example({}, 2)
+@example([[], {}, ()], 1)
+@example(EDGE_FLOATS, 0)
+@example([1.5, np.float64(2.5), 3.5], 1)
+@example(complex(1.0, -0.0), 0)
+@settings(max_examples=300, deadline=None)
+def test_writer_matches_recursive_writer(doc, indent):
+    assert dumps_canonical(doc, indent) == oracles.dumps_canonical(doc, indent)
+
+
+@pytest.mark.parametrize("doc", [
+    math.nan, -math.inf, np.float64(math.inf),
+    [1.0, math.nan, 2.0],              # the one-join branch
+    [1.0, True, math.inf],             # the general branch
+    {"a": {"b": [0.5, -math.inf]}},
+    complex(math.inf, 0.0),
+    (0.5, complex(1.0, math.nan))])
+def test_non_finite_number_raises(doc):
+    with pytest.raises(ValueError, match="finite numbers"):
+        dumps_canonical(doc)
+    with pytest.raises(ValueError, match="finite numbers"):
+        oracles.dumps_canonical(doc)
+
+
+def test_format_float_rules():
+    assert format_float(1e16 - 2) == "9999999999999998.0"
+    assert format_float(1e16) == "10000000000000000"
+    assert format_float(1e17) == "1e+17"
+    assert format_float(-0.0) == "-0.0"
+    assert format_float(0.1) == "0.10000000000000001"
+    assert format_float(5e-324) == "4.9406564584124654e-324"
+
+
+def test_unserializable_value_raises_type_error():
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        dumps_canonical({"a": [1.0, {2}]})
+
+
+def test_geodesic_document_reads_back_to_the_same_bytes(capsys):
+    code = main(["geodesic", "schwarzschild", "--start", "5,1.3,1,-1.8",
+                 "--velocity", "0.12,0.03,0.06,1.3", "--steps", "100",
+                 "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["classical"]["x"]) == 101
+    assert dumps_canonical(doc) == out.rstrip("\n")
+    assert oracles.dumps_canonical(doc) == out.rstrip("\n")
