@@ -15,7 +15,7 @@ assumed to vanish.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -42,13 +42,13 @@ from .geometry import (
 )
 from .manifolds import ManifoldSpec
 from .tensor import (
+    SINGULAR_BOUND,
     Tensor,
     antisym_cycle_residual,
     invert_metric,
     max_abs,
     max_imag,
     reader,
-    real_metric,
     require_finite,
 )
 
@@ -66,14 +66,16 @@ class GeometrySession:
     so every distinct subtree (connection components inside pre-currents
     inside curvature parts) is compiled once and computed once per point,
     however many times it was built.  Stacked tensor values are cached
-    per tensor object.
+    per tensor object.  Checks judge at the tolerances times ``tol_scale``.
     """
 
     def __init__(self, spec: ManifoldSpec, strategy: str = "auto",
                  seed: int = DEFAULT_SEED, n_points: int = DEFAULT_POINTS,
-                 constants: dict[str, float] | None = None):
+                 constants: dict[str, float] | None = None,
+                 tol_scale: float = 1.0):
         self.spec = spec
         self.seed = seed
+        self.tol_scale = tol_scale
         self.metric = spec.metric(constants)
         self.chart: Chart = spec.chart
         if n_points < 1:
@@ -222,15 +224,15 @@ class GeometrySession:
 
     @cached_property
     def metric_vals(self) -> np.ndarray:
-        """Stacked metric values, real."""
-        return real_metric(self.vals(self.metric))
+        """Stacked metric values, real and regular."""
+        return self.metric.values(self.points)
 
     # -- checks: reductions over stacked values -------------------------------
 
-    def factorization_check(self, residual_tol: float = TOL_RECONSTRUCTION
-                            ) -> FactorizationCheck:
-        return verify_factorization(self.vals(self.forms),
-                                    self.metric_vals, residual_tol)
+    @cached_property
+    def factorization(self) -> FactorizationCheck:
+        return verify_factorization(self.vals(self.forms), self.metric_vals,
+                                    TOL_RECONSTRUCTION * self.tol_scale)
 
     @cached_property
     def orthogonality(self) -> float:
@@ -241,12 +243,14 @@ class GeometrySession:
     def killing(self) -> KillingReport:
         return geo.killing_check(self.vals(self.curl),
                                  self.vals(self.sym_deriv),
-                                 self.vals(self.lie_deriv))
+                                 self.vals(self.lie_deriv),
+                                 geo.TOL_SECOND_DERIV * self.tol_scale)
 
     @cached_property
     def classification(self) -> FlatnessReport:
+        tol = geo.TOL_SECOND_DERIV * self.tol_scale
         return geo.classify_flatness(self.vals(self.curl),
-                                     self.vals(self.riemann_lower))
+                                     self.vals(self.riemann_lower), tol, tol)
 
     def geodesic_spot_check(self, steps: int = GEODESIC_SPOT_STEPS,
                             h: float = GEODESIC_SPOT_STEP_SIZE
@@ -256,7 +260,7 @@ class GeometrySession:
         mid = self.chart.midpoint()
         start = np.array([mid[c] for c in self.chart.coords])
         g0 = self.metric.evaluate(mid)
-        if abs(g0[0, 0]) < 1e-12:
+        if abs(g0[0, 0]) < SINGULAR_BOUND * max_abs(g0):
             raise NumericFaultError(
                 "cannot normalize the spot-check velocity: g[0,0] vanishes "
                 "at the domain midpoint")
@@ -344,7 +348,8 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
                  constants: dict[str, float] | None = None) -> AnalysisReport:
     """Build all derived objects and measure every identity of the suite."""
     started = time.perf_counter()
-    session = GeometrySession(spec, strategy, seed, n_points, constants)
+    session = GeometrySession(spec, strategy, seed, n_points, constants,
+                              tol_scale)
     (reconstruction, exact, first, second, third, imag_residue,
      geodesic_tol) = (tol * tol_scale for tol in (
         TOL_RECONSTRUCTION, geo.TOL_EXACT_CONSTRUCTION, geo.TOL_FIRST_DERIV,
@@ -353,7 +358,7 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
     rows: list[IdentityRow] = []
 
     # factorization level
-    fact = session.factorization_check(reconstruction)
+    fact = session.factorization
     rows.append(IdentityRow.check("factorization_reconstruction",
                                   fact.max_residual, reconstruction))
     rows.append(IdentityRow.check("orthogonality_identity",
@@ -445,7 +450,7 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
 
     # Killing / Lie derivative, the set's closedness judged at the scaled
     # second-derivative bound
-    killing = replace(session.killing, closed_tol=second)
+    killing = session.killing
     rows.append(IdentityRow.check("lie_derivative_identity",
                                   killing.lie_vs_2s, first))
     # S and L_A g vanish only for a closed set: otherwise measured
@@ -493,7 +498,7 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
         points=session.points,
         identities=rows,
         tensor_summaries=summaries,
-        classification=geo.classify_flatness(f_vals, r_vals, second, second),
+        classification=session.classification,
         decomposition_per_point=per_point,
         factorization=fact,
         form_choice=session.forms.choice,

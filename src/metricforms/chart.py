@@ -64,6 +64,9 @@ class Chart:
         return all(lo < v < hi
                    for v, (lo, hi) in zip(values, self.domains))
 
+    def point(self, values) -> dict[str, float]:
+        return dict(zip(self.coords, map(float, values)))
+
     def midpoint(self) -> dict[str, float]:
         return {name: 0.5 * (lo + hi)
                 for name, (lo, hi) in zip(self.coords, self.domains)}

@@ -78,10 +78,6 @@ def _parse_vector(text: str, dim: int, what: str) -> np.ndarray:
         raise ChartError(f"{what} must be numeric") from None
 
 
-def _point_env(chart, vector: np.ndarray) -> dict[str, float]:
-    return dict(zip(chart.coords, (float(v) for v in vector)))
-
-
 def _complex_cell(value: complex) -> str:
     if abs(value.imag) < 1e-300:
         return f"{value.real:.12g}"
@@ -100,9 +96,8 @@ def cmd_factor(args) -> int:
         # the numeric strategy is a pointwise factor, not a form set
         forms = make_formset(g, strategy) if strategy != "numeric" else None
         vec = _parse_vector(args.point, spec.chart.dim, "--point")
-        env = _point_env(spec.chart, vec)
-        gv = require_finite(g.evaluate(env)[np.newaxis], g.comps, "metric",
-                            [env])[0]
+        env = spec.chart.point(vec)
+        gv = g.evaluate(env)
         if forms is None:
             comps, a = None, factor_takagi_numeric(g, env).T
         else:
@@ -130,7 +125,7 @@ def cmd_factor(args) -> int:
         return EXIT_OK
     session = GeometrySession(spec, strategy=strategy, seed=args.seed,
                               n_points=args.points)
-    forms, check = session.forms, session.factorization_check()
+    forms, check = session.forms, session.factorization
     if args.json:
         doc = {
             "manifold": spec.name,

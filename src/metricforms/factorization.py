@@ -26,13 +26,14 @@ from .errors import (
     FactorizationError,
     NonDiagonalMetricError,
     NumericFaultError,
-    SingularMetricError,
 )
 from . import expr as ex
 from .tensor import MetricField, Tensor, einsum, elementwise, max_abs
 
 #: bound on |A (.) A - g|, a purely algebraic residual
 TOL_RECONSTRUCTION = 1e-10
+#: bound below which min |det A| calls the forms linearly dependent
+FORM_DET_BOUND = 1e-12
 
 
 class FormSet(Tensor):
@@ -92,11 +93,10 @@ def factor_takagi_numeric(g: MetricField, point: dict[str, float]) -> np.ndarray
     """Pointwise factor V with V Vt = g(point), from the real
     eigendecomposition g = Q L Qt; V = Q diag(sqrt(L)).
 
-    The singular values of V equal sqrt(|eigenvalues of g|).
+    The singular values of V equal sqrt(|eigenvalues of g|).  A singular
+    g(point) raises SingularMetricError from ``MetricField.values``.
     """
     gv = g.evaluate(point)
-    if abs(np.linalg.det(gv)) < 1e-12:
-        raise SingularMetricError(point)
     try:
         eigenvalues, q = np.linalg.eigh(gv)
     except np.linalg.LinAlgError as exc:
@@ -129,17 +129,16 @@ class FactorizationCheck:
     max_residual: float          # max |sum_I A_Ia A_Ib - g_ab| over points
     min_abs_det: float           # row independence
     residual_tol: float
-    det_bound: float
 
     @property
     def passed(self) -> bool:
         return bool(self.max_residual <= self.residual_tol
-                    and self.min_abs_det > self.det_bound)
+                    and self.min_abs_det > FORM_DET_BOUND)
 
 
 def verify_factorization(a_vals: np.ndarray, g_vals: np.ndarray,
-                         residual_tol: float = TOL_RECONSTRUCTION,
-                         det_bound: float = 1e-12) -> FactorizationCheck:
+                         residual_tol: float = TOL_RECONSTRUCTION
+                         ) -> FactorizationCheck:
     """Reconstruction residual and linear-independence bound over stacked
     form values A[p, I, a] and real metric values g[p, a, b].  A
     determinant too large for a float is a numeric fault: a report
@@ -152,17 +151,13 @@ def verify_factorization(a_vals: np.ndarray, g_vals: np.ndarray,
             "determinant overflows")
     return FactorizationCheck(
         max_abs(np.swapaxes(a_vals, 1, 2) @ a_vals - g_vals),
-        min_abs_det, residual_tol, det_bound)
+        min_abs_det, residual_tol)
 
 
 def orthogonality_residual(a_vals: np.ndarray, g_vals: np.ndarray) -> float:
     """Max deviation of A_Ic A_J^c from the identity matrix over stacked
-    form values and real metric values.  The inverse metric is taken
-    numerically here, so the check does not lean on the symbolic one."""
-    # an overflowing determinant is not small, so it need not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        singular = np.flatnonzero(np.abs(np.linalg.det(g_vals)) < 1e-12)
-    if singular.size:
-        raise SingularMetricError(f"sample point {int(singular[0])}")
+    form values and regular metric values (``MetricField.values``).  The
+    inverse metric is taken numerically here, so the check does not lean
+    on the symbolic one."""
     gram = a_vals @ np.linalg.inv(g_vals) @ np.swapaxes(a_vals, 1, 2)
     return max_abs(gram - np.eye(a_vals.shape[1]))

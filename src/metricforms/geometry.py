@@ -47,12 +47,10 @@ from .tensor import (
     MetricField,
     Pair,
     Tensor,
-    compiled,
     einsum,
     elementwise,
     max_abs,
     mirror,
-    real_metric,
 )
 
 #: residual tolerances by derivative depth of the identity being checked
@@ -398,14 +396,16 @@ class KillingReport:
 
 
 def killing_check(f_vals: np.ndarray, s_vals: np.ndarray,
-                  lie_vals: np.ndarray) -> KillingReport:
+                  lie_vals: np.ndarray,
+                  closed_tol: float = TOL_SECOND_DERIV) -> KillingReport:
     """Killing diagnostics from stacked values F[p,I,a,b], S[p,I,a,b] and
     (L_{A_I} g)[p,I,a,b]: per-form maxima over points and components."""
     def per_form(vals):
         return np.max(np.abs(vals), axis=(0, 2, 3)).tolist()
 
     return KillingReport(per_form(f_vals), per_form(s_vals),
-                         per_form(lie_vals), max_abs(lie_vals - 2.0 * s_vals))
+                         per_form(lie_vals), max_abs(lie_vals - 2.0 * s_vals),
+                         closed_tol)
 
 
 VERDICT_CURVED = "CURVED"
@@ -503,10 +503,6 @@ def _rk4(rhs, chart: Chart, start: np.ndarray, velocity: np.ndarray,
     return Trajectory(ss, xu[:, :n], xu[:, n:], exited)
 
 
-def _env(chart: Chart, x: np.ndarray) -> dict[str, float]:
-    return dict(zip(chart.coords, (float(v) for v in x)))
-
-
 def _velocity(chart: Chart) -> np.ndarray:
     """Velocity symbols u'x, one per coordinate x: the grammar cannot spell
     them, so none collides with a coordinate or a constant."""
@@ -556,7 +552,8 @@ def integrate_geodesic(g: MetricField, g_inv: Tensor, conn: Connection,
                        start: np.ndarray, velocity: np.ndarray,
                        steps: int, h: float) -> GeodesicComparison:
     """Integrate both right-hand-side forms with fixed-step RK4 and
-    compare them pointwise; also monitor conservation of g(u, u)."""
+    compare them pointwise; also monitor conservation of g(u, u), with
+    the metric read by ``MetricField.values`` along the classical route."""
     chart = g.chart
     start = np.asarray(start, dtype=float)
     velocity = np.asarray(velocity, dtype=float)
@@ -571,18 +568,16 @@ def integrate_geodesic(g: MetricField, g_inv: Tensor, conn: Connection,
     divergence = max(max_abs(traj_c.x[:k] - traj_f.x[:k]),
                      max_abs(traj_c.u[:k] - traj_f.u[:k]))
 
-    metric = compiled(g.comps)
-    gs = np.stack([metric(dict(zip(chart.coords, x)))
-                   for x in traj_c.x.tolist()])
+    gs = g.values([chart.point(x) for x in traj_c.x])
     u = traj_c.u
     # a non-finite norm raises below, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = (u[:, None, :] @ real_metric(gs) @ u[:, :, None])[:, 0, 0]
+        norms = (u[:, None, :] @ gs @ u[:, :, None])[:, 0, 0]
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
         raise EvalDomainError(
             f"overflow to a non-finite g(u, u) on the geodesic at "
-            f"{_env(chart, traj_c.x[bad[0]])}", None)
+            f"{chart.point(traj_c.x[bad[0]])}", None)
     if len(traj_c.s) == 1 or len(traj_f.s) == 1:
         raise NumericFaultError(
             f"the geodesic from {start.tolist()} integrated no step of size "

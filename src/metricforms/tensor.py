@@ -45,6 +45,10 @@ from .expr import Expr, Tape
 
 Pair = tuple[int, int, int]
 
+#: a metric is singular where |det g| is below this fraction of the
+#: product of its rows' largest entries (``MetricField.values``)
+SINGULAR_BOUND = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # the contraction primitive
@@ -233,7 +237,32 @@ class MetricField(Tensor):
                    for a in range(n) for b in range(a + 1, n))
 
     def evaluate(self, point: dict[str, float]) -> np.ndarray:
-        return real_metric(super().evaluate(point))
+        return self.values([point])[0]
+
+    @functools.cached_property
+    def _read(self):
+        return compiled(self.comps)
+
+    def values(self, points: list[dict[str, float]]) -> np.ndarray:
+        """The real metric at ``points``, stacked (p, n, n), from one tape
+        compiled once per field: the one place that judges its numbers.
+        EvalDomainError at a non-finite value, then TensorError at a
+        non-real one, then SingularMetricError at the first point where
+        det g = 0 or |det g| < SINGULAR_BOUND * prod_a max_b |g_ab|, a
+        scale-free bound by Hadamard's inequality, compared in logs."""
+        vals = require_finite(np.stack([self._read(p) for p in points]),
+                              self.comps, "metric", points)
+        if max_imag(vals) > 1e-12:
+            raise TensorError("metric evaluated to a non-real matrix")
+        vals = vals.real
+        sign, logdet = np.linalg.slogdet(vals)
+        with np.errstate(divide="ignore"):      # a zero row: log 0 = -inf
+            rows = np.log(np.abs(vals).max(axis=2)).sum(axis=1)
+        singular = np.flatnonzero(
+            (sign == 0) | (logdet < math.log(SINGULAR_BOUND) + rows))
+        if singular.size:
+            raise SingularMetricError(points[singular[0]])
+        return vals
 
     @functools.cached_property
     def ldl(self) -> tuple:
@@ -291,22 +320,6 @@ def ldl(g: np.ndarray):
     raise ZeroPivotError(first_bad, tried_permutations=True)
 
 
-def _checked_points(g: MetricField):
-    """The seeded points at which the inverse is verified, each with the
-    real metric there: EvalDomainError at the first with a non-finite
-    metric value, SingularMetricError at the first where |det g| is below
-    1e-12."""
-    g_at = compiled(g.comps)
-    for point in g.chart.sample_points(3, seed=1404):
-        gv = real_metric(require_finite(g_at(point)[np.newaxis], g.comps,
-                                        "metric", [point])[0])
-        # an overflowing determinant is not small, so it need not warn
-        with np.errstate(invalid="ignore", over="ignore"):
-            if abs(np.linalg.det(gv)) < 1e-12:
-                raise SingularMetricError(point)
-        yield point, gv
-
-
 def invert_metric(g: MetricField) -> Tensor:
     """g^-1 = L^-t D^-1 L^-1 from the metric's LDL factors, for any
     dimension; a diagonal metric gets its reciprocal diagonal.  Verified
@@ -315,12 +328,9 @@ def invert_metric(g: MetricField) -> Tensor:
     nonzero pivot; a metric regular there that has none raises
     ZeroPivotError.  At a regular point a failed multiply-back is a
     wrong inverse, not a singular metric: NumericFaultError."""
-    try:
-        L, D, order = g.ldl
-    except ZeroPivotError:
-        for _ in _checked_points(g):
-            pass
-        raise
+    points = g.chart.sample_points(3, seed=1404)
+    g_vals = g.values(points)
+    L, D, order = g.ldl
     n = g.chart.dim
     # M = L^-1, unit lower triangular, by forward substitution
     m = np.full((n, n), ex.ZERO, dtype=object)
@@ -334,7 +344,7 @@ def invert_metric(g: MetricField) -> Tensor:
     comps[np.ix_(order, order)] = einsum("ka,k,kb->ab", m, d_inv, m,
                                          pair=(0, 1, +1))
     inv_at = compiled(comps)
-    for point, gv in _checked_points(g):
+    for point, gv in zip(points, g_vals):
         # non-finite values fail the comparison, so numpy need not warn
         with np.errstate(invalid="ignore", over="ignore"):
             err = np.max(np.abs(gv @ inv_at(point) - np.eye(n)))
@@ -406,14 +416,6 @@ def max_abs(values: np.ndarray) -> float:
 
 def max_imag(values: np.ndarray) -> float:
     return float(np.max(np.abs(values.imag))) if values.size else 0.0
-
-
-def real_metric(vals: np.ndarray) -> np.ndarray:
-    """Real part of evaluated metric components, or TensorError if the
-    metric is not real there."""
-    if max_imag(vals) > 1e-12:
-        raise TensorError("metric evaluated to a non-real matrix")
-    return vals.real
 
 
 _PERM3 = tuple(

@@ -155,3 +155,24 @@ class TestSessionTape:
         for t in (lower, mixed):
             assert np.array_equal(session.vals(t),
                                   stacked(t.evaluate, session.points))
+
+
+def test_analysis_compiles_the_metric_into_two_tapes(catalog, monkeypatch):
+    # the session's tape and the field's reader: the inverse check, the
+    # metric values, the spot check and its norm monitor all read the
+    # metric through MetricField.values
+    spec = catalog["schwarzschild"]
+    metric = {e for e in spec.metric().comps.flat
+              if not isinstance(e, ex.Const)}
+    tapes = []
+    extend = ex.Tape.extend
+
+    def spy(tape, roots):
+        roots = list(roots)
+        if metric <= set(roots) and all(t is not tape for t in tapes):
+            tapes.append(tape)
+        return extend(tape, roots)
+
+    monkeypatch.setattr(ex.Tape, "extend", spy)
+    run_analysis(spec, n_points=3)
+    assert len(tapes) == 2

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -66,6 +67,24 @@ NON_FINITE_CASES = [
      "non-finite value in metric component (1, 1) '1e+200 * x * y * 1e+150'"),
 ]
 
+
+# a metric file per fault of the metric's values: (text, a point in its
+# domain, exit code, stderr pattern)
+METRIC_FAULTS = {
+    "non-finite": (NON_FINITE_FILE, "1,1", EXIT_NUMERIC,
+                   r"numeric fault: overflow to a non-finite value in \w+ "
+                   r"component .*"),
+    "non-real": (GOOD_FILE.replace("1 + k * u^2", "sqrt(u - 2)"), "0,0",
+                 EXIT_INPUT,
+                 r"input error: metric evaluated to a non-real matrix"),
+    "singular": (GOOD_FILE.replace("1 + k * u^2", "1")
+                 .replace("g 2 2 = 1", "g 1 2 = 1\ng 2 2 = 1"), "0,0",
+                 EXIT_NUMERIC, r"numeric fault: (metric is singular at "
+                               r"\{.*\}|zero pivot at index 1 .*)"),
+    "zero-row": (GOOD_FILE.replace("1 + k * u^2", "0"), "0,0", EXIT_NUMERIC,
+                 r"numeric fault: (metric is singular at \{.*\}|zero pivot "
+                 r"at index 0 .*)"),
+}
 
 OVERFLOWING_G11 = ["1e200 * x^2", "10^400 * x^2", "10^400 + x^2",
                    "x / 10^400 + 1", "10^400", "10^400 * 1.5 + x^2",
@@ -347,6 +366,46 @@ g 2 2 = 1
 """)
         code, out, err = run(capsys, "check", str(path))
         assert code == EXIT_NUMERIC
+
+    # every command reads the metric through one checked reader: each
+    # fault gives one line and never a traceback.  A metric with no
+    # nonzero pivot fails the symbolic factorization first in the commands
+    # that build one.
+    @pytest.mark.parametrize("fault", list(METRIC_FAULTS))
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--json"], ["check"], ["classify", "--json"],
+        ["factor", "--point", "{p}"],
+        ["factor", "--point", "{p}", "--strategy", "ldl"],
+        ["factor", "--point", "{p}", "--strategy", "numeric"],
+        ["geodesic", "--start", "{p}", "--velocity", "1,0", "--steps", "5"],
+    ], ids=["analyze", "check", "classify", "factor-auto", "factor-ldl",
+            "factor-numeric", "geodesic"])
+    def test_metric_fault_in_every_command(self, capsys, tmp_path, fault,
+                                           argv):
+        text, point, code, message = METRIC_FAULTS[fault]
+        path = tmp_path / f"{fault}.metric"
+        path.write_text(text)
+        argv = [a.replace("{p}", point) for a in argv]
+        got, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert got == code
+        assert re.fullmatch(message + "\n", err), err
+        assert "sample point" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["check"], ["classify"], ["factor", "--point", "0,0,0,0",
+                                  "--strategy", "numeric"],
+        ["geodesic", "--start", "0,0,0,0", "--velocity", "1,0,0,0",
+         "--steps", "5"]], ids=["check", "classify", "factor-numeric",
+                                "geodesic"])
+    def test_small_regular_metric_is_not_singular(self, capsys, tmp_path,
+                                                  argv):
+        # |det g| = 1e-16, but the metric is as regular as the identity
+        path = tmp_path / "small.metric"
+        path.write_text("name small\ndim 4\ncoords a b c d\nsignature 4 0\n"
+                        + "".join(f"domain {c} -1 1\n" for c in "abcd")
+                        + "".join(f"g {k} {k} = 1e-4\n" for k in range(1, 5)))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, err) == (EXIT_OK, "")
 
     # the first overflows in a power; the next take an exact 10^400
     # into float arithmetic: a product, a sum, a quotient, a square root

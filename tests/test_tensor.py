@@ -1,3 +1,4 @@
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,98 @@ class TestInvertMetric:
                            - np.eye(5)) <= 1e-12
         assert main(["check", str(path)]) == EXIT_OK
         capsys.readouterr()
+
+
+def _field(entries, dim=2):
+    """Metric field on coordinates x0..x{dim-1} in (-1, 1) from source
+    text per upper-triangle entry; every other entry is 0."""
+    chart = Chart(tuple(f"x{k}" for k in range(dim)), (dim, 0),
+                  ((-1.0, 1.0),) * dim)
+    comps = np.full((dim, dim), ex.ZERO, dtype=object)
+    for (a, b), text in entries.items():
+        comps[a, b] = parse_expr(text, chart)
+    return MetricField(chart, comps)
+
+
+class TestMetricValues:
+    """The one reader of the metric's numbers: finite, real and regular."""
+
+    @pytest.mark.parametrize("scale", ["1e-8", "1e-4", "1", "1e4", "1e8"])
+    def test_scaled_identity_is_regular(self, scale):
+        g = _field({(a, a): scale for a in range(4)}, dim=4)
+        points = g.chart.sample_points(3, seed=0)
+        np.testing.assert_array_equal(g.values(points),
+                                      np.stack([float(scale) * np.eye(4)] * 3))
+
+    def test_painleve_gullstrand_is_regular(self):
+        g = get_manifold(str(DATA / "painleve-gullstrand.metric")).metric()
+        point = g.chart.sample_points(1, seed=0)[0]
+        assert g.values([point]).shape == (1, 4, 4)
+
+    def test_huge_entries_are_regular(self):
+        # the determinant is 1e600, beyond a float: compared by logarithm
+        g = _field({(0, 0): "1e300", (0, 1): "1e299", (1, 1): "1e300"})
+        assert g.values([{"x0": 0.0, "x1": 0.0}])[0, 0, 0] == 1e300
+
+    @pytest.mark.parametrize("entries,first", [
+        ({(0, 0): "1", (0, 1): "1", (1, 1): "1"}, 0),
+        ({(0, 0): "x0", (1, 1): "1"}, 1),
+    ], ids=["rank-one", "diag-x0-1"])
+    def test_first_singular_point_is_named(self, entries, first):
+        g = _field(entries)
+        points = [{"x0": 0.5, "x1": 0.5}, {"x0": 0.0, "x1": 0.5}]
+        with pytest.raises(SingularMetricError) as err:
+            g.values(points)
+        assert str(err.value) == f"metric is singular at {points[first]}"
+
+    def test_faults_are_decided_in_order(self):
+        # non-finite, then non-real, then singular, at whichever points
+        g = _field({(0, 0): "sqrt(x0)", (1, 1): "1e200 * x1 * 1e200"})
+        singular = {"x0": 0.5, "x1": 0.0}
+        non_real = {"x0": -0.5, "x1": 1e-300}
+        non_finite = {"x0": 0.5, "x1": 0.5}
+        with pytest.raises(TensorError, match="non-real"):
+            g.values([singular, non_real])
+        with pytest.raises(EvalDomainError, match=r"non-finite value in "
+                                                  r"metric component \(1, 1\)"):
+            g.values([singular, non_real, non_finite])
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "metricforms"
+
+
+def _calls_by_function():
+    """(function qualname, call node) for every call in src/, and the
+    qualnames of every function defined there."""
+    calls, functions = [], set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+                if isinstance(child, ast.FunctionDef):
+                    functions.add(inner)
+            elif isinstance(child, ast.Call):
+                calls.append((scope, child))
+            walk(child, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        walk(ast.parse(path.read_text()), "")
+    return calls, functions
+
+
+def test_the_metric_is_judged_in_one_place():
+    # finite, real and regular are decided by MetricField.values alone
+    calls, functions = _calls_by_function()
+    raisers = {scope for scope, call in calls
+               if ast.unparse(call.func).endswith("SingularMetricError")}
+    assert raisers == {"MetricField.values"}
+    assert not {f for f in functions
+                if f.rsplit(".", 1)[-1] in ("real_metric", "_checked_points")}
+    dets = [(scope, ast.unparse(call.args[0])) for scope, call in calls
+            if ast.unparse(call.func) == "np.linalg.det"]
+    assert dets == [("verify_factorization", "a_vals")]
 
 
 def _antisym_over_axes_loop(vals, axes):
