@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +59,18 @@ GEODESIC_SPOT_STEPS = 200
 GEODESIC_SPOT_STEP_SIZE = 0.002
 
 
+class Tolerances(NamedTuple):
+    """The suite's residual bounds; a session holds them times its
+    ``tol_scale``."""
+    reconstruction: float = TOL_RECONSTRUCTION
+    exact: float = geo.TOL_EXACT_CONSTRUCTION
+    first: float = geo.TOL_FIRST_DERIV
+    second: float = geo.TOL_SECOND_DERIV
+    third: float = geo.TOL_THIRD_DERIV
+    imag_residue: float = geo.TOL_IMAG_RESIDUE
+    geodesic: float = geo.TOL_GEODESIC
+
+
 class GeometrySession:
     """Lazy builder for every object derived from one manifold + strategy.
 
@@ -66,7 +79,7 @@ class GeometrySession:
     so every distinct subtree (connection components inside pre-currents
     inside curvature parts) is compiled once and computed once per point,
     however many times it was built.  Stacked tensor values are cached
-    per tensor object.  Checks judge at the tolerances times ``tol_scale``.
+    per tensor object.  Checks judge at the scaled tolerances ``tol``.
     """
 
     def __init__(self, spec: ManifoldSpec, strategy: str = "auto",
@@ -75,7 +88,7 @@ class GeometrySession:
                  tol_scale: float = 1.0):
         self.spec = spec
         self.seed = seed
-        self.tol_scale = tol_scale
+        self.tol = Tolerances(*(tol * tol_scale for tol in Tolerances()))
         self.metric = spec.metric(constants)
         self.chart: Chart = spec.chart
         if n_points < 1:
@@ -232,7 +245,7 @@ class GeometrySession:
     @cached_property
     def factorization(self) -> FactorizationCheck:
         return verify_factorization(self.vals(self.forms), self.metric_vals,
-                                    TOL_RECONSTRUCTION * self.tol_scale)
+                                    self.tol.reconstruction)
 
     @cached_property
     def orthogonality(self) -> float:
@@ -243,14 +256,13 @@ class GeometrySession:
     def killing(self) -> KillingReport:
         return geo.killing_check(self.vals(self.curl),
                                  self.vals(self.sym_deriv),
-                                 self.vals(self.lie_deriv),
-                                 geo.TOL_SECOND_DERIV * self.tol_scale)
+                                 self.vals(self.lie_deriv), self.tol.second)
 
     @cached_property
     def classification(self) -> FlatnessReport:
-        tol = geo.TOL_SECOND_DERIV * self.tol_scale
         return geo.classify_flatness(self.vals(self.curl),
-                                     self.vals(self.riemann_lower), tol, tol)
+                                     self.vals(self.riemann_lower),
+                                     self.tol.second, self.tol.second)
 
     def geodesic_spot_check(self, steps: int = GEODESIC_SPOT_STEPS,
                             h: float = GEODESIC_SPOT_STEP_SIZE
@@ -350,19 +362,15 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
     started = time.perf_counter()
     session = GeometrySession(spec, strategy, seed, n_points, constants,
                               tol_scale)
-    (reconstruction, exact, first, second, third, imag_residue,
-     geodesic_tol) = (tol * tol_scale for tol in (
-        TOL_RECONSTRUCTION, geo.TOL_EXACT_CONSTRUCTION, geo.TOL_FIRST_DERIV,
-        geo.TOL_SECOND_DERIV, geo.TOL_THIRD_DERIV, geo.TOL_IMAG_RESIDUE,
-        geo.TOL_GEODESIC))
+    tol = session.tol
     rows: list[IdentityRow] = []
 
     # factorization level
     fact = session.factorization
     rows.append(IdentityRow.check("factorization_reconstruction",
-                                  fact.max_residual, reconstruction))
+                                  fact.max_residual, tol.reconstruction))
     rows.append(IdentityRow.check("orthogonality_identity",
-                                  session.orthogonality, first))
+                                  session.orthogonality, tol.first))
 
     # connection level
     gamma_gap = max(session.route_residual(session.conn.lower,
@@ -370,16 +378,16 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
                     session.route_residual(session.conn.mixed,
                                            session.conn_factored.mixed))
     rows.append(IdentityRow.check("christoffel_route_agreement",
-                                  gamma_gap, first))
+                                  gamma_gap, tol.first))
     rows.append(IdentityRow.check("metric_compatibility",
                                   max_abs(session.vals(session.metric_compat)),
-                                  second))
+                                  tol.second))
 
     # first-derivative objects
     rows.append(IdentityRow.check(
         "sym_derivative_route_agreement",
         session.route_residual(session.sym_deriv, session.sym_deriv_alt),
-        first))
+        tol.first))
 
     a_vals = session.vals(session.forms)
     s_vals = session.vals(session.sym_deriv)
@@ -388,30 +396,30 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
         np.einsum("pia,pibc->pcab", a_vals, f_vals)
         + np.einsum("pib,piac->pcab", a_vals, f_vals))
     rows.append(IdentityRow.check("sym_antisym_cancellation",
-                                  max_abs(balance), first))
+                                  max_abs(balance), tol.first))
 
     # pre-currents
     jp_vals = session.vals(session.precurrent)
     rows.append(IdentityRow.check("precurrent_pair_antisymmetry",
                                   _pair_swap_residual(jp_vals, 3, 4, +1.0),
-                                  exact))
+                                  tol.exact))
     rows.append(IdentityRow.check("precurrent_cyclic_identity",
                                   antisym_cycle_residual(jp_vals, (2, 3, 4)),
-                                  second))
+                                  tol.second))
 
     # classical curvature symmetries
     r_vals = session.vals(session.riemann_lower)
     rows.append(IdentityRow.check("riemann_antisym_first_pair",
                                   _pair_swap_residual(r_vals, 1, 2, +1.0),
-                                  second))
+                                  tol.second))
     rows.append(IdentityRow.check("riemann_antisym_second_pair",
                                   _pair_swap_residual(r_vals, 3, 4, +1.0),
-                                  second))
+                                  tol.second))
     rows.append(IdentityRow.check("riemann_pair_interchange",
-                                  _interchange_residual(r_vals), second))
+                                  _interchange_residual(r_vals), tol.second))
     rows.append(IdentityRow.check("riemann_first_bianchi",
                                   antisym_cycle_residual(r_vals, (2, 3, 4)),
-                                  second))
+                                  tol.second))
 
     # per-term first Bianchi of the decomposition
     for label, tensor in (("bianchi_current_part", session.parts.current_part),
@@ -419,7 +427,7 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
                           ("bianchi_sym_part", session.parts.sym_part)):
         rows.append(IdentityRow.check(
             label, antisym_cycle_residual(session.vals(tensor), (2, 3, 4)),
-            second))
+            tol.second))
 
     # decomposition vs classical: measured, never asserted here
     total_vals = session.vals(session.parts.total)
@@ -452,10 +460,10 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
     # second-derivative bound
     killing = session.killing
     rows.append(IdentityRow.check("lie_derivative_identity",
-                                  killing.lie_vs_2s, first))
+                                  killing.lie_vs_2s, tol.first))
     # S and L_A g vanish only for a closed set: otherwise measured
     rows.append(IdentityRow.check("killing_closed_set",
-                                  killing.killing_residual, first)
+                                  killing.killing_residual, tol.first)
                 if killing.set_closed else
                 IdentityRow.report("killing_closed_set",
                                    killing.killing_residual))
@@ -470,19 +478,19 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
                    session.parts.form_part, session.parts.sym_part):
         imag = max(imag, max_imag(session.vals(tensor)))
     rows.append(IdentityRow.check("imaginary_residue_physical", imag,
-                                  imag_residue))
+                                  tol.imag_residue))
 
     # third-derivative level
     rows.append(IdentityRow.check(
         "contracted_bianchi_classical",
-        max_abs(session.vals(session.einstein_divergence)), third))
+        max_abs(session.vals(session.einstein_divergence)), tol.third))
 
     # geodesic spot check from the domain midpoint
     comparison = session.geodesic_spot_check()
     rows.append(IdentityRow.check("geodesic_route_divergence",
-                                  comparison.divergence, geodesic_tol))
+                                  comparison.divergence, tol.geodesic))
     rows.append(IdentityRow.check("geodesic_norm_drift",
-                                  comparison.norm_drift, geodesic_tol))
+                                  comparison.norm_drift, tol.geodesic))
     geodesic = GeodesicCheck(comparison.divergence, comparison.norm_drift,
                              GEODESIC_SPOT_STEPS, GEODESIC_SPOT_STEP_SIZE,
                              comparison.classical.exited_domain

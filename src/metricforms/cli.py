@@ -93,11 +93,12 @@ def cmd_factor(args) -> int:
                          "pass --point v1,...,vn")
     if args.point is not None:
         g = spec.metric()
-        # the numeric strategy is a pointwise factor, not a form set
-        forms = make_formset(g, strategy) if strategy != "numeric" else None
         vec = _parse_vector(args.point, spec.chart.dim, "--point")
         env = spec.chart.point(vec)
+        # the metric is judged at the point before it is factored
         gv = g.evaluate(env)
+        # the numeric strategy is a pointwise factor, not a form set
+        forms = make_formset(g, strategy) if strategy != "numeric" else None
         if forms is None:
             comps, a = None, factor_takagi_numeric(g, env).T
         else:
@@ -225,8 +226,8 @@ def cmd_geodesic(args) -> int:
               f"norm drift {comparison.norm_drift:.3e}")
         if args.out:
             print(f"trajectory written to {args.out}")
-    ok = (comparison.divergence <= geo.TOL_GEODESIC
-          and comparison.norm_drift <= geo.TOL_GEODESIC)
+    ok = (comparison.divergence <= session.tol.geodesic
+          and comparison.norm_drift <= session.tol.geodesic)
     return EXIT_OK if ok else EXIT_IDENTITY
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import bisect
 import cmath
-import functools
 import math
 import operator
 import re
@@ -490,30 +489,12 @@ def _pow_value(v: Number, q: Fraction) -> Number:
     return math.exp(float(q) * math.log(v))
 
 
-def _fun_value(name: str, v: Number, node: Expr) -> Number:
-    if name == "sqrt":
-        return _sqrt_value(v)
-    if name == "log":
-        if isinstance(v, complex) and v.imag != 0.0:
-            return cmath.log(v)
-        r = v.real if isinstance(v, complex) else v
-        if r <= 0:
-            raise EvalDomainError(
-                f"log of non-positive real in '{to_source(node)}'", node)
-        return math.log(r)
-    mod = cmath if isinstance(v, complex) else math
-    try:
-        return getattr(mod, name)(v)
-    except OverflowError:
-        raise EvalDomainError(f"overflow in '{to_source(node)}'", node) from None
-
-
-# Statements per compiled function.  Bigger functions cost peak memory:
-# one function per tensor raised it by a tenth on the Kerr metric, where
-# 64 statements keep it at the level of a tree walk.
-TAPE_CHUNK = 64
-
-_CHUNK_HEAD = "def _chunk(v, c, env, _pow=_pow_value):\n"
+def _log_value(v: Number) -> Number:
+    """The principal logarithm; a zero imaginary part takes the real one,
+    which refuses a non-positive real with ValueError."""
+    if isinstance(v, complex):
+        return cmath.log(v) if v.imag != 0.0 else math.log(v.real)
+    return math.log(v)
 
 
 def _real_or_complex(name: str):
@@ -522,12 +503,98 @@ def _real_or_complex(name: str):
     return lambda v: cplx(v) if isinstance(v, complex) else real(v)
 
 
-# The callable a function node's statement calls, bound when the tape
-# compiles; ``Tape._fault`` names the node in its errors.  ``log`` raises
-# its own error, which names the node, so it is bound per node.
-_BOUND = {name: _real_or_complex(name)
-          for name in ("sin", "cos", "tan", "exp", "sinh", "cosh")}
-_BOUND["sqrt"] = _sqrt_value
+# The value of each function, the callable a tape binds for it as well.
+_FUNCTION = {name: _real_or_complex(name)
+             for name in ("sin", "cos", "tan", "exp", "sinh", "cosh")}
+_FUNCTION["sqrt"] = _sqrt_value
+_FUNCTION["log"] = _log_value
+
+
+def _fun_value(name: str, v: Number, node: Expr) -> Number:
+    """``name`` of ``v``; a log of a non-positive real is an
+    EvalDomainError naming ``node``."""
+    try:
+        return _FUNCTION[name](v)
+    except ValueError:
+        if name != "log":
+            raise
+        raise _fault("log of non-positive real", node) from None
+
+
+def _fault(what: str, node: Expr) -> EvalDomainError:
+    return EvalDomainError(f"{what} in '{to_source(node)}'", node)
+
+
+def walk(roots, env: dict[str, Number], known: dict | None = None) -> list:
+    """The values of ``roots`` at the point ``env`` by a memoised
+    depth-first walk: the definition of evaluation, and the one place that
+    names a fault.  A sum or a product combines its operands as it reaches
+    them, from 0 or 1; a quotient tests its denominator before it evaluates
+    its numerator.  The first fault met is raised, naming its node.
+    ``known`` maps nodes to their values at ``env`` already; the walk adds
+    the nodes it computes.
+    """
+    memo = {} if known is None else known
+
+    def value(e):
+        t = type(e)
+        if t is Const:
+            return e.value
+        got = memo.get(e)
+        if got is not None:
+            return got
+        # an operand's fault is raised as the package error already, so
+        # what these clauses catch comes from this node's own operation
+        try:
+            if t is Sym:
+                got = env[e.name]
+            elif t is Add:
+                got = 0
+                for term in e.terms:
+                    got = got + value(term)
+            elif t is Mul:
+                got = 1
+                for factor in e.factors:
+                    got = got * value(factor)
+            elif t is Neg:
+                got = -value(e.arg)
+            elif t is Div:
+                den = value(e.den)
+                if den == 0:
+                    raise _fault("division by zero", e)
+                got = value(e.num) / den
+            elif t is Pow:
+                got = _pow_value(value(e.base), e.exponent)
+            elif t is Fun:
+                got = _fun_value(e.name, value(e.arg), e)
+            else:
+                raise TypeError(f"cannot evaluate {t.__name__}")
+        except KeyError:
+            raise UnboundSymbolError(e.name) from None
+        except ZeroDivisionError:
+            raise _fault("zero raised to a negative power", e) from None
+        except OverflowError:
+            raise _fault("overflow", e) from None
+        except ValueError:
+            # the math functions refuse only an infinite argument
+            raise _fault("non-finite argument", e) from None
+        memo[e] = got
+        return got
+
+    return [value(e) for e in roots]
+
+
+def evaluate(e: Expr, env: dict[str, Number]) -> Number:
+    """Evaluate ``e`` with every free symbol bound by ``env``."""
+    return walk((e,), env)[0]
+
+
+# Statements per compiled function.  Bigger functions cost peak memory:
+# one function per tensor raised it by a tenth on the Kerr metric, where
+# 64 statements keep it at the level of a tree walk.
+TAPE_CHUNK = 64
+
+_CHUNK_HEAD = "def _chunk(v, c, env, _pow=_pow_value):\n"
 
 # Operands per statement of a sum or product.  Python's compiler recurses
 # once per binary operator and gives up near 3,000 of them in one
@@ -540,30 +607,24 @@ def _slot_key(e: Expr):
     return id(e) if type(e) is Const else e
 
 
-def _operands(e: Expr) -> tuple[Expr, ...]:
-    """Children in the order evaluation reaches them: a quotient's
-    denominator comes first, so a zero denominator fails before its
-    numerator is evaluated."""
-    return (e.den, e.num) if type(e) is Div else e.children()
-
-
 class Tape:
-    """Straight-line code that evaluates many expressions at a point.
+    """Straight-line code that evaluates many expressions at many points.
 
     Every distinct non-constant node of the roots gets one slot and one
-    statement, in the order a memoising depth-first walk finishes them.
-    Interning makes equal subtrees one node, so each is computed once.  A
-    constant root gets a slot too, so every root is read from the slot
-    list.  The statements are compiled into functions of at most
-    ``TAPE_CHUNK`` lines over a slot list ``v``.  Each applies the
-    arithmetic of its node: ``0 + a + b`` for a sum, ``1 * a * b`` for a
-    product (continued in the slot past ``TAPE_CHAIN`` operands), ``-a``,
-    ``a / b``, ``a ** p`` for an integer power of a non-constant, and
-    ``_pow_value`` otherwise, so purely real subtrees stay real, roots
-    take the principal branch, and a power of a constant that did not fold
-    stays within the bound on exact integers.  A function node calls the
-    callable bound for it in the table, ``c[j](a)``: the ``math`` or
-    ``cmath`` function by the type of ``a``, as ``_fun_value`` picks it.
+    statement, in the order ``walk`` finishes them, a quotient's
+    denominator before its numerator.  Interning makes equal subtrees one
+    node, so each is computed once.  A constant root gets a slot too, so
+    every root is read from the slot list.  The statements are compiled
+    into functions of at most ``TAPE_CHUNK`` lines over a slot list ``v``.
+    Each does the arithmetic of the walk: ``0 + a + b`` for a sum,
+    ``1 * a * b`` for a product (continued in the slot past ``TAPE_CHAIN``
+    operands), ``-a``, ``a / b``, ``a ** p`` for an integer power of a
+    non-constant, and ``_pow_value`` otherwise, so purely real subtrees
+    stay real, roots take the principal branch, and a power of a constant
+    that did not fold stays within the bound on exact integers.  A
+    function node calls the callable bound for it in the table,
+    ``c[j](a)``: the ``math`` or ``cmath`` function by the type of ``a``,
+    as the walk picks it.  So the values are the walk's, bit for bit.
 
     The source holds only slot and table indices, function names and
     quoted symbol names: numbers, exponents and function callables are
@@ -575,11 +636,11 @@ class Tape:
 
     def __init__(self, roots=()):
         self.nodes: list[Expr] = []        # slot -> node
+        self.roots: list[Expr] = []        # the roots that added nodes
         self.consts: list = []             # table read by the statements
         self.sources: list[str] = []       # the source of each chunk
         self._slot: dict = {}              # _slot_key(node) -> slot
         self._const: dict[int, int] = {}   # id of a constant -> table index
-        self._via: list = []               # slot -> node whose walk reached it
         self._starts: list[int] = []       # first slot of each chunk
         self._chunks: list = []            # compiled chunks
         self.extend(roots)
@@ -590,23 +651,10 @@ class Tape:
     def extend(self, roots) -> None:
         """Append and compile the nodes of ``roots`` not on the tape."""
         first = len(self.nodes)
-        slot = self._slot
         for root in roots:
-            if _slot_key(root) in slot:
-                continue
-            if type(root) is Const:
-                self._append(root, None)
-                continue
-            stack = [(root, iter(_operands(root)))]
-            while stack:
-                node, rest = stack[-1]
-                for child in rest:
-                    if type(child) is not Const and child not in slot:
-                        stack.append((child, iter(_operands(child))))
-                        break
-                else:
-                    stack.pop()
-                    self._append(node, stack[-1][0] if stack else None)
+            if _slot_key(root) not in self._slot:
+                self.roots.append(root)
+                self._place(root)
         for start in range(first, len(self.nodes), TAPE_CHUNK):
             stop = min(start + TAPE_CHUNK, len(self.nodes))
             source = _CHUNK_HEAD + "".join(
@@ -617,10 +665,14 @@ class Tape:
             self._starts.append(start)
             self._chunks.append(namespace["_chunk"])
 
-    def _append(self, node: Expr, via: Expr | None) -> None:
-        self._slot[_slot_key(node)] = len(self.nodes)
-        self.nodes.append(node)
-        self._via.append(via)
+    def _place(self, e: Expr) -> None:
+        """Slots for the non-constant operands of ``e`` not on the tape,
+        then for ``e``, in the order ``walk`` finishes them."""
+        for child in (e.den, e.num) if type(e) is Div else e.children():
+            if type(child) is not Const and child not in self._slot:
+                self._place(child)
+        self._slot[_slot_key(e)] = len(self.nodes)
+        self.nodes.append(e)
 
     def _table(self, value) -> str:
         self.consts.append(value)
@@ -660,9 +712,7 @@ class Tape:
         elif t is Pow:
             rhs = f"_pow({self._ref(e.base)}, {self._table(e.exponent)})"
         elif t is Fun:
-            bound = (functools.partial(_fun_value, "log", node=e)
-                     if e.name == "log" else _BOUND[e.name])
-            rhs = f"{self._table(bound)}({self._ref(e.arg)})"
+            rhs = f"{self._table(_FUNCTION[e.name])}({self._ref(e.arg)})"
         else:
             raise TypeError(f"cannot evaluate {t.__name__}")
         return f"v[{k}] = {rhs}"
@@ -670,7 +720,8 @@ class Tape:
     def run(self, env: dict[str, Number], v: list | None = None) -> list:
         """The slot list ``v`` (a new one when None) filled at the point
         ``env``; only the chunks past the slots ``v`` holds run.  On an
-        error ``v`` keeps the chunks that completed."""
+        error ``v`` keeps the chunks that completed, and the fault is what
+        ``walk`` of the roots from those slots raises."""
         if v is None:
             v = [None] * len(self.nodes)
             chunks = zip(self._starts, self._chunks)
@@ -685,14 +736,14 @@ class Tape:
         for start, chunk in chunks:
             try:
                 chunk(v, c, env)
-            # any error: name the node, and drop the unfinished chunk
             except Exception as exc:
-                err = self._fault(exc, chunk, start, v)
                 del v[start:]
-                if err is exc:
-                    raise
-                raise err from None
-        return v
+                fault = exc
+                break
+        else:
+            return v
+        walk(self.roots, env, dict(zip(self.nodes, v)))
+        raise fault
 
     def getter(self, roots):
         """Function from a slot list filled by ``run`` to the tuple of the
@@ -702,77 +753,6 @@ class Tape:
             s = slots[0]
             return lambda v: (v[s],)
         return operator.itemgetter(*slots) if slots else (lambda v: ())
-
-    def _fault(self, exc: Exception, chunk, start: int, v: list) -> Exception:
-        """The error a depth-first walk raises at the point where the
-        statement of ``chunk`` on the failing line raised ``exc``.
-
-        The walk combines operands as it reaches them.  Before it reached
-        the failing node, each ancestor on its path had already added or
-        multiplied the operands it evaluated first, or tested its
-        denominator; the node itself does the same with all its operands
-        before its own operation.  The first of those steps that fails,
-        from the root down, gives the error; otherwise ``exc`` does.
-        """
-        tb = exc.__traceback__
-        while tb.tb_frame.f_code is not chunk.__code__:
-            tb = tb.tb_next
-        node = self.nodes[start + tb.tb_lineno - 2]
-        steps = [(node, None)]
-        while (parent := self._via[self.slot_of(steps[-1][0])]) is not None:
-            steps.append((parent, steps[-1][0]))
-        for parent, child in reversed(steps):
-            err = self._partial_fault(parent, child, v)
-            if err is not None:
-                return err
-        return _node_fault(node, exc)
-
-    def _partial_fault(self, parent: Expr, child: Expr, v: list):
-        def value(e):
-            return e.value if type(e) is Const else v[self._slot[e]]
-
-        if type(parent) is Div:
-            if child is not parent.den and value(parent.den) == 0:
-                return EvalDomainError(
-                    f"division by zero in '{to_source(parent)}'", parent)
-            return None
-        if type(parent) is Add:
-            acc, operands, op = 0, parent.terms, operator.add
-        elif type(parent) is Mul:
-            acc, operands, op = 1, parent.factors, operator.mul
-        else:
-            return None
-        try:
-            for e in operands:
-                if e is child:
-                    return None
-                acc = op(acc, value(e))
-        except OverflowError:
-            return EvalDomainError(f"overflow in '{to_source(parent)}'", parent)
-        return None
-
-
-def _node_fault(node: Expr, exc: Exception) -> Exception:
-    """The package error for ``exc`` raised evaluating ``node``; an error
-    with no such meaning is returned as it is."""
-    if isinstance(exc, KeyError) and type(node) is Sym:
-        return UnboundSymbolError(node.name)
-    if isinstance(exc, ZeroDivisionError) and type(node) is Pow:
-        what = "zero raised to a negative power"
-    elif isinstance(exc, OverflowError):
-        what = "overflow"
-    elif isinstance(exc, ValueError):
-        # the math functions refuse only an infinite argument
-        what = "non-finite argument"
-    else:
-        return exc
-    return EvalDomainError(f"{what} in '{to_source(node)}'", node)
-
-
-def evaluate(e: Expr, env: dict[str, Number]) -> Number:
-    """Evaluate ``e`` with every free symbol bound by ``env``."""
-    tape = Tape((e,))
-    return tape.run(env)[tape.slot_of(e)]
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ class Tensor:
 
     def evaluate(self, point: dict[str, float]) -> np.ndarray:
         """Numeric component array at a point (complex dtype)."""
-        return compiled(self.comps)(point)
+        return walked(self.comps, point)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +265,19 @@ class MetricField(Tensor):
         return vals
 
     @functools.cached_property
+    def check_values(self) -> tuple[list[dict[str, float]], np.ndarray]:
+        """Three seeded check points and the metric's values there, read
+        before the metric is factored and kept for the inverse's check."""
+        points = self.chart.sample_points(3, seed=1404)
+        return points, self.values(points)
+
+    @functools.cached_property
     def ldl(self) -> tuple:
         """The one symbolic factorization of this metric, ``ldl`` of its
         components: the ``ldl`` form set and the inverse metric are both
-        built from it."""
+        built from it.  The metric is judged at its check points first, so
+        a metric singular there is called singular, not unpivotable."""
+        self.check_values
         return ldl(self.comps)
 
 
@@ -323,13 +332,12 @@ def ldl(g: np.ndarray):
 def invert_metric(g: MetricField) -> Tensor:
     """g^-1 = L^-t D^-1 L^-1 from the metric's LDL factors, for any
     dimension; a diagonal metric gets its reciprocal diagonal.  Verified
-    by multiplying back at three seeded sample points.  A singular point
-    raises SingularMetricError, also when the factorization finds no
-    nonzero pivot; a metric regular there that has none raises
+    by multiplying back at the metric's check points, by ``walk``.  A
+    singular point raises SingularMetricError, before the factorization;
+    a metric regular there that has no nonzero pivot raises
     ZeroPivotError.  At a regular point a failed multiply-back is a
     wrong inverse, not a singular metric: NumericFaultError."""
-    points = g.chart.sample_points(3, seed=1404)
-    g_vals = g.values(points)
+    points, g_vals = g.check_values
     L, D, order = g.ldl
     n = g.chart.dim
     # M = L^-1, unit lower triangular, by forward substitution
@@ -343,11 +351,10 @@ def invert_metric(g: MetricField) -> Tensor:
     comps = np.empty((n, n), dtype=object)
     comps[np.ix_(order, order)] = einsum("ka,k,kb->ab", m, d_inv, m,
                                          pair=(0, 1, +1))
-    inv_at = compiled(comps)
     for point, gv in zip(points, g_vals):
         # non-finite values fail the comparison, so numpy need not warn
         with np.errstate(invalid="ignore", over="ignore"):
-            err = np.max(np.abs(gv @ inv_at(point) - np.eye(n)))
+            err = np.max(np.abs(gv @ walked(comps, point) - np.eye(n)))
         if not (err <= 1e-10):
             raise NumericFaultError(
                 f"inverse metric fails the multiply-back check at {point}: "
@@ -359,32 +366,36 @@ def invert_metric(g: MetricField) -> Tensor:
 # numeric helpers used by verification code
 # ---------------------------------------------------------------------------
 
+def _complex(values, comps: np.ndarray) -> np.ndarray:
+    """``values`` of the expressions ``comps`` as a complex array of their
+    shape; an exact integer beyond the float range is an overflow."""
+    try:
+        return np.array(values, dtype=complex).reshape(comps.shape)
+    except OverflowError:
+        for e, x in zip(comps.flat, values):
+            try:
+                complex(x)
+            except OverflowError:
+                raise ex._fault("overflow", e) from None
+        raise
+
+
+def walked(comps: np.ndarray, point: dict[str, float]) -> np.ndarray:
+    """The values of ``comps`` at one point as a complex array, by
+    ``walk``: a read that runs once compiles nothing."""
+    return _complex(ex.walk(comps.flat, point), comps)
+
+
 def reader(tape: Tape, comps: np.ndarray):
     """Function from a slot list of ``tape`` to the values of ``comps``,
     expressions on the tape, as a complex array of their shape."""
     get = tape.getter(comps.flat)
-    shape = comps.shape
-
-    def read(v: list) -> np.ndarray:
-        values = get(v)
-        try:
-            return np.array(values, dtype=complex).reshape(shape)
-        except OverflowError:
-            # an exact integer beyond the float range
-            for e, x in zip(comps.flat, values):
-                try:
-                    complex(x)
-                except OverflowError:
-                    raise EvalDomainError(
-                        f"overflow in '{ex.to_source(e)}'", e) from None
-            raise
-
-    return read
+    return lambda v: _complex(get(v), comps)
 
 
 def compiled(comps: np.ndarray):
     """Function from a point to the values of ``comps`` as a complex
-    array, from one tape compiled here and run on each call."""
+    array, by one tape compiled here: for reads that run many times."""
     tape = Tape(comps.flat)
     read = reader(tape, comps)
     return lambda point: read(tape.run(point))

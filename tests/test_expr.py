@@ -9,6 +9,7 @@ import sys
 import threading
 import tokenize
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -587,6 +588,42 @@ def test_tape_matches_tree_walk_property(roots, env, split):
         assert _outcome(lambda: tape.getter(batch)(tape.run(env, v))) == want
         if not isinstance(want, list):
             break
+
+
+@pytest.mark.parametrize("chunk", [1, 10 ** 6])
+@given(roots=st.lists(_faulty_exprs(), min_size=1, max_size=4),
+       env=_fault_points)
+# the partial sum y + x overflows before the zero denominator is reached
+@example(roots=[ex.add(ex.sym("y"), ex.sym("x"),
+                       ex.div(ex.sym("x"), ex.sub(ex.sym("x"), ex.sym("x"))))],
+         env={"x": 1.0, "y": 10 ** 400})
+@settings(max_examples=200, deadline=None)
+def test_tape_faults_match_tree_walk_at_any_chunk_size(chunk, roots, env):
+    # a statement per function, or every statement in one: what is raised
+    # does not depend on where a chunk ends, and the slots kept after a
+    # fault are those of the chunks that completed, each the walk's value
+    reference = oracles.TreeEvaluator(env)
+    want = _outcome(lambda: [reference(e) for e in roots])
+    with mock.patch.object(ex, "TAPE_CHUNK", chunk):
+        tape = ex.Tape(roots)
+    v = []
+    assert _outcome(lambda: tape.getter(roots)(tape.run(env, v))) == want
+    assert len(v) == len(tape.nodes) if isinstance(want, list) \
+        else len(v) % chunk == 0
+    assert [repr(x) for x in v] \
+        == [repr(reference(e)) for e in tape.nodes[:len(v)]]
+
+
+def test_one_point_reads_compile_no_tape(monkeypatch, polar):
+    def refuse(tape, roots):
+        raise AssertionError("a one-point read compiled a tape")
+
+    monkeypatch.setattr(ex.Tape, "extend", refuse)
+    e = parse_expr("r * sin(theta) / (1 + r^2)", polar)
+    env = {"r": 1.5, "theta": 0.5}
+    assert evaluate(e, env) == oracles.TreeEvaluator(env)(e)
+    with pytest.raises(EvalDomainError, match="division by zero"):
+        evaluate(ex.div(e, ex.sub(e, e)), env)
 
 
 _X = ex.sym("x")

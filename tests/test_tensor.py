@@ -262,6 +262,36 @@ def test_the_metric_is_judged_in_one_place():
     assert dets == [("verify_factorization", "a_vals")]
 
 
+def test_tapes_are_compiled_only_where_they_run_many_times():
+    # the session's tape, the two geodesic right-hand sides and the
+    # metric's reader; every other read walks
+    calls, _ = _calls_by_function()
+    tapes = {scope for scope, call in calls
+             if ast.unparse(call.func) in ("Tape", "ex.Tape")}
+    assert tapes == {"GeometrySession.__init__", "_rhs", "compiled"}
+    assert {scope for scope, call in calls
+            if ast.unparse(call.func) == "compiled"} == {"MetricField._read"}
+
+
+def test_inverse_check_and_one_point_reads_compile_no_tape(monkeypatch):
+    g = get_manifold(str(DATA / "painleve-gullstrand.metric")).metric()
+    compiled_roots = []
+    extend = ex.Tape.extend
+
+    def spy(tape, roots):
+        roots = list(roots)
+        compiled_roots.extend(roots)
+        return extend(tape, roots)
+
+    monkeypatch.setattr(ex.Tape, "extend", spy)
+    inv = invert_metric(g)
+    point = g.chart.sample_points(1, seed=5)[0]
+    np.testing.assert_array_equal(inv.evaluate(point),
+                                  compiled(inv.comps)(point))
+    # the metric's reader, then the reference above
+    assert compiled_roots == [*g.comps.flat, *inv.comps.flat]
+
+
 def _antisym_over_axes_loop(vals, axes):
     """Element-by-element reference for the vectorised antisymmetrization."""
     out = np.zeros_like(vals)
