@@ -23,7 +23,7 @@ import numpy as np
 
 from .chart import Chart
 from .errors import ChartError, NumericFaultError
-from .expr import Expr, Tape
+from .expr import Expr, walk
 from .factorization import (
     TOL_RECONSTRUCTION,
     FactorizationCheck,
@@ -49,8 +49,8 @@ from .tensor import (
     invert_metric,
     max_abs,
     max_imag,
-    reader,
     require_finite,
+    values_at,
 )
 
 DEFAULT_SEED = 0
@@ -74,12 +74,13 @@ class Tolerances(NamedTuple):
 class GeometrySession:
     """Lazy builder for every object derived from one manifold + strategy.
 
-    Numeric evaluation runs one tape, grown as tensors are asked for,
-    with one slot list per sample point.  Expression nodes are interned,
-    so every distinct subtree (connection components inside pre-currents
-    inside curvature parts) is compiled once and computed once per point,
-    however many times it was built.  Stacked tensor values are cached
-    per tensor object.  Checks judge at the scaled tolerances ``tol``.
+    Numeric evaluation walks each tensor at all sample points at once,
+    with one memo from node to its values at the points kept across
+    tensors.  Expression nodes are interned, so every distinct subtree
+    (connection components inside pre-currents inside curvature parts) is
+    computed once per point, however many times it was built.  Stacked
+    tensor values are cached per tensor object.  Checks judge at the
+    scaled tolerances ``tol``.
     """
 
     def __init__(self, spec: ManifoldSpec, strategy: str = "auto",
@@ -95,8 +96,7 @@ class GeometrySession:
             raise ChartError("at least one sample point is required")
         self.points = self.chart.sample_points(n_points, seed)
         self._strategy = strategy
-        self._tape = Tape()
-        self._slots: list[list] = [[] for _ in self.points]
+        self._memo: dict[Expr, list] = {}     # node -> values at the points
         self._vals_cache: dict[Tensor, np.ndarray] = {}
 
     # -- symbolic objects ---------------------------------------------------
@@ -199,25 +199,18 @@ class GeometrySession:
         """Stacked component values, shape (n_points,) + component shape."""
         got = self._vals_cache.get(tensor)
         if got is None:
-            self._run(tensor.comps.flat)
-            read = reader(self._tape, tensor.comps)
-            got = self._finite(np.stack([read(v) for v in self._slots]),
-                               tensor)
+            got = self._finite(values_at(tensor.comps, self.points,
+                                         self._memo), tensor)
             self._vals_cache[tensor] = got
         return got
 
     def scalar_vals(self, e: Expr) -> np.ndarray:
-        self._run((e,))
-        k = self._tape.slot_of(e)
-        return self._finite(np.array([v[k] for v in self._slots]), e)
-
-    def _run(self, roots) -> None:
-        """Put ``roots`` on the tape and fill every point's slot list."""
-        self._tape.extend(roots)
-        for point, v in zip(self.points, self._slots):
-            self._tape.run(point, v)
+        return self._finite(np.array(walk((e,), self.points,
+                                          self._memo)[0]), e)
 
     def _finite(self, vals: np.ndarray, target: Tensor | Expr) -> np.ndarray:
+        if np.isfinite(vals).all():
+            return vals
         comps = target.comps if isinstance(target, Tensor) else target
         return require_finite(vals, comps, self._name_of(target), self.points)
 

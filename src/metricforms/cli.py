@@ -100,7 +100,7 @@ def cmd_factor(args) -> int:
         # the numeric strategy is a pointwise factor, not a form set
         forms = make_formset(g, strategy) if strategy != "numeric" else None
         if forms is None:
-            comps, a = None, factor_takagi_numeric(g, env).T
+            comps, a = None, factor_takagi_numeric(gv, env).T
         else:
             comps, a = forms.comps, forms.evaluate(env)
             strategy = forms.strategy
@@ -318,7 +318,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
-        return args.handler(args)
+        # the symbolic build folds constants in Python floats, and numpy
+        # reports an overflow they leave flagged after an object-array
+        # operation; a non-finite number is named by the checks instead
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
     except (ZeroPivotError, SingularMetricError, NumericFaultError,
             EvalDomainError, np.linalg.LinAlgError) as exc:
         print(f"numeric fault: {exc}", file=sys.stderr)

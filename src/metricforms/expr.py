@@ -24,7 +24,6 @@ division of a square by three.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 import operator
@@ -510,36 +509,61 @@ _FUNCTION["sqrt"] = _sqrt_value
 _FUNCTION["log"] = _log_value
 
 
-def _fun_value(name: str, v: Number, node: Expr) -> Number:
-    """``name`` of ``v``; a log of a non-positive real is an
+def _fun_values(name: str, values: list, node: Expr) -> list:
+    """``name`` of each of ``values``; a log of a non-positive real is an
     EvalDomainError naming ``node``."""
     try:
-        return _FUNCTION[name](v)
+        return list(map(_FUNCTION[name], values))
     except ValueError:
         if name != "log":
             raise
         raise _fault("log of non-positive real", node) from None
 
 
+def _fun_value(name: str, v: Number, node: Expr) -> Number:
+    return _fun_values(name, [v], node)[0]
+
+
 def _fault(what: str, node: Expr) -> EvalDomainError:
     return EvalDomainError(f"{what} in '{to_source(node)}'", node)
 
 
-def walk(roots, env: dict[str, Number], known: dict | None = None) -> list:
-    """The values of ``roots`` at the point ``env`` by a memoised
-    depth-first walk: the definition of evaluation, and the one place that
-    names a fault.  A sum or a product combines its operands as it reaches
-    them, from 0 or 1; a quotient tests its denominator before it evaluates
-    its numerator.  The first fault met is raised, naming its node.
-    ``known`` maps nodes to their values at ``env`` already; the walk adds
-    the nodes it computes.
+def walk(roots, points: list[dict[str, Number]],
+         known: dict | None = None) -> list[list]:
+    """The values of ``roots`` at each of ``points``, one list per root of
+    its values at the points in order: the definition of evaluation, and
+    the one place that names a fault.
+
+    A memoised depth-first walk computes each node once, for all points
+    at once, and each point's value by the same scalar operations at every
+    number of points: a sum or a product combines its operands as it
+    reaches them, from 0 or 1; a quotient tests its denominator before it
+    evaluates its numerator.  The first fault met is raised, naming its
+    node.  When one occurs over several points, the walk goes again one
+    point at a time, in order, and raises what the one-point walk raises
+    at the first point that faults.  ``known`` maps nodes to their values
+    at ``points`` already; the walk adds the nodes it computes.
     """
-    memo = {} if known is None else known
+    roots = list(roots)
+    try:
+        return _walk(roots, points, {} if known is None else known)
+    except Exception as exc:
+        if len(points) == 1:
+            raise
+        fault = exc
+    for point in points:
+        _walk(roots, [point], {})
+    raise fault
+
+
+def _walk(roots: list, points: list, memo: dict) -> list[list]:
+    k = len(points)
+    zeros, ones = [0] * k, [1] * k
 
     def value(e):
         t = type(e)
         if t is Const:
-            return e.value
+            return [e.value] * k
         got = memo.get(e)
         if got is not None:
             return got
@@ -547,26 +571,28 @@ def walk(roots, env: dict[str, Number], known: dict | None = None) -> list:
         # what these clauses catch comes from this node's own operation
         try:
             if t is Sym:
-                got = env[e.name]
+                name = e.name
+                got = [point[name] for point in points]
             elif t is Add:
-                got = 0
+                got = zeros
                 for term in e.terms:
-                    got = got + value(term)
+                    got = list(map(operator.add, got, value(term)))
             elif t is Mul:
-                got = 1
+                got = ones
                 for factor in e.factors:
-                    got = got * value(factor)
+                    got = list(map(operator.mul, got, value(factor)))
             elif t is Neg:
-                got = -value(e.arg)
+                got = list(map(operator.neg, value(e.arg)))
             elif t is Div:
                 den = value(e.den)
-                if den == 0:
+                if 0 in den:
                     raise _fault("division by zero", e)
-                got = value(e.num) / den
+                got = list(map(operator.truediv, value(e.num), den))
             elif t is Pow:
-                got = _pow_value(value(e.base), e.exponent)
+                q = e.exponent
+                got = [_pow_value(v, q) for v in value(e.base)]
             elif t is Fun:
-                got = _fun_value(e.name, value(e.arg), e)
+                got = _fun_values(e.name, value(e.arg), e)
             else:
                 raise TypeError(f"cannot evaluate {t.__name__}")
         except KeyError:
@@ -586,7 +612,7 @@ def walk(roots, env: dict[str, Number], known: dict | None = None) -> list:
 
 def evaluate(e: Expr, env: dict[str, Number]) -> Number:
     """Evaluate ``e`` with every free symbol bound by ``env``."""
-    return walk((e,), env)[0]
+    return walk((e,), [env])[0][0]
 
 
 # Statements per compiled function.  Bigger functions cost peak memory:
@@ -608,7 +634,11 @@ def _slot_key(e: Expr):
 
 
 class Tape:
-    """Straight-line code that evaluates many expressions at many points.
+    """Straight-line code that evaluates many expressions at one point,
+    for a read that runs thousands of times at points not known in
+    advance, as a geodesic right-hand side does.  Compiling a node costs
+    more than computing it at all the sample points of an analysis, which
+    ``walk`` does at once.
 
     Every distinct non-constant node of the roots gets one slot and one
     statement, in the order ``walk`` finishes them, a quotient's
@@ -629,41 +659,31 @@ class Tape:
     The source holds only slot and table indices, function names and
     quoted symbol names: numbers, exponents and function callables are
     read from the table ``consts``.
-
-    A tape grows: ``extend`` appends the nodes of new roots that are not
-    on it yet, and ``run`` fills a slot list past the slots it holds.
     """
 
-    def __init__(self, roots=()):
+    def __init__(self, roots):
         self.nodes: list[Expr] = []        # slot -> node
         self.roots: list[Expr] = []        # the roots that added nodes
         self.consts: list = []             # table read by the statements
         self.sources: list[str] = []       # the source of each chunk
         self._slot: dict = {}              # _slot_key(node) -> slot
         self._const: dict[int, int] = {}   # id of a constant -> table index
-        self._starts: list[int] = []       # first slot of each chunk
-        self._chunks: list = []            # compiled chunks
-        self.extend(roots)
-
-    def slot_of(self, e: Expr) -> int:
-        return self._slot[_slot_key(e)]
-
-    def extend(self, roots) -> None:
-        """Append and compile the nodes of ``roots`` not on the tape."""
-        first = len(self.nodes)
+        self._chunks: list = []            # (first slot, compiled chunk)
         for root in roots:
             if _slot_key(root) not in self._slot:
                 self.roots.append(root)
                 self._place(root)
-        for start in range(first, len(self.nodes), TAPE_CHUNK):
+        for start in range(0, len(self.nodes), TAPE_CHUNK):
             stop = min(start + TAPE_CHUNK, len(self.nodes))
             source = _CHUNK_HEAD + "".join(
                 f"    {self._statement(k)}\n" for k in range(start, stop))
             namespace = {"_pow_value": _pow_value}
             exec(compile(source, "<tape>", "exec"), namespace)
             self.sources.append(source)
-            self._starts.append(start)
-            self._chunks.append(namespace["_chunk"])
+            self._chunks.append((start, namespace["_chunk"]))
+
+    def slot_of(self, e: Expr) -> int:
+        return self._slot[_slot_key(e)]
 
     def _place(self, e: Expr) -> None:
         """Slots for the non-constant operands of ``e`` not on the tape,
@@ -717,23 +737,13 @@ class Tape:
             raise TypeError(f"cannot evaluate {t.__name__}")
         return f"v[{k}] = {rhs}"
 
-    def run(self, env: dict[str, Number], v: list | None = None) -> list:
-        """The slot list ``v`` (a new one when None) filled at the point
-        ``env``; only the chunks past the slots ``v`` holds run.  On an
-        error ``v`` keeps the chunks that completed, and the fault is what
+    def run(self, env: dict[str, Number]) -> list:
+        """The slot list filled at the point ``env``.  On an error the
+        slots of the chunks that completed are kept, and the fault is what
         ``walk`` of the roots from those slots raises."""
-        if v is None:
-            v = [None] * len(self.nodes)
-            chunks = zip(self._starts, self._chunks)
-        else:
-            done = len(v)
-            if done == len(self.nodes):
-                return v
-            v.extend([None] * (len(self.nodes) - done))
-            first = bisect.bisect_left(self._starts, done)
-            chunks = zip(self._starts[first:], self._chunks[first:])
+        v = [None] * len(self.nodes)
         c = self.consts
-        for start, chunk in chunks:
+        for start, chunk in self._chunks:
             try:
                 chunk(v, c, env)
             except Exception as exc:
@@ -742,7 +752,7 @@ class Tape:
                 break
         else:
             return v
-        walk(self.roots, env, dict(zip(self.nodes, v)))
+        walk(self.roots, [env], {e: [x] for e, x in zip(self.nodes, v)})
         raise fault
 
     def getter(self, roots):

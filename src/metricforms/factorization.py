@@ -89,14 +89,15 @@ def factor_ldl(g: MetricField) -> FormSet:
                    permutation=perm)
 
 
-def factor_takagi_numeric(g: MetricField, point: dict[str, float]) -> np.ndarray:
-    """Pointwise factor V with V Vt = g(point), from the real
-    eigendecomposition g = Q L Qt; V = Q diag(sqrt(L)).
+def factor_takagi_numeric(gv: np.ndarray,
+                          point: dict[str, float]) -> np.ndarray:
+    """Pointwise factor V with V Vt = gv, the metric's values at ``point``
+    as ``MetricField.evaluate`` judged them (finite, real, regular), from
+    the real eigendecomposition gv = Q L Qt; V = Q diag(sqrt(L)).
 
-    The singular values of V equal sqrt(|eigenvalues of g|).  A singular
-    g(point) raises SingularMetricError from ``MetricField.values``.
+    The singular values of V equal sqrt(|eigenvalues of g|).  ``point``
+    only names where the eigen-solver failed.
     """
-    gv = g.evaluate(point)
     try:
         eigenvalues, q = np.linalg.eigh(gv)
     except np.linalg.LinAlgError as exc:

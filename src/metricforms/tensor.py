@@ -12,8 +12,14 @@ of expressions.  Each component it returns is one ``ex.add`` of
 ``ex.mul`` products, summed letters taken in lexicographic order, so a
 contraction written with it builds the same terms in the same order as
 the equivalent nest of loops, and hash-consing makes the results the
-very same nodes.  Elementwise sums and differences use numpy object
-arithmetic, which calls the same smart constructors.
+very same nodes.  A product with a zero constant factor, most of them
+for the sparse metrics of the catalog, is not built: ``ex.mul`` would
+make it ZERO and ``ex.add`` drop it.  Elementwise sums and differences
+use numpy object arithmetic, which calls the same smart constructors.
+
+Numbers come from ``values_at``: one ``expr.walk`` of the components at
+all the points at once, converted to a complex array stacked on a
+leading point axis.
 
 A metric is factored once, symbolically, as L D Lt (``ldl``).  The
 ``ldl`` form set V = L sqrt(D) and the inverse metric L^-t D^-1 L^-1 are
@@ -35,13 +41,14 @@ import numpy as np
 from .chart import Chart
 from .errors import (
     EvalDomainError,
+    MetricFormsError,
     NumericFaultError,
     SingularMetricError,
     TensorError,
     ZeroPivotError,
 )
 from . import expr as ex
-from .expr import Expr, Tape
+from .expr import Expr
 
 Pair = tuple[int, int, int]
 
@@ -104,7 +111,11 @@ def einsum(spec: str, *operands, pair: Pair | None = None) -> np.ndarray:
     with the summed letters in order of first appearance and iterated
     lexicographically (the last one fastest), which is the order of the
     equivalent nest of loops.  With a single operand the terms are its
-    entries.
+    entries.  A product with a zero constant factor is not built: ``ex.mul``
+    would make it ZERO, and ``ex.add`` drops ZERO, so every component is
+    the same node.  Only when an operand holds a constant beyond
+    ``TAME_BOUND`` is every product built, since folding may then
+    overflow, and an unfolded sum or product keeps every operand.
 
     ``spec`` may also be a signed sum of contractions with one output,
     ``"cab->cab - eca,eb->cab"``, each taking the next operands in turn.
@@ -125,7 +136,8 @@ def einsum(spec: str, *operands, pair: Pair | None = None) -> np.ndarray:
         raise TensorError(f"einsum spec '{spec}' has several outputs")
     output = outputs.pop()
     shape = None
-    chunks = []                     # per contraction: terms per component
+    gathered = []       # per contraction: sign, factors, zero factors
+    wild = False
     for sign, term in zip(parts[1::2], parts[2::2]):
         mine = ops[:term.partition("->")[0].count(",") + 1]
         ops = ops[len(mine):]
@@ -133,23 +145,63 @@ def einsum(spec: str, *operands, pair: Pair | None = None) -> np.ndarray:
         if shape not in (None, plan[0]):
             raise TensorError(f"einsum spec '{spec}' sums different shapes")
         shape, built, count, width, index = plan
-        factors = [np.take(op, idx) if idx is not None
-                   else np.full(count * width, op[()], dtype=object)
-                   for op, idx in zip(mine, index)]
-        terms = list(factors[0] if len(mine) == 1
-                     else map(ex.mul, *factors))
-        if sign == "-":
-            terms = list(map(ex.neg, terms))
-        chunks.append([terms[k * width:(k + 1) * width]
-                       for k in range(count)])
+        factors, zeros = [], []
+        for op, idx in zip(mine, index):
+            kind = np.fromiter(map(_kind, op.flat), np.int8, op.size)
+            wild = wild or bool((kind == _WILD).any())
+            if idx is None:
+                idx = np.zeros(count * width, dtype=np.intp)
+            factors.append(np.take(op, idx))
+            zeros.append(kind[idx] == _ZERO)
+        gathered.append((sign, factors, zeros, count, width))
     if ops:
         raise TensorError(f"einsum spec '{spec}' does not match "
                           f"{len(operands)} operand(s)")
+    chunks = []                     # per contraction: terms per component
+    for sign, factors, zeros, count, width in gathered:
+        keep = np.ones(count * width, dtype=bool)
+        if len(factors) > 1 and not wild:
+            keep = ~np.any(zeros, axis=0)
+        picked = [f[keep] for f in factors]
+        terms = list(picked[0] if len(picked) == 1 else map(ex.mul, *picked))
+        per_component = keep.reshape(count, width).sum(axis=1)
+        bounds = [0, *np.cumsum(per_component).tolist()]
+        if sign == "-":
+            terms = list(map(ex.neg, terms))
+        chunks.append([terms[a:b] for a, b in zip(bounds, bounds[1:])])
     out = np.empty(shape, dtype=object)
     out[built] = np.fromiter(
         (ex.add(*itertools.chain.from_iterable(per_component))
          for per_component in zip(*chunks)), dtype=object, count=count)
     return mirror(out, pair) if pair is not None else out
+
+
+#: what ``_kind`` says of a node
+_ZERO, _TAME, _WILD = 0, 1, 2
+
+#: constants up to this magnitude are tame: a product of a few of them,
+#: or a sum of many such products, is far from overflowing a float
+TAME_BOUND = 2.0 ** 100
+
+
+def _tame(value) -> bool:
+    if isinstance(value, complex):
+        return abs(value.real) <= TAME_BOUND and abs(value.imag) <= TAME_BOUND
+    return abs(value) <= TAME_BOUND     # False for nan
+
+
+def _kind(e: Expr) -> int:
+    """_ZERO for a constant 0; _TAME when every constant that ``ex.mul``
+    or ``ex.add`` folds in from ``e`` (its own value, its factors or its
+    terms) is tame; else _WILD.  A product of tame operands with a zero
+    factor is ZERO, and a sum of such products drops it exactly; with a
+    wild constant, folding may overflow and keep every operand."""
+    t = type(e)
+    if t is ex.Const and e.value == 0:
+        return _ZERO
+    parts = e.factors if t is ex.Mul else e.terms if t is ex.Add else (e,)
+    return _TAME if all(_tame(c.value) for c in parts
+                        if type(c) is ex.Const) else _WILD
 
 
 def _plan(term: str, output: str, shapes: tuple[tuple[int, ...], ...],
@@ -211,7 +263,7 @@ class Tensor:
 
     def evaluate(self, point: dict[str, float]) -> np.ndarray:
         """Numeric component array at a point (complex dtype)."""
-        return walked(self.comps, point)
+        return values_at(self.comps, [point])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -239,19 +291,22 @@ class MetricField(Tensor):
     def evaluate(self, point: dict[str, float]) -> np.ndarray:
         return self.values([point])[0]
 
-    @functools.cached_property
-    def _read(self):
-        return compiled(self.comps)
-
     def values(self, points: list[dict[str, float]]) -> np.ndarray:
-        """The real metric at ``points``, stacked (p, n, n), from one tape
-        compiled once per field: the one place that judges its numbers.
-        EvalDomainError at a non-finite value, then TensorError at a
-        non-real one, then SingularMetricError at the first point where
-        det g = 0 or |det g| < SINGULAR_BOUND * prod_a max_b |g_ab|, a
-        scale-free bound by Hadamard's inequality, compared in logs."""
-        vals = require_finite(np.stack([self._read(p) for p in points]),
-                              self.comps, "metric", points)
+        """The real metric at ``points``, stacked (p, n, n), from one walk
+        over all of them: the one place that judges its numbers.  A point
+        is read, walked then converted, before the next: on a fault the
+        points are read one at a time, in order.  EvalDomainError at a
+        non-finite value, then TensorError at a non-real one, then
+        SingularMetricError at the first point where det g = 0 or
+        |det g| < SINGULAR_BOUND * prod_a max_b |g_ab|, a scale-free bound
+        by Hadamard's inequality, compared in logs."""
+        try:
+            vals = values_at(self.comps, points)
+        except MetricFormsError:
+            for point in points:
+                values_at(self.comps, [point])
+            raise
+        vals = require_finite(vals, self.comps, "metric", points)
         if max_imag(vals) > 1e-12:
             raise TensorError("metric evaluated to a non-real matrix")
         vals = vals.real
@@ -354,7 +409,8 @@ def invert_metric(g: MetricField) -> Tensor:
     for point, gv in zip(points, g_vals):
         # non-finite values fail the comparison, so numpy need not warn
         with np.errstate(invalid="ignore", over="ignore"):
-            err = np.max(np.abs(gv @ walked(comps, point) - np.eye(n)))
+            err = np.max(np.abs(gv @ values_at(comps, [point])[0]
+                                - np.eye(n)))
         if not (err <= 1e-10):
             raise NumericFaultError(
                 f"inverse metric fails the multiply-back check at {point}: "
@@ -366,39 +422,31 @@ def invert_metric(g: MetricField) -> Tensor:
 # numeric helpers used by verification code
 # ---------------------------------------------------------------------------
 
-def _complex(values, comps: np.ndarray) -> np.ndarray:
-    """``values`` of the expressions ``comps`` as a complex array of their
-    shape; an exact integer beyond the float range is an overflow."""
+def _complex(values: list[list], comps: np.ndarray,
+             n_points: int) -> np.ndarray:
+    """``values`` of the expressions ``comps``, one list per component of
+    its values at ``n_points`` points, as a complex array stacked on a
+    leading point axis; an exact integer beyond the float range is an
+    overflow, named at the first such point and component."""
     try:
-        return np.array(values, dtype=complex).reshape(comps.shape)
+        vals = np.array(values, dtype=complex).reshape(comps.size, n_points)
     except OverflowError:
-        for e, x in zip(comps.flat, values):
-            try:
-                complex(x)
-            except OverflowError:
-                raise ex._fault("overflow", e) from None
+        for k in range(n_points):
+            for e, x in zip(comps.flat, values):
+                try:
+                    complex(x[k])
+                except OverflowError:
+                    raise ex._fault("overflow", e) from None
         raise
+    return vals.T.reshape((n_points, *comps.shape))
 
 
-def walked(comps: np.ndarray, point: dict[str, float]) -> np.ndarray:
-    """The values of ``comps`` at one point as a complex array, by
-    ``walk``: a read that runs once compiles nothing."""
-    return _complex(ex.walk(comps.flat, point), comps)
-
-
-def reader(tape: Tape, comps: np.ndarray):
-    """Function from a slot list of ``tape`` to the values of ``comps``,
-    expressions on the tape, as a complex array of their shape."""
-    get = tape.getter(comps.flat)
-    return lambda v: _complex(get(v), comps)
-
-
-def compiled(comps: np.ndarray):
-    """Function from a point to the values of ``comps`` as a complex
-    array, by one tape compiled here: for reads that run many times."""
-    tape = Tape(comps.flat)
-    read = reader(tape, comps)
-    return lambda point: read(tape.run(point))
+def values_at(comps: np.ndarray, points: list[dict[str, float]],
+              known: dict | None = None) -> np.ndarray:
+    """The values of ``comps`` at ``points``, stacked (p,) + shape as a
+    complex array, by one ``walk`` over all the points (``known`` seeds
+    its memo); a fault in the walk is raised before any conversion."""
+    return _complex(ex.walk(comps.flat, points, known), comps, len(points))
 
 
 def require_finite(vals: np.ndarray, comps, what: str,

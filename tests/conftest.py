@@ -79,4 +79,5 @@ def numeric_forms(g):
     """The numeric strategy in the form-set layout: ``evaluate(point)``
     is the pointwise factor A[I, a] = V[a, I]."""
     return SimpleNamespace(
-        evaluate=lambda point: factor_takagi_numeric(g, point).T)
+        evaluate=lambda point: factor_takagi_numeric(g.evaluate(point),
+                                                     point).T)

@@ -3,19 +3,23 @@
 These deliberately avoid the symbolic differentiation path of the
 package: derivatives are central finite differences of numerically
 evaluated fields, so route agreement actually checks something.
-``TreeEvaluator`` is the tree walk that numeric evaluation compiles away,
-and ``dumps_canonical`` the recursive writer of canonical JSON that the
+``TreeEvaluator`` is the one-point tree walk that the all-points walk and
+the tape must reproduce, ``tape_reader`` a reader of many points compiled
+once, ``einsum`` the contraction that builds every product, and
+``dumps_canonical`` the recursive writer of canonical JSON that the
 one-pass writer in ``metricforms.report`` replaced.
 """
 
+import itertools
 import math
 import operator
 
 import numpy as np
 
 from metricforms import expr as ex
-from metricforms.errors import EvalDomainError, UnboundSymbolError
+from metricforms.errors import EvalDomainError, TensorError, UnboundSymbolError
 from metricforms.report import _escape
+from metricforms.tensor import _SIGN, _plan, mirror
 
 
 def fd_step(x: float, h: float = 1e-6) -> float:
@@ -115,6 +119,64 @@ class TreeEvaluator:
         if isinstance(e, ex.Fun):
             return _apply(e, ex._fun_value, e.name, self(e.arg), e)
         raise TypeError(f"cannot evaluate {type(e).__name__}")
+
+
+def tape_reader(comps):
+    """Function from a point to the values of ``comps``, an array of
+    expressions, as a complex array of its shape, by one ``expr.Tape``
+    compiled here: a reference reader for a test that reads many points."""
+    comps = np.asarray(comps, dtype=object)
+    tape = ex.Tape(comps.flat)
+    get = tape.getter(comps.flat)
+    return lambda point: np.array(get(tape.run(point)),
+                                  dtype=complex).reshape(comps.shape)
+
+
+def tree_values(comps, env: dict) -> np.ndarray:
+    """The values of ``comps``, an array of expressions, at one point by
+    ``TreeEvaluator``, as a complex array of its shape."""
+    comps = np.asarray(comps, dtype=object)
+    evaluate = TreeEvaluator(env)
+    return np.array([evaluate(e) for e in comps.flat],
+                    dtype=complex).reshape(comps.shape)
+
+
+def einsum(spec: str, *operands, pair=None) -> np.ndarray:
+    """The reference for ``tensor.einsum``: every product is built, a
+    zero factor or not, and each component is ``ex.add`` of them all."""
+    spec = spec.strip()
+    parts = _SIGN.split(spec if spec[:1] in ("+", "-") else "+" + spec)
+    ops = [np.asarray(op, dtype=object) for op in operands]
+    outputs = {term.partition("->")[2] for term in parts[2::2]}
+    if len(outputs) != 1:
+        raise TensorError(f"einsum spec '{spec}' has several outputs")
+    output = outputs.pop()
+    shape = None
+    chunks = []                     # per contraction: terms per component
+    for sign, term in zip(parts[1::2], parts[2::2]):
+        mine = ops[:term.partition("->")[0].count(",") + 1]
+        ops = ops[len(mine):]
+        plan = _plan(term, output, tuple(op.shape for op in mine), pair)
+        if shape not in (None, plan[0]):
+            raise TensorError(f"einsum spec '{spec}' sums different shapes")
+        shape, built, count, width, index = plan
+        factors = [np.take(op, idx) if idx is not None
+                   else np.full(count * width, op[()], dtype=object)
+                   for op, idx in zip(mine, index)]
+        terms = list(factors[0] if len(mine) == 1
+                     else map(ex.mul, *factors))
+        if sign == "-":
+            terms = list(map(ex.neg, terms))
+        chunks.append([terms[k * width:(k + 1) * width]
+                       for k in range(count)])
+    if ops:
+        raise TensorError(f"einsum spec '{spec}' does not match "
+                          f"{len(operands)} operand(s)")
+    out = np.empty(shape, dtype=object)
+    out[built] = np.fromiter(
+        (ex.add(*itertools.chain.from_iterable(per_component))
+         for per_component in zip(*chunks)), dtype=object, count=count)
+    return mirror(out, pair) if pair is not None else out
 
 
 def _apply(node, f, *args):

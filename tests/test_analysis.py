@@ -115,64 +115,57 @@ class TestStrategies:
             assert complex(scal) == pytest.approx(0.5, rel=1e-10)
 
 
-def _tape_nodes(*tensors):
-    """The slots a tape needs for the components of ``tensors``: every
-    distinct non-constant node, and each distinct constant component."""
-    seen, stack = {}, [e for t in tensors for e in t.comps.flat]
-    consts = {id(e) for e in stack if type(e) is ex.Const}
+def _memo_nodes(*tensors):
+    """The entries a session memo needs for the components of
+    ``tensors``: every distinct non-constant node."""
+    seen, stack = set(), [e for t in tensors for e in t.comps.flat]
     while stack:
         node = stack.pop()
         if type(node) is not ex.Const and node not in seen:
-            seen[node] = None
+            seen.add(node)
             stack.extend(node.children())
-    return len(seen) + len(consts)
+    return len(seen)
 
 
-class TestSessionTape:
-    def test_tensors_sharing_nodes_grow_the_tape_by_their_union(self,
+class TestSessionMemo:
+    def test_tensors_sharing_nodes_grow_the_memo_by_their_union(self,
                                                                 catalog):
         session = GeometrySession(catalog["schwarzschild"], seed=5,
                                   n_points=3)
         lower, mixed = session.conn.lower, session.conn.mixed
-        assert 0 < _tape_nodes(lower) < _tape_nodes(mixed) \
-            < _tape_nodes(lower) + _tape_nodes(mixed)
-        tape = session._tape
+        assert 0 < _memo_nodes(lower) < _memo_nodes(mixed) \
+            < _memo_nodes(lower) + _memo_nodes(mixed)
+        memo = session._memo
         session.vals(lower)
-        assert len(tape.nodes) == _tape_nodes(lower)
-        chunks = len(tape.sources)
+        assert len(memo) == _memo_nodes(lower)
         session.vals(mixed)
-        assert len(tape.nodes) == _tape_nodes(lower, mixed)
-        assert len(tape.sources) > chunks
+        assert len(memo) == _memo_nodes(lower, mixed)
         # the metric's components are inside the mixed connection
-        chunks = len(tape.sources)
         session.vals(session.metric)
         session.scalar_vals(lower.comps[0, 0, 0])
-        assert len(tape.nodes) == _tape_nodes(lower, mixed,
-                                              session.metric) \
-            == _tape_nodes(lower, mixed)
-        assert len(tape.sources) == chunks
-        assert all(len(v) == len(tape.nodes) for v in session._slots)
+        assert len(memo) == _memo_nodes(lower, mixed, session.metric) \
+            == _memo_nodes(lower, mixed)
+        assert all(len(values) == 3 for values in memo.values())
         for t in (lower, mixed):
             assert np.array_equal(session.vals(t),
                                   stacked(t.evaluate, session.points))
 
 
-def test_analysis_compiles_the_metric_into_two_tapes(catalog, monkeypatch):
-    # the session's tape and the field's reader: the inverse check, the
-    # metric values, the spot check and its norm monitor all read the
-    # metric through MetricField.values
+def test_analysis_compiles_only_the_spot_check_right_hand_sides(catalog,
+                                                                 monkeypatch):
+    # the session, the inverse check, the metric values and the norm
+    # monitor walk; the two geodesic right-hand sides are compiled
     spec = catalog["schwarzschild"]
-    metric = {e for e in spec.metric().comps.flat
-              if not isinstance(e, ex.Const)}
+    velocity = {f"u'{c}" for c in spec.chart.coords}
     tapes = []
-    extend = ex.Tape.extend
+    init = ex.Tape.__init__
 
     def spy(tape, roots):
         roots = list(roots)
-        if metric <= set(roots) and all(t is not tape for t in tapes):
-            tapes.append(tape)
-        return extend(tape, roots)
+        tapes.append(set().union(*(e.free_symbols() for e in roots)))
+        return init(tape, roots)
 
-    monkeypatch.setattr(ex.Tape, "extend", spy)
+    monkeypatch.setattr(ex.Tape, "__init__", spy)
     run_analysis(spec, n_points=3)
     assert len(tapes) == 2
+    assert all(velocity <= symbols for symbols in tapes)

@@ -32,7 +32,7 @@ from metricforms.errors import (
     UnknownSymbolError,
 )
 from metricforms import expr as ex
-from metricforms.tensor import compiled, require_finite
+from metricforms.tensor import Tensor, require_finite, values_at
 
 import oracles
 
@@ -222,7 +222,7 @@ class TestNonFiniteFolding:
         assert to_source(e) == source
         assert parse_expr(source, _chart) is e
         point = {"x": 1.0, "y": 0.0}
-        vals = compiled(np.array([e], dtype=object))(point)
+        vals = Tensor(np.array([e], dtype=object)).evaluate(point)
         with pytest.raises(EvalDomainError, match="non-finite value") as err:
             require_finite(vals[np.newaxis], np.array([e], dtype=object),
                            "case", [point])
@@ -575,19 +575,28 @@ def _outcome(compute):
         return type(exc), str(exc)
 
 
-@given(st.lists(_faulty_exprs(), min_size=1, max_size=4), _fault_points,
-       st.integers(0, 4))
+@given(st.lists(_faulty_exprs(), min_size=1, max_size=4), _fault_points)
 @settings(max_examples=400, deadline=None)
-def test_tape_matches_tree_walk_property(roots, env, split):
-    # the tape grows between two runs, as a session's does
+def test_tape_matches_tree_walk_property(roots, env):
     reference = oracles.TreeEvaluator(env)
-    tape, v = ex.Tape(), []
-    for batch in (roots[:split], roots[split:]):
-        want = _outcome(lambda: [reference(e) for e in batch])
-        tape.extend(batch)
-        assert _outcome(lambda: tape.getter(batch)(tape.run(env, v))) == want
-        if not isinstance(want, list):
-            break
+    want = _outcome(lambda: [reference(e) for e in roots])
+    tape = ex.Tape(roots)
+    assert _outcome(lambda: tape.getter(roots)(tape.run(env))) == want
+
+
+def _kept_slots(tape, env):
+    """What ``tape.run(env)`` raises, and the slot list it keeps: the one
+    its chunks filled, truncated to the chunks that completed."""
+    filled = [[]]
+
+    def recording(chunk):
+        def run(v, c, env):
+            filled.append(v)
+            return chunk(v, c, env)
+        return run
+
+    tape._chunks = [(start, recording(chunk)) for start, chunk in tape._chunks]
+    return _outcome(lambda: tape.run(env)), filled[-1]
 
 
 @pytest.mark.parametrize("chunk", [1, 10 ** 6])
@@ -606,19 +615,67 @@ def test_tape_faults_match_tree_walk_at_any_chunk_size(chunk, roots, env):
     want = _outcome(lambda: [reference(e) for e in roots])
     with mock.patch.object(ex, "TAPE_CHUNK", chunk):
         tape = ex.Tape(roots)
-    v = []
-    assert _outcome(lambda: tape.getter(roots)(tape.run(env, v))) == want
-    assert len(v) == len(tape.nodes) if isinstance(want, list) \
-        else len(v) % chunk == 0
-    assert [repr(x) for x in v] \
-        == [repr(reference(e)) for e in tape.nodes[:len(v)]]
+    assert _outcome(lambda: tape.getter(roots)(tape.run(env))) == want
+    if isinstance(want, list):
+        return
+    outcome, kept = _kept_slots(tape, env)
+    assert outcome == want
+    assert len(kept) % chunk == 0
+    assert [repr(x) for x in kept] \
+        == [repr(reference(e)) for e in tape.nodes[:len(kept)]]
+
+
+@given(st.lists(_faulty_exprs(), min_size=1, max_size=4),
+       st.lists(_fault_points, min_size=1, max_size=4))
+@example([ex.const(10 ** 400), ex.add(ex.sym("x"), ex.const(10 ** 400))],
+         [{"x": 1.0, "y": 0.0}, {"x": 0.0, "y": 1.0}])
+# the first point faults at a node that the walk reaches after the one the
+# second point faults at
+@example([ex.fn("log", ex.sym("x")), ex.div(ex.ONE, ex.sym("y"))],
+         [{"x": 1.0, "y": 0.0}, {"x": -1.0, "y": 1.0}])
+# exact integers beyond floats in different components at different points
+@example([ex.sym("x"), ex.sym("y")],
+         [{"x": 1.0, "y": 10 ** 400}, {"x": 10 ** 400, "y": 1.0}])
+@settings(max_examples=300, deadline=None)
+def test_walk_at_all_points_matches_one_point_walks(roots, points):
+    # each value is the one-point walk's, compared by repr: real and
+    # complex branches, signed zeros and exact integers; where a point
+    # faults, the fault of the one-point walk at the first such point
+    def at_each_point():
+        return [v for p in points for [v] in ex.walk(roots, [p])]
+
+    def at_once():
+        per_root = ex.walk(roots, points)
+        return [vals[k] for k in range(len(points)) for vals in per_root]
+
+    want = _outcome(at_each_point)
+    assert _outcome(at_once) == want
+    if not isinstance(want, list):
+        return
+    # the one-point walk is the reference tree walk
+    assert want == _outcome(lambda: [oracles.TreeEvaluator(p)(e)
+                                     for p in points for e in roots])
+    # converted to complex, an exact integer beyond the float range is an
+    # overflow named at the first point and component that holds one
+    comps = np.array(roots, dtype=object)
+    assert _outcome(lambda: values_at(comps, points).ravel()) \
+        == _outcome(lambda: np.concatenate(
+            [values_at(comps, [p]).ravel() for p in points]))
+
+
+def test_exact_integer_root_beyond_floats_is_an_overflow():
+    big = ex.const(10 ** 400)
+    assert ex.walk([big], [{}, {}]) == [[10 ** 400, 10 ** 400]]
+    with pytest.raises(EvalDomainError, match=r"^overflow in '10*'$") as err:
+        values_at(np.array([ex.ONE, big], dtype=object), [{}, {}])
+    assert err.value.subexpr is big
 
 
 def test_one_point_reads_compile_no_tape(monkeypatch, polar):
     def refuse(tape, roots):
         raise AssertionError("a one-point read compiled a tape")
 
-    monkeypatch.setattr(ex.Tape, "extend", refuse)
+    monkeypatch.setattr(ex.Tape, "__init__", refuse)
     e = parse_expr("r * sin(theta) / (1 + r^2)", polar)
     env = {"r": 1.5, "theta": 0.5}
     assert evaluate(e, env) == oracles.TreeEvaluator(env)(e)
@@ -659,15 +716,18 @@ def test_tape_spans_many_chunks():
     reference = oracles.TreeEvaluator(env)
     assert [repr(v) for v in tape.getter(roots)(tape.run(env))] \
         == [repr(reference(e)) for e in roots]
-    # a fault in the last chunk names its node, and the slot list keeps
-    # the chunks before it
+    # a fault in the last chunk names its node, and the slots of the
+    # chunks before it are kept
     bad = ex.div(roots[-1], ex.sub(x, x))
-    tape.extend([bad])
-    v = []
-    with pytest.raises(EvalDomainError, match="division by zero in") as err:
-        tape.run(env, v)
+    tape = ex.Tape([*roots, bad])
+    (kind, message), kept = _kept_slots(tape, env)
+    assert kind is EvalDomainError
+    assert message.startswith("division by zero in")
+    assert len(kept) == (len(tape.nodes) - 1) // ex.TAPE_CHUNK \
+        * ex.TAPE_CHUNK > 6 * ex.TAPE_CHUNK
+    with pytest.raises(EvalDomainError) as err:
+        tape.run(env)
     assert err.value.subexpr is bad
-    assert len(v) == 2 + 3 * 150
 
 
 def test_tape_long_sum_and_product():

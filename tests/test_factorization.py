@@ -117,14 +117,15 @@ class TestTakagiNumeric:
     def test_identity(self):
         chart = Chart(("x", "y"), (2, 0), (((-2.0, 2.0),) * 2))
         g = _metric(chart, {(0, 0): "1", (1, 1): "1"})
-        v = factor_takagi_numeric(g, {"x": 0.0, "y": 0.0})
+        point = {"x": 0.0, "y": 0.0}
+        v = factor_takagi_numeric(g.evaluate(point), point)
         assert max_abs(v @ v.T - np.eye(2)) <= 1e-14
 
     def test_explicit_roots_up_to_orthogonal_factor(self):
         chart = Chart(("x", "y"), (1, 1), (((-2.0, 2.0),) * 2))
         g = _metric(chart, {(0, 0): "4", (1, 1): "-9"})
         point = {"x": 0.0, "y": 0.0}
-        v = factor_takagi_numeric(g, point)
+        v = factor_takagi_numeric(g.evaluate(point), point)
         assert max_abs(v @ v.T - np.diag([4.0, -9.0])) <= 1e-14
         singular = np.sort(np.linalg.svd(v, compute_uv=False))
         assert np.allclose(singular, [2.0, 3.0], atol=1e-13)
@@ -133,20 +134,22 @@ class TestTakagiNumeric:
         spec = catalog["schwarzschild"]
         g = spec.metric()
         point = {"r": 4.0, "theta": math.pi / 3, "phi": 1.0, "t": 0.0}
-        v = factor_takagi_numeric(g, point)
+        v = factor_takagi_numeric(g.evaluate(point), point)
         assert max_abs(v @ v.T - g.evaluate(point)) <= 1e-10
 
-    def test_singular_point_raises(self):
+    def test_singular_point_raises_before_the_factor(self):
+        # the factor takes the matrix its caller has judged
         chart = Chart(("x", "y"), (2, 0), (((-2.0, 2.0),) * 2))
         g = _metric(chart, {(0, 0): "x", (1, 1): "1"})
+        point = {"x": 0.0, "y": 1.0}
         with pytest.raises(SingularMetricError):
-            factor_takagi_numeric(g, {"x": 0.0, "y": 1.0})
+            factor_takagi_numeric(g.evaluate(point), point)
 
     def test_singular_values_match_eigenvalue_roots(self, catalog):
         spec = catalog["flrw-flat"]
         g = spec.metric()
         point = {"x": 0.3, "y": -0.2, "z": 1.0, "t": 1.7}
-        v = factor_takagi_numeric(g, point)
+        v = factor_takagi_numeric(g.evaluate(point), point)
         singular = np.sort(np.linalg.svd(v, compute_uv=False))
         roots = np.sort(np.sqrt(np.abs(np.linalg.eigvalsh(g.evaluate(point)))))
         assert max_abs(singular - roots) <= 1e-10

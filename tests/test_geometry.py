@@ -39,7 +39,6 @@ from metricforms.manifolds import CATALOG_NAMES
 from metricforms.tensor import (
     MetricField,
     antisym_cycle_residual,
-    compiled,
     einsum,
     max_abs,
     max_imag,
@@ -564,9 +563,9 @@ def _reference_rhs(s):
     """(classical, factored) du/ds from component arrays compiled per
     tensor, evaluated at x and contracted with np.einsum."""
     chart = s.chart
-    mixed = compiled(s.conn.mixed.comps)
+    mixed = oracles.tape_reader(s.conn.mixed.comps)
     a = s.forms.comps
-    arrays = [compiled(comps) for comps in (
+    arrays = [oracles.tape_reader(comps) for comps in (
         a, sym_partial(s.forms).comps,
         einsum("cd,id->ic", s.g_inv.comps, a),
         einsum("cd,idb->icb", s.g_inv.comps, s.curl.comps))]
@@ -645,7 +644,7 @@ NORM_TARGETS = [*RHS_TARGETS, str(DATA / "dense-4d.metric")]
 
 def _reference_norm_drift(g, traj):
     """Relative drift of g(u, u), evaluated point by point."""
-    metric = compiled(g.comps)
+    metric = oracles.tape_reader(g.comps)
     gs = [metric(dict(zip(g.chart.coords, map(float, x)))) for x in traj.x]
     assert max_imag(np.array(gs)) == 0.0
     norms = np.array([float(u @ gv.real @ u) for gv, u in zip(gs, traj.u)])

@@ -4,7 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metricforms import Chart, MetricField, Tensor, invert_metric, parse_expr
+from metricforms import (
+    Chart,
+    GeometrySession,
+    MetricField,
+    Tensor,
+    invert_metric,
+    parse_expr,
+)
+from metricforms import factorization, geometry
+from metricforms import tensor as tensor_module
 from metricforms.cli import EXIT_OK, main
 from metricforms.errors import (
     EvalDomainError,
@@ -13,15 +22,15 @@ from metricforms.errors import (
     TensorError,
 )
 from metricforms import expr as ex
-from metricforms.manifolds import get_manifold, loads
+from metricforms.manifolds import CATALOG_NAMES, get_manifold, loads
 from metricforms.tensor import (
     _PERM3,
     antisym_over_axes,
-    compiled,
     einsum,
     max_abs,
 )
 
+import oracles
 from conftest import NON_FINITE_FILE, sphere_metric
 
 DATA = Path(__file__).parent / "data"
@@ -155,7 +164,7 @@ class TestInvertMetric:
             ref = reciprocal_diagonal(g)
             for point in g.chart.sample_points(20, seed=42):
                 np.testing.assert_array_equal(inv.evaluate(point),
-                                              compiled(ref)(point))
+                                              oracles.tree_values(ref, point))
 
     def test_five_dimensional_nondiagonal(self, tmp_path, capsys):
         path = tmp_path / "five.metric"
@@ -224,6 +233,16 @@ class TestMetricValues:
                                                   r"metric component \(1, 1\)"):
             g.values([singular, non_real, non_finite])
 
+    def test_each_point_is_read_before_the_next(self):
+        # an exact integer beyond floats fails its conversion at the first
+        # point, before the zero denominator at the second is reached
+        g = _field({(0, 0): "10^400", (1, 1): "1 / (x0 - 0.5)"})
+        points = [{"x0": 0.0, "x1": 0.0}, {"x0": 0.5, "x1": 0.0}]
+        with pytest.raises(EvalDomainError, match=r"^overflow in '10*'$"):
+            g.values(points)
+        with pytest.raises(EvalDomainError, match="division by zero"):
+            g.values(points[::-1])
+
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "metricforms"
 
@@ -263,33 +282,25 @@ def test_the_metric_is_judged_in_one_place():
 
 
 def test_tapes_are_compiled_only_where_they_run_many_times():
-    # the session's tape, the two geodesic right-hand sides and the
-    # metric's reader; every other read walks
+    # the two geodesic right-hand sides, called thousands of times; every
+    # other read walks its points at once
     calls, _ = _calls_by_function()
-    tapes = {scope for scope, call in calls
-             if ast.unparse(call.func) in ("Tape", "ex.Tape")}
-    assert tapes == {"GeometrySession.__init__", "_rhs", "compiled"}
     assert {scope for scope, call in calls
-            if ast.unparse(call.func) == "compiled"} == {"MetricField._read"}
+            if ast.unparse(call.func) in ("Tape", "ex.Tape")} == {"_rhs"}
 
 
 def test_inverse_check_and_one_point_reads_compile_no_tape(monkeypatch):
+    def refuse(tape, roots):
+        raise AssertionError("a read that runs once compiled a tape")
+
     g = get_manifold(str(DATA / "painleve-gullstrand.metric")).metric()
-    compiled_roots = []
-    extend = ex.Tape.extend
-
-    def spy(tape, roots):
-        roots = list(roots)
-        compiled_roots.extend(roots)
-        return extend(tape, roots)
-
-    monkeypatch.setattr(ex.Tape, "extend", spy)
+    monkeypatch.setattr(ex.Tape, "__init__", refuse)
     inv = invert_metric(g)
     point = g.chart.sample_points(1, seed=5)[0]
     np.testing.assert_array_equal(inv.evaluate(point),
-                                  compiled(inv.comps)(point))
-    # the metric's reader, then the reference above
-    assert compiled_roots == [*g.comps.flat, *inv.comps.flat]
+                                  oracles.tree_values(inv.comps, point))
+    np.testing.assert_array_equal(g.values([point])[0],
+                                  oracles.tree_values(g.comps, point).real)
 
 
 def _antisym_over_axes_loop(vals, axes):
@@ -424,3 +435,61 @@ class TestEinsum:
         ops = [_const_array(np.ones(shape)) for shape in shapes]
         with pytest.raises(TensorError):
             einsum(spec, *ops)
+
+
+# ---------------------------------------------------------------------------
+# einsum builds no product that has a zero factor, and changes no node
+# ---------------------------------------------------------------------------
+
+def _built_tensors(spec, strategy):
+    """The component arrays of every tensor a session builds."""
+    s = GeometrySession(spec, strategy)
+    tensors = [s.g_inv, s.forms, s.conn.lower, s.conn.mixed,
+               s.conn_factored.lower, s.conn_factored.mixed, s.curl,
+               s.sym_deriv, s.sym_deriv_alt, s.sym_trace, s.precurrent,
+               s.current, *s.riemann, s.parts.current_part,
+               s.parts.form_part, s.parts.sym_part, s.parts.total, s.ricci,
+               s.einstein, s.factored.ricci, s.factored.stress_form,
+               s.factored.stress_current, s.factored.stress_sym,
+               s.factored.einstein, s.einstein_divergence, s.metric_compat,
+               s.lie_deriv]
+    return [t.comps for t in tensors] + [np.array(s.scalar),
+                                         np.array(s.factored.scalar)]
+
+
+_BUILD_TARGETS = [*[(name, strategy) for name in CATALOG_NAMES
+                    for strategy in ("auto", "ldl")],
+                  *[(str(DATA / f), "auto") for f in (
+                      "painleve-gullstrand.metric",
+                      "kerr-boyer-lindquist.metric", "dense-4d.metric")]]
+
+
+@pytest.mark.parametrize("target,strategy", _BUILD_TARGETS,
+                         ids=[f"{Path(t).stem}-{s}"
+                              for t, s in _BUILD_TARGETS])
+def test_session_tensors_are_the_nodes_of_the_full_einsum(monkeypatch,
+                                                          target, strategy):
+    spec = get_manifold(target)
+    with monkeypatch.context() as patch:
+        for module in (tensor_module, geometry, factorization):
+            patch.setattr(module, "einsum", oracles.einsum)
+        want = _built_tensors(spec, strategy)
+    got = _built_tensors(spec, strategy)
+    assert [c.shape for c in got] == [c.shape for c in want]
+    for g, w in zip(got, want):
+        assert all(a is b for a, b in zip(g.flat, w.flat))
+
+
+def test_a_wild_constant_keeps_the_products_with_a_zero_factor():
+    # 1e200 * 1e200 * 0 is nan, so ex.mul leaves that product unfolded,
+    # and ex.add keeps it beside the other terms
+    x = ex.sym("x")
+    big = np.array([ex.const(1e200)] * 2, dtype=object)
+    other = np.array([ex.ZERO, x], dtype=object)
+    got = einsum("i,i,i->", big, big, other)[()]
+    assert got is oracles.einsum("i,i,i->", big, big, other)[()]
+    assert got.terms[0].factors == (big[0], big[0], ex.ZERO)
+    # with tame constants the zero product is not built
+    small = np.array([ex.const(2.0)] * 2, dtype=object)
+    assert einsum("i,i,i->", small, small, other)[()] \
+        is ex.mul(ex.const(4.0), x)
