@@ -318,11 +318,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
-        # the symbolic build folds constants in Python floats, and numpy
-        # reports an overflow they leave flagged after an object-array
-        # operation; a non-finite number is named by the checks instead
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.handler(args)
+        return args.handler(args)
     except (ZeroPivotError, SingularMetricError, NumericFaultError,
             EvalDomainError, np.linalg.LinAlgError) as exc:
         print(f"numeric fault: {exc}", file=sys.stderr)

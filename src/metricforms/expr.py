@@ -615,154 +615,102 @@ def evaluate(e: Expr, env: dict[str, Number]) -> Number:
     return walk((e,), [env])[0][0]
 
 
-# Statements per compiled function.  Bigger functions cost peak memory:
-# one function per tensor raised it by a tenth on the Kerr metric, where
-# 64 statements keep it at the level of a tree walk.
-TAPE_CHUNK = 64
-
-_CHUNK_HEAD = "def _chunk(v, c, env, _pow=_pow_value):\n"
-
 # Operands per statement of a sum or product.  Python's compiler recurses
 # once per binary operator and gives up near 3,000 of them in one
 # expression; third derivatives of deeply nested functions reach that.
 TAPE_CHAIN = 1000
 
 
-def _slot_key(e: Expr):
-    """Constants compare by value, so a tape keys them by identity."""
-    return id(e) if type(e) is Const else e
+def _unbound(name: str):
+    raise UnboundSymbolError(name)
 
 
 class Tape:
-    """Straight-line code that evaluates many expressions at one point,
-    for a read that runs thousands of times at points not known in
-    advance, as a geodesic right-hand side does.  Compiling a node costs
-    more than computing it at all the sample points of an analysis, which
-    ``walk`` does at once.
+    """``Tape(roots, args)(*values)``: the tuple of the values of ``roots``
+    with the symbols named ``args`` bound to ``values`` in order, from one
+    compiled straight-line function.  It pays only for a read that runs
+    thousands of times at points not known in advance, as a geodesic
+    right-hand side does: ``walk`` computes all the sample points of an
+    analysis at once for less than compiling costs.
 
-    Every distinct non-constant node of the roots gets one slot and one
-    statement, in the order ``walk`` finishes them, a quotient's
-    denominator before its numerator.  Interning makes equal subtrees one
-    node, so each is computed once.  A constant root gets a slot too, so
-    every root is read from the slot list.  The statements are compiled
-    into functions of at most ``TAPE_CHUNK`` lines over a slot list ``v``.
-    Each does the arithmetic of the walk: ``0 + a + b`` for a sum,
-    ``1 * a * b`` for a product (continued in the slot past ``TAPE_CHAIN``
-    operands), ``-a``, ``a / b``, ``a ** p`` for an integer power of a
-    non-constant, and ``_pow_value`` otherwise, so purely real subtrees
-    stay real, roots take the principal branch, and a power of a constant
-    that did not fold stays within the bound on exact integers.  A
-    function node calls the callable bound for it in the table,
-    ``c[j](a)``: the ``math`` or ``cmath`` function by the type of ``a``,
-    as the walk picks it.  So the values are the walk's, bit for bit.
-
-    The source holds only slot and table indices, function names and
-    quoted symbol names: numbers, exponents and function callables are
-    read from the table ``consts``.
+    The symbols are the function's parameters; every other distinct
+    non-constant node is one statement on a local variable, in the order
+    ``walk`` finishes them, a quotient's denominator first.  A statement
+    does the walk's arithmetic: ``0 + a + b``, ``1 * a * b`` (continued
+    past ``TAPE_CHAIN`` operands), ``-a``, ``a / b``, ``a ** p`` for an
+    integer power of a non-constant and ``_pow_value`` otherwise, and for
+    a function node the callable the walk uses, so the values are the
+    walk's bit for bit.  Numbers, exponents, callables and the name of a
+    symbol outside ``args``, which faults when reached, are read from the
+    table ``consts``, so ``source`` holds no user text.  On any exception
+    a call walks its roots at that point and raises what the walk raises,
+    else the exception.
     """
 
-    def __init__(self, roots):
-        self.nodes: list[Expr] = []        # slot -> node
-        self.roots: list[Expr] = []        # the roots that added nodes
-        self.consts: list = []             # table read by the statements
-        self.sources: list[str] = []       # the source of each chunk
-        self._slot: dict = {}              # _slot_key(node) -> slot
-        self._const: dict[int, int] = {}   # id of a constant -> table index
-        self._chunks: list = []            # (first slot, compiled chunk)
-        for root in roots:
-            if _slot_key(root) not in self._slot:
-                self.roots.append(root)
-                self._place(root)
-        for start in range(0, len(self.nodes), TAPE_CHUNK):
-            stop = min(start + TAPE_CHUNK, len(self.nodes))
-            source = _CHUNK_HEAD + "".join(
-                f"    {self._statement(k)}\n" for k in range(start, stop))
-            namespace = {"_pow_value": _pow_value}
-            exec(compile(source, "<tape>", "exec"), namespace)
-            self.sources.append(source)
-            self._chunks.append((start, namespace["_chunk"]))
+    def __init__(self, roots, args):
+        self.roots, self.args = list(roots), tuple(args)
+        self.consts: list = []
+        params = [f"a{k}" for k in range(len(self.args))]
+        local = dict(zip(map(Sym, self.args), params))
+        lines: list[str] = []
 
-    def slot_of(self, e: Expr) -> int:
-        return self._slot[_slot_key(e)]
+        def table(value) -> str:
+            self.consts.append(value)
+            return f"c[{len(self.consts) - 1}]"
 
-    def _place(self, e: Expr) -> None:
-        """Slots for the non-constant operands of ``e`` not on the tape,
-        then for ``e``, in the order ``walk`` finishes them."""
-        for child in (e.den, e.num) if type(e) is Div else e.children():
-            if type(child) is not Const and child not in self._slot:
-                self._place(child)
-        self._slot[_slot_key(e)] = len(self.nodes)
-        self.nodes.append(e)
+        def emit(e: Expr) -> str:
+            """The name of the value of ``e``, after the statements for
+            its operands not yet computed and then for ``e``."""
+            t = type(e)
+            if t is Const:
+                return table(e.value)
+            if e in local:
+                return local[e]
+            refs = list(map(emit, (e.den, e.num) if t is Div
+                            else e.children()))
+            ref = local[e] = f"v{len(lines)}"
+            if t is Add or t is Mul:
+                op, first = (" + ", "0") if t is Add else (" * ", "1")
+                # a longer chain goes on in the variable, left to right
+                lines.append("; ".join(
+                    f"{ref} = " + op.join([ref if i else first,
+                                           *refs[i:i + TAPE_CHAIN]])
+                    for i in range(0, len(refs), TAPE_CHAIN)))
+                return ref
+            if t is Sym:
+                rhs = f"{table(_unbound)}({table(e.name)})"
+            elif t is Neg:
+                rhs = "-" + refs[0]
+            elif t is Div:
+                rhs = f"{refs[1]} / {refs[0]}"
+            elif t is Pow and e.exponent.denominator == 1 \
+                    and type(e.base) is not Const:
+                rhs = f"{refs[0]} ** {table(e.exponent.numerator)}"
+            elif t is Pow:
+                rhs = f"_pow({refs[0]}, {table(e.exponent)})"
+            elif t is Fun:
+                rhs = f"{table(_FUNCTION[e.name])}({refs[0]})"
+            else:
+                raise TypeError(f"cannot evaluate {t.__name__}")
+            lines.append(f"{ref} = {rhs}")
+            return ref
 
-    def _table(self, value) -> str:
-        self.consts.append(value)
-        return f"c[{len(self.consts) - 1}]"
+        out = "".join(emit(e) + ", " for e in self.roots)
+        head = "".join(p + ", " for p in params) + "*, c=c, _pow=_pow"
+        self.source = "".join([f"def _tape({head}):\n",
+                               *(f"    {line}\n" for line in lines),
+                               f"    return ({out})\n"])
+        namespace = {"c": self.consts, "_pow": _pow_value}
+        exec(compile(self.source, "<tape>", "exec"), namespace)
+        self._run = namespace["_tape"]
 
-    def _ref(self, e: Expr) -> str:
-        if type(e) is not Const:
-            return f"v[{self._slot[e]}]"
-        k = self._const.get(id(e))
-        if k is None:
-            k = self._const[id(e)] = len(self.consts)
-            self.consts.append(e.value)
-        return f"c[{k}]"
-
-    def _statement(self, k: int) -> str:
-        e = self.nodes[k]
-        t = type(e)
-        if t is Const:
-            rhs = self._ref(e)
-        elif t is Sym:
-            rhs = f"env[{e.name!r}]"
-        elif t is Add or t is Mul:
-            op, first = (" + ", "0") if t is Add else (" * ", "1")
-            refs = list(map(self._ref, e.terms if t is Add else e.factors))
-            # a longer chain goes on in the slot, left to right as before
-            return "; ".join(
-                f"v[{k}] = " + op.join([f"v[{k}]" if i else first,
-                                        *refs[i:i + TAPE_CHAIN]])
-                for i in range(0, len(refs), TAPE_CHAIN))
-        elif t is Neg:
-            rhs = "-" + self._ref(e.arg)
-        elif t is Div:
-            rhs = f"{self._ref(e.num)} / {self._ref(e.den)}"
-        elif t is Pow and e.exponent.denominator == 1 \
-                and type(e.base) is not Const:
-            rhs = f"{self._ref(e.base)} ** {self._table(e.exponent.numerator)}"
-        elif t is Pow:
-            rhs = f"_pow({self._ref(e.base)}, {self._table(e.exponent)})"
-        elif t is Fun:
-            rhs = f"{self._table(_FUNCTION[e.name])}({self._ref(e.arg)})"
-        else:
-            raise TypeError(f"cannot evaluate {t.__name__}")
-        return f"v[{k}] = {rhs}"
-
-    def run(self, env: dict[str, Number]) -> list:
-        """The slot list filled at the point ``env``.  On an error the
-        slots of the chunks that completed are kept, and the fault is what
-        ``walk`` of the roots from those slots raises."""
-        v = [None] * len(self.nodes)
-        c = self.consts
-        for start, chunk in self._chunks:
-            try:
-                chunk(v, c, env)
-            except Exception as exc:
-                del v[start:]
-                fault = exc
-                break
-        else:
-            return v
-        walk(self.roots, [env], {e: [x] for e, x in zip(self.nodes, v)})
+    def __call__(self, *values):
+        try:
+            return self._run(*values)
+        except Exception as exc:
+            fault = exc
+        walk(self.roots, [dict(zip(self.args, values))])
         raise fault
-
-    def getter(self, roots):
-        """Function from a slot list filled by ``run`` to the tuple of the
-        values of ``roots``, which must be on the tape."""
-        slots = [self.slot_of(e) for e in roots]
-        if len(slots) == 1:
-            s = slots[0]
-            return lambda v: (v[s],)
-        return operator.itemgetter(*slots) if slots else (lambda v: ())
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ and mirrors the rest, so mirrored components share one node.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,6 +50,7 @@ from .tensor import (
     elementwise,
     max_abs,
     mirror,
+    quiet,
 )
 
 #: residual tolerances by derivative depth of the identity being checked
@@ -95,6 +95,7 @@ def _connection(chart: Chart, lower: np.ndarray, g_inv: Tensor,
     return Connection(chart, Tensor(lower), Tensor(mixed), route)
 
 
+@quiet
 def christoffel_classical(g: MetricField, g_inv: Tensor) -> Connection:
     """Gamma_cab = (d_a g_cb + d_b g_ca - d_c g_ab) / 2."""
     dg = _partials(g.chart, g.comps)
@@ -103,6 +104,7 @@ def christoffel_classical(g: MetricField, g_inv: Tensor) -> Connection:
     return _connection(g.chart, lower, g_inv, "classical")
 
 
+@quiet
 def sym_partial(forms: FormSet) -> Tensor:
     """P[I,a,b] = symmetrized coordinate derivative of the forms."""
     da = _partials(forms.chart, forms.comps)
@@ -116,6 +118,7 @@ def _form_cross(a_comps: np.ndarray, f_comps: np.ndarray) -> np.ndarray:
                   f_comps, pair=_SYM12)
 
 
+@quiet
 def christoffel_factored(forms: FormSet, f: Tensor, g_inv: Tensor) -> Connection:
     """Connection rebuilt from the form set:
 
@@ -134,6 +137,7 @@ def exterior_derivative(forms: FormSet) -> Tensor:
     return Tensor(einsum("aib->iab - bia->iab", da, da, pair=_ANTI12))
 
 
+@quiet
 def sym_covariant_derivative(forms: FormSet, conn: Connection) -> Tensor:
     """S[I,a,b] = sym part of nabla_a A_Ib, via the classical connection."""
     if conn.route != "classical":
@@ -145,6 +149,7 @@ def sym_covariant_derivative(forms: FormSet, conn: Connection) -> Tensor:
                              pair=_SYM12))
 
 
+@quiet
 def sym_derivative_via_factors(forms: FormSet, f: Tensor,
                                g_inv: Tensor) -> Tensor:
     """S rebuilt from F alone:
@@ -165,6 +170,7 @@ def sym_trace(s: Tensor, g_inv: Tensor) -> Tensor:
     return Tensor(einsum("ab,iab->i", g_inv.comps, s.comps))
 
 
+@quiet
 def precurrents(f: Tensor, conn: Connection) -> Tensor:
     """J[I,a,b,c] = nabla_a F_Ibc with the classical connection.
 
@@ -218,6 +224,7 @@ class RiemannParts:
         return self.current_part + self.form_part + self.sym_part
 
 
+@quiet
 def riemann_decomposed(forms: FormSet, f: Tensor, s: Tensor,
                        j_pre: Tensor) -> RiemannParts:
     """R(c) = (A_a.J_bcd - A_b.J_acd + A_c.J_dab - A_d.J_cab) / 2
@@ -260,6 +267,7 @@ def scalar_curvature(ricci: Tensor, g_inv: Tensor) -> Expr:
     return einsum("ab,ab->", g_inv.comps, ricci.comps)[()]
 
 
+@quiet
 def einstein_tensor(ricci: Tensor, scalar: Expr, g: MetricField) -> Tensor:
     """G[a,b] = Ric[a,b] - g[a,b] R / 2 (exact identity of this route)."""
     return Tensor(ricci.comps - ex.HALF * g.comps * scalar)
@@ -280,6 +288,7 @@ class FactoredCurvature:
         return self.stress_form + self.stress_current + self.stress_sym
 
 
+@quiet
 def ricci_einstein_factored(forms: FormSet, f: Tensor, s: Tensor,
                             s_trace: Tensor, j_pre: Tensor, j: Tensor,
                             g: MetricField, g_inv: Tensor) -> FactoredCurvature:
@@ -510,16 +519,14 @@ def _velocity(chart: Chart) -> np.ndarray:
 
 
 def _rhs(chart: Chart, u: np.ndarray, du: np.ndarray):
-    """rhs(x, u) -> du/ds as a tuple of floats, from one tape whose roots
-    are the components ``du``, expressions in the coordinates and the
-    velocity symbols ``u``: the real part of each value."""
-    names = chart.coords + tuple(e.name for e in u)
-    tape = Tape(du)
-    get = tape.getter(du)
+    """rhs(x, u) -> du/ds as a tuple of floats: the real parts of the
+    components ``du``, expressions in the coordinates and the velocity
+    symbols ``u``, from one tape whose arguments are the coordinates and
+    then the velocities, so a call passes the state as it is."""
+    tape = Tape(du.flat, chart.coords + tuple(e.name for e in u))
 
     def rhs(x, u):
-        values = get(tape.run(dict(zip(names, itertools.chain(x, u)))))
-        return tuple([float(v.real) for v in values])
+        return tuple([float(v.real) for v in tape(*x, *u)])
 
     return rhs
 

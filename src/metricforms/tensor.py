@@ -61,12 +61,23 @@ SINGULAR_BOUND = 1e-12
 # the contraction primitive
 # ---------------------------------------------------------------------------
 
+def quiet(build):
+    """``build`` with numpy's floating-point warnings off, for a function
+    that does arithmetic on object arrays of expressions.  Constant
+    folding there is Python arithmetic: numpy would warn of an overflow
+    that folding met and refused, and a non-finite value is named by the
+    checks that read it instead."""
+    @functools.wraps(build)
+    def run(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return build(*args, **kwargs)
+    return run
+
+
+@quiet
 def elementwise(f, arr: np.ndarray) -> np.ndarray:
-    """``f`` of every component of an object array.  Constant folding in
-    ``f`` is Python arithmetic, so numpy's floating-point warnings, which
-    would fire on an inf or nan constant, do not apply."""
-    with np.errstate(all="ignore"):
-        return np.frompyfunc(f, 1, 1)(arr)
+    """``f`` of every component of an object array."""
+    return np.frompyfunc(f, 1, 1)(arr)
 
 
 @functools.lru_cache(maxsize=64)
@@ -255,6 +266,7 @@ class Tensor:
     def map(self, f) -> "Tensor":
         return Tensor(elementwise(f, self.comps))
 
+    @quiet
     def __add__(self, other: "Tensor") -> "Tensor":
         if self.comps.shape != other.comps.shape:
             raise TensorError(f"cannot add component shapes "

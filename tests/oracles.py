@@ -121,15 +121,14 @@ class TreeEvaluator:
         raise TypeError(f"cannot evaluate {type(e).__name__}")
 
 
-def tape_reader(comps):
-    """Function from a point to the values of ``comps``, an array of
-    expressions, as a complex array of its shape, by one ``expr.Tape``
-    compiled here: a reference reader for a test that reads many points."""
+def tape_reader(comps, coords):
+    """Function from the values of ``coords``, in order, to the values of
+    ``comps``, an array of expressions, as a complex array of its shape,
+    by one ``expr.Tape`` compiled here: a reference reader for a test that
+    reads many points."""
     comps = np.asarray(comps, dtype=object)
-    tape = ex.Tape(comps.flat)
-    get = tape.getter(comps.flat)
-    return lambda point: np.array(get(tape.run(point)),
-                                  dtype=complex).reshape(comps.shape)
+    tape = ex.Tape(comps.flat, coords)
+    return lambda x: np.array(tape(*x), dtype=complex).reshape(comps.shape)
 
 
 def tree_values(comps, env: dict) -> np.ndarray:

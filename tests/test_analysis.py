@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from metricforms import GeometrySession, run_analysis
+from metricforms import GeometrySession, get_manifold, run_analysis
 from metricforms import expr as ex
-from metricforms.errors import FactorizationError
+from metricforms.errors import FactorizationError, NumericFaultError
 
 from conftest import stacked
 
@@ -160,12 +160,29 @@ def test_analysis_compiles_only_the_spot_check_right_hand_sides(catalog,
     tapes = []
     init = ex.Tape.__init__
 
-    def spy(tape, roots):
+    def spy(tape, roots, args):
         roots = list(roots)
-        tapes.append(set().union(*(e.free_symbols() for e in roots)))
-        return init(tape, roots)
+        tapes.append((set().union(*(e.free_symbols() for e in roots)), args))
+        return init(tape, roots, args)
 
     monkeypatch.setattr(ex.Tape, "__init__", spy)
     run_analysis(spec, n_points=3)
     assert len(tapes) == 2
-    assert all(velocity <= symbols for symbols in tapes)
+    # the arguments are the coordinates, then the velocities, in order
+    args = spec.chart.coords + tuple(f"u'{c}" for c in spec.chart.coords)
+    assert all(velocity <= symbols <= set(args) and tape_args == args
+               for symbols, tape_args in tapes)
+
+
+def test_library_call_warns_of_no_refused_fold(tmp_path):
+    # folding 1e-300 into the factored Einstein split overflows, and the
+    # fold is refused; numpy must not report that overflow from the
+    # object-array arithmetic of the builders, which the test settings
+    # make an error, but the analysis must end in its own numeric fault
+    path = tmp_path / "tiny.metric"
+    path.write_text("name tiny\ndim 2\ncoords x y\nsignature 2 0\n"
+                    "domain x 0.5 1\ndomain y 0.5 1\n"
+                    "g 1 1 = 1e-300\ng 2 2 = (1.0)^2\ng 1 2 = (x * (x - x))\n")
+    with pytest.raises(NumericFaultError,
+                       match="^cannot normalize the spot-check velocity"):
+        run_analysis(get_manifold(str(path)))

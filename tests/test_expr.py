@@ -1,15 +1,14 @@
-import ast
 import cmath
 import copy
 import gc
 import math
 import operator
 import pickle
+import re
 import sys
 import threading
 import tokenize
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -575,54 +574,25 @@ def _outcome(compute):
         return type(exc), str(exc)
 
 
+def _tape_outcome(roots, env):
+    """What a tape of ``roots`` over the symbols of ``env``, in order,
+    returns or raises at ``env``."""
+    tape = ex.Tape(roots, env)
+    return _outcome(lambda: tape(*env.values()))
+
+
 @given(st.lists(_faulty_exprs(), min_size=1, max_size=4), _fault_points)
+# the partial sum y + x overflows before the zero denominator is reached
+@example([ex.add(ex.sym("y"), ex.sym("x"),
+                 ex.div(ex.sym("x"), ex.sub(ex.sym("x"), ex.sym("x"))))],
+         {"x": 1.0, "y": 10 ** 400})
 @settings(max_examples=400, deadline=None)
 def test_tape_matches_tree_walk_property(roots, env):
+    # values bit for bit, and on a fault what the walk raises: the unbound
+    # z, outside the tape's arguments when not drawn, faults at call time
     reference = oracles.TreeEvaluator(env)
     want = _outcome(lambda: [reference(e) for e in roots])
-    tape = ex.Tape(roots)
-    assert _outcome(lambda: tape.getter(roots)(tape.run(env))) == want
-
-
-def _kept_slots(tape, env):
-    """What ``tape.run(env)`` raises, and the slot list it keeps: the one
-    its chunks filled, truncated to the chunks that completed."""
-    filled = [[]]
-
-    def recording(chunk):
-        def run(v, c, env):
-            filled.append(v)
-            return chunk(v, c, env)
-        return run
-
-    tape._chunks = [(start, recording(chunk)) for start, chunk in tape._chunks]
-    return _outcome(lambda: tape.run(env)), filled[-1]
-
-
-@pytest.mark.parametrize("chunk", [1, 10 ** 6])
-@given(roots=st.lists(_faulty_exprs(), min_size=1, max_size=4),
-       env=_fault_points)
-# the partial sum y + x overflows before the zero denominator is reached
-@example(roots=[ex.add(ex.sym("y"), ex.sym("x"),
-                       ex.div(ex.sym("x"), ex.sub(ex.sym("x"), ex.sym("x"))))],
-         env={"x": 1.0, "y": 10 ** 400})
-@settings(max_examples=200, deadline=None)
-def test_tape_faults_match_tree_walk_at_any_chunk_size(chunk, roots, env):
-    # a statement per function, or every statement in one: what is raised
-    # does not depend on where a chunk ends, and the slots kept after a
-    # fault are those of the chunks that completed, each the walk's value
-    reference = oracles.TreeEvaluator(env)
-    want = _outcome(lambda: [reference(e) for e in roots])
-    with mock.patch.object(ex, "TAPE_CHUNK", chunk):
-        tape = ex.Tape(roots)
-    assert _outcome(lambda: tape.getter(roots)(tape.run(env))) == want
-    if isinstance(want, list):
-        return
-    outcome, kept = _kept_slots(tape, env)
-    assert outcome == want
-    assert len(kept) % chunk == 0
-    assert [repr(x) for x in kept] \
-        == [repr(reference(e)) for e in tape.nodes[:len(kept)]]
+    assert _tape_outcome(roots, env) == want
 
 
 @given(st.lists(_faulty_exprs(), min_size=1, max_size=4),
@@ -672,7 +642,7 @@ def test_exact_integer_root_beyond_floats_is_an_overflow():
 
 
 def test_one_point_reads_compile_no_tape(monkeypatch, polar):
-    def refuse(tape, roots):
+    def refuse(tape, roots, args):
         raise AssertionError("a one-point read compiled a tape")
 
     monkeypatch.setattr(ex.Tape, "__init__", refuse)
@@ -703,31 +673,36 @@ def test_tape_branches_and_signed_zeros(e, x, expected):
     assert repr(oracles.TreeEvaluator(env)(e)) == expected
 
 
-def test_tape_spans_many_chunks():
+def test_tape_reads_constant_argument_and_repeated_roots():
+    # a constant root comes from the table and an argument root from its
+    # parameter, with no statement; each repeat of a root is in the tuple
+    x, y = ex.sym("x"), ex.sym("y")
+    e = ex.mul(x, y)
+    tape = ex.Tape([ex.const(2.5), y, e, ex.ZERO, e], ("x", "y"))
+    assert tape(3.0, -1.0) == (2.5, -1.0, -3.0, 0, -3.0)
+    assert len(tape.source.splitlines()) == 1 + 1 + 1
+    assert ex.Tape([], ())() == ()
+
+
+def test_tape_of_many_statements():
     x, y = ex.sym("x"), ex.sym("y")
     roots = [ex.fn("sin", ex.add(ex.mul(ex.const(k + 0.5), x), y))
              for k in range(150)]
-    tape = ex.Tape(roots)
-    assert len(tape.nodes) == 2 + 3 * 150
-    assert len(tape.sources) == -(-len(tape.nodes) // ex.TAPE_CHUNK) > 3
-    assert all(len(src.splitlines()) <= 1 + ex.TAPE_CHUNK
-               for src in tape.sources)
+    tape = ex.Tape(roots, ("x", "y"))
+    # a header, one statement per node but the arguments, and a return
+    assert len(tape.source.splitlines()) == 1 + 3 * 150 + 1
     env = {"x": 0.7, "y": -1.3}
     reference = oracles.TreeEvaluator(env)
-    assert [repr(v) for v in tape.getter(roots)(tape.run(env))] \
+    assert [repr(v) for v in tape(0.7, -1.3)] \
         == [repr(reference(e)) for e in roots]
-    # a fault in the last chunk names its node, and the slots of the
-    # chunks before it are kept
+    # a fault in the last statement raises what the walk raises
     bad = ex.div(roots[-1], ex.sub(x, x))
-    tape = ex.Tape([*roots, bad])
-    (kind, message), kept = _kept_slots(tape, env)
-    assert kind is EvalDomainError
-    assert message.startswith("division by zero in")
-    assert len(kept) == (len(tape.nodes) - 1) // ex.TAPE_CHUNK \
-        * ex.TAPE_CHUNK > 6 * ex.TAPE_CHUNK
-    with pytest.raises(EvalDomainError) as err:
-        tape.run(env)
+    tape = ex.Tape([*roots, bad], ("x", "y"))
+    with pytest.raises(EvalDomainError, match="^division by zero in") as err:
+        tape(0.7, -1.3)
     assert err.value.subexpr is bad
+    assert _outcome(lambda: tape(0.7, -1.3)) \
+        == _outcome(lambda: ex.walk([*roots, bad], [env]))
 
 
 def test_tape_long_sum_and_product():
@@ -740,37 +715,37 @@ def test_tape_long_sum_and_product():
              ex.mul(*[ex.add(ex.ONE, ex.mul(ex.const(1e-4 * (k + 0.5)), x))
                       for k in range(3500)])]
     assert all(len(r.children()) == 3500 for r in roots)
-    tape = ex.Tape(roots)
-    assert len(tape.sources[-1].splitlines()) <= 1 + ex.TAPE_CHUNK
-    env = {"x": 0.3}
-    reference = oracles.TreeEvaluator(env)
-    assert [repr(v) for v in tape.getter(roots)(tape.run(env))] \
+    tape = ex.Tape(roots, ("x",))
+    reference = oracles.TreeEvaluator({"x": 0.3})
+    assert [repr(v) for v in tape(0.3)] \
         == [repr(reference(e)) for e in roots]
 
 
 def test_tape_source_holds_no_user_text():
-    # symbol names that are Python code, or that shadow the chunk's
-    # own names, appear only as quoted keys
-    names = ["v", "c", "env", "_pow", "x'); import os; ('", "theta"]
+    # symbols are positional parameters and every other name a table
+    # entry, so symbol names that are Python code, or that are the
+    # function's own names, appear nowhere in the source
+    names = ["v0", "c", "a0", "_pow", "x'); import os; ('", "theta"]
     syms = [ex.sym(n) for n in names]
     e = ex.add(*(ex.fn("sqrt", ex.div(ex.mul(s, ex.const(2.5)),
                                       ex.pow_(s, Fraction(-3, 2))))
                  for s in syms), ex.const(float("inf")))
-    tape = ex.Tape([e])
-    allowed = {"def", "_chunk", "v", "c", "env", "_pow", "_fun",
-               "_pow_value", "_fun_value"}
-    for src in tape.sources:
-        for tok in tokenize.generate_tokens(iter(src.splitlines(True))
-                                            .__next__):
+    # the first name is outside the second tape's arguments
+    tapes = [ex.Tape([e], names), ex.Tape([e], names[1:])]
+    for tape in tapes:
+        for tok in tokenize.generate_tokens(
+                iter(tape.source.splitlines(True)).__next__):
+            assert tok.type != tokenize.STRING
             if tok.type == tokenize.NAME:
-                assert tok.string in allowed
-            elif tok.type == tokenize.STRING:
-                assert ast.literal_eval(tok.string) in {*names, *ex.FUNCTIONS}
+                assert tok.string in {"def", "_tape", "c", "_pow", "return"} \
+                    or re.fullmatch(r"[av][0-9]+", tok.string)
             elif tok.type == tokenize.NUMBER:
                 assert tok.string.isdigit()
     env = {n: 4.0 for n in names}
-    assert repr(tape.run(env)[tape.slot_of(e)]) \
-        == repr(oracles.TreeEvaluator(env)(e))
+    assert _outcome(lambda: tapes[0](*env.values())) \
+        == _outcome(lambda: [oracles.TreeEvaluator(env)(e)])
+    with pytest.raises(UnboundSymbolError, match="'v0'"):
+        tapes[1](*[4.0] * 5)
 
 
 # real, complex (a numpy complex scalar among them), huge and infinite
@@ -785,11 +760,10 @@ _FUNCTION_ARGS = [2.5, -2.5, 0.0, -0.0, 3, 1000.0, -1000.0, 10 ** 400,
 @pytest.mark.parametrize("name", ex.FUNCTIONS)
 def test_tape_function_calls_match_tree_walk(name):
     e = ex.fn(name, ex.sym("x"))
-    tape = ex.Tape([e])
+    tape = ex.Tape([e], ("x",))
     for x in _FUNCTION_ARGS:
-        env = {"x": x}
-        want = _outcome(lambda: [oracles.TreeEvaluator(env)(e)])
-        assert _outcome(lambda: [tape.run(env)[tape.slot_of(e)]]) == want, x
+        want = _outcome(lambda: [oracles.TreeEvaluator({"x": x})(e)])
+        assert _outcome(lambda: tape(x)) == want, x
 
 
 @pytest.mark.parametrize("source,x,message", [

@@ -562,22 +562,19 @@ def rhs_sessions():
 def _reference_rhs(s):
     """(classical, factored) du/ds from component arrays compiled per
     tensor, evaluated at x and contracted with np.einsum."""
-    chart = s.chart
-    mixed = oracles.tape_reader(s.conn.mixed.comps)
+    coords = s.chart.coords
+    mixed = oracles.tape_reader(s.conn.mixed.comps, coords)
     a = s.forms.comps
-    arrays = [oracles.tape_reader(comps) for comps in (
+    arrays = [oracles.tape_reader(comps, coords) for comps in (
         a, sym_partial(s.forms).comps,
         einsum("cd,id->ic", s.g_inv.comps, a),
         einsum("cd,idb->icb", s.g_inv.comps, s.curl.comps))]
 
-    def at(x):
-        return dict(zip(chart.coords, map(float, x)))
-
     def classical(x, u):
-        return -np.einsum("cab,a,b->c", mixed(at(x)).real, u, u)
+        return -np.einsum("cab,a,b->c", mixed(map(float, x)).real, u, u)
 
     def factored(x, u):
-        av, pv, auv, fmv = (values(at(x)) for values in arrays)
+        av, pv, auv, fmv = (values(map(float, x)) for values in arrays)
         quad = np.einsum("iab,a,b->i", pv, u, u)
         du = -np.einsum("ic,i->c", auv, quad)
         du = du + np.einsum("i,icb,b->c", av @ u, fmv, u)
@@ -644,8 +641,8 @@ NORM_TARGETS = [*RHS_TARGETS, str(DATA / "dense-4d.metric")]
 
 def _reference_norm_drift(g, traj):
     """Relative drift of g(u, u), evaluated point by point."""
-    metric = oracles.tape_reader(g.comps)
-    gs = [metric(dict(zip(g.chart.coords, map(float, x)))) for x in traj.x]
+    metric = oracles.tape_reader(g.comps, g.chart.coords)
+    gs = [metric(map(float, x)) for x in traj.x]
     assert max_imag(np.array(gs)) == 0.0
     norms = np.array([float(u @ gv.real @ u) for gv, u in zip(gs, traj.u)])
     return float(np.max(np.abs(norms - norms[0]))

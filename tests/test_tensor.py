@@ -285,12 +285,15 @@ def test_tapes_are_compiled_only_where_they_run_many_times():
     # the two geodesic right-hand sides, called thousands of times; every
     # other read walks its points at once
     calls, _ = _calls_by_function()
-    assert {scope for scope, call in calls
-            if ast.unparse(call.func) in ("Tape", "ex.Tape")} == {"_rhs"}
+    assert [(scope, len(call.args)) for scope, call in calls
+            if ast.unparse(call.func) in ("Tape", "ex.Tape")] == [("_rhs", 2)]
+    # a call passes the state to the tape as it is: no dict, no zip
+    assert {ast.unparse(call.func) for scope, call in calls
+            if scope == "_rhs.rhs"} == {"tuple", "float", "tape"}
 
 
 def test_inverse_check_and_one_point_reads_compile_no_tape(monkeypatch):
-    def refuse(tape, roots):
+    def refuse(tape, roots, args):
         raise AssertionError("a read that runs once compiled a tape")
 
     g = get_manifold(str(DATA / "painleve-gullstrand.metric")).metric()
