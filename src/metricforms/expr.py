@@ -447,15 +447,6 @@ def sqrt(arg) -> Expr:
 # numeric evaluation
 # ---------------------------------------------------------------------------
 
-def _sqrt_value(v: Number) -> Number:
-    if isinstance(v, complex):
-        return cmath.sqrt(v)
-    if v >= 0:
-        return math.sqrt(v)
-    # principal branch: timelike directions get +i
-    return complex(0.0, math.sqrt(-v))
-
-
 def _int_pow(v: Number, p: int) -> Number:
     """``v ** p``; for an exact integer ``v``, OverflowError before
     computing a result wider than ``EXACT_INT_BITS``."""
@@ -472,7 +463,7 @@ def _pow_value(v: Number, q: Fraction) -> Number:
             raise ZeroDivisionError
         return _int_pow(v, p)
     if d == 2:
-        s = _sqrt_value(v)
+        s = _FUNCTION["sqrt"](v)
         k = (p - 1) // 2 if p > 0 else -((-p + 1) // 2)
         # v^(p/2) = v^k * sqrt(v)^(p-2k); p odd, so p-2k = +/-1
         rest = s if p - 2 * k == 1 else 1 / s
@@ -488,25 +479,27 @@ def _pow_value(v: Number, q: Fraction) -> Number:
     return math.exp(float(q) * math.log(v))
 
 
-def _log_value(v: Number) -> Number:
-    """The principal logarithm; a zero imaginary part takes the real one,
-    which refuses a non-positive real with ValueError."""
-    if isinstance(v, complex):
-        return cmath.log(v) if v.imag != 0.0 else math.log(v.real)
-    return math.log(v)
-
-
-def _real_or_complex(name: str):
-    """``name`` from ``cmath`` for a complex argument, else from ``math``."""
-    real, cplx = getattr(math, name), getattr(cmath, name)
-    return lambda v: cplx(v) if isinstance(v, complex) else real(v)
-
-
-# The value of each function, the callable a tape binds for it as well.
-_FUNCTION = {name: _real_or_complex(name)
-             for name in ("sin", "cos", "tan", "exp", "sinh", "cosh")}
-_FUNCTION["sqrt"] = _sqrt_value
-_FUNCTION["log"] = _log_value
+# Each function's value as an expression in its operand ``{0}``: the
+# ``math`` function (bound to its own name) for a real operand, the
+# ``cmath`` one (bound to the name with a ``c`` in front) for a complex
+# one.  A tape writes the expression inline; ``_FUNCTION`` holds it as a
+# callable for the walk.
+_FUNCTION_SOURCE = {
+    name: f"c{name}({{0}}) if isinstance({{0}}, complex) else {name}({{0}})"
+    for name in ("sin", "cos", "tan", "exp", "sinh", "cosh")}
+# the principal branch: timelike directions get +i
+_FUNCTION_SOURCE["sqrt"] = ("csqrt({0}) if isinstance({0}, complex) "
+                            "else sqrt({0}) if {0} >= 0 "
+                            "else complex(0, sqrt(-{0}))")
+# a zero imaginary part takes the real logarithm, which refuses a
+# non-positive real with ValueError
+_FUNCTION_SOURCE["log"] = ("(clog({0}) if {0}.imag else log({0}.real)) "
+                           "if isinstance({0}, complex) else log({0})")
+_FUNCTION_NAMES = {**{name: getattr(math, name) for name in FUNCTIONS},
+                   **{"c" + name: getattr(cmath, name) for name in FUNCTIONS}}
+_FUNCTION = {name: eval(f"lambda v: {source.format('v')}",
+                        dict(_FUNCTION_NAMES))
+             for name, source in _FUNCTION_SOURCE.items()}
 
 
 def _fun_values(name: str, values: list, node: Expr) -> list:
@@ -628,35 +621,42 @@ def _unbound(name: str):
 class Tape:
     """``Tape(roots, args)(*values)``: the tuple of the values of ``roots``
     with the symbols named ``args`` bound to ``values`` in order, from one
-    compiled straight-line function.  It pays only for a read that runs
-    thousands of times at points not known in advance, as a geodesic
+    compiled straight-line function, ``run``.  It pays only for a read that
+    runs thousands of times at points not known in advance, as a geodesic
     right-hand side does: ``walk`` computes all the sample points of an
     analysis at once for less than compiling costs.
 
-    The symbols are the function's parameters; every other distinct
-    non-constant node is one statement on a local variable, in the order
-    ``walk`` finishes them, a quotient's denominator first.  A statement
-    does the walk's arithmetic: ``0 + a + b``, ``1 * a * b`` (continued
-    past ``TAPE_CHAIN`` operands), ``-a``, ``a / b``, ``a ** p`` for an
-    integer power of a non-constant and ``_pow_value`` otherwise, and for
-    a function node the callable the walk uses, so the values are the
-    walk's bit for bit.  Numbers, exponents, callables and the name of a
-    symbol outside ``args``, which faults when reached, are read from the
-    table ``consts``, so ``source`` holds no user text.  On any exception
-    a call walks its roots at that point and raises what the walk raises,
+    With ``state`` true, ``run(x, u)`` is a right-hand side: ``x`` and
+    ``u`` bind the first and the second half of ``args``, and it returns
+    ``float(v.real)`` of each value ``v``.  Otherwise ``run`` takes one
+    parameter per symbol and returns the values as they are.
+
+    Every distinct non-constant node that is not an argument is one
+    statement on a local variable, in the order ``walk`` finishes them, a
+    quotient's denominator first.  A statement does the walk's arithmetic:
+    ``0 + a + b``, ``1 * a * b`` (continued past ``TAPE_CHAIN`` operands),
+    ``-a``, ``a / b``, ``a ** p`` for an integer power of a non-constant
+    and ``_pow_value`` otherwise, and a function node's expression from
+    ``_FUNCTION_SOURCE``, inline, so the values are the walk's bit for bit.
+    Numbers, exponents and the name of a symbol outside ``args``, which
+    faults when reached, are names ``k0``, ``k1``, ... of the function's
+    own namespace, read as globals (a call binds nothing per constant),
+    so ``source`` holds no user text.  On any exception
+    ``run`` walks its roots at that point and raises what the walk raises,
     else the exception.
     """
 
-    def __init__(self, roots, args):
+    def __init__(self, roots, args, state=False):
         self.roots, self.args = list(roots), tuple(args)
-        self.consts: list = []
         params = [f"a{k}" for k in range(len(self.args))]
         local = dict(zip(map(Sym, self.args), params))
+        consts: dict = {}
         lines: list[str] = []
 
         def table(value) -> str:
-            self.consts.append(value)
-            return f"c[{len(self.consts) - 1}]"
+            name = f"k{len(consts)}"
+            consts[name] = value
+            return name
 
         def emit(e: Expr) -> str:
             """The name of the value of ``e``, after the statements for
@@ -678,7 +678,7 @@ class Tape:
                     for i in range(0, len(refs), TAPE_CHAIN)))
                 return ref
             if t is Sym:
-                rhs = f"{table(_unbound)}({table(e.name)})"
+                rhs = f"_unbound({table(e.name)})"
             elif t is Neg:
                 rhs = "-" + refs[0]
             elif t is Div:
@@ -689,28 +689,44 @@ class Tape:
             elif t is Pow:
                 rhs = f"_pow({refs[0]}, {table(e.exponent)})"
             elif t is Fun:
-                rhs = f"{table(_FUNCTION[e.name])}({refs[0]})"
+                rhs = _FUNCTION_SOURCE[e.name].format(refs[0])
             else:
                 raise TypeError(f"cannot evaluate {t.__name__}")
             lines.append(f"{ref} = {rhs}")
             return ref
 
-        out = "".join(emit(e) + ", " for e in self.roots)
-        head = "".join(p + ", " for p in params) + "*, c=c, _pow=_pow"
-        self.source = "".join([f"def _tape({head}):\n",
-                               *(f"    {line}\n" for line in lines),
-                               f"    return ({out})\n"])
-        namespace = {"c": self.consts, "_pow": _pow_value}
+        out = list(map(emit, self.roots))
+        listed = "".join(p + ", " for p in params)
+        if state:
+            half = len(params) // 2
+            head = ["def _tape(x, u):\n",
+                    f"    ({''.join(p + ', ' for p in params[:half])}) = x\n",
+                    f"    ({''.join(p + ', ' for p in params[half:])}) = u\n"]
+            out = [f"float({ref}.real)" for ref in out]
+        else:
+            head = [f"def _tape({listed}):\n"]
+        self.source = "".join([
+            *head, "    try:\n",
+            *(f"        {line}\n" for line in lines),
+            f"        return ({''.join(ref + ', ' for ref in out)})\n",
+            "    except Exception as exc:\n",
+            "        fault = exc\n",
+            f"    _refault(fault, {listed})\n"])
+
+        roots, args = self.roots, self.args
+
+        def refault(fault, *values):
+            walk(roots, [dict(zip(args, values))])
+            raise fault
+
+        namespace = {**_FUNCTION_NAMES, "_pow": _pow_value,
+                     "_unbound": _unbound, "_refault": refault,
+                     **consts}
         exec(compile(self.source, "<tape>", "exec"), namespace)
-        self._run = namespace["_tape"]
+        self.run = namespace["_tape"]
 
     def __call__(self, *values):
-        try:
-            return self._run(*values)
-        except Exception as exc:
-            fault = exc
-        walk(self.roots, [dict(zip(self.args, values))])
-        raise fault
+        return self.run(*values)
 
 
 # ---------------------------------------------------------------------------

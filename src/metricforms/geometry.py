@@ -33,7 +33,8 @@ and mirrors the rest, so mirrored components share one node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -481,32 +482,64 @@ class GeodesicComparison:
     norm_drift: float      # relative drift of g(u, u) along the way
 
 
+@cache
+def _rk4_loop(n: int):
+    """Fixed-step RK4 on an n-dimensional state (x, u) of floats, as one
+    compiled function ``loop(rhs, steps, h, half, sixth, *x, *u, *bounds)``
+    -> (states, exited): ``rhs(x, u)`` gives du/ds as a tuple, ``bounds``
+    are ``lo0, hi0, lo1, hi1, ...``, ``half`` and ``sixth`` are h/2 and
+    h/6, and ``states`` lists the state tuples from the start to the last
+    one inside the bounds; ``exited`` says whether a step left them.
+
+    The state lives in scalar locals and the four stages are unrolled.
+    Stage k's derivative is (u_k, du_k), so each stage state and the update
+    sum the same operands in the same order as ``s + half * k`` and
+    ``s + sixth * (a + 2 * b + 2 * c + d)`` over the state tuple."""
+
+    def row(template: str) -> str:
+        return "".join(template.format(i) + ", " for i in range(n))
+
+    def each(template: str) -> str:
+        return "        " + "; ".join(template.format(i) for i in range(n))
+
+    def stage(du: str, x: str, u: str) -> str:
+        return f"        {row(du)}= rhs(({row(x)}), ({row(u)}))"
+
+    inside = " and ".join(f"lo{i} < x{i} < hi{i}" for i in range(n))
+    state = f"({row('x{0}')}{row('u{0}')})"
+    source = "\n".join([
+        f"def _rk4(rhs, steps, h, half, sixth, {row('x{0}')}{row('u{0}')}"
+        f"{row('lo{0}, hi{0}')}):",
+        f"    states = [{state}]",
+        "    for _ in range(steps):",
+        stage("a{0}", "x{0}", "u{0}"),
+        each("ub{0} = u{0} + half * a{0}"),
+        stage("b{0}", "x{0} + half * u{0}", "ub{0}"),
+        each("uc{0} = u{0} + half * b{0}"),
+        stage("c{0}", "x{0} + half * ub{0}", "uc{0}"),
+        each("ud{0} = u{0} + h * c{0}"),
+        stage("d{0}", "x{0} + h * uc{0}", "ud{0}"),
+        each("x{0} = x{0} + sixth * (u{0} + 2 * ub{0} + 2 * uc{0} + ud{0})"),
+        each("u{0} = u{0} + sixth * (a{0} + 2 * b{0} + 2 * c{0} + d{0})"),
+        f"        if not ({inside}):",
+        "            return states, True",
+        f"        states.append({state})",
+        "    return states, False\n"])
+    namespace: dict = {}
+    exec(compile(source, "<rk4>", "exec"), namespace)
+    return namespace["_rk4"]
+
+
 def _rk4(rhs, chart: Chart, start: np.ndarray, velocity: np.ndarray,
          steps: int, h: float) -> Trajectory:
     """Fixed-step RK4 on the state (x, u), a tuple of floats; ``rhs(x, u)``
     gives du/ds.  Stops before the first step that leaves the chart."""
     n = chart.dim
-    half, sixth = 0.5 * h, h / 6.0
-
-    def deriv(state):
-        return state[n:] + rhs(state[:n], state[n:])
-
     # float arithmetic turns an overflow into inf or nan without raising:
     # the next evaluation raises, or the domain check ends the integration
-    state = tuple(map(float, start)) + tuple(map(float, velocity))
-    states = [state]
-    exited = False
-    for _ in range(steps):
-        k1 = deriv(state)
-        k2 = deriv(tuple([s + half * k for s, k in zip(state, k1)]))
-        k3 = deriv(tuple([s + half * k for s, k in zip(state, k2)]))
-        k4 = deriv(tuple([s + h * k for s, k in zip(state, k3)]))
-        state = tuple([s + sixth * (a + 2 * b + 2 * c + d)
-                       for s, a, b, c, d in zip(state, k1, k2, k3, k4)])
-        if not chart.contains(state[:n]):
-            exited = True
-            break
-        states.append(state)
+    states, exited = _rk4_loop(n)(
+        rhs, steps, h, 0.5 * h, h / 6.0, *map(float, start),
+        *map(float, velocity), *chain.from_iterable(chart.domains))
     xu = np.array(states)
     ss = np.array([0.0] + [k * h for k in range(1, len(states))])
     return Trajectory(ss, xu[:, :n], xu[:, n:], exited)
@@ -521,14 +554,10 @@ def _velocity(chart: Chart) -> np.ndarray:
 def _rhs(chart: Chart, u: np.ndarray, du: np.ndarray):
     """rhs(x, u) -> du/ds as a tuple of floats: the real parts of the
     components ``du``, expressions in the coordinates and the velocity
-    symbols ``u``, from one tape whose arguments are the coordinates and
-    then the velocities, so a call passes the state as it is."""
-    tape = Tape(du.flat, chart.coords + tuple(e.name for e in u))
-
-    def rhs(x, u):
-        return tuple([float(v.real) for v in tape(*x, *u)])
-
-    return rhs
+    symbols ``u``, as the one compiled function of a state tape whose
+    arguments are the coordinates and then the velocities."""
+    return Tape(du.flat, chart.coords + tuple(e.name for e in u),
+                state=True).run
 
 
 def classical_rhs(conn: Connection):

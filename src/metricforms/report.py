@@ -9,6 +9,7 @@ Complex numbers serialize as two-element [re, im] arrays.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from .analysis import AnalysisReport
 
@@ -168,16 +169,14 @@ def _write(obj, indent: int, out: list[str]) -> None:
         if not obj:
             out.append("[]")
             return
+        if _write_floats(obj, indent, out):
+            return
         inner = "\n" + "  " * (indent + 1)
-        if all(type(v) is float for v in obj):
-            out.append("[" + inner
-                       + ("," + inner).join(map(format_float, obj)))
-        else:
-            sep = "[" + inner
-            for v in obj:
-                out.append(sep)
-                _write(v, indent + 1, out)
-                sep = "," + inner
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            _write(v, indent + 1, out)
+            sep = "," + inner
         out.append("\n" + "  " * indent + "]")
     elif isinstance(obj, dict):
         if not obj:
@@ -192,6 +191,43 @@ def _write(obj, indent: int, out: list[str]) -> None:
         out.append("\n" + "  " * indent + "}")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+# the %-format of a float that ``format_float`` writes, by is_integer()
+_FLOAT_FORMAT = ("%.17g", "%.1f")
+
+
+def _write_floats(obj, indent: int, out: list[str]) -> bool:
+    """Write ``obj``, a list of floats or a list of equal-length lists of
+    floats, as ``_write`` does, with one %-template over all its floats,
+    and say whether it did.  It does not when a value is not exactly a
+    float, is not finite or is 1e16 or more in size: ``format_float``
+    writes those, or refuses them, one at a time."""
+    inner = "\n" + "  " * (indent + 1)
+    close = "\n" + "  " * indent + "]"
+    if set(map(type, obj)) <= {list, tuple}:
+        width = len(obj[0])
+        if not width or set(map(len, obj)) != {width}:
+            return False
+        values = list(chain.from_iterable(obj))
+        row = inner + "  "
+        seps = ([f",{row}"] * (width - 1)
+                + [f"{inner}],{inner}[{row}"]) * len(obj)
+        head, close = f"[{inner}[{row}", f"{inner}]{close}"
+    else:
+        values = obj
+        seps = [f",{inner}"] * len(obj)
+        head = f"[{inner}"
+    # a sum of floats is finite only if every one of them is
+    if set(map(type, values)) != {float} \
+            or not math.isfinite(sum(values)) \
+            or max(map(abs, values)) >= 1e16:
+        return False
+    seps[-1] = close
+    formats = map(_FLOAT_FORMAT.__getitem__, map(float.is_integer, values))
+    out.append(head + "".join(chain.from_iterable(zip(formats, seps)))
+               % tuple(values))
+    return True
 
 
 def report_document(report: AnalysisReport) -> dict:

@@ -5,9 +5,10 @@ package: derivatives are central finite differences of numerically
 evaluated fields, so route agreement actually checks something.
 ``TreeEvaluator`` is the one-point tree walk that the all-points walk and
 the tape must reproduce, ``tape_reader`` a reader of many points compiled
-once, ``einsum`` the contraction that builds every product, and
-``dumps_canonical`` the recursive writer of canonical JSON that the
-one-pass writer in ``metricforms.report`` replaced.
+once, ``einsum`` the contraction that builds every product, ``rk4`` the
+tuple-state RK4 loop that the generated loop in ``metricforms.geometry``
+replaced, and ``dumps_canonical`` the recursive writer of canonical JSON
+that the one-pass writer in ``metricforms.report`` replaced.
 """
 
 import itertools
@@ -18,6 +19,7 @@ import numpy as np
 
 from metricforms import expr as ex
 from metricforms.errors import EvalDomainError, TensorError, UnboundSymbolError
+from metricforms.geometry import Trajectory
 from metricforms.report import _escape
 from metricforms.tensor import _SIGN, _plan, mirror
 
@@ -188,6 +190,35 @@ def _apply(node, f, *args):
     except ValueError:
         what = "non-finite argument"
     raise EvalDomainError(f"{what} in '{ex.to_source(node)}'", node)
+
+
+def rk4(rhs, chart, start, velocity, steps: int, h: float):
+    """The reference for ``geometry._rk4``: fixed-step RK4 on the state
+    (x, u) as one tuple, with the stage states built by comprehensions and
+    the chart's own domain test."""
+    n = chart.dim
+    half, sixth = 0.5 * h, h / 6.0
+
+    def deriv(state):
+        return state[n:] + rhs(state[:n], state[n:])
+
+    state = tuple(map(float, start)) + tuple(map(float, velocity))
+    states = [state]
+    exited = False
+    for _ in range(steps):
+        k1 = deriv(state)
+        k2 = deriv(tuple([s + half * k for s, k in zip(state, k1)]))
+        k3 = deriv(tuple([s + half * k for s, k in zip(state, k2)]))
+        k4 = deriv(tuple([s + h * k for s, k in zip(state, k3)]))
+        state = tuple([s + sixth * (a + 2 * b + 2 * c + d)
+                       for s, a, b, c, d in zip(state, k1, k2, k3, k4)])
+        if not chart.contains(state[:n]):
+            exited = True
+            break
+        states.append(state)
+    xu = np.array(states)
+    ss = np.array([0.0] + [k * h for k in range(1, len(states))])
+    return Trajectory(ss, xu[:, :n], xu[:, n:], exited)
 
 
 def format_float(x: float) -> str:

@@ -160,18 +160,21 @@ def test_analysis_compiles_only_the_spot_check_right_hand_sides(catalog,
     tapes = []
     init = ex.Tape.__init__
 
-    def spy(tape, roots, args):
+    def spy(tape, roots, args, **kwargs):
         roots = list(roots)
-        tapes.append((set().union(*(e.free_symbols() for e in roots)), args))
-        return init(tape, roots, args)
+        tapes.append((set().union(*(e.free_symbols() for e in roots)), args,
+                      kwargs))
+        return init(tape, roots, args, **kwargs)
 
     monkeypatch.setattr(ex.Tape, "__init__", spy)
     run_analysis(spec, n_points=3)
     assert len(tapes) == 2
-    # the arguments are the coordinates, then the velocities, in order
+    # the arguments are the coordinates, then the velocities, in order,
+    # and each tape is a right-hand side of that state
     args = spec.chart.coords + tuple(f"u'{c}" for c in spec.chart.coords)
     assert all(velocity <= symbols <= set(args) and tape_args == args
-               for symbols, tape_args in tapes)
+               and kwargs == {"state": True}
+               for symbols, tape_args, kwargs in tapes)
 
 
 def test_library_call_warns_of_no_refused_fold(tmp_path):

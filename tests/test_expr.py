@@ -680,7 +680,9 @@ def test_tape_reads_constant_argument_and_repeated_roots():
     e = ex.mul(x, y)
     tape = ex.Tape([ex.const(2.5), y, e, ex.ZERO, e], ("x", "y"))
     assert tape(3.0, -1.0) == (2.5, -1.0, -3.0, 0, -3.0)
-    assert len(tape.source.splitlines()) == 1 + 1 + 1
+    # a header and a try, the one statement, a return, and the three
+    # lines of the fault path
+    assert len(tape.source.splitlines()) == 2 + 1 + 1 + 3
     assert ex.Tape([], ())() == ()
 
 
@@ -689,8 +691,9 @@ def test_tape_of_many_statements():
     roots = [ex.fn("sin", ex.add(ex.mul(ex.const(k + 0.5), x), y))
              for k in range(150)]
     tape = ex.Tape(roots, ("x", "y"))
-    # a header, one statement per node but the arguments, and a return
-    assert len(tape.source.splitlines()) == 1 + 3 * 150 + 1
+    # a header and a try, one statement per node but the arguments, a
+    # return, and the three lines of the fault path
+    assert len(tape.source.splitlines()) == 2 + 3 * 150 + 1 + 3
     env = {"x": 0.7, "y": -1.3}
     reference = oracles.TreeEvaluator(env)
     assert [repr(v) for v in tape(0.7, -1.3)] \
@@ -721,31 +724,62 @@ def test_tape_long_sum_and_product():
         == [repr(reference(e)) for e in roots]
 
 
+# the names a tape's source may hold besides its parameters, variables and
+# constants: Python keywords, the fault path, the helpers and builtins its
+# statements call, and the math and cmath functions of _FUNCTION_SOURCE
+_TAPE_NAMES = {"def", "_tape", "try", "return", "except", "Exception", "as",
+               "exc", "fault", "_refault", "_pow", "_unbound", "if", "else",
+               "isinstance", "complex", "float", "real", "imag", "x", "u",
+               *ex.FUNCTIONS, *("c" + name for name in ex.FUNCTIONS)}
+
+
 def test_tape_source_holds_no_user_text():
-    # symbols are positional parameters and every other name a table
-    # entry, so symbol names that are Python code, or that are the
-    # function's own names, appear nowhere in the source
-    names = ["v0", "c", "a0", "_pow", "x'); import os; ('", "theta"]
+    # symbols are positional parameters and every other name a constant
+    # of the tape's namespace, so symbol names that are Python code, or
+    # that are the function's own names, appear nowhere in the source
+    names = ["v0", "k0", "a0", "_pow", "x'); import os; ('", "theta"]
     syms = [ex.sym(n) for n in names]
     e = ex.add(*(ex.fn("sqrt", ex.div(ex.mul(s, ex.const(2.5)),
                                       ex.pow_(s, Fraction(-3, 2))))
                  for s in syms), ex.const(float("inf")))
-    # the first name is outside the second tape's arguments
-    tapes = [ex.Tape([e], names), ex.Tape([e], names[1:])]
+    e = ex.add(e, ex.fn("log", ex.fn("exp", syms[-1])))
+    # the first name is outside the second tape's arguments; the third is
+    # a right-hand side of the state (x, u) = (the first three, the rest)
+    tapes = [ex.Tape([e], names), ex.Tape([e], names[1:]),
+             ex.Tape([e], names, state=True)]
     for tape in tapes:
         for tok in tokenize.generate_tokens(
                 iter(tape.source.splitlines(True)).__next__):
             assert tok.type != tokenize.STRING
             if tok.type == tokenize.NAME:
-                assert tok.string in {"def", "_tape", "c", "_pow", "return"} \
-                    or re.fullmatch(r"[av][0-9]+", tok.string)
+                assert tok.string in _TAPE_NAMES \
+                    or re.fullmatch(r"[avk][0-9]+", tok.string)
             elif tok.type == tokenize.NUMBER:
                 assert tok.string.isdigit()
     env = {n: 4.0 for n in names}
-    assert _outcome(lambda: tapes[0](*env.values())) \
-        == _outcome(lambda: [oracles.TreeEvaluator(env)(e)])
+    want = _outcome(lambda: [oracles.TreeEvaluator(env)(e)])
+    assert _outcome(lambda: tapes[0](*env.values())) == want
+    assert tapes[2].run((4.0,) * 3, (4.0,) * 3) \
+        == tuple(float(v.real) for v in tapes[0](*env.values()))
     with pytest.raises(UnboundSymbolError, match="'v0'"):
         tapes[1](*[4.0] * 5)
+
+
+def test_state_tape_returns_real_parts_and_else_the_original_fault():
+    # run(x, u) binds the first half of the arguments to x and the rest to
+    # u, and returns float(v.real) of each root: a bare argument, a
+    # constant and a complex value; a fault the walk does not name, here
+    # an exact integer beyond floats, is raised as it is
+    x, y, p, q = map(ex.sym, ("x", "y", "p", "q"))
+    roots = [q, ex.const(3), ex.fn("sqrt", ex.sub(x, p)), ex.mul(y, p)]
+    run = ex.Tape(roots, ("x", "y", "p", "q"), state=True).run
+    got = run((1.0, 2.0), (5.0, -0.5))
+    assert got == (-0.5, 3.0, 0.0, 10.0)
+    assert list(map(type, got)) == [float] * 4
+    big = ex.Tape([ex.const(10 ** 400)], ("x", "p"), state=True).run
+    assert ex.walk([ex.const(10 ** 400)], [{}]) == [[10 ** 400]]
+    with pytest.raises(OverflowError, match="int too large"):
+        big((1.0,), (0.0,))
 
 
 # real, complex (a numpy complex scalar among them), huge and infinite

@@ -26,7 +26,9 @@ from metricforms import (
     sym_derivative_via_factors,
 )
 from metricforms import expr as ex
-from metricforms.errors import TensorError
+from metricforms import geometry as geo
+from metricforms.chart import Chart
+from metricforms.errors import EvalDomainError, TensorError
 from metricforms.geometry import (
     VERDICT_CLOSED_FLAT,
     VERDICT_CURVED,
@@ -630,6 +632,83 @@ def test_schwarzschild_trajectory_matches_numeric_reference(rhs_sessions):
         want = _reference_rk4(rhs, start, velocity, 200, 0.005)
         got = np.hstack([traj.x, traj.u])
         assert max_abs(got - want) <= 1e-13 * max_abs(want)
+
+
+# ---------------------------------------------------------------------------
+# the generated RK4 loop against the tuple-state loop it replaced
+# ---------------------------------------------------------------------------
+
+def _rk4_outcome(run):
+    """The reprs of every time, position and velocity of the trajectory
+    ``run`` returns and its exit flag, or the class, message and node of
+    what it raised."""
+    try:
+        traj = run()
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "subexpr", None)
+    return ([list(map(repr, a.ravel().tolist()))
+             for a in (traj.s, traj.x, traj.u)], traj.x.shape,
+            traj.exited_domain)
+
+
+@pytest.mark.parametrize("target", [*RHS_TARGETS,
+                                    str(DATA / "dense-4d.metric")],
+                         ids=lambda t: Path(t).stem)
+def test_rk4_loop_matches_tuple_state_loop(rhs_sessions, target):
+    # every state to the bit and the same exit flag, on both routes, from
+    # two seeded starts of each chart (2-D ones among them)
+    s = rhs_sessions(target)
+    rng = np.random.default_rng(3)
+    routes = (classical_rhs(s.conn), factored_rhs(s.forms, s.curl, s.g_inv))
+    for point in s.chart.sample_points(2, seed=5):
+        start = np.array([point[c] for c in s.chart.coords])
+        velocity = rng.normal(scale=0.3, size=s.chart.dim)
+        for rhs in routes:
+            want = _rk4_outcome(lambda: oracles.rk4(
+                rhs, s.chart, start, velocity, 60, 0.01))
+            assert isinstance(want[0], list)
+            assert _rk4_outcome(lambda: geo._rk4(
+                rhs, s.chart, start, velocity, 60, 0.01)) == want
+
+
+def test_rk4_loop_leaves_the_chart_where_the_tuple_state_loop_does(
+        rhs_sessions):
+    s = rhs_sessions("euclidean2-cartesian")
+    start, velocity = np.array([1.5, 0.0]), np.array([1.0, 0.0])
+    rhs = classical_rhs(s.conn)
+    want = _rk4_outcome(lambda: oracles.rk4(rhs, s.chart, start, velocity,
+                                            200, 0.01))
+    assert want[2] is True and 1 < want[1][0] < 201
+    assert _rk4_outcome(lambda: geo._rk4(rhs, s.chart, start, velocity,
+                                         200, 0.01)) == want
+
+
+# a falling body du/ds = -g, with a log(x) term of no weight that faults
+# when a stage position reaches x <= 0: from x = 1 with velocity u0 and
+# step h, the first position at or below 0 is that of stage 2, 3 or 4
+@pytest.mark.parametrize("stage,u0,g", [(2, -3.0, 0.0), (3, 0.0, 6.0),
+                                        (4, 0.0, 3.0)])
+def test_rk4_stage_fault_raises_what_the_walk_raises(stage, u0, g):
+    log = ex.fn("log", ex.sym("x"))
+    du = ex.add(ex.const(-g), ex.mul(ex.const(1e-300), log))
+    run = ex.Tape([du], ("x", "v"), state=True).run
+    chart = Chart(("x",), (1, 0), ((-10.0, 10.0),))
+    calls = []
+
+    def rhs(x, u):
+        calls.append(x + u)
+        return run(x, u)
+
+    with pytest.raises(EvalDomainError) as err:
+        geo._rk4(rhs, chart, [1.0], [u0], 5, 1.0)
+    assert len(calls) == stage
+    with pytest.raises(EvalDomainError) as walked:
+        ex.walk([du], [dict(zip(("x", "v"), calls[-1]))])
+    assert str(err.value) == str(walked.value) \
+        == "log of non-positive real in 'log(x)'"
+    assert err.value.subexpr is walked.value.subexpr is log
+    assert _rk4_outcome(lambda: geo._rk4(run, chart, [1.0], [u0], 5, 1.0)) \
+        == _rk4_outcome(lambda: oracles.rk4(run, chart, [1.0], [u0], 5, 1.0))
 
 
 # ---------------------------------------------------------------------------

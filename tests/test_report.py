@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from metricforms.cli import main
+from metricforms import report
 from metricforms.report import dumps_canonical, format_float
 
 import oracles
@@ -66,6 +67,48 @@ def test_non_finite_number_raises(doc):
         dumps_canonical(doc)
     with pytest.raises(ValueError, match="finite numbers"):
         oracles.dumps_canonical(doc)
+
+
+# integers, both sides of 1e16, signed zeros and subnormals
+_MATRIX_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -7.0, 1e16, -1e16, 9.999e15,
+                     9999999999999998.0, 5e-324, -1e-310,
+                     2.2250738585072014e-308]),
+    st.integers(-10 ** 6, 10 ** 6).map(float),
+    st.floats(allow_nan=False, allow_infinity=False))
+_matrices = st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.lists(_MATRIX_FLOATS, min_size=width, max_size=width),
+    min_size=1, max_size=6))
+
+
+@given(_matrices, st.integers(0, 3))
+@example([[0.0, -0.0], [1e16, 9.999e15]], 1)
+@example([[5e-324, 3.0]], 0)
+@settings(max_examples=300, deadline=None)
+def test_template_writer_matches_per_float_writer(rows, indent):
+    # a matrix and its flattened list, each through one %-template unless
+    # a float is 1e16 or more in size
+    for doc in (rows, [v for row in rows for v in row]):
+        flat = [v for row in rows for v in row]
+        assert report._write_floats(doc, indent, []) \
+            == all(abs(v) < 1e16 for v in flat)
+        assert dumps_canonical(doc, indent) \
+            == oracles.dumps_canonical(doc, indent)
+
+
+@given(_matrices, st.sampled_from([math.inf, -math.inf, math.nan]),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_template_writer_refuses_non_finite_floats(rows, bad, data):
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(rows[0]) - 1))
+    rows[i][j] = bad
+    for doc in (rows, rows[i]):
+        assert not report._write_floats(doc, 0, [])
+        for write in (dumps_canonical, oracles.dumps_canonical):
+            with pytest.raises(ValueError,
+                               match="^reports must contain finite numbers$"):
+                write(doc)
 
 
 def test_format_float_rules():

@@ -284,12 +284,18 @@ def test_the_metric_is_judged_in_one_place():
 def test_tapes_are_compiled_only_where_they_run_many_times():
     # the two geodesic right-hand sides, called thousands of times; every
     # other read walks its points at once
-    calls, _ = _calls_by_function()
-    assert [(scope, len(call.args)) for scope, call in calls
-            if ast.unparse(call.func) in ("Tape", "ex.Tape")] == [("_rhs", 2)]
-    # a call passes the state to the tape as it is: no dict, no zip
-    assert {ast.unparse(call.func) for scope, call in calls
-            if scope == "_rhs.rhs"} == {"tuple", "float", "tape"}
+    calls, functions = _calls_by_function()
+    assert [(scope, len(call.args), [k.arg for k in call.keywords])
+            for scope, call in calls
+            if ast.unparse(call.func) in ("Tape", "ex.Tape")] \
+        == [("_rhs", 2, ["state"])]
+    # a right-hand side is the state tape's compiled function itself, with
+    # no Python function around it
+    assert not {f for f in functions if f.startswith("_rhs.")}
+    # source is compiled for a tape and for the RK4 loop of a dimension
+    assert sorted(scope for scope, call in calls
+                  if ast.unparse(call.func) == "compile") \
+        == ["Tape.__init__", "_rk4_loop"]
 
 
 def test_inverse_check_and_one_point_reads_compile_no_tape(monkeypatch):
