@@ -69,13 +69,16 @@ _step = _ranged(float, lambda v: math.isfinite(v) and v != 0,
 
 
 def _parse_vector(text: str, dim: int, what: str) -> np.ndarray:
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
     if len(parts) != dim:
         raise ChartError(f"{what} needs {dim} comma-separated values")
     try:
-        return np.array([float(p) for p in parts])
+        vec = np.array([float(p) for p in parts])
     except ValueError:
         raise ChartError(f"{what} must be numeric") from None
+    if not np.isfinite(vec).all():
+        raise ChartError(f"{what} must be finite")
+    return vec
 
 
 def _complex_cell(value: complex) -> str:

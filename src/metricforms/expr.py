@@ -807,39 +807,8 @@ def differentiate(e: Expr, coord: str, chart=None) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# substitution and cleanup
+# cleanup
 # ---------------------------------------------------------------------------
-
-def substitute(e: Expr, binding: dict[str, "Expr | Number"]) -> Expr:
-    """Replace symbols by expressions or numbers, refolding constants."""
-    binding = {k: _coerce(v) for k, v in binding.items()}
-    cache: dict[Expr, Expr] = {}
-
-    def walk(node):
-        if type(node) is Const:
-            return node
-        got = cache.get(node)
-        if got is not None:
-            return got
-        if isinstance(node, Sym):
-            out = binding.get(node.name, node)
-        elif isinstance(node, Add):
-            out = add(*[walk(t) for t in node.terms])
-        elif isinstance(node, Mul):
-            out = mul(*[walk(f) for f in node.factors])
-        elif isinstance(node, Neg):
-            out = neg(walk(node.arg))
-        elif isinstance(node, Div):
-            out = div(walk(node.num), walk(node.den))
-        elif isinstance(node, Pow):
-            out = pow_(walk(node.base), node.exponent)
-        else:
-            out = fn(node.name, walk(node.arg))
-        cache[node] = out
-        return out
-
-    return walk(e)
-
 
 def _split_coeff(t: Expr) -> tuple[complex, Expr]:
     if isinstance(t, Neg):
@@ -1003,9 +972,11 @@ MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, src: str, allowed: frozenset[str]):
+    def __init__(self, src: str, coords: tuple[str, ...],
+                 constants: dict[str, Number]):
         self.src = src
-        self.allowed = allowed
+        self.coords = coords
+        self.constants = constants
         self.tokens = _tokenize(src)
         self.pos = 0
         self.depth = 0
@@ -1117,17 +1088,20 @@ class _Parser:
                 arg = self.nested(offset, self.expr)
                 self.expect(")")
                 return fn(value, arg)
-            if value not in self.allowed:
+            if value in self.constants:
+                return Const(self.constants[value])
+            if value not in self.coords:
                 raise UnknownSymbolError(value, offset)
             return Sym(value)
         self.fail("expected a value")
 
 
-def parse_expr(source: str, chart, constants=()) -> Expr:
-    """Parse DSL text whose free symbols are chart coordinates or declared
-    constant names."""
-    allowed = frozenset(chart.coords) | frozenset(constants)
-    return _Parser(source, allowed).parse()
+def parse_expr(source: str, chart, constants=None) -> Expr:
+    """Parse DSL text whose names are chart coordinates or the names of
+    ``constants``, a mapping from each constant's name to its value.  A
+    constant reads as its literal: ``M`` with ``M = 0.7`` builds the node
+    that ``(0.7)`` builds."""
+    return _Parser(source, chart.coords, constants or {}).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ Catalog entries are stored in the same text format the loader accepts::
     dim <n>
     coords <x1> ... <xn>
     signature <r> <s>
-    const <NAME>=<value>        (zero or more)
+    const <NAME>=<value>        (zero or more, none named like a coordinate)
     domain <xi> <lo> <hi>       (one per coordinate)
     g <a> <b> = <expression>    (1-based, a <= b; missing entries are zero)
 
@@ -27,7 +27,7 @@ import numpy as np
 from .chart import Chart
 from .errors import ChartError, ManifoldFormatError, ParseError
 from . import expr as ex
-from .expr import Expr, parse_expr, substitute
+from .expr import Expr, parse_expr
 from .geometry import VERDICT_CLOSED_FLAT, VERDICT_CURVED
 from .tensor import MetricField
 
@@ -53,32 +53,30 @@ class ManifoldSpec:
     references: tuple[ReferenceValue, ...] = ()
 
     def metric(self, constants: dict[str, float] | None = None) -> MetricField:
-        """Parse the stored components and bind constant values."""
+        """Parse the stored components with the constants bound."""
         binding = self.bound_constants(constants)
-        n = self.chart.dim
-        comps = np.empty((n, n), dtype=object)
-        comps[...] = ex.ZERO
+        comps = np.full((self.chart.dim,) * 2, ex.ZERO, dtype=object)
         for (a, b), source in self.metric_source.items():
-            tree = parse_expr(source, self.chart, tuple(binding))
-            comps[a, b] = substitute(tree, binding)
+            comps[a, b] = parse_expr(source, self.chart, binding)
         return MetricField(self.chart, comps)
 
     def bound_constants(self, constants: dict[str, float] | None = None
                         ) -> dict[str, float]:
-        binding = dict(self.constants)
-        if constants:
-            unknown = set(constants) - set(binding)
-            if unknown:
-                raise ChartError(
-                    f"{self.name} has no constants named {sorted(unknown)}")
-            binding.update(constants)
+        """The constants, each overridden by a finite one of ``constants``."""
+        binding = {**self.constants, **(constants or {})}
+        unknown = binding.keys() - self.constants.keys()
+        if unknown:
+            raise ChartError(
+                f"{self.name} has no constants named {sorted(unknown)}")
+        for cname, value in binding.items():
+            if not math.isfinite(value):
+                raise ChartError(f"constant '{cname}' is not finite")
         return binding
 
     def reference_expr(self, ref: ReferenceValue,
                        constants: dict[str, float] | None = None) -> Expr:
-        binding = self.bound_constants(constants)
-        tree = parse_expr(ref.value_source, self.chart, tuple(binding))
-        return substitute(tree, binding)
+        return parse_expr(ref.value_source, self.chart,
+                          self.bound_constants(constants))
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +97,7 @@ def loads(text: str, origin: str = "<string>") -> ManifoldSpec:
     coords: tuple[str, ...] | None = None
     signature = None
     constants: dict[str, float] = {}
+    const_lines: dict[str, int] = {}
     domains: dict[str, tuple[float, float]] = {}
     entries: dict[tuple[int, int], tuple[str, int]] = {}
 
@@ -124,6 +123,7 @@ def loads(text: str, origin: str = "<string>") -> ManifoldSpec:
                 if not cname:
                     raise ValueError
                 constants[cname] = float(cval)
+                const_lines[cname] = lineno
                 if not math.isfinite(constants[cname]):
                     raise ManifoldFormatError(
                         f"constant '{cname}' is not finite", lineno)
@@ -176,6 +176,11 @@ def loads(text: str, origin: str = "<string>") -> ManifoldSpec:
     if extra:
         raise ManifoldFormatError(
             f"{origin}: domain for unknown coordinate {sorted(extra)}", 0)
+    for cname in coords:
+        if cname in constants:
+            raise ManifoldFormatError(
+                f"constant '{cname}' shares the name of a coordinate",
+                const_lines[cname])
     try:
         chart = Chart(coords, signature, tuple(domains[c] for c in coords))
     except ChartError as exc:
@@ -184,7 +189,7 @@ def loads(text: str, origin: str = "<string>") -> ManifoldSpec:
     source_map: dict[tuple[int, int], str] = {}
     for key, (source, lineno) in entries.items():
         try:
-            parse_expr(source, chart, tuple(constants))
+            parse_expr(source, chart, constants)
         except ParseError as exc:
             raise ManifoldFormatError(str(exc), lineno) from None
         source_map[key] = source
@@ -338,23 +343,23 @@ _CATALOG_EXPECTATIONS = {
 CATALOG_NAMES = tuple(_CATALOG_TEXT)
 
 
+def _catalog_entry(name: str) -> ManifoldSpec:
+    """The built-in manifold ``name``, with its expectations."""
+    spec = loads(_CATALOG_TEXT[name], origin=f"<catalog:{name}>")
+    (spec.expected_verdict, spec.expected_flat,
+     spec.references) = _CATALOG_EXPECTATIONS[name]
+    return spec
+
+
 def load_catalog() -> list[ManifoldSpec]:
     """All built-in manifolds, in a fixed order."""
-    out = []
-    for name in CATALOG_NAMES:
-        spec = loads(_CATALOG_TEXT[name], origin=f"<catalog:{name}>")
-        verdict, flat, refs = _CATALOG_EXPECTATIONS[name]
-        spec.expected_verdict = verdict
-        spec.expected_flat = flat
-        spec.references = refs
-        out.append(spec)
-    return out
+    return list(map(_catalog_entry, CATALOG_NAMES))
 
 
 def get_manifold(ref: str) -> ManifoldSpec:
     """Resolve a catalog name or a metric definition file path."""
     if ref in _CATALOG_TEXT:
-        return load_catalog()[CATALOG_NAMES.index(ref)]
+        return _catalog_entry(ref)
     if os.path.exists(ref):
         return load_file(ref)
     raise ChartError(

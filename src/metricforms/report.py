@@ -9,6 +9,7 @@ Complex numbers serialize as two-element [re, im] arrays.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import chain
 
 from .analysis import AnalysisReport
@@ -120,25 +121,25 @@ REPORT_SCHEMA = {
 # canonical JSON
 # ---------------------------------------------------------------------------
 
-def format_float(x: float) -> str:
-    if not math.isfinite(x):
+# the %-format of a float, by whether it is an integer below 1e16 in size
+_FLOAT_FORMAT = ("%.17g", "%.1f")
+# a control character as its \u escape, a quote or backslash behind one
+_ESCAPES = ({c: f"\\u{c:04x}" for c in range(0x20)}
+            | {ord("\""): "\\\"", ord("\\"): "\\\\"})
+
+
+def _float_formats(values):
+    """The %-format of each of ``values``, finite floats, by C-level maps:
+    ``%.1f`` for an integer below 1e16 in size, else ``%.17g``."""
+    if not all(map(math.isfinite, values)):
         raise ValueError("reports must contain finite numbers")
-    if x.is_integer() and abs(x) < 1e16:
-        return f"{x:.1f}"
-    return format(x, ".17g")
+    return map(_FLOAT_FORMAT.__getitem__,
+               map(operator.and_, map(float.is_integer, values),
+                   map((1e16).__gt__, map(abs, values))))
 
 
 def _escape(s: str) -> str:
-    out = ["\""]
-    for ch in s:
-        if ch in ("\"", "\\"):
-            out.append("\\" + ch)
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append("\"")
-    return "".join(out)
+    return '"' + s.translate(_ESCAPES) + '"'
 
 
 def dumps_canonical(obj, indent: int = 0) -> str:
@@ -162,7 +163,7 @@ def _write(obj, indent: int, out: list[str]) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        out.append(format_float(obj))
+        out.append(next(_float_formats((obj,))) % obj)
     elif isinstance(obj, complex):
         _write([obj.real, obj.imag], indent, out)
     elif isinstance(obj, (list, tuple)):
@@ -193,16 +194,11 @@ def _write(obj, indent: int, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-# the %-format of a float that ``format_float`` writes, by is_integer()
-_FLOAT_FORMAT = ("%.17g", "%.1f")
-
-
 def _write_floats(obj, indent: int, out: list[str]) -> bool:
     """Write ``obj``, a list of floats or a list of equal-length lists of
     floats, as ``_write`` does, with one %-template over all its floats,
     and say whether it did.  It does not when a value is not exactly a
-    float, is not finite or is 1e16 or more in size: ``format_float``
-    writes those, or refuses them, one at a time."""
+    float: ``_write`` writes those one at a time."""
     inner = "\n" + "  " * (indent + 1)
     close = "\n" + "  " * indent + "]"
     if set(map(type, obj)) <= {list, tuple}:
@@ -218,15 +214,11 @@ def _write_floats(obj, indent: int, out: list[str]) -> bool:
         values = obj
         seps = [f",{inner}"] * len(obj)
         head = f"[{inner}"
-    # a sum of floats is finite only if every one of them is
-    if set(map(type, values)) != {float} \
-            or not math.isfinite(sum(values)) \
-            or max(map(abs, values)) >= 1e16:
+    if set(map(type, values)) != {float}:
         return False
     seps[-1] = close
-    formats = map(_FLOAT_FORMAT.__getitem__, map(float.is_integer, values))
-    out.append(head + "".join(chain.from_iterable(zip(formats, seps)))
-               % tuple(values))
+    out.append(head + "".join(chain.from_iterable(
+        zip(_float_formats(values), seps))) % tuple(values))
     return True
 
 

@@ -53,14 +53,13 @@ def sphere_chart():
 
 
 def sphere_metric(radius=1.0):
-    from metricforms import MetricField, parse_expr, substitute
+    from metricforms import MetricField, parse_expr
 
     chart = Chart(("theta", "phi"), (2, 0), ((0.4, 2.7), (0.0, 7.0)))
     comps = np.empty((2, 2), dtype=object)
-    comps[0, 0] = substitute(parse_expr("r^2", chart, ("r",)), {"r": radius})
-    comps[1, 1] = substitute(parse_expr("r^2 * sin(theta)^2", chart, ("r",)),
-                             {"r": radius})
-    comps[0, 1] = comps[1, 0] = substitute(parse_expr("0", chart), {})
+    comps[0, 0] = parse_expr("r^2", chart, {"r": radius})
+    comps[1, 1] = parse_expr("r^2 * sin(theta)^2", chart, {"r": radius})
+    comps[0, 1] = comps[1, 0] = parse_expr("0", chart)
     return MetricField(chart, comps)
 
 

@@ -7,8 +7,9 @@ evaluated fields, so route agreement actually checks something.
 the tape must reproduce, ``tape_reader`` a reader of many points compiled
 once, ``einsum`` the contraction that builds every product, ``rk4`` the
 tuple-state RK4 loop that the generated loop in ``metricforms.geometry``
-replaced, and ``dumps_canonical`` the recursive writer of canonical JSON
-that the one-pass writer in ``metricforms.report`` replaced.
+replaced, ``dumps_canonical`` the recursive writer of canonical JSON
+that the one-pass writer in ``metricforms.report`` replaced, and
+``escape`` the character loop its string escape replaced.
 """
 
 import itertools
@@ -20,7 +21,6 @@ import numpy as np
 from metricforms import expr as ex
 from metricforms.errors import EvalDomainError, TensorError, UnboundSymbolError
 from metricforms.geometry import Trajectory
-from metricforms.report import _escape
 from metricforms.tensor import _SIGN, _plan, mirror
 
 
@@ -221,6 +221,20 @@ def rk4(rhs, chart, start, velocity, steps: int, h: float):
     return Trajectory(ss, xu[:, :n], xu[:, n:], exited)
 
 
+def escape(s: str) -> str:
+    """The reference for ``report._escape``: one character at a time."""
+    out = ["\""]
+    for ch in s:
+        if ch in ("\"", "\\"):
+            out.append("\\" + ch)
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    out.append("\"")
+    return "".join(out)
+
+
 def format_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         raise ValueError("reports must contain finite numbers")
@@ -241,7 +255,7 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        return _escape(obj)
+        return escape(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
@@ -256,7 +270,7 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f"{inner}{_escape(str(k))}: {dumps_canonical(v, indent + 1)}"
+        items = [f"{inner}{escape(str(k))}: {dumps_canonical(v, indent + 1)}"
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -122,6 +122,18 @@ OUT_OF_RANGE = [
      "--step-size"),
 ]
 
+# each vector option with a field that is not finite or is empty
+BAD_VECTORS = [
+    *[(["geodesic", "sphere2", "--start", start, "--velocity", "0,1"],
+       "--start") for start in ("nan,0.4", "1.5,inf", "1e400,0.4", "1.5,")],
+    *[(["geodesic", "sphere2", "--start", "1.5,0.4", "--velocity", velocity],
+       "--velocity") for velocity in ("inf,1", "nan,1", "1,-1e400", "1,,0",
+                                      ",1")],
+    *[(["factor", "sphere2", "--point", point] + extra, "--point")
+      for point in ("nan,1", "1,inf", "1e400,1", "1, ")
+      for extra in ([], ["--strategy", "numeric"])],
+]
+
 
 def _overflow_file(tmp_path, g11):
     path = tmp_path / "overflow.metric"
@@ -590,6 +602,16 @@ g 4 4 = 1e250
         assert code == EXIT_INPUT
         assert f"error: argument {option}: " in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv,option", BAD_VECTORS,
+        ids=[f"argv{k}" for k in range(len(BAD_VECTORS))])
+    def test_vector_option_must_be_finite_and_full(self, capsys, argv,
+                                                   option):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert err.startswith(f"input error: {option} ")
+        assert out == ""
 
     @pytest.mark.parametrize("kind,depth", [
         *[(kind, MAX_NESTING + 1) for kind in NESTED_G11],

@@ -9,6 +9,7 @@ import sys
 import threading
 import tokenize
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +19,10 @@ from metricforms import (
     Chart,
     differentiate,
     evaluate,
+    get_manifold,
+    load_catalog,
     parse_expr,
     simplify,
-    substitute,
     to_source,
 )
 from metricforms.errors import (
@@ -34,6 +36,19 @@ from metricforms import expr as ex
 from metricforms.tensor import Tensor, require_finite, values_at
 
 import oracles
+
+ROOT = Path(__file__).resolve().parents[1]
+METRIC_FILES = sorted([*(ROOT / "tests" / "data").glob("*.metric"),
+                       *(ROOT / "bench" / "metrics").glob("*.metric")])
+# a name token, and not the exponent of a number literal such as 2e5
+_NAME_TOKEN = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
+
+
+def _with_literals(source, values):
+    """``source`` with each name of ``values`` spelled as its literal."""
+    return _NAME_TOKEN.sub(lambda m: (f"({values[m.group()]!r})"
+                                      if m.group() in values else m.group()),
+                           source)
 
 
 @pytest.fixture
@@ -76,11 +91,31 @@ class TestParse:
         assert evaluate(e, {"r": 2.0, "theta": math.pi / 2}) \
             == pytest.approx(4.0)
 
-    def test_declared_constant(self, polar):
-        e = parse_expr("1 - 2*M/r", polar, constants=("M",))
-        assert e.free_symbols() == {"M", "r"}
-        bound = substitute(e, {"M": 1.0})
-        assert evaluate(bound, {"r": 4.0, "theta": 1.0}) == pytest.approx(0.5)
+    def test_constant_reads_as_its_literal(self):
+        # every metric entry and reference of the catalog and of the
+        # metric files, read with its constants bound, is the very node
+        # its text gives with each constant spelled as its literal
+        bound = set()
+        for spec in [*load_catalog(),
+                     *(get_manifold(str(path)) for path in METRIC_FILES)]:
+            sources = [*spec.metric_source.values(),
+                       *(ref.value_source for ref in spec.references)]
+            for source in sources:
+                assert parse_expr(source, spec.chart, spec.constants) \
+                    is parse_expr(_with_literals(source, spec.constants),
+                                  spec.chart)
+            bound |= {(spec.name, c) for c in spec.constants}
+        assert bound == {("sphere2", "r"), ("schwarzschild", "M"),
+                         ("painleve-gullstrand", "M"),
+                         ("kerr-boyer-lindquist", "M"),
+                         ("kerr-boyer-lindquist", "a")}
+
+    def test_constant_folds_in_a_sum_as_its_literal(self, polar):
+        # the sum folds its literals left to right, the bound M among them
+        e = parse_expr("0.259 + M + r + M", polar, {"M": 0.234})
+        assert e is parse_expr("0.259 + (0.234) + r + (0.234)", polar)
+        assert to_source(e) == "r + 0.727"
+        assert e.free_symbols() == {"r"}
 
     def test_unbalanced_paren_offset(self):
         chart = Chart(("r", "phi"), (2, 0), ((0.5, 3.0), (0.0, 7.0)))
@@ -252,7 +287,7 @@ class TestEval:
         assert evaluate(e, {"r": 1.0, "theta": 1.0}) == 1j
 
     def test_division_by_zero_names_subexpr(self, polar):
-        e = substitute(parse_expr("1/(r - 2*M)", polar, ("M",)), {"M": 1.0})
+        e = parse_expr("1/(r - 2*M)", polar, {"M": 1.0})
         with pytest.raises(EvalDomainError) as err:
             evaluate(e, {"r": 2.0, "theta": 1.0})
         assert "r" in str(err.value)
@@ -309,7 +344,7 @@ class TestDifferentiate:
         assert differentiate(e, "r") is ex.ZERO
 
     def test_schwarzschild_component_vs_fd(self, polar):
-        e = substitute(parse_expr("1 - 2*M/r", polar, ("M",)), {"M": 1.0})
+        e = parse_expr("1 - 2*M/r", polar, {"M": 1.0})
         env = {"r": 4.0, "theta": 1.0}
         sym = evaluate(differentiate(e, "r"), env)
         fd = oracles.fd_partial(lambda p: evaluate(e, p), env, "r")

@@ -40,6 +40,23 @@ class TestLoader:
         with pytest.raises(ChartError):
             spec.metric({"nope": 1.0})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_override_rejected(self, value):
+        # the rule the loader applies to the file's own constants
+        spec = loads(GOOD_FILE)
+        for build in (spec.metric, spec.bound_constants):
+            with pytest.raises(ChartError, match="constant 'k' is not finite"):
+                build({"k": value})
+
+    def test_constant_named_like_a_coordinate_rejected(self):
+        # a constant u would silently replace the coordinate u
+        bad = GOOD_FILE.replace("const k=2.0", "const u=2.0") \
+                       .replace("k * u^2", "u^2")
+        with pytest.raises(ManifoldFormatError) as err:
+            loads(bad)
+        assert err.value.line == 7
+        assert "constant 'u'" in str(err.value)
+
     def test_missing_entries_are_zero(self):
         spec = loads(GOOD_FILE)
         g = spec.metric()

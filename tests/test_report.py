@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from metricforms.cli import main
 from metricforms import report
-from metricforms.report import dumps_canonical, format_float
+from metricforms.report import dumps_canonical
 
 import oracles
 
@@ -86,12 +86,8 @@ _matrices = st.integers(1, 4).flatmap(lambda width: st.lists(
 @example([[5e-324, 3.0]], 0)
 @settings(max_examples=300, deadline=None)
 def test_template_writer_matches_per_float_writer(rows, indent):
-    # a matrix and its flattened list, each through one %-template unless
-    # a float is 1e16 or more in size
+    # a matrix and its flattened list, each through one %-template
     for doc in (rows, [v for row in rows for v in row]):
-        flat = [v for row in rows for v in row]
-        assert report._write_floats(doc, indent, []) \
-            == all(abs(v) < 1e16 for v in flat)
         assert dumps_canonical(doc, indent) \
             == oracles.dumps_canonical(doc, indent)
 
@@ -104,20 +100,32 @@ def test_template_writer_refuses_non_finite_floats(rows, bad, data):
     j = data.draw(st.integers(0, len(rows[0]) - 1))
     rows[i][j] = bad
     for doc in (rows, rows[i]):
-        assert not report._write_floats(doc, 0, [])
         for write in (dumps_canonical, oracles.dumps_canonical):
             with pytest.raises(ValueError,
                                match="^reports must contain finite numbers$"):
                 write(doc)
 
 
-def test_format_float_rules():
-    assert format_float(1e16 - 2) == "9999999999999998.0"
-    assert format_float(1e16) == "10000000000000000"
-    assert format_float(1e17) == "1e+17"
-    assert format_float(-0.0) == "-0.0"
-    assert format_float(0.1) == "0.10000000000000001"
-    assert format_float(5e-324) == "4.9406564584124654e-324"
+@pytest.mark.parametrize("value,text", [
+    (1e16 - 2, "9999999999999998.0"), (1e16, "10000000000000000"),
+    (1e17, "1e+17"), (-0.0, "-0.0"), (0.1, "0.10000000000000001"),
+    (5e-324, "4.9406564584124654e-324")])
+def test_float_rules(value, text):
+    # one rule for a float alone, in a list and in a matrix
+    assert dumps_canonical(value) == dumps_canonical(np.float64(value)) \
+        == text
+    assert dumps_canonical([value, 0.5]) == f"[\n  {text},\n  0.5\n]"
+    assert dumps_canonical([[value], [0.5]]) \
+        == f"[\n  [\n    {text}\n  ],\n  [\n    0.5\n  ]\n]"
+
+
+@given(st.text(alphabet=st.one_of(
+    st.characters(max_codepoint=0x20), st.sampled_from('"\\%üあ\ud800'),
+    st.characters()), max_size=12))
+@example("\x00\x1f\x7f\"\\\ud800")
+@settings(max_examples=300, deadline=None)
+def test_escape_matches_character_loop(s):
+    assert report._escape(s) == oracles.escape(s)
 
 
 def test_unserializable_value_raises_type_error():
