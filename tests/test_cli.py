@@ -46,6 +46,39 @@ g 1 1 = 1000000
 g 2 2 = 1000000 * sin(theta)^2
 """
 
+# g = [[0, -1/2], [-1/2, 0]] is regular, but no symmetric pivot order
+# gives its LDL factorization a nonzero first pivot
+NULL_FILE = """
+name null
+dim 2
+coords u v
+signature 1 1
+domain u -1 1
+domain v -1 1
+g 1 2 = -0.5
+"""
+
+# finite metric values whose form determinant, 1e500, is not
+HUGE_FILE = """
+name huge
+dim 4
+coords a b c d
+signature 4 0
+domain a 0.5 2
+domain b 0.5 2
+domain c 0.5 2
+domain d 0.5 2
+g 1 1 = 1e250
+g 2 2 = 1e250
+g 3 3 = 1e250
+g 4 4 = 1e250
+"""
+
+# |det g| = 1e-16, but the metric is as regular as the identity
+SMALL_FILE = ("name small\ndim 4\ncoords a b c d\nsignature 4 0\n"
+              + "".join(f"domain {c} -1 1\n" for c in "abcd")
+              + "".join(f"g {k} {k} = 1e-4\n" for k in range(1, 5)))
+
 # constant folding leaves 1e200 * 1e150 unfolded, and it evaluates to inf,
 # so every derived tensor evaluates to inf or nan; each command's message
 # names the first one it evaluates, with its component
@@ -135,9 +168,9 @@ BAD_VECTORS = [
 ]
 
 
-def _overflow_file(tmp_path, g11):
-    path = tmp_path / "overflow.metric"
-    path.write_text(f"""
+def overflow_text(g11):
+    """A metric on x in (0.5, 2) whose g 1 1 entry is ``g11``."""
+    return f"""
 name overflow
 dim 2
 coords x y
@@ -146,7 +179,12 @@ domain x 0.5 2
 domain y -1 1
 g 1 1 = {g11}
 g 2 2 = 1
-""")
+"""
+
+
+def _overflow_file(tmp_path, g11):
+    path = tmp_path / "overflow.metric"
+    path.write_text(overflow_text(g11))
     return path
 
 
@@ -156,11 +194,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _nested_calls_file(tmp_path, inner, depth):
+def nested_calls_text(inner, depth):
     """A metric on x in (0.5, 1) with ``inner`` under ``depth`` calls of
     sin."""
-    path = tmp_path / "nested-calls.metric"
-    path.write_text(f"""
+    return f"""
 name nested-calls
 dim 2
 coords x y
@@ -169,7 +206,12 @@ domain x 0.5 1
 domain y -1 1
 g 1 1 = 3 + {"sin(" * depth}{inner}{")" * depth}
 g 2 2 = 1
-""")
+"""
+
+
+def _nested_calls_file(tmp_path, inner, depth):
+    path = tmp_path / "nested-calls.metric"
+    path.write_text(nested_calls_text(inner, depth))
     return path
 
 
@@ -428,9 +470,7 @@ g 2 2 = 1
                                                   argv):
         # |det g| = 1e-16, but the metric is as regular as the identity
         path = tmp_path / "small.metric"
-        path.write_text("name small\ndim 4\ncoords a b c d\nsignature 4 0\n"
-                        + "".join(f"domain {c} -1 1\n" for c in "abcd")
-                        + "".join(f"g {k} {k} = 1e-4\n" for k in range(1, 5)))
+        path.write_text(SMALL_FILE)
         code, out, err = run(capsys, argv[0], str(path), *argv[1:])
         assert (code, err) == (EXIT_OK, "")
 
@@ -510,15 +550,7 @@ g 2 2 = 1
         # g = [[0, -1/2], [-1/2, 0]] is regular, but no symmetric pivot
         # order gives its LDL factorization a nonzero first pivot
         path = tmp_path / "null.metric"
-        path.write_text("""
-name null
-dim 2
-coords u v
-signature 1 1
-domain u -1 1
-domain v -1 1
-g 1 2 = -0.5
-""")
+        path.write_text(NULL_FILE)
         code, out, err = run(capsys, argv[0], str(path), *argv[1:])
         assert code == EXIT_NUMERIC
         assert "zero pivot at index 0" in err
@@ -551,20 +583,7 @@ g 1 2 = -0.5
                                                            tmp_path, argv):
         # finite metric values whose form determinant, 1e500, is not
         path = tmp_path / "huge.metric"
-        path.write_text("""
-name huge
-dim 4
-coords a b c d
-signature 4 0
-domain a 0.5 2
-domain b 0.5 2
-domain c 0.5 2
-domain d 0.5 2
-g 1 1 = 1e250
-g 2 2 = 1e250
-g 3 3 = 1e250
-g 4 4 = 1e250
-""")
+        path.write_text(HUGE_FILE)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, argv[0], str(path), *argv[1:])
