@@ -3,8 +3,9 @@ quantify every identity of the suite at seeded sample points.
 
 Residual tolerances, the ``TOL_*`` constants of ``geometry`` and
 ``factorization``, follow the derivative depth of each identity (the
-third is the contracted divergence of the Einstein tensor), reflecting
-conditioning loss per differentiation.  The decomposition-sum and
+third is the contracted divergence of the Einstein tensor, computed from
+forward-mode tangents of G at the sample points, with no symbolic third
+derivative), reflecting conditioning loss per differentiation.  The decomposition-sum and
 factored Ricci/Einstein rows are reported, never asserted: whether the
 three-part curvature split reproduces the classical tensor in a general
 frame is measured by this harness, and the observed residuals are
@@ -79,8 +80,10 @@ class GeometrySession:
     tensors.  Expression nodes are interned, so every distinct subtree
     (connection components inside pre-currents inside curvature parts) is
     computed once per point, however many times it was built.  Stacked
-    tensor values are cached per tensor object.  Checks judge at the
-    scaled tolerances ``tol``.
+    tensor values are cached per tensor object.  Every builder that
+    differentiates shares the session's one differentiator per
+    coordinate, ``diff``, so no (node, coordinate) pair is differentiated
+    twice.  Checks judge at the scaled tolerances ``tol``.
     """
 
     def __init__(self, spec: ManifoldSpec, strategy: str = "auto",
@@ -95,6 +98,8 @@ class GeometrySession:
         if n_points < 1:
             raise ChartError("at least one sample point is required")
         self.points = self.chart.sample_points(n_points, seed)
+        # one per coordinate, shared by every builder of this session
+        self.diff = geo.differentiators(self.chart)
         self._strategy = strategy
         self._memo: dict[Expr, list] = {}     # node -> values at the points
         self._vals_cache: dict[Tensor, np.ndarray] = {}
@@ -111,21 +116,22 @@ class GeometrySession:
 
     @cached_property
     def conn(self) -> Connection:
-        return geo.christoffel_classical(self.metric, self.g_inv)
+        return geo.christoffel_classical(self.metric, self.g_inv, self.diff)
 
     @cached_property
     def conn_factored(self) -> Connection:
-        return geo.christoffel_factored(self.forms, self.curl, self.g_inv)
+        return geo.christoffel_factored(self.forms, self.curl, self.g_inv,
+                                        self.diff)
 
     @cached_property
     def curl(self) -> Tensor:
         """Exterior derivatives F_I = dA_I."""
-        return geo.exterior_derivative(self.forms)
+        return geo.exterior_derivative(self.forms, self.diff)
 
     @cached_property
     def sym_deriv(self) -> Tensor:
         """S via the direct covariant route."""
-        return geo.sym_covariant_derivative(self.forms, self.conn)
+        return geo.sym_covariant_derivative(self.forms, self.conn, self.diff)
 
     @cached_property
     def sym_deriv_alt(self) -> Tensor:
@@ -138,7 +144,7 @@ class GeometrySession:
 
     @cached_property
     def precurrent(self) -> Tensor:
-        return geo.precurrents(self.curl, self.conn)
+        return geo.precurrents(self.curl, self.conn, self.diff)
 
     @cached_property
     def current(self) -> Tensor:
@@ -146,7 +152,7 @@ class GeometrySession:
 
     @cached_property
     def riemann(self) -> tuple[Tensor, Tensor]:
-        return geo.riemann_classical(self.conn, self.metric)
+        return geo.riemann_classical(self.conn, self.metric, self.diff)
 
     @property
     def riemann_mixed(self) -> Tensor:
@@ -180,18 +186,24 @@ class GeometrySession:
             self.precurrent, self.current, self.metric, self.g_inv)
 
     @cached_property
-    def einstein_divergence(self) -> Tensor:
-        return geo.covariant_divergence_sym2(self.einstein, self.conn,
-                                             self.g_inv)
+    def einstein_divergence(self) -> np.ndarray:
+        """nabla^b G_ab at the points, stacked: numeric, from tangents of
+        G and the values of this session's memo."""
+        return require_finite(
+            geo.covariant_divergence_sym2(self.einstein, self.conn,
+                                          self.g_inv, self.points,
+                                          self._memo),
+            None, "einstein_divergence", self.points)
 
     @cached_property
     def metric_compat(self) -> Tensor:
-        return geo.metric_compatibility(self.metric, self.conn)
+        return geo.metric_compatibility(self.metric, self.conn, self.diff)
 
     @cached_property
     def lie_deriv(self) -> Tensor:
         """Lie derivative of the metric along each form, L_{A_I} g."""
-        return geo.lie_derivative_metric(self.forms, self.metric, self.g_inv)
+        return geo.lie_derivative_metric(self.forms, self.metric, self.g_inv,
+                                         self.diff)
 
     # -- numeric evaluation ---------------------------------------------------
 
@@ -273,7 +285,7 @@ class GeometrySession:
         velocity[0] = 1.0 / np.sqrt(abs(g0[0, 0]))
         return geo.integrate_geodesic(self.metric, self.g_inv, self.conn,
                                       self.forms, self.curl, start, velocity,
-                                      steps, h)
+                                      steps, h, self.diff)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +488,7 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
     # third-derivative level
     rows.append(IdentityRow.check(
         "contracted_bianchi_classical",
-        max_abs(session.vals(session.einstein_divergence)), tol.third))
+        max_abs(session.einstein_divergence), tol.third))
 
     # geodesic spot check from the domain midpoint
     comparison = session.geodesic_spot_check()

@@ -205,7 +205,8 @@ def cmd_geodesic(args) -> int:
     velocity = _parse_vector(args.velocity, chart.dim, "--velocity")
     comparison = geo.integrate_geodesic(
         session.metric, session.g_inv, session.conn, session.forms,
-        session.curl, start, velocity, args.steps, args.step_size)
+        session.curl, start, velocity, args.steps, args.step_size,
+        session.diff)
     if args.out:
         _write_trajectory_csv(args.out, chart, comparison)
     if args.json:

@@ -22,6 +22,13 @@ J[I,b], Riemann[a,b,c,d].  Coordinate derivatives are stacked with the
 derivative slot first, d[k, ...] = d_k (...), so a derivative is one more
 index.
 
+The contracted divergence of a symmetric tensor is numeric: its
+coordinate derivatives are forward-mode tangents (``expr.tangents``) at
+the sample points, so the third derivatives behind the contracted
+Bianchi identity are never built.  Builders that differentiate take
+``diff``, one differentiator per coordinate (``differentiators``); a
+session hands every builder the same one.
+
 Every symbolic builder returns the formula in its docstring as built:
 index contractions through ``tensor.einsum``, sums and scalings through
 numpy object arithmetic, and no simplification (every object is
@@ -45,13 +52,13 @@ from .expr import Differentiator, Expr, Tape
 from .factorization import FormSet
 from .tensor import (
     MetricField,
-    Pair,
     Tensor,
     einsum,
     elementwise,
     max_abs,
     mirror,
     quiet,
+    values_at,
 )
 
 #: residual tolerances by derivative depth of the identity being checked
@@ -73,11 +80,20 @@ class Connection:
     route: str       # "classical" | "factored"
 
 
-def _partials(chart: Chart, comps: np.ndarray) -> np.ndarray:
+def differentiators(chart: Chart) -> tuple[Differentiator, ...]:
+    """One differentiator per coordinate of ``chart``.  A builder's
+    ``diff`` takes such a tuple: builders handed the same one share its
+    caches, so no (node, coordinate) pair among them is differentiated
+    twice.  Without one, a builder makes its own."""
+    return tuple(map(Differentiator, chart.coords))
+
+
+def _partials(chart: Chart, comps: np.ndarray,
+              diff: tuple[Differentiator, ...] | None) -> np.ndarray:
     """d[k, idx] = d/dx_k comps[idx]: the derivative slot is the first
-    axis, one shared-cache differentiator per coordinate."""
-    return np.stack([elementwise(Differentiator(coord), comps)
-                     for coord in chart.coords])
+    axis, by ``diff``, one differentiator per coordinate."""
+    return np.stack([elementwise(d, comps)
+                     for d in diff or differentiators(chart)])
 
 
 #: pair hints for einsum and mirror: which two component axes are
@@ -97,18 +113,19 @@ def _connection(chart: Chart, lower: np.ndarray, g_inv: Tensor,
 
 
 @quiet
-def christoffel_classical(g: MetricField, g_inv: Tensor) -> Connection:
+def christoffel_classical(g: MetricField, g_inv: Tensor,
+                          diff=None) -> Connection:
     """Gamma_cab = (d_a g_cb + d_b g_ca - d_c g_ab) / 2."""
-    dg = _partials(g.chart, g.comps)
+    dg = _partials(g.chart, g.comps, diff)
     lower = einsum("acb->cab + bca->cab - cab->cab", dg, dg, dg,
                    pair=_SYM12) * ex.HALF
     return _connection(g.chart, lower, g_inv, "classical")
 
 
 @quiet
-def sym_partial(forms: FormSet) -> Tensor:
+def sym_partial(forms: FormSet, diff=None) -> Tensor:
     """P[I,a,b] = symmetrized coordinate derivative of the forms."""
-    da = _partials(forms.chart, forms.comps)
+    da = _partials(forms.chart, forms.comps, diff)
     return Tensor(einsum("aib->iab + bia->iab", da, da, pair=_SYM12)
                   * ex.HALF)
 
@@ -120,32 +137,34 @@ def _form_cross(a_comps: np.ndarray, f_comps: np.ndarray) -> np.ndarray:
 
 
 @quiet
-def christoffel_factored(forms: FormSet, f: Tensor, g_inv: Tensor) -> Connection:
+def christoffel_factored(forms: FormSet, f: Tensor, g_inv: Tensor,
+                         diff=None) -> Connection:
     """Connection rebuilt from the form set:
 
     Gamma_cab = A_c (.) sym dA_ab + [A_a (.) F_bc + A_b (.) F_ac] / 2
     """
     ac = forms.comps
-    p = sym_partial(forms).comps
+    p = sym_partial(forms, diff).comps
     lower = (einsum("ic,iab->cab", ac, p, pair=_SYM12)
              + _form_cross(ac, f.comps) * ex.HALF)
     return _connection(forms.chart, lower, g_inv, "factored")
 
 
-def exterior_derivative(forms: FormSet) -> Tensor:
+def exterior_derivative(forms: FormSet, diff=None) -> Tensor:
     """F[I,a,b] = d_a A_Ib - d_b A_Ia; antisymmetric by construction."""
-    da = _partials(forms.chart, forms.comps)
+    da = _partials(forms.chart, forms.comps, diff)
     return Tensor(einsum("aib->iab - bia->iab", da, da, pair=_ANTI12))
 
 
 @quiet
-def sym_covariant_derivative(forms: FormSet, conn: Connection) -> Tensor:
+def sym_covariant_derivative(forms: FormSet, conn: Connection,
+                             diff=None) -> Tensor:
     """S[I,a,b] = sym part of nabla_a A_Ib, via the classical connection."""
     if conn.route != "classical":
         raise TensorError("the direct symmetric derivative is defined "
                           "against the classical connection")
     ac = forms.comps
-    p = sym_partial(forms).comps
+    p = sym_partial(forms, diff).comps
     return Tensor(p - einsum("cab,ic->iab", conn.mixed.comps, ac,
                              pair=_SYM12))
 
@@ -172,7 +191,7 @@ def sym_trace(s: Tensor, g_inv: Tensor) -> Tensor:
 
 
 @quiet
-def precurrents(f: Tensor, conn: Connection) -> Tensor:
+def precurrents(f: Tensor, conn: Connection, diff=None) -> Tensor:
     """J[I,a,b,c] = nabla_a F_Ibc with the classical connection.
 
     Pair antisymmetry in (b,c) is structural; the cyclic identity over
@@ -183,7 +202,7 @@ def precurrents(f: Tensor, conn: Connection) -> Tensor:
         raise TensorError("pre-currents use the classical connection")
     fc = f.comps
     gm = conn.mixed.comps
-    df = _partials(conn.chart, fc)
+    df = _partials(conn.chart, fc, diff)
     jp = einsum("aibc->iabc", df, pair=_ANTI23) - einsum(
         "eab,iec->iabc + eac,ibe->iabc", gm, fc, gm, fc, pair=_ANTI23)
     # the difference of two mirrored halves stores neg(a) - neg(b) below the
@@ -201,11 +220,12 @@ def currents(j_pre: Tensor, g_inv: Tensor) -> Tensor:
 # curvature
 # ---------------------------------------------------------------------------
 
-def riemann_classical(conn: Connection, g: MetricField) -> tuple[Tensor, Tensor]:
+def riemann_classical(conn: Connection, g: MetricField,
+                      diff=None) -> tuple[Tensor, Tensor]:
     """R^a_bcd = d_c G^a_bd - d_d G^a_bc + G^a_ec G^e_bd - G^a_ed G^e_bc,
     returned mixed and all-lower.  This is the oracle route."""
     gm = conn.mixed.comps
-    dgm = _partials(conn.chart, gm)
+    dgm = _partials(conn.chart, gm, diff)
     mixed = einsum(
         "cabd->abcd - dabc->abcd + aec,ebd->abcd - aed,ebc->abcd",
         dgm, dgm, gm, gm, gm, gm, pair=_ANTI23)
@@ -339,38 +359,51 @@ def ricci_einstein_factored(forms: FormSet, f: Tensor, s: Tensor,
                              Tensor(t_current), Tensor(t_sym))
 
 
-def _nabla_sym2(t: np.ndarray, conn: Connection,
-                pair: Pair | None = None) -> np.ndarray:
-    """D[c,a,b] = nabla_c t_ab of a rank-2 lower tensor."""
-    gm = conn.mixed.comps
-    return einsum("cab->cab - eca,eb->cab - ecb,ae->cab",
-                  _partials(conn.chart, t), gm, t, gm, t, pair=pair)
+@quiet
+def covariant_divergence_sym2(t: Tensor, conn: Connection, g_inv: Tensor,
+                              points: list[dict[str, float]],
+                              known: dict | None = None) -> np.ndarray:
+    """div[p,a] = g^bc nabla_c t_ab at each of ``points``, stacked, for a
+    symmetric rank-2 lower tensor, with
+
+        nabla_c t_ab = d_c t_ab - Gamma^e_ca t_eb - Gamma^e_cb t_ae
+
+    computed numerically: d_c t_ab from ``expr.tangents`` of t, and the
+    values of t, Gamma^c_ab and g^ab from one walk over the memo ``known``,
+    contracted by ``np.einsum``.  No derivative of t is built."""
+    dt = ex.tangents(t.comps.flat, points, conn.chart.coords, known)
+    n = conn.chart.dim
+    # (a, b, c, p) -> (p, c, a, b): the derivative slot first
+    dt = dt.reshape(n, n, n, len(points)).transpose(3, 2, 0, 1)
+    tv, gm, gi = (values_at(x.comps, points, known)
+                  for x in (t, conn.mixed, g_inv))
+    nabla = (dt - np.einsum("peca,peb->pcab", gm, tv)
+             - np.einsum("pecb,pae->pcab", gm, tv))
+    return np.einsum("pbc,pcab->pa", gi, nabla)
 
 
-def covariant_divergence_sym2(t: Tensor, conn: Connection,
-                              g_inv: Tensor) -> Tensor:
-    """div[a] = nabla^b t_ab for a symmetric rank-2 lower tensor."""
-    return Tensor(einsum("bc,cab->a", g_inv.comps,
-                         _nabla_sym2(t.comps, conn)))
-
-
-def metric_compatibility(g: MetricField, conn: Connection) -> Tensor:
-    """nabla_c g_ab, identically zero for a Levi-Civita connection."""
-    return Tensor(_nabla_sym2(g.comps, conn, _SYM12))
+def metric_compatibility(g: MetricField, conn: Connection,
+                         diff=None) -> Tensor:
+    """nabla_c g_ab = d_c g_ab - Gamma^e_ca g_eb - Gamma^e_cb g_ae,
+    identically zero for a Levi-Civita connection."""
+    gm, gc = conn.mixed.comps, g.comps
+    return Tensor(einsum("cab->cab - eca,eb->cab - ecb,ae->cab",
+                         _partials(g.chart, gc, diff), gm, gc, gm, gc,
+                         pair=_SYM12))
 
 
 # ---------------------------------------------------------------------------
 # Killing fields and flatness
 # ---------------------------------------------------------------------------
 
-def lie_derivative_metric(forms: FormSet, g: MetricField,
-                          g_inv: Tensor) -> Tensor:
+def lie_derivative_metric(forms: FormSet, g: MetricField, g_inv: Tensor,
+                          diff=None) -> Tensor:
     """(L_{A_I} g)_ab = A^c d_c g_ab + g_cb d_a A^c + g_ac d_b A^c,
     computed from coordinate derivatives only (no connection)."""
     chart = forms.chart
     x = einsum("cd,id->ic", g_inv.comps, forms.comps)
-    dg = _partials(chart, g.comps)
-    dx = _partials(chart, x)
+    dg = _partials(chart, g.comps, diff)
+    dx = _partials(chart, x, diff)
     return Tensor(einsum("ic,cab->iab + cb,aic->iab + ac,bic->iab",
                          x, dg, g.comps, dx, g.comps, dx, pair=_SYM12))
 
@@ -566,7 +599,7 @@ def classical_rhs(conn: Connection):
     return _rhs(conn.chart, u, -einsum("cab,a,b->c", conn.mixed.comps, u, u))
 
 
-def factored_rhs(forms: FormSet, f: Tensor, g_inv: Tensor):
+def factored_rhs(forms: FormSet, f: Tensor, g_inv: Tensor, diff=None):
     """du^c/ds = -A^c (.) [sym dA_ab u^a u^b] + (A_a u^a) (.) F^c_b u^b.
 
     Each sum over a form index, quad_I = sym dA_Iab u^a u^b and A_I.u, is
@@ -577,7 +610,7 @@ def factored_rhs(forms: FormSet, f: Tensor, g_inv: Tensor):
     u = _velocity(forms.chart)
     a_up = einsum("cd,id->ic", g_inv.comps, a)                 # A_I^c
     f_mix = einsum("cd,idb->icb", g_inv.comps, f.comps)        # F_I^c_b
-    quad = einsum("iab,a,b->i", sym_partial(forms).comps, u, u)
+    quad = einsum("iab,a,b->i", sym_partial(forms, diff).comps, u, u)
     a_dot_u = einsum("ia,a->i", a, u)
     du = -einsum("ic,i->c - i,icb,b->c", a_up, quad, a_dot_u, f_mix, u)
     return _rhs(forms.chart, u, du)
@@ -586,7 +619,8 @@ def factored_rhs(forms: FormSet, f: Tensor, g_inv: Tensor):
 def integrate_geodesic(g: MetricField, g_inv: Tensor, conn: Connection,
                        forms: FormSet, f: Tensor,
                        start: np.ndarray, velocity: np.ndarray,
-                       steps: int, h: float) -> GeodesicComparison:
+                       steps: int, h: float,
+                       diff=None) -> GeodesicComparison:
     """Integrate both right-hand-side forms with fixed-step RK4 and
     compare them pointwise; also monitor conservation of g(u, u), with
     the metric read by ``MetricField.values`` along the classical route."""
@@ -597,8 +631,8 @@ def integrate_geodesic(g: MetricField, g_inv: Tensor, conn: Connection,
         raise NumericFaultError(f"start point {start.tolist()} is outside "
                                 "the chart domain")
     traj_c = _rk4(classical_rhs(conn), chart, start, velocity, steps, h)
-    traj_f = _rk4(factored_rhs(forms, f, g_inv), chart, start, velocity,
-                  steps, h)
+    traj_f = _rk4(factored_rhs(forms, f, g_inv, diff), chart, start,
+                  velocity, steps, h)
 
     k = min(len(traj_c.s), len(traj_f.s))
     divergence = max(max_abs(traj_c.x[:k] - traj_f.x[:k]),

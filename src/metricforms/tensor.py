@@ -48,7 +48,7 @@ from .errors import (
     ZeroPivotError,
 )
 from . import expr as ex
-from .expr import Expr
+from .expr import Expr, _tame
 
 Pair = tuple[int, int, int]
 
@@ -189,17 +189,6 @@ def einsum(spec: str, *operands, pair: Pair | None = None) -> np.ndarray:
 
 #: what ``_kind`` says of a node
 _ZERO, _TAME, _WILD = 0, 1, 2
-
-#: constants up to this magnitude are tame: a product of a few of them,
-#: or a sum of many such products, is far from overflowing a float
-TAME_BOUND = 2.0 ** 100
-
-
-def _tame(value) -> bool:
-    if isinstance(value, complex):
-        return abs(value.real) <= TAME_BOUND and abs(value.imag) <= TAME_BOUND
-    return abs(value) <= TAME_BOUND     # False for nan
-
 
 def _kind(e: Expr) -> int:
     """_ZERO for a constant 0; _TAME when every constant that ``ex.mul``

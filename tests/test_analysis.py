@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from metricforms import expr as ex
 from metricforms.errors import FactorizationError, NumericFaultError
 
 from conftest import stacked
+
+DATA = Path(__file__).parent / "data"
 
 EXPECTED_IDENTITIES = [
     "factorization_reconstruction",
@@ -189,3 +193,38 @@ def test_library_call_warns_of_no_refused_fold(tmp_path):
     with pytest.raises(NumericFaultError,
                        match="^cannot normalize the spot-check velocity"):
         run_analysis(get_manifold(str(path)))
+
+
+@pytest.mark.parametrize("target,strategy", [
+    ("sphere2", "auto"), ("schwarzschild", "ldl"), ("flrw-flat", "auto"),
+    (str(DATA / "painleve-gullstrand.metric"), "auto"),
+    (str(DATA / "kerr-boyer-lindquist.metric"), "auto")],
+    ids=lambda t: Path(str(t)).stem)
+def test_analysis_differentiates_each_node_once_and_never_einstein(
+        target, strategy, monkeypatch):
+    # the Einstein divergence reads tangents of G, so no component of G
+    # reaches a Differentiator; one differentiator per coordinate serves
+    # the whole session, so no (node, coordinate) pair is differentiated
+    # twice
+    spec = get_manifold(target)
+    built = GeometrySession(spec, strategy)
+    einstein = {e for e in built.einstein.comps.flat
+                if type(e) is not ex.Const}
+    assert einstein
+    handed, pairs = [], []
+    call, diff = ex.Differentiator.__call__, ex.Differentiator._diff
+
+    def spy_call(d, e):
+        handed.append(e)
+        return call(d, e)
+
+    def spy_diff(d, e):
+        pairs.append((e, d.coord))
+        return diff(d, e)
+
+    monkeypatch.setattr(ex.Differentiator, "__call__", spy_call)
+    monkeypatch.setattr(ex.Differentiator, "_diff", spy_diff)
+    assert run_analysis(spec, strategy).overall_pass
+    assert pairs and handed
+    assert not einstein.intersection(handed)
+    assert len(set(pairs)) == len(pairs)

@@ -8,6 +8,7 @@ import re
 import sys
 import threading
 import tokenize
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -666,6 +667,92 @@ def test_walk_at_all_points_matches_one_point_walks(roots, points):
     assert _outcome(lambda: values_at(comps, points).ravel()) \
         == _outcome(lambda: np.concatenate(
             [values_at(comps, [p]).ravel() for p in points]))
+
+
+# ---------------------------------------------------------------------------
+# tangents against a walk of the symbolic derivative
+# ---------------------------------------------------------------------------
+
+def _symbolic_tangent(e, coord, points):
+    """What a walk of the symbolic derivative of ``e`` along ``coord``
+    gives at ``points``, as a complex array, or raises."""
+    d = differentiate(e, coord)
+    values = ex.walk([d], points)[0]
+    try:
+        return np.array(values, dtype=complex)
+    except OverflowError:
+        raise ex._fault("overflow", d) from None
+
+
+def _fault_of(compute):
+    """The class, message and node of what ``compute`` raises, or None."""
+    try:
+        compute()
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "subexpr", None)
+    return None
+
+
+_x = ex.sym("x")
+
+
+@given(_faulty_exprs(), st.lists(_fault_points, min_size=1, max_size=3),
+       st.sampled_from(["x", "y"]))
+# sqrt' and log' at 0, a negative power of 0, and a zero derivative of a
+# constant whose folding is refused
+@example(ex.fn("sqrt", _x), [{"x": 1.0, "y": 0.0}, {"x": 0.0, "y": 0.0}], "x")
+@example(ex.fn("log", _x), [{"x": 0.0, "y": 0.0}], "x")
+@example(ex.pow_(_x, Fraction(-3, 2)), [{"x": 0.0, "y": 1.0}], "x")
+@example(ex.add(_x, ex.pow_(ex.const(float("inf")), 2)),
+         [{"x": 1.0, "y": 0.0}], "x")
+@settings(max_examples=400, deadline=None)
+def test_tangents_match_walk_of_symbolic_derivative(e, points, coord):
+    # where the symbolic derivative faults, the same class, message and
+    # node; else the same values to rounding, where they are finite
+    want = _fault_of(lambda: _symbolic_tangent(e, coord, points))
+    got = _fault_of(lambda: ex.tangents([e], points, [coord]))
+    assert got == want
+    if want is not None:
+        return
+    symbolic = _symbolic_tangent(e, coord, points)
+    tangent = ex.tangents([e], points, [coord])
+    assert tangent.shape == (1, 1, len(points))
+    for t, v in zip(tangent[0, 0], symbolic):
+        if cmath.isfinite(v):
+            assert abs(t - v) <= 1e-9 * (1 + abs(v))
+
+
+def test_tangents_of_several_roots_and_coordinates():
+    x, y = ex.sym("x"), ex.sym("y")
+    roots = [ex.mul(x, ex.fn("sin", y)), ex.div(y, ex.add(x, ex.const(2))),
+             ex.const(3), ex.sym("z")]
+    points = [{"x": 0.5, "y": 1.5}, {"x": -1.0, "y": 0.25}]
+    got = ex.tangents(roots, points, ("x", "y"))
+    want = [[ex.walk([differentiate(e, c)], points)[0] for c in ("x", "y")]
+            for e in roots[:2]]
+    assert got.shape == (4, 2, 2)
+    assert np.allclose(got[:2], want, rtol=1e-15, atol=0)
+    # a constant and a symbol that is not a coordinate have none, and a
+    # symbol the points do not bind is not read
+    assert not got[2:].any()
+
+
+def test_tangent_fault_names_the_symbolic_node_without_numpy_warning():
+    # 1 / (x * x) at x = 1e-100 is 1e200, but the square of x * x in its
+    # derivative underflows to 0: the symbolic derivative's walk divides
+    # by zero there
+    x = ex.sym("x")
+    e = ex.div(ex.ONE, ex.mul(x, x))
+    points = [{"x": 2.0}, {"x": 1e-100}]
+    want = _fault_of(lambda: _symbolic_tangent(e, "x", points))
+    assert want[1].startswith("division by zero in ")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _fault_of(lambda: ex.tangents([e], points, ["x"])) == want
+        known = {}
+        ex.tangents([e], points[:1], ["x"], known)
+    # the walk adds the nodes it computes to the memo
+    assert known[e] == [0.25]
 
 
 def test_exact_integer_root_beyond_floats_is_an_overflow():

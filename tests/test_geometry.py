@@ -42,8 +42,10 @@ from metricforms.tensor import (
     MetricField,
     antisym_cycle_residual,
     einsum,
+    elementwise,
     max_abs,
     max_imag,
+    values_at,
 )
 
 import oracles
@@ -309,7 +311,7 @@ class TestRicciEinstein:
     def test_contracted_bianchi(self, sessions):
         for name in ("sphere2", "schwarzschild"):
             s = sessions(name)
-            assert max_abs(s.vals(s.einstein_divergence)) <= 1e-7
+            assert max_abs(s.einstein_divergence) <= 1e-7
 
     def test_flrw_scalar_curvature(self, sessions):
         s = sessions("flrw-flat")
@@ -887,3 +889,26 @@ def test_geometry_builders_never_simplify(target, monkeypatch):
     classical_rhs(session.conn)
     factored_rhs(session.forms, session.curl, session.g_inv)
     assert len(calls) == 0
+
+
+# ---------------------------------------------------------------------------
+# tangents of the 11 metrics against the symbolic partials
+# ---------------------------------------------------------------------------
+
+ELEVEN = [*CATALOG_NAMES, *(str(DATA / f"{name}.metric") for name in (
+    "painleve-gullstrand", "kerr-boyer-lindquist", "dense-4d"))]
+
+
+@pytest.mark.parametrize("target", ELEVEN, ids=lambda t: Path(t).stem)
+def test_tangents_match_the_symbolic_partials(target):
+    # of g, A and Gamma^c_ab: each derivative to rounding, against a walk
+    # of the session's own symbolic derivatives
+    s = GeometrySession(get_manifold(target), seed=42)
+    n, p = s.chart.dim, len(s.points)
+    for tensor in (s.metric, s.forms, s.conn.mixed):
+        comps = tensor.comps
+        got = ex.tangents(comps.flat, s.points, s.chart.coords, s._memo)
+        want = np.stack([values_at(elementwise(d, comps), s.points)
+                         for d in s.diff]).reshape(n, p, -1).transpose(2, 0, 1)
+        assert got.shape == want.shape == (comps.size, n, p)
+        assert max_abs(got - want) <= 1e-13 * (1 + max_abs(want))

@@ -460,7 +460,7 @@ def _built_tensors(spec, strategy):
                s.parts.form_part, s.parts.sym_part, s.parts.total, s.ricci,
                s.einstein, s.factored.ricci, s.factored.stress_form,
                s.factored.stress_current, s.factored.stress_sym,
-               s.factored.einstein, s.einstein_divergence, s.metric_compat,
+               s.factored.einstein, s.metric_compat,
                s.lie_deriv]
     return [t.comps for t in tensors] + [np.array(s.scalar),
                                          np.array(s.factored.scalar)]
