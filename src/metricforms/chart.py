@@ -56,10 +56,6 @@ class Chart:
     def dim(self) -> int:
         return len(self.coords)
 
-    def eta(self) -> np.ndarray:
-        r, s = self.signature
-        return np.diag([1.0] * r + [-1.0] * s)
-
     def contains(self, values) -> bool:
         return all(lo < v < hi
                    for v, (lo, hi) in zip(values, self.domains))

@@ -123,21 +123,6 @@ class Expr:
 
         return walk(self)
 
-    def free_symbols(self) -> frozenset[str]:
-        memo: dict[int, frozenset[str]] = {}
-
-        def walk(node):
-            got = memo.get(id(node))
-            if got is None:
-                if isinstance(node, Sym):
-                    got = frozenset((node.name,))
-                else:
-                    got = frozenset().union(*(walk(c) for c in node.children()))
-                memo[id(node)] = got
-            return got
-
-        return walk(self)
-
 
 # Intern table: key -> the one live node with that structure.  Composite
 # keys hold the ids of the children; a parent keeps its children alive, so
@@ -782,7 +767,9 @@ def _rules(algebra: str) -> dict:
         namespace = {"pow": pow_, **{name: functools.partial(fn, name)
                                      for name in FUNCTIONS}}
     else:
-        namespace = {"pow": _array_of(_pow_value),
+        fractional = _array_of(_pow_value)
+        namespace = {"pow": lambda a, q: (a ** int(q) if q == int(q)
+                                          else fractional(a, q)),
                      **{name: _array_of(_FUNCTION[name])
                         for name in FUNCTIONS}}
     return {name: eval(f"lambda u=None, du=None, v=None, dv=None, q=None, "

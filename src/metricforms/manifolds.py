@@ -97,15 +97,24 @@ def loads(text: str, origin: str = "<string>") -> ManifoldSpec:
     coords: tuple[str, ...] | None = None
     signature = None
     constants: dict[str, float] = {}
-    const_lines: dict[str, int] = {}
     domains: dict[str, tuple[float, float]] = {}
     entries: dict[tuple[int, int], tuple[str, int]] = {}
+    first: dict = {}    # what a line sets -> the line that set it
+
+    def once(key, what: str) -> None:
+        """A second line setting ``key`` is an error, not an override."""
+        if key in first:
+            raise ManifoldFormatError(f"{what} repeats line {first[key]}",
+                                      lineno)
+        first[key] = lineno
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         head, rest = _split_directive(raw)
         if head is None:
             continue
         try:
+            if head in ("name", "dim", "coords", "signature"):
+                once(head, f"'{head}'")
             if head == "name":
                 name = rest
             elif head == "dim":
@@ -122,13 +131,14 @@ def loads(text: str, origin: str = "<string>") -> ManifoldSpec:
                 cname = cname.strip()
                 if not cname:
                     raise ValueError
+                once(("const", cname), f"constant '{cname}'")
                 constants[cname] = float(cval)
-                const_lines[cname] = lineno
                 if not math.isfinite(constants[cname]):
                     raise ManifoldFormatError(
                         f"constant '{cname}' is not finite", lineno)
             elif head == "domain":
                 cname, lo, hi = rest.split()
+                once(("domain", cname), f"domain of '{cname}'")
                 domains[cname] = (float(lo), float(hi))
             elif head == "g":
                 lhs, _, source = rest.partition("=")
@@ -180,7 +190,7 @@ def loads(text: str, origin: str = "<string>") -> ManifoldSpec:
         if cname in constants:
             raise ManifoldFormatError(
                 f"constant '{cname}' shares the name of a coordinate",
-                const_lines[cname])
+                first["const", cname])
     try:
         chart = Chart(coords, signature, tuple(domains[c] for c in coords))
     except ChartError as exc:

@@ -59,8 +59,8 @@ def _edge_files() -> dict[str, tuple[str, str, str]]:
     from conftest import NON_FINITE_FILE
     from test_cli import (
         BIG_SPHERE_FILE, GOOD_FILE, HUGE_FILE, METRIC_FAULTS, NESTED_G11,
-        NULL_FILE, OVERFLOWING_G11, SMALL_FILE, nested_calls_text,
-        overflow_text)
+        NULL_FILE, OVERFLOWING_G11, REPEATED_CONST_FILE, SMALL_FILE,
+        nested_calls_text, overflow_text)
     from metricforms.expr import MAX_NESTING
 
     files = {f"fault-{name}": (text, point, "1,0")
@@ -97,6 +97,7 @@ def _edge_files() -> dict[str, tuple[str, str, str]]:
         "huge": (HUGE_FILE, "1,1,1,1", "1,0,0,0"),
         "small": (SMALL_FILE, "0,0,0,0", "1,0,0,0"),
         "good": (GOOD_FILE, "0,0", "1,0"),
+        "repeated-const": (REPEATED_CONST_FILE, "0,0", "1,0"),
         "big-sphere": (BIG_SPHERE_FILE, "1.5,0.4", "0,1"),
         "nested-calls": (nested_calls_text("x", MAX_NESTING), "0.75,0",
                          "1,0"),

@@ -24,6 +24,26 @@ from metricforms.geometry import Trajectory
 from metricforms.tensor import _SIGN, _plan, mirror
 
 
+def eta(chart) -> np.ndarray:
+    """The flat metric of ``chart``'s signature: +1 for each of its r
+    spacelike axes, then -1 for each of its s timelike ones."""
+    r, s = chart.signature
+    return np.diag([1.0] * r + [-1.0] * s)
+
+
+def free_symbols(e) -> frozenset[str]:
+    """The names of the symbols in ``e``."""
+    names, seen, stack = set(), set(), [e]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            if isinstance(node, ex.Sym):
+                names.add(node.name)
+            stack.extend(node.children())
+    return frozenset(names)
+
+
 def fd_step(x: float, h: float = 1e-6) -> float:
     return h * max(1.0, abs(x))
 

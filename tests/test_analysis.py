@@ -7,6 +7,7 @@ from metricforms import GeometrySession, get_manifold, run_analysis
 from metricforms import expr as ex
 from metricforms.errors import FactorizationError, NumericFaultError
 
+import oracles
 from conftest import stacked
 
 DATA = Path(__file__).parent / "data"
@@ -166,7 +167,7 @@ def test_analysis_compiles_only_the_spot_check_right_hand_sides(catalog,
 
     def spy(tape, roots, args, **kwargs):
         roots = list(roots)
-        tapes.append((set().union(*(e.free_symbols() for e in roots)), args,
+        tapes.append((set().union(*map(oracles.free_symbols, roots)), args,
                       kwargs))
         return init(tape, roots, args, **kwargs)
 

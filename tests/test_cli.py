@@ -46,6 +46,10 @@ g 1 1 = 1000000
 g 2 2 = 1000000 * sin(theta)^2
 """
 
+# a second const line for k would silently replace the first
+REPEATED_CONST_FILE = GOOD_FILE.replace("const k=2.0",
+                                        "const k=2.0\nconst k=5.0")
+
 # g = [[0, -1/2], [-1/2, 0]] is regular, but no symmetric pivot order
 # gives its LDL factorization a nonzero first pivot
 NULL_FILE = """
@@ -403,6 +407,16 @@ class TestErrors:
         code, out, err = run(capsys, "check", str(path))
         assert code == EXIT_INPUT
         assert "error" in err
+
+    @pytest.mark.parametrize("command", ["check", "factor"])
+    def test_repeated_constant_is_input_error(self, capsys, tmp_path,
+                                              command):
+        path = tmp_path / "repeated.metric"
+        path.write_text(REPEATED_CONST_FILE)
+        code, out, err = run(capsys, command, str(path))
+        assert code == EXIT_INPUT
+        assert err == "input error: line 7: constant 'k' repeats line 6\n"
+        assert out == ""
 
     def test_user_file_works_end_to_end(self, capsys, tmp_path):
         path = tmp_path / "plane.metric"

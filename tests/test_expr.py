@@ -116,7 +116,7 @@ class TestParse:
         e = parse_expr("0.259 + M + r + M", polar, {"M": 0.234})
         assert e is parse_expr("0.259 + (0.234) + r + (0.234)", polar)
         assert to_source(e) == "r + 0.727"
-        assert e.free_symbols() == {"r"}
+        assert oracles.free_symbols(e) == {"r"}
 
     def test_unbalanced_paren_offset(self):
         chart = Chart(("r", "phi"), (2, 0), ((0.5, 3.0), (0.0, 7.0)))

@@ -106,6 +106,26 @@ class TestLoader:
         with pytest.raises(ManifoldFormatError):
             loads(bad)
 
+    @pytest.mark.parametrize("line,message", [
+        ("const k=5.0", "line 12: constant 'k' repeats line 7"),
+        ("domain u 0 3", "line 12: domain of 'u' repeats line 8"),
+        ("name other", "line 12: 'name' repeats line 3"),
+        ("dim 2", "line 12: 'dim' repeats line 4"),
+        ("coords u v", "line 12: 'coords' repeats line 5"),
+        ("signature 2 0", "line 12: 'signature' repeats line 6"),
+    ], ids=["const", "domain", "name", "dim", "coords", "signature"])
+    def test_repeated_line_rejected(self, line, message):
+        # a later line would otherwise silently replace the earlier one
+        with pytest.raises(ManifoldFormatError) as err:
+            loads(GOOD_FILE + line + "\n")
+        assert str(err.value) == message
+
+    def test_distinct_constants_and_domains_load(self):
+        spec = loads(GOOD_FILE.replace("const k=2.0",
+                                       "const k=2.0\nconst m=5.0"))
+        assert spec.constants == {"k": 2.0, "m": 5.0}
+        assert spec.chart.domains == ((-1.0, 1.0), (-1.0, 1.0))
+
     def test_unknown_symbol_in_component(self):
         bad = GOOD_FILE.replace("1 + k * u^2", "1 + q * u^2")
         with pytest.raises(ManifoldFormatError) as err:
