@@ -5,12 +5,12 @@ Residual tolerances, the ``TOL_*`` constants of ``geometry`` and
 ``factorization``, follow the derivative depth of each identity (the
 third is the contracted divergence of the Einstein tensor, computed from
 forward-mode tangents of G at the sample points, with no symbolic third
-derivative), reflecting conditioning loss per differentiation.  The decomposition-sum and
-factored Ricci/Einstein rows are reported, never asserted: whether the
-three-part curvature split reproduces the classical tensor in a general
-frame is measured by this harness, and the observed residuals are
-pinned as regression baselines by the acceptance suite rather than
-assumed to vanish.
+derivative), reflecting conditioning loss per differentiation.  The
+decomposition-sum and factored Ricci/Einstein rows are reported, never
+asserted: whether the three-part curvature split reproduces the
+classical tensor in a general frame is measured by this harness, and
+the observed residuals are pinned as regression baselines by the
+acceptance suite rather than assumed to vanish.
 """
 
 from __future__ import annotations

@@ -369,8 +369,9 @@ def covariant_divergence_sym2(t: Tensor, conn: Connection, g_inv: Tensor,
         nabla_c t_ab = d_c t_ab - Gamma^e_ca t_eb - Gamma^e_cb t_ae
 
     computed numerically: d_c t_ab from ``expr.tangents`` of t, and the
-    values of t, Gamma^c_ab and g^ab from one walk over the memo ``known``,
-    contracted by ``np.einsum``.  No derivative of t is built."""
+    values of t, Gamma^c_ab and g^ab read by walks over the memo
+    ``known``, contracted by ``np.einsum``.  No derivative of t is
+    built."""
     dt = ex.tangents(t.comps.flat, points, conn.chart.coords, known)
     n = conn.chart.dim
     # (a, b, c, p) -> (p, c, a, b): the derivative slot first

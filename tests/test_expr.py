@@ -722,18 +722,20 @@ def test_tangents_match_walk_of_symbolic_derivative(e, points, coord):
             assert abs(t - v) <= 1e-9 * (1 + abs(v))
 
 
-def test_tangents_of_several_roots_and_coordinates():
+@pytest.mark.parametrize("z", [{"z": 2.0}, {}], ids=["bound", "unbound"])
+def test_tangents_of_several_roots_and_coordinates(z):
+    # a constant and a symbol that is not a coordinate have none; where
+    # the points do not bind that symbol, the values fault and the
+    # symbolic derivatives, which do not read it, are walked instead
     x, y = ex.sym("x"), ex.sym("y")
     roots = [ex.mul(x, ex.fn("sin", y)), ex.div(y, ex.add(x, ex.const(2))),
              ex.const(3), ex.sym("z")]
-    points = [{"x": 0.5, "y": 1.5}, {"x": -1.0, "y": 0.25}]
+    points = [{"x": 0.5, "y": 1.5, **z}, {"x": -1.0, "y": 0.25, **z}]
     got = ex.tangents(roots, points, ("x", "y"))
     want = [[ex.walk([differentiate(e, c)], points)[0] for c in ("x", "y")]
             for e in roots[:2]]
     assert got.shape == (4, 2, 2)
     assert np.allclose(got[:2], want, rtol=1e-15, atol=0)
-    # a constant and a symbol that is not a coordinate have none, and a
-    # symbol the points do not bind is not read
     assert not got[2:].any()
 
 
