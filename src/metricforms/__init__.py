@@ -2,11 +2,11 @@
 geometry along two cross-validating analytical routes."""
 
 from .chart import Chart
+from .derivative import differentiate
 from .errors import MetricFormsError
 from .expr import (
     Expr,
     Tape,
-    differentiate,
     evaluate,
     parse_expr,
     simplify,

@@ -23,9 +23,9 @@ derivative slot first, d[k, ...] = d_k (...), so a derivative is one more
 index.
 
 The contracted divergence of a symmetric tensor is numeric: its
-coordinate derivatives are forward-mode tangents (``expr.tangents``) at
-the sample points, so the third derivatives behind the contracted
-Bianchi identity are never built.  Builders that differentiate take
+coordinate derivatives are forward-mode tangents at the sample points
+(``derivative.tangents``), so the third derivatives behind the
+contracted Bianchi identity are never built.  Builders that differentiate take
 ``diff``, one differentiator per coordinate (``differentiators``); a
 session hands every builder the same one.
 
@@ -48,7 +48,8 @@ import numpy as np
 from .chart import Chart
 from .errors import EvalDomainError, NumericFaultError, TensorError
 from . import expr as ex
-from .expr import Differentiator, Expr, Tape
+from .derivative import Differentiator, tangents
+from .expr import Expr, Tape
 from .factorization import FormSet
 from .tensor import (
     MetricField,
@@ -368,11 +369,11 @@ def covariant_divergence_sym2(t: Tensor, conn: Connection, g_inv: Tensor,
 
         nabla_c t_ab = d_c t_ab - Gamma^e_ca t_eb - Gamma^e_cb t_ae
 
-    computed numerically: d_c t_ab from ``expr.tangents`` of t, and the
-    values of t, Gamma^c_ab and g^ab read by walks over the memo
+    computed numerically: d_c t_ab from ``derivative.tangents`` of t, and
+    the values of t, Gamma^c_ab and g^ab read by walks over the memo
     ``known``, contracted by ``np.einsum``.  No derivative of t is
     built."""
-    dt = ex.tangents(t.comps.flat, points, conn.chart.coords, known)
+    dt = tangents(t.comps.flat, points, conn.chart.coords, known)
     n = conn.chart.dim
     # (a, b, c, p) -> (p, c, a, b): the derivative slot first
     dt = dt.reshape(n, n, n, len(points)).transpose(3, 2, 0, 1)

@@ -5,6 +5,7 @@ import pytest
 
 from metricforms import GeometrySession, get_manifold, run_analysis
 from metricforms import expr as ex
+from metricforms.derivative import Differentiator
 from metricforms.errors import FactorizationError, NumericFaultError
 
 import oracles
@@ -213,7 +214,7 @@ def test_analysis_differentiates_each_node_once_and_never_einstein(
                 if type(e) is not ex.Const}
     assert einstein
     handed, pairs = [], []
-    call, diff = ex.Differentiator.__call__, ex.Differentiator._diff
+    call, diff = Differentiator.__call__, Differentiator._diff
 
     def spy_call(d, e):
         handed.append(e)
@@ -223,8 +224,8 @@ def test_analysis_differentiates_each_node_once_and_never_einstein(
         pairs.append((e, d.coord))
         return diff(d, e)
 
-    monkeypatch.setattr(ex.Differentiator, "__call__", spy_call)
-    monkeypatch.setattr(ex.Differentiator, "_diff", spy_diff)
+    monkeypatch.setattr(Differentiator, "__call__", spy_call)
+    monkeypatch.setattr(Differentiator, "_diff", spy_diff)
     assert run_analysis(spec, strategy).overall_pass
     assert pairs and handed
     assert not einstein.intersection(handed)

@@ -34,6 +34,7 @@ from metricforms.errors import (
     UnknownSymbolError,
 )
 from metricforms import expr as ex
+from metricforms.derivative import tangents
 from metricforms.tensor import Tensor, require_finite, values_at
 
 import oracles
@@ -710,12 +711,12 @@ def test_tangents_match_walk_of_symbolic_derivative(e, points, coord):
     # where the symbolic derivative faults, the same class, message and
     # node; else the same values to rounding, where they are finite
     want = _fault_of(lambda: _symbolic_tangent(e, coord, points))
-    got = _fault_of(lambda: ex.tangents([e], points, [coord]))
+    got = _fault_of(lambda: tangents([e], points, [coord]))
     assert got == want
     if want is not None:
         return
     symbolic = _symbolic_tangent(e, coord, points)
-    tangent = ex.tangents([e], points, [coord])
+    tangent = tangents([e], points, [coord])
     assert tangent.shape == (1, 1, len(points))
     for t, v in zip(tangent[0, 0], symbolic):
         if cmath.isfinite(v):
@@ -731,7 +732,7 @@ def test_tangents_of_several_roots_and_coordinates(z):
     roots = [ex.mul(x, ex.fn("sin", y)), ex.div(y, ex.add(x, ex.const(2))),
              ex.const(3), ex.sym("z")]
     points = [{"x": 0.5, "y": 1.5, **z}, {"x": -1.0, "y": 0.25, **z}]
-    got = ex.tangents(roots, points, ("x", "y"))
+    got = tangents(roots, points, ("x", "y"))
     want = [[ex.walk([differentiate(e, c)], points)[0] for c in ("x", "y")]
             for e in roots[:2]]
     assert got.shape == (4, 2, 2)
@@ -750,9 +751,9 @@ def test_tangent_fault_names_the_symbolic_node_without_numpy_warning():
     assert want[1].startswith("division by zero in ")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _fault_of(lambda: ex.tangents([e], points, ["x"])) == want
+        assert _fault_of(lambda: tangents([e], points, ["x"])) == want
         known = {}
-        ex.tangents([e], points[:1], ["x"], known)
+        tangents([e], points[:1], ["x"], known)
     # the walk adds the nodes it computes to the memo
     assert known[e] == [0.25]
 

@@ -27,6 +27,7 @@ from metricforms import (
 )
 from metricforms import expr as ex
 from metricforms import geometry as geo
+from metricforms.derivative import Differentiator, tangents
 from metricforms.chart import Chart
 from metricforms.errors import EvalDomainError, TensorError
 from metricforms.geometry import (
@@ -767,7 +768,7 @@ def test_metric_non_real_on_the_path_raises(rhs_sessions):
 def _loop_partials(chart, comps):
     out = []
     for coord in chart.coords:
-        d = ex.Differentiator(coord)
+        d = Differentiator(coord)
         arr = np.empty(comps.shape, dtype=object)
         for idx in np.ndindex(comps.shape):
             arr[idx] = d(comps[idx])
@@ -907,7 +908,7 @@ def test_tangents_match_the_symbolic_partials(target):
     n, p = s.chart.dim, len(s.points)
     for tensor in (s.metric, s.forms, s.conn.mixed):
         comps = tensor.comps
-        got = ex.tangents(comps.flat, s.points, s.chart.coords, s._memo)
+        got = tangents(comps.flat, s.points, s.chart.coords, s._memo)
         want = np.stack([values_at(elementwise(d, comps), s.points)
                          for d in s.diff]).reshape(n, p, -1).transpose(2, 0, 1)
         assert got.shape == want.shape == (comps.size, n, p)
