@@ -75,6 +75,8 @@ def _rules(algebra: str) -> dict:
         namespace = {"pow": pow_, **{name: functools.partial(fn, name)
                                      for name in FUNCTIONS}}
     else:
+        # an integer power has no branch cut, so numpy's power serves; a
+        # fractional one takes the walk's principal branch point by point
         fractional = _array_of(_pow_value)
         namespace = {"pow": lambda a, q: (a ** int(q) if q == int(q)
                                           else fractional(a, q)),

@@ -54,9 +54,9 @@ STRATEGIES = ("auto", "ldl", "numeric")
 
 
 def _edge_files() -> dict[str, tuple[str, str, str]]:
-    """Each fault and edge file of ``test_cli.py``: name -> (text, a
-    point in its domain, a geodesic velocity)."""
-    from conftest import NON_FINITE_FILE
+    """Each fault and edge file of ``test_cli.py`` (``NON_FINITE_FILE``
+    is the first of ``METRIC_FAULTS``): name -> (text, a point in its
+    domain, a geodesic velocity)."""
     from test_cli import (
         BIG_SPHERE_FILE, GOOD_FILE, HUGE_FILE, METRIC_FAULTS, NESTED_G11,
         NULL_FILE, OVERFLOWING_G11, REPEATED_CONST_FILE, SMALL_FILE,
