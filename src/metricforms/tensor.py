@@ -17,9 +17,18 @@ for the sparse metrics of the catalog, is not built: ``ex.mul`` would
 make it ZERO and ``ex.add`` drop it.  Elementwise sums and differences
 use numpy object arithmetic, which calls the same smart constructors.
 
+What a contraction costs is what it builds.  Its plan, the integer
+index of every factor of every product, is made once per spec, operand
+shapes and pair hint, and cached for the process (``_plan``); the
+catalog's analyses repeat most of theirs.  A call then scans each
+distinct operand once for zero entries and wild constants, visits only
+the products whose first factor is not zero, and builds the components
+in plain Python.
+
 Numbers come from ``values_at``: one ``expr.walk`` of the components at
 all the points at once, converted to a complex array stacked on a
-leading point axis.
+leading point axis.  Each distinct node is walked and converted once,
+however many components hold it.
 
 A metric is factored once, symbolically, as L D Lt (``ldl``).  The
 ``ldl`` form set V = L sqrt(D) and the inverse metric L^-t D^-1 L^-1 are
@@ -35,6 +44,8 @@ import functools
 import itertools
 import math
 import re
+from array import array
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,33 +91,185 @@ def elementwise(f, arr: np.ndarray) -> np.ndarray:
     return np.frompyfunc(f, 1, 1)(arr)
 
 
+def _compact(values) -> array:
+    """Non-negative integers as an array of the narrowest unsigned type
+    that holds them."""
+    values = np.asarray(values, dtype=np.intp).ravel()
+    top = int(values.max()) if values.size else 0
+    code = "B" if top < 1 << 8 else "H" if top < 1 << 16 else "I"
+    return array(code, values.tolist())
+
+
 @functools.lru_cache(maxsize=64)
-def _pair_masks(shape: tuple[int, ...], pair: Pair):
-    """Read-only masks of a pair hint over ``shape``: the entries it builds
-    (idx[i] <= idx[j], or < for an antisymmetric pair), the entries it
-    mirrors (idx[i] > idx[j]) and the diagonal (idx[i] == idx[j]).  Cached:
-    a handful of shapes recur on every call of a run."""
+def _pair_plan(shape: tuple[int, ...], pair: Pair):
+    """Flat positions over ``shape`` for a pair hint, ascending: the
+    entries it builds (idx[i] <= idx[j], or < for an antisymmetric pair),
+    the entries it mirrors (idx[i] > idx[j]), the mirror image of each of
+    those (idx[i] and idx[j] swapped) and the diagonal (idx[i] == idx[j]).
+    Cached: a handful of shapes recur on every call of a run."""
     i, j, sign = pair
-    grid = np.indices(shape, sparse=True)
-    built = grid[i] < grid[j] if sign < 0 else grid[i] <= grid[j]
-    return tuple(np.broadcast_to(mask, shape) for mask in
-                 (built, grid[i] > grid[j], grid[i] == grid[j]))
+    swap = list(range(len(shape)))
+    swap[i], swap[j] = j, i
+    grid = np.indices(shape).reshape(len(shape), math.prod(shape))
+    low = grid[i] > grid[j]
+    built = grid[i] < grid[j] if sign < 0 else ~low
+    image = np.ravel_multi_index(grid[swap], shape)[low]
+    return tuple(map(_compact, (np.flatnonzero(built), np.flatnonzero(low),
+                                image, np.flatnonzero(grid[i] == grid[j]))))
+
+
+def _fill_mirrors(flat: list, shape: tuple[int, ...], pair: Pair) -> None:
+    """``mirror`` on the components of an array of ``shape``, listed in
+    C order."""
+    _, low, image, diagonal = _pair_plan(shape, pair)
+    if pair[2] > 0:
+        for k, m in zip(low, image):
+            flat[k] = flat[m]
+        return
+    for k in diagonal:
+        flat[k] = ex.ZERO
+    for k, m in zip(low, image):
+        flat[k] = ex.neg(flat[m])
 
 
 def mirror(arr: np.ndarray, pair: Pair) -> np.ndarray:
     """Fill the entries of ``arr`` with idx[i] > idx[j] from their mirror
     images, in place.  Sign +1 shares the mirrored node; sign -1 stores its
     negation and puts ZERO on the diagonal idx[i] == idx[j]."""
-    i, j, sign = pair
-    _, low, diagonal = _pair_masks(arr.shape, pair)
-    if sign < 0:
-        arr[diagonal] = ex.ZERO
-    image = np.swapaxes(arr, i, j)[low]
-    arr[low] = image if sign > 0 else elementwise(ex.neg, image)
+    flat = arr.ravel().tolist()
+    _fill_mirrors(flat, arr.shape, pair)
+    arr[...] = np.fromiter(flat, dtype=object,
+                           count=len(flat)).reshape(arr.shape)
     return arr
 
 
 _SIGN = re.compile(r"\s*([+-])(?!>)\s*")     # a sign, not the '-' of '->'
+
+#: contraction plans kept per process (``_plan``): the eight catalog
+#: analyses make 344 contractions from 108 plans
+PLAN_CACHE_SIZE = 256
+
+
+class _Term(NamedTuple):
+    """One contraction of an einsum plan.  Its rows are the products it
+    sums, one per built component and summed index, the summed letters
+    fastest; ``columns`` holds, per operand, the flat index of its factor
+    in every row.  ``rows_of`` lists the rows of a product of several
+    factors by the entry of the first factor they read:
+    ``order[starts[e]:starts[e + 1]]``, ascending, for entry e."""
+    negate: bool
+    operands: slice
+    width: int                  # rows per built component
+    columns: tuple
+    rows_of: tuple | None       # (order, starts)
+
+
+class _Plan(NamedTuple):
+    """An einsum plan: the output shape, the flat positions a pair hint
+    builds, and the contractions summed into them."""
+    shape: tuple[int, ...]
+    built: array | None         # flat positions built; None for all
+    terms: tuple[_Term, ...]
+
+
+def _strides(letters: str, shape: tuple[int, ...]) -> dict[str, int]:
+    """The flat step of each letter of an operand: the sum of its axes'
+    C-order strides, so a repeated letter walks the diagonal."""
+    steps, step = {}, 1
+    for letter, size in zip(letters[::-1], shape[::-1]):
+        steps[letter] = steps.get(letter, 0) + step
+        step *= size
+    return steps
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(spec: str, shapes: tuple[tuple[int, ...], ...],
+          pair: Pair | None) -> _Plan:
+    """How ``einsum`` builds ``spec`` for operands of the given shapes:
+    the output shape, the positions it builds, and per contraction its
+    sign, its operands and the index columns of its rows.  Cached per
+    process: an analysis makes most contractions of the one before."""
+    spec = spec.strip()
+    parts = _SIGN.split(spec if _SIGN.match(spec) else "+" + spec)
+    outputs = {term.partition("->")[2] for term in parts[2::2]}
+    if len(outputs) != 1:
+        raise TensorError(f"einsum spec '{spec}' has several outputs")
+    output = outputs.pop()
+    shape, built, terms, first = None, None, [], 0
+    for sign, term in zip(parts[1::2], parts[2::2]):
+        inputs, arrow, _ = term.partition("->")
+        inputs = inputs.split(",")
+        mine = shapes[first:first + len(inputs)]
+        if not arrow or len(inputs) != len(mine):
+            raise TensorError(f"einsum term '{term}' does not match "
+                              f"{len(mine)} operand(s)")
+        extent: dict[str, int] = {}
+        for letters, op_shape in zip(inputs, mine):
+            if len(letters) != len(op_shape):
+                raise TensorError(f"einsum operand '{letters}' has "
+                                  f"{len(op_shape)} axes")
+            for letter, size in zip(letters, op_shape):
+                if extent.setdefault(letter, size) != size:
+                    raise TensorError(f"einsum index '{letter}' has extents "
+                                      f"{extent[letter]} and {size}")
+        if len(set(output)) != len(output) or not set(output) <= set(extent):
+            raise TensorError(f"einsum output '{output}' is not a set of "
+                              "operand letters")
+        if shape is None:
+            shape = tuple(extent[c] for c in output)
+            built = _pair_plan(shape, pair)[0] if pair is not None else None
+            where = np.indices(shape).reshape(len(shape), math.prod(shape))
+            if built is not None:
+                where = where[:, np.asarray(built, dtype=np.intp)]
+        elif shape != tuple(extent[c] for c in output):
+            raise TensorError(f"einsum spec '{spec}' sums different shapes")
+        summed = [c for c in dict.fromkeys("".join(inputs)) if c not in output]
+        width = math.prod(extent[c] for c in summed)
+        inner = np.indices([extent[c] for c in summed]).reshape(len(summed),
+                                                                width)
+        columns = []
+        for letters, op_shape in zip(inputs, mine):
+            steps = _strides(letters, op_shape)
+            outer = sum((steps.get(c, 0) * k for c, k in zip(output, where)),
+                        np.zeros(where.shape[1], dtype=np.intp))
+            columns.append((outer[:, None] + sum(
+                (steps.get(c, 0) * k for c, k in zip(summed, inner)),
+                np.zeros(width, dtype=np.intp))).ravel())
+        rows_of = None
+        if len(inputs) > 1:
+            counts = np.bincount(columns[0], minlength=math.prod(mine[0]))
+            rows_of = (_compact(np.argsort(columns[0], kind="stable")),
+                       _compact(np.concatenate(([0], np.cumsum(counts)))))
+        terms.append(_Term(sign == "-", slice(first, first + len(inputs)),
+                           width, tuple(map(_compact, columns)), rows_of))
+        first += len(inputs)
+    if first != len(shapes):
+        raise TensorError(f"einsum spec '{spec}' does not match "
+                          f"{len(shapes)} operand(s)")
+    return _Plan(shape, built, tuple(terms))
+
+
+def _scan(entries: list) -> tuple[bytearray, bool]:
+    """Per entry, whether it is a zero constant; and whether any entry is
+    wild: it folds a constant beyond ``TAME_BOUND`` into the sum or
+    product it joins (its own value, or one of its factors or terms).
+    A product of tame operands with a zero factor is ZERO, and a sum of
+    such products drops it exactly; with a wild constant, folding may
+    overflow and keep every operand."""
+    zero = bytearray(len(entries))
+    wild = False
+    for k, e in enumerate(entries):
+        t = type(e)
+        if t is ex.Const:
+            if e.value == 0:
+                zero[k] = 1
+            elif not _tame(e.value):
+                wild = True
+        elif (t is ex.Mul or t is ex.Add) and not wild:
+            parts = e.factors if t is ex.Mul else e.terms
+            wild = ex.Const in map(type, parts) and not all(
+                _tame(c.value) for c in parts if type(c) is ex.Const)
+    return zero, wild
 
 
 def einsum(spec: str, *operands, pair: Pair | None = None) -> np.ndarray:
@@ -138,110 +301,68 @@ def einsum(spec: str, *operands, pair: Pair | None = None) -> np.ndarray:
     (idx[i] < idx[j] for sign -1) and fills the rest by ``mirror``.
     Mirroring is linear, so a sum of contractions hinted alike is exact
     wherever the sum is (anti)symmetric, even where one term alone is not.
+
+    The plan of the rows (``_plan``) is cached per spec, operand shapes
+    and pair.  A call scans each distinct operand once, for zero entries
+    and wild constants, and visits only the rows whose first factor is
+    not zero, in order.
     """
-    spec = spec.strip()
-    parts = _SIGN.split(spec if spec[:1] in ("+", "-") else "+" + spec)
     ops = [np.asarray(op, dtype=object) for op in operands]
-    outputs = {term.partition("->")[2] for term in parts[2::2]}
-    if len(outputs) != 1:
-        raise TensorError(f"einsum spec '{spec}' has several outputs")
-    output = outputs.pop()
-    shape = None
-    gathered = []       # per contraction: sign, factors, zero factors
+    plan = _plan(spec, tuple(op.shape for op in ops), pair)
+    scanned: dict[int, tuple] = {}      # id of an operand -> entries, zeros
     wild = False
-    for sign, term in zip(parts[1::2], parts[2::2]):
-        mine = ops[:term.partition("->")[0].count(",") + 1]
-        ops = ops[len(mine):]
-        plan = _plan(term, output, tuple(op.shape for op in mine), pair)
-        if shape not in (None, plan[0]):
-            raise TensorError(f"einsum spec '{spec}' sums different shapes")
-        shape, built, count, width, index = plan
-        factors, zeros = [], []
-        for op, idx in zip(mine, index):
-            kind = np.fromiter(map(_kind, op.flat), np.int8, op.size)
-            wild = wild or bool((kind == _WILD).any())
-            if idx is None:
-                idx = np.zeros(count * width, dtype=np.intp)
-            factors.append(np.take(op, idx))
-            zeros.append(kind[idx] == _ZERO)
-        gathered.append((sign, factors, zeros, count, width))
-    if ops:
-        raise TensorError(f"einsum spec '{spec}' does not match "
-                          f"{len(operands)} operand(s)")
-    chunks = []                     # per contraction: terms per component
-    for sign, factors, zeros, count, width in gathered:
-        keep = np.ones(count * width, dtype=bool)
-        if len(factors) > 1 and not wild:
-            keep = ~np.any(zeros, axis=0)
-        picked = [f[keep] for f in factors]
-        terms = list(picked[0] if len(picked) == 1 else map(ex.mul, *picked))
-        per_component = keep.reshape(count, width).sum(axis=1)
-        bounds = [0, *np.cumsum(per_component).tolist()]
-        if sign == "-":
-            terms = list(map(ex.neg, terms))
-        chunks.append([terms[a:b] for a, b in zip(bounds, bounds[1:])])
-    out = np.empty(shape, dtype=object)
-    out[built] = np.fromiter(
-        (ex.add(*itertools.chain.from_iterable(per_component))
-         for per_component in zip(*chunks)), dtype=object, count=count)
-    return mirror(out, pair) if pair is not None else out
-
-
-#: what ``_kind`` says of a node
-_ZERO, _TAME, _WILD = 0, 1, 2
-
-def _kind(e: Expr) -> int:
-    """_ZERO for a constant 0; _TAME when every constant that ``ex.mul``
-    or ``ex.add`` folds in from ``e`` (its own value, its factors or its
-    terms) is tame; else _WILD.  A product of tame operands with a zero
-    factor is ZERO, and a sum of such products drops it exactly; with a
-    wild constant, folding may overflow and keep every operand."""
-    t = type(e)
-    if t is ex.Const and e.value == 0:
-        return _ZERO
-    parts = e.factors if t is ex.Mul else e.terms if t is ex.Add else (e,)
-    return _TAME if all(_tame(c.value) for c in parts
-                        if type(c) is ex.Const) else _WILD
-
-
-def _plan(term: str, output: str, shapes: tuple[tuple[int, ...], ...],
-          pair: Pair | None):
-    """How one contraction of an einsum spec gathers its factors, for
-    operands of the given shapes: the output shape, the mask of built
-    components and their count, the terms per component, and per operand
-    the flat index of its factor in every term, in order (None for a
-    scalar)."""
-    inputs, arrow, _ = term.partition("->")
-    inputs = inputs.split(",")
-    if not arrow or len(inputs) != len(shapes):
-        raise TensorError(f"einsum term '{term}' does not match "
-                          f"{len(shapes)} operand(s)")
-    extent: dict[str, int] = {}
-    for letters, op_shape in zip(inputs, shapes):
-        if len(letters) != len(op_shape):
-            raise TensorError(f"einsum operand '{letters}' has "
-                              f"{len(op_shape)} axes")
-        for letter, size in zip(letters, op_shape):
-            if extent.setdefault(letter, size) != size:
-                raise TensorError(f"einsum index '{letter}' has extents "
-                                  f"{extent[letter]} and {size}")
-    if len(set(output)) != len(output) or not set(output) <= set(extent):
-        raise TensorError(f"einsum output '{output}' is not a set of "
-                          "operand letters")
-    shape = tuple(extent[c] for c in output)
-    built = (_pair_masks(shape, pair)[0] if pair is not None
-             else np.broadcast_to(True, shape))
-    summed = [c for c in dict.fromkeys("".join(inputs)) if c not in output]
-    # one row per built output index and summed index, summed fastest
-    grid = np.indices(shape + tuple(extent[c] for c in summed))
-    grid = grid[(slice(None), built)].reshape(grid.shape[0], -1)
-    letters = list(output) + summed
-    index = tuple(
-        np.ravel_multi_index([grid[letters.index(c)] for c in spec_k],
-                             op_shape) if spec_k else None
-        for spec_k, op_shape in zip(inputs, shapes))
-    return (shape, built, int(built.sum()),
-            math.prod(extent[c] for c in summed), index)
+    for op, arr in zip(operands, ops):
+        if id(op) not in scanned:
+            entries = arr.ravel().tolist()
+            zero, wild_here = _scan(entries)
+            scanned[id(op)] = entries, zero
+            wild = wild or wild_here
+    scans = [scanned[id(op)] for op in operands]
+    size = math.prod(plan.shape)
+    sums = [[] for _ in range(size if plan.built is None
+                              else len(plan.built))]
+    for term in plan.terms:
+        mine = scans[term.operands]
+        width, negate = term.width, term.negate
+        if len(mine) == 1:
+            (entries, _), = mine
+            for r, k in enumerate(term.columns[0]):
+                sums[r // width].append(ex.neg(entries[k]) if negate
+                                        else entries[k])
+            continue
+        if wild:            # every product is built
+            mine = [(entries, bytes(len(zero))) for entries, zero in mine]
+        rows = range(len(term.columns[0]))
+        zero = mine[0][1]
+        if 1 in zero:
+            # only the rows of the first factor's nonzero entries; those
+            # of one component stay in ascending order, since the summed
+            # letters, ordered by first appearance, start with the first
+            # factor's, so its entry grows with the row
+            order, starts = term.rows_of
+            rows = []
+            for e, z in enumerate(zero):
+                if not z:
+                    rows += order[starts[e]:starts[e + 1]]
+        factors = [(*s, c) for s, c in zip(mine, term.columns)]
+        for r in rows:
+            args = []
+            for entries, zeros, column in factors:
+                k = column[r]
+                if zeros[k]:
+                    break
+                args.append(entries[k])
+            else:
+                t = ex.mul(*args)
+                sums[r // width].append(ex.neg(t) if negate else t)
+    comps = [ex.add(*terms) for terms in sums]
+    if plan.built is not None:
+        flat: list = [None] * size
+        for k, c in zip(plan.built, comps):
+            flat[k] = c
+        _fill_mirrors(flat, plan.shape, pair)
+        comps = flat
+    return np.fromiter(comps, dtype=object, count=size).reshape(plan.shape)
 
 
 class Tensor:
@@ -423,31 +544,36 @@ def invert_metric(g: MetricField) -> Tensor:
 # numeric helpers used by verification code
 # ---------------------------------------------------------------------------
 
-def _complex(values: list[list], comps: np.ndarray,
-             n_points: int) -> np.ndarray:
-    """``values`` of the expressions ``comps``, one list per component of
-    its values at ``n_points`` points, as a complex array stacked on a
-    leading point axis; an exact integer beyond the float range is an
-    overflow, named at the first such point and component."""
+def values_at(comps: np.ndarray, points: list[dict[str, float]],
+              known: dict | None = None) -> np.ndarray:
+    """The values of ``comps`` at ``points``, stacked (p,) + shape as a
+    complex array, by one ``walk`` over all the points (``known`` seeds
+    its memo); a fault in the walk is raised before any conversion.
+
+    Each distinct node, by identity, is walked and converted once, and
+    its row is gathered into every component that holds it: mirrored
+    and ZERO components repeat.  An exact integer beyond the float range
+    is an overflow, named at the first such point and, there, the first
+    such component in flat order."""
+    flat = list(comps.flat)
+    ids = list(map(id, flat))
+    firsts = dict(zip(ids, flat))       # in order of first appearance
+    nodes = list(firsts.values())
+    rank = dict(zip(firsts, range(len(nodes))))
+    values = ex.walk(nodes, points, known)
     try:
-        vals = np.array(values, dtype=complex).reshape(comps.size, n_points)
+        vals = np.array(values, dtype=complex).reshape(len(nodes),
+                                                       len(points))
     except OverflowError:
-        for k in range(n_points):
-            for e, x in zip(comps.flat, values):
+        for k in range(len(points)):
+            for e, x in zip(nodes, values):
                 try:
                     complex(x[k])
                 except OverflowError:
                     raise ex._fault("overflow", e) from None
         raise
-    return vals.T.reshape((n_points, *comps.shape))
-
-
-def values_at(comps: np.ndarray, points: list[dict[str, float]],
-              known: dict | None = None) -> np.ndarray:
-    """The values of ``comps`` at ``points``, stacked (p,) + shape as a
-    complex array, by one ``walk`` over all the points (``known`` seeds
-    its memo); a fault in the walk is raised before any conversion."""
-    return _complex(ex.walk(comps.flat, points, known), comps, len(points))
+    return vals[list(map(rank.__getitem__, ids))].T.reshape(
+        (len(points), *comps.shape))
 
 
 def require_finite(vals: np.ndarray, comps, what: str,

@@ -5,23 +5,27 @@ package: derivatives are central finite differences of numerically
 evaluated fields, so route agreement actually checks something.
 ``TreeEvaluator`` is the one-point tree walk that the all-points walk and
 the tape must reproduce, ``tape_reader`` a reader of many points compiled
-once, ``einsum`` the contraction that builds every product, ``rk4`` the
+once, ``einsum`` the contraction that builds every product, planned
+afresh by numpy on every call and sharing no code with the cached
+planner of ``metricforms.tensor`` (its ``_plan`` and ``mirror`` are the
+ones ``tensor.einsum`` had before it cached its plans), ``rk4`` the
 tuple-state RK4 loop that the generated loop in ``metricforms.geometry``
 replaced, ``dumps_canonical`` the recursive writer of canonical JSON
 that the one-pass writer in ``metricforms.report`` replaced, and
 ``escape`` the character loop its string escape replaced.
 """
 
+import functools
 import itertools
 import math
 import operator
+import re
 
 import numpy as np
 
 from metricforms import expr as ex
 from metricforms.errors import EvalDomainError, TensorError, UnboundSymbolError
 from metricforms.geometry import Trajectory
-from metricforms.tensor import _SIGN, _plan, mirror
 
 
 def eta(chart) -> np.ndarray:
@@ -162,11 +166,78 @@ def tree_values(comps, env: dict) -> np.ndarray:
                     dtype=complex).reshape(comps.shape)
 
 
+_SIGN = re.compile(r"\s*([+-])(?!>)\s*")     # a sign, not the '-' of '->'
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_masks(shape, pair):
+    """Read-only masks of a pair hint over ``shape``: the entries it builds
+    (idx[i] <= idx[j], or < for an antisymmetric pair), the entries it
+    mirrors (idx[i] > idx[j]) and the diagonal (idx[i] == idx[j])."""
+    i, j, sign = pair
+    grid = np.indices(shape, sparse=True)
+    built = grid[i] < grid[j] if sign < 0 else grid[i] <= grid[j]
+    return tuple(np.broadcast_to(mask, shape) for mask in
+                 (built, grid[i] > grid[j], grid[i] == grid[j]))
+
+
+def mirror(arr, pair):
+    """The reference for ``tensor.mirror``: fill the entries with
+    idx[i] > idx[j] from their images, by numpy masks."""
+    i, j, sign = pair
+    _, low, diagonal = _pair_masks(arr.shape, pair)
+    if sign < 0:
+        arr[diagonal] = ex.ZERO
+    image = np.swapaxes(arr, i, j)[low]
+    arr[low] = image if sign > 0 else np.frompyfunc(ex.neg, 1, 1)(image)
+    return arr
+
+
+def _plan(term: str, output: str, shapes, pair):
+    """How one contraction of an einsum spec gathers its factors, for
+    operands of the given shapes: the output shape, the mask of built
+    components and their count, the terms per component, and per operand
+    the flat index of its factor in every term, in order (None for a
+    scalar)."""
+    inputs, arrow, _ = term.partition("->")
+    inputs = inputs.split(",")
+    if not arrow or len(inputs) != len(shapes):
+        raise TensorError(f"einsum term '{term}' does not match "
+                          f"{len(shapes)} operand(s)")
+    extent: dict[str, int] = {}
+    for letters, op_shape in zip(inputs, shapes):
+        if len(letters) != len(op_shape):
+            raise TensorError(f"einsum operand '{letters}' has "
+                              f"{len(op_shape)} axes")
+        for letter, size in zip(letters, op_shape):
+            if extent.setdefault(letter, size) != size:
+                raise TensorError(f"einsum index '{letter}' has extents "
+                                  f"{extent[letter]} and {size}")
+    if len(set(output)) != len(output) or not set(output) <= set(extent):
+        raise TensorError(f"einsum output '{output}' is not a set of "
+                          "operand letters")
+    shape = tuple(extent[c] for c in output)
+    built = (_pair_masks(shape, pair)[0] if pair is not None
+             else np.broadcast_to(True, shape))
+    summed = [c for c in dict.fromkeys("".join(inputs)) if c not in output]
+    # one row per built output index and summed index, summed fastest
+    grid = np.indices(shape + tuple(extent[c] for c in summed))
+    grid = grid[(slice(None), built)].reshape(
+        grid.shape[0], int(built.sum()) * math.prod(extent[c] for c in summed))
+    letters = list(output) + summed
+    index = tuple(
+        np.ravel_multi_index([grid[letters.index(c)] for c in spec_k],
+                             op_shape) if spec_k else None
+        for spec_k, op_shape in zip(inputs, shapes))
+    return (shape, built, int(built.sum()),
+            math.prod(extent[c] for c in summed), index)
+
+
 def einsum(spec: str, *operands, pair=None) -> np.ndarray:
     """The reference for ``tensor.einsum``: every product is built, a
     zero factor or not, and each component is ``ex.add`` of them all."""
     spec = spec.strip()
-    parts = _SIGN.split(spec if spec[:1] in ("+", "-") else "+" + spec)
+    parts = _SIGN.split(spec if _SIGN.match(spec) else "+" + spec)
     ops = [np.asarray(op, dtype=object) for op in operands]
     outputs = {term.partition("->")[2] for term in parts[2::2]}
     if len(outputs) != 1:

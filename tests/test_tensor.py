@@ -1,8 +1,12 @@
 import ast
+import functools
+import random
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metricforms import (
     Chart,
@@ -11,6 +15,7 @@ from metricforms import (
     Tensor,
     invert_metric,
     parse_expr,
+    run_analysis,
 )
 from metricforms import factorization, geometry
 from metricforms import tensor as tensor_module
@@ -28,6 +33,7 @@ from metricforms.tensor import (
     antisym_over_axes,
     einsum,
     max_abs,
+    values_at,
 )
 
 import oracles
@@ -502,3 +508,163 @@ def test_a_wild_constant_keeps_the_products_with_a_zero_factor():
     small = np.array([ex.const(2.0)] * 2, dtype=object)
     assert einsum("i,i,i->", small, small, other)[()] \
         is ex.mul(ex.const(4.0), x)
+
+
+# ---------------------------------------------------------------------------
+# einsum against the oracle that plans afresh and builds every product
+# ---------------------------------------------------------------------------
+
+_X, _Y = ex.sym("x"), ex.sym("y")
+#: what the drawn arrays hold: zero constants of each spelling; tame
+#: constants and expressions; and wild ones, a constant beyond
+#: TAME_BOUND alone or inside a product (1e200 * 1e200 * y stays
+#: unfolded, and so does its product with a zero)
+_ZEROS = [ex.ZERO, ex.const(0.0), ex.const(-0.0)]
+_TAME = [ex.const(2), ex.const(-1.5), ex.const(0.5 + 1j), _X, _Y,
+         ex.mul(ex.const(3), _X), ex.add(_Y, ex.ONE), ex.neg(_X)]
+_WILD = [ex.const(1e200), ex.const(2 ** 400), ex.mul(ex.const(1e150), _Y),
+         ex.mul(ex.const(1e200), ex.const(1e200), _Y)]
+
+
+def _drawn_array(shape, fill: str, seed: int) -> np.ndarray:
+    rng = random.Random(seed)
+    pool = {"sparse": _ZEROS * 6 + _TAME, "dense": _TAME + _ZEROS[:1],
+            "wild": _ZEROS * 3 + _TAME + _WILD}[fill]
+    arr = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        arr[idx] = rng.choice(pool)
+    return arr
+
+
+@st.composite
+def _contractions(draw):
+    """(spec, operands, pair): a signed sum of one or two contractions of
+    one to three operands over letters of one extent, 1 to 5, with
+    repeated letters, scalar operands and operands passed twice."""
+    n = draw(st.integers(1, 5))
+    letters = "abcd"[:draw(st.integers(1, 4 if n < 5 else 3))]
+    output = "".join(draw(st.permutations(letters))[:draw(
+        st.integers(0, min(3, len(letters))))])
+    fill = st.sampled_from(["sparse", "dense", "wild"])
+    terms, operands, made = [], [], {}
+    for k in range(draw(st.integers(1, 2))):
+        inputs = [draw(st.text(letters, max_size=3))
+                  for _ in range(draw(st.integers(1, 3)))]
+        # every output letter appears in the contraction
+        inputs[0] += "".join(c for c in output if c not in "".join(inputs))
+        for spec_k in inputs:
+            if not spec_k:
+                operands.append(_drawn_array((), draw(fill),
+                                             draw(st.integers()))[()])
+            elif len(spec_k) in made and draw(st.booleans()):
+                operands.append(made[len(spec_k)])
+            else:
+                made[len(spec_k)] = _drawn_array(
+                    (n,) * len(spec_k), draw(fill), draw(st.integers()))
+                operands.append(made[len(spec_k)])
+        sign = draw(st.sampled_from(["+", "-"]))
+        terms.append(f"{sign if k or sign == '-' else ''}"
+                     f"{','.join(inputs)}->{output}")
+    pair = None
+    if len(output) >= 2 and draw(st.booleans()):
+        i, j = sorted(draw(st.permutations(range(len(output))))[:2])
+        pair = (i, j, draw(st.sampled_from([+1, -1])))
+    return " ".join(terms), operands, pair
+
+
+@settings(max_examples=400, deadline=None)
+@given(_contractions())
+def test_einsum_components_are_the_oracles(case):
+    spec, operands, pair = case
+    got = einsum(spec, *operands, pair=pair)
+    want = oracles.einsum(spec, *operands, pair=pair)
+    assert got.shape == want.shape
+    assert all(a is b for a, b in zip(got.flat, want.flat))
+
+
+def test_the_oracle_imports_nothing_of_the_planner():
+    # the reference plans with numpy on its own; it shares no code with
+    # the cached planner it checks
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "metricforms.tensor"
+                for alias in node.names}
+    assert imported == set()
+
+
+def test_a_catalog_pass_plans_once_in_a_quarter_megabyte(catalog,
+                                                         monkeypatch):
+    # the second pass of the eight catalog analyses makes no plan, and the
+    # plans of the first take 0.25 MB at most, counting every array
+    made = []
+
+    def planned(*key):
+        made.append(plan(*key))
+        return made[-1]
+
+    def size(obj):
+        inner = obj if isinstance(obj, tuple) else ()
+        return sys.getsizeof(obj) + sum(map(size, inner))
+
+    plan = tensor_module._plan.__wrapped__
+    monkeypatch.setattr(tensor_module, "_plan", functools.lru_cache(
+        maxsize=tensor_module.PLAN_CACHE_SIZE)(planned))
+    for seed in (1, 2):
+        for spec in catalog.values():
+            run_analysis(spec, seed=seed, n_points=3)
+        if seed == 1:
+            first = len(made)
+    assert len(made) == first <= tensor_module.PLAN_CACHE_SIZE
+    assert sum(map(size, made)) <= 0.25 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# values_at walks and converts each distinct node once
+# ---------------------------------------------------------------------------
+
+_ELEVEN = [*CATALOG_NAMES, *(str(DATA / f"{name}.metric") for name in (
+    "painleve-gullstrand", "kerr-boyer-lindquist", "dense-4d"))]
+
+
+def _bits(vals):
+    return vals.view(np.uint64)
+
+
+@pytest.mark.parametrize("target", _ELEVEN, ids=lambda t: Path(t).stem)
+def test_each_row_is_the_walk_of_its_component_alone(target):
+    # mirrored and ZERO components repeat in these tensors: the row of
+    # each, gathered from its node's one conversion, is bit for bit the
+    # conversion of a walk of that component on its own
+    s = GeometrySession(get_manifold(target), seed=42, n_points=4)
+    memo: dict = {}
+    for tensor in (s.conn.lower, s.conn.mixed, s.riemann_lower,
+                   s.parts.current_part, s.parts.form_part,
+                   s.parts.sym_part):
+        comps = tensor.comps
+        assert len(set(map(id, comps.flat))) < comps.size
+        got = values_at(comps, s.points)
+        for idx in np.ndindex(comps.shape):
+            alone = np.array(ex.walk([comps[idx]], s.points, memo)[0],
+                             dtype=complex)
+            np.testing.assert_array_equal(_bits(got[(slice(None), *idx)]),
+                                          _bits(alone))
+
+
+@pytest.mark.parametrize("points,named", [
+    # both points fault: at the first, (0, 1) is the first in flat order
+    ([{"x": 10 ** 400, "y": 1.0, "z": 10 ** 400},
+      {"x": 1.0, "y": 10 ** 400, "z": 1.0}], "x"),
+    # the first point decides before the flat order does
+    ([{"x": 1.0, "y": 1.0, "z": 10 ** 400},
+      {"x": 10 ** 400, "y": 10 ** 400, "z": 1.0}], "z"),
+], ids=["first-component", "first-point"])
+def test_an_overflowing_mirrored_component_is_named_in_order(points, named):
+    # an exact integer beyond the float range in the two mirrored
+    # components of one node
+    x, y, z = map(ex.sym, "xyz")
+    comps = np.array([[y, x], [x, z]], dtype=object)
+    with pytest.raises(EvalDomainError, match=rf"^overflow in '{named}'$") \
+            as err:
+        values_at(comps, points)
+    assert err.value.subexpr is ex.sym(named)
