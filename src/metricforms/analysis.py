@@ -83,7 +83,10 @@ class GeometrySession:
     tensor values are cached per tensor object.  Every builder that
     differentiates shares the session's one differentiator per
     coordinate, ``diff``, so no (node, coordinate) pair is differentiated
-    twice.  Checks judge at the scaled tolerances ``tol``.
+    twice, and the contractions that several builders read, the
+    symmetrized derivative of the forms and the raised forms, are built
+    once and handed to each.  Checks judge at the scaled tolerances
+    ``tol``.
     """
 
     def __init__(self, spec: ManifoldSpec, strategy: str = "auto",
@@ -121,7 +124,19 @@ class GeometrySession:
     @cached_property
     def conn_factored(self) -> Connection:
         return geo.christoffel_factored(self.forms, self.curl, self.g_inv,
-                                        self.diff)
+                                        self.sym_partial)
+
+    @cached_property
+    def sym_partial(self) -> Tensor:
+        """P = sym dA, read by the factored connection, the direct S and
+        the factored geodesic right-hand side."""
+        return geo.sym_partial(self.forms, self.diff)
+
+    @cached_property
+    def forms_raised(self) -> Tensor:
+        """A_I^c = g^cd A_Id, read by the S from F, the factored Ricci,
+        the Lie derivative and the factored geodesic right-hand side."""
+        return geo.raise_forms(self.forms, self.g_inv)
 
     @cached_property
     def curl(self) -> Tensor:
@@ -131,12 +146,14 @@ class GeometrySession:
     @cached_property
     def sym_deriv(self) -> Tensor:
         """S via the direct covariant route."""
-        return geo.sym_covariant_derivative(self.forms, self.conn, self.diff)
+        return geo.sym_covariant_derivative(self.forms, self.conn,
+                                            self.sym_partial)
 
     @cached_property
     def sym_deriv_alt(self) -> Tensor:
         """S rebuilt from F and orthogonality."""
-        return geo.sym_derivative_via_factors(self.forms, self.curl, self.g_inv)
+        return geo.sym_derivative_via_factors(self.forms, self.curl,
+                                              self.forms_raised)
 
     @cached_property
     def sym_trace(self) -> Tensor:
@@ -183,7 +200,8 @@ class GeometrySession:
     def factored(self) -> FactoredCurvature:
         return geo.ricci_einstein_factored(
             self.forms, self.curl, self.sym_deriv, self.sym_trace,
-            self.precurrent, self.current, self.metric, self.g_inv)
+            self.precurrent, self.current, self.metric, self.g_inv,
+            self.forms_raised)
 
     @cached_property
     def einstein_divergence(self) -> np.ndarray:
@@ -202,8 +220,8 @@ class GeometrySession:
     @cached_property
     def lie_deriv(self) -> Tensor:
         """Lie derivative of the metric along each form, L_{A_I} g."""
-        return geo.lie_derivative_metric(self.forms, self.metric, self.g_inv,
-                                         self.diff)
+        return geo.lie_derivative_metric(self.forms, self.metric,
+                                         self.forms_raised, self.diff)
 
     # -- numeric evaluation ---------------------------------------------------
 
@@ -284,8 +302,9 @@ class GeometrySession:
         velocity = np.zeros(self.chart.dim)
         velocity[0] = 1.0 / np.sqrt(abs(g0[0, 0]))
         return geo.integrate_geodesic(self.metric, self.g_inv, self.conn,
-                                      self.forms, self.curl, start, velocity,
-                                      steps, h, self.diff)
+                                      self.forms, self.curl, self.sym_partial,
+                                      self.forms_raised, start, velocity,
+                                      steps, h)
 
 
 # ---------------------------------------------------------------------------

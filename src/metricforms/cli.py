@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 
@@ -205,8 +206,8 @@ def cmd_geodesic(args) -> int:
     velocity = _parse_vector(args.velocity, chart.dim, "--velocity")
     comparison = geo.integrate_geodesic(
         session.metric, session.g_inv, session.conn, session.forms,
-        session.curl, start, velocity, args.steps, args.step_size,
-        session.diff)
+        session.curl, session.sym_partial, session.forms_raised, start,
+        velocity, args.steps, args.step_size)
     if args.out:
         _write_trajectory_csv(args.out, chart, comparison)
     if args.json:
@@ -261,7 +262,10 @@ def _write_trajectory_csv(path: str, chart, comparison) -> None:
             writer.writerow([format(v, ".17g") for v in row])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing reads
+    it and leaves it as it was."""
     parser = _ArgumentParser(
         prog="metricforms",
         description="Factor metrics into 1-form sets and cross-validate the "

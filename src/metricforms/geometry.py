@@ -27,7 +27,10 @@ coordinate derivatives are forward-mode tangents at the sample points
 (``derivative.tangents``), so the third derivatives behind the
 contracted Bianchi identity are never built.  Builders that differentiate take
 ``diff``, one differentiator per coordinate (``differentiators``); a
-session hands every builder the same one.
+session hands every builder the same one.  The contractions that several
+builders read, the symmetrized derivative of the forms (``sym_partial``)
+and the raised forms (``raise_forms``), are arguments of those builders,
+so a session builds each once.
 
 Every symbolic builder returns the formula in its docstring as built:
 index contractions through ``tensor.einsum``, sums and scalings through
@@ -131,6 +134,11 @@ def sym_partial(forms: FormSet, diff=None) -> Tensor:
                   * ex.HALF)
 
 
+def raise_forms(forms: FormSet, g_inv: Tensor) -> Tensor:
+    """A[I,c] = g^cd A_Id, each form with its slot raised."""
+    return Tensor(einsum("cd,id->ic", g_inv.comps, forms.comps))
+
+
 def _form_cross(a_comps: np.ndarray, f_comps: np.ndarray) -> np.ndarray:
     """X[c,a,b] = A_a (.) F_bc + A_b (.) F_ac."""
     return einsum("ia,ibc->cab + ib,iac->cab", a_comps, f_comps, a_comps,
@@ -139,14 +147,13 @@ def _form_cross(a_comps: np.ndarray, f_comps: np.ndarray) -> np.ndarray:
 
 @quiet
 def christoffel_factored(forms: FormSet, f: Tensor, g_inv: Tensor,
-                         diff=None) -> Connection:
-    """Connection rebuilt from the form set:
+                         p: Tensor) -> Connection:
+    """Connection rebuilt from the form set and P = ``sym_partial``:
 
     Gamma_cab = A_c (.) sym dA_ab + [A_a (.) F_bc + A_b (.) F_ac] / 2
     """
     ac = forms.comps
-    p = sym_partial(forms, diff).comps
-    lower = (einsum("ic,iab->cab", ac, p, pair=_SYM12)
+    lower = (einsum("ic,iab->cab", ac, p.comps, pair=_SYM12)
              + _form_cross(ac, f.comps) * ex.HALF)
     return _connection(forms.chart, lower, g_inv, "factored")
 
@@ -159,30 +166,28 @@ def exterior_derivative(forms: FormSet, diff=None) -> Tensor:
 
 @quiet
 def sym_covariant_derivative(forms: FormSet, conn: Connection,
-                             diff=None) -> Tensor:
-    """S[I,a,b] = sym part of nabla_a A_Ib, via the classical connection."""
+                             p: Tensor) -> Tensor:
+    """S[I,a,b] = sym part of nabla_a A_Ib, via the classical connection:
+    P = ``sym_partial`` less Gamma^c_ab A_Ic."""
     if conn.route != "classical":
         raise TensorError("the direct symmetric derivative is defined "
                           "against the classical connection")
-    ac = forms.comps
-    p = sym_partial(forms, diff).comps
-    return Tensor(p - einsum("cab,ic->iab", conn.mixed.comps, ac,
-                             pair=_SYM12))
+    return Tensor(p.comps - einsum("cab,ic->iab", conn.mixed.comps,
+                                   forms.comps, pair=_SYM12))
 
 
 @quiet
 def sym_derivative_via_factors(forms: FormSet, f: Tensor,
-                               g_inv: Tensor) -> Tensor:
-    """S rebuilt from F alone:
+                               a_up: Tensor) -> Tensor:
+    """S rebuilt from F alone, with A_J^c = ``raise_forms``:
 
     S[J,a,b] = -A_J^c [A_a (.) F_bc + A_b (.) F_ac] / 2
 
     Valid because the form rows are orthonormal against the inverse
     metric (A_Ic A_J^c = delta_IJ).
     """
-    ac = forms.comps
-    a_up = einsum("cd,id->ic", g_inv.comps, ac)
-    return Tensor(einsum("jc,cab->jab", a_up, _form_cross(ac, f.comps),
+    return Tensor(einsum("jc,cab->jab", a_up.comps,
+                         _form_cross(forms.comps, f.comps),
                          pair=_SYM12) * ex.Const(-0.5))
 
 
@@ -313,8 +318,10 @@ class FactoredCurvature:
 @quiet
 def ricci_einstein_factored(forms: FormSet, f: Tensor, s: Tensor,
                             s_trace: Tensor, j_pre: Tensor, j: Tensor,
-                            g: MetricField, g_inv: Tensor) -> FactoredCurvature:
-    """Ricci and scalar curvature from the factored objects:
+                            g: MetricField, g_inv: Tensor,
+                            a_up: Tensor) -> FactoredCurvature:
+    """Ricci and scalar curvature from the factored objects, with
+    A_I^c = ``raise_forms``:
 
     Ric_ab = (-A_a.J_b + A^c.J_acb - A_b.J_a + A^c.J_bca) / 2
              - 3/4 F_ac.F_b^c + S.S_ab - S_ac.S_b^c
@@ -325,9 +332,8 @@ def ricci_einstein_factored(forms: FormSet, f: Tensor, s: Tensor,
     """
     ac = forms.comps
     fc, sc, st, jp, jc = f.comps, s.comps, s_trace.comps, j_pre.comps, j.comps
-    ginv, gc = g_inv.comps, g.comps
+    ginv, gc, a_up = g_inv.comps, g.comps, a_up.comps
 
-    a_up = einsum("cd,id->ic", ginv, ac)           # A_I^c
     f_mix = einsum("bd,iad->iab", ginv, fc)        # F_Ia^b
     s_mix = einsum("bd,iad->iab", ginv, sc)        # S_Ia^b
 
@@ -398,12 +404,13 @@ def metric_compatibility(g: MetricField, conn: Connection,
 # Killing fields and flatness
 # ---------------------------------------------------------------------------
 
-def lie_derivative_metric(forms: FormSet, g: MetricField, g_inv: Tensor,
+def lie_derivative_metric(forms: FormSet, g: MetricField, a_up: Tensor,
                           diff=None) -> Tensor:
-    """(L_{A_I} g)_ab = A^c d_c g_ab + g_cb d_a A^c + g_ac d_b A^c,
-    computed from coordinate derivatives only (no connection)."""
+    """(L_{A_I} g)_ab = A^c d_c g_ab + g_cb d_a A^c + g_ac d_b A^c, with
+    A_I^c = ``raise_forms``, computed from coordinate derivatives only
+    (no connection)."""
     chart = forms.chart
-    x = einsum("cd,id->ic", g_inv.comps, forms.comps)
+    x = a_up.comps
     dg = _partials(chart, g.comps, diff)
     dx = _partials(chart, x, diff)
     return Tensor(einsum("ic,cab->iab + cb,aic->iab + ac,bic->iab",
@@ -601,8 +608,10 @@ def classical_rhs(conn: Connection):
     return _rhs(conn.chart, u, -einsum("cab,a,b->c", conn.mixed.comps, u, u))
 
 
-def factored_rhs(forms: FormSet, f: Tensor, g_inv: Tensor, diff=None):
-    """du^c/ds = -A^c (.) [sym dA_ab u^a u^b] + (A_a u^a) (.) F^c_b u^b.
+def factored_rhs(forms: FormSet, f: Tensor, g_inv: Tensor, p: Tensor,
+                 a_up: Tensor):
+    """du^c/ds = -A^c (.) [sym dA_ab u^a u^b] + (A_a u^a) (.) F^c_b u^b,
+    with sym dA = ``sym_partial`` and A^c = ``raise_forms``.
 
     Each sum over a form index, quad_I = sym dA_Iab u^a u^b and A_I.u, is
     one node.  The true right side is real; the real part of the complex
@@ -610,22 +619,23 @@ def factored_rhs(forms: FormSet, f: Tensor, g_inv: Tensor, diff=None):
     """
     a = forms.comps
     u = _velocity(forms.chart)
-    a_up = einsum("cd,id->ic", g_inv.comps, a)                 # A_I^c
     f_mix = einsum("cd,idb->icb", g_inv.comps, f.comps)        # F_I^c_b
-    quad = einsum("iab,a,b->i", sym_partial(forms, diff).comps, u, u)
+    quad = einsum("iab,a,b->i", p.comps, u, u)
     a_dot_u = einsum("ia,a->i", a, u)
-    du = -einsum("ic,i->c - i,icb,b->c", a_up, quad, a_dot_u, f_mix, u)
+    du = -einsum("ic,i->c - i,icb,b->c", a_up.comps, quad, a_dot_u, f_mix,
+                 u)
     return _rhs(forms.chart, u, du)
 
 
 def integrate_geodesic(g: MetricField, g_inv: Tensor, conn: Connection,
-                       forms: FormSet, f: Tensor,
+                       forms: FormSet, f: Tensor, p: Tensor, a_up: Tensor,
                        start: np.ndarray, velocity: np.ndarray,
-                       steps: int, h: float,
-                       diff=None) -> GeodesicComparison:
+                       steps: int, h: float) -> GeodesicComparison:
     """Integrate both right-hand-side forms with fixed-step RK4 and
     compare them pointwise; also monitor conservation of g(u, u), with
-    the metric read by ``MetricField.values`` along the classical route."""
+    the metric read by ``MetricField.values`` along the classical route.
+    ``p`` and ``a_up`` are the factored side's ``sym_partial`` and
+    ``raise_forms``."""
     chart = g.chart
     start = np.asarray(start, dtype=float)
     velocity = np.asarray(velocity, dtype=float)
@@ -633,7 +643,7 @@ def integrate_geodesic(g: MetricField, g_inv: Tensor, conn: Connection,
         raise NumericFaultError(f"start point {start.tolist()} is outside "
                                 "the chart domain")
     traj_c = _rk4(classical_rhs(conn), chart, start, velocity, steps, h)
-    traj_f = _rk4(factored_rhs(forms, f, g_inv, diff), chart, start,
+    traj_f = _rk4(factored_rhs(forms, f, g_inv, p, a_up), chart, start,
                   velocity, steps, h)
 
     k = min(len(traj_c.s), len(traj_f.s))

@@ -187,6 +187,7 @@ def test_criterion_10_geodesic_equivalence(sessions):
     steps = 1000
     h = 2 * math.pi * radius / steps
     comp = integrate_geodesic(s.metric, s.g_inv, s.conn, s.forms, s.curl,
+                              s.sym_partial, s.forms_raised,
                               start, velocity, steps, h)
     end = comp.classical.x[-1]
     closure = max(abs(end[0] - start[0]),

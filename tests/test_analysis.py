@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from metricforms import GeometrySession, get_manifold, run_analysis
+from metricforms import analysis, geometry as geo
 from metricforms import expr as ex
 from metricforms.derivative import Differentiator
 from metricforms.errors import FactorizationError, NumericFaultError
@@ -230,3 +231,34 @@ def test_analysis_differentiates_each_node_once_and_never_einstein(
     assert pairs and handed
     assert not einstein.intersection(handed)
     assert len(set(pairs)) == len(pairs)
+
+
+@pytest.mark.parametrize("target", ["schwarzschild", str(
+    Path(__file__).parent / "data" / "kerr-boyer-lindquist.metric")],
+    ids=lambda t: Path(t).stem)
+def test_shared_contractions_are_built_once_per_analysis(target,
+                                                         monkeypatch):
+    # the symmetrized derivative of the forms and the raised forms are
+    # built once, by their builders, and handed to every other builder
+    built, contracted, forms = [], [], []
+    for name in ("sym_partial", "raise_forms"):
+        def counted(*args, _name=name, _build=getattr(geo, name)):
+            built.append(_name)
+            return _build(*args)
+        monkeypatch.setattr(geo, name, counted)
+
+    def recorded(spec, *operands, _einsum=geo.einsum, **kwargs):
+        contracted.append((spec, operands))
+        return _einsum(spec, *operands, **kwargs)
+
+    def kept(*args, _make=analysis.make_formset):
+        forms.append(_make(*args))
+        return forms[-1]
+
+    monkeypatch.setattr(geo, "einsum", recorded)
+    monkeypatch.setattr(analysis, "make_formset", kept)
+    run_analysis(get_manifold(target), seed=3, n_points=4)
+    assert sorted(built) == ["raise_forms", "sym_partial"]
+    assert [spec for spec, _ in contracted].count("aib->iab + bia->iab") == 1
+    assert sum(spec == "cd,id->ic" and operands[1] is forms[0].comps
+               for spec, operands in contracted) == 1

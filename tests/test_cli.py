@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import metricforms
+from metricforms import cli
 from metricforms.cli import (
     EXIT_IDENTITY,
     EXIT_INPUT,
@@ -347,6 +348,33 @@ class TestClassify:
         doc = json.loads(out)
         assert doc["verdict"] == "CURVED"
         assert doc["max_riemann"] <= 1e-8
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path, monkeypatch):
+    # the parser built once per process gives each of these calls, in
+    # turn and again, the exit code and bytes a fresh parser gives it
+    out_path = tmp_path / "traj.csv"
+    calls = [["analyze", "sphere2", "--json", "--points", "3"],
+             ["check", "euclidean3-spherical", "--tol-scale", "10",
+              "--points", "3"],
+             SPHERE_GEODESIC + ["--steps", "20", "--step-size", "0.01",
+                                "--out", str(out_path)],
+             ["check", "sphere2", "--points", "0"]]
+
+    def outputs():
+        got = []
+        for argv in calls * 2:
+            out_path.unlink(missing_ok=True)
+            got.append((*run(capsys, *argv), out_path.exists()
+                        and out_path.read_bytes()))
+        return got
+
+    cached = outputs()
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cached == outputs()
+    assert [code for code, *_ in cached] == [EXIT_OK, EXIT_OK, EXIT_OK,
+                                             EXIT_INPUT] * 2
 
 
 class TestGeodesic:

@@ -18,12 +18,14 @@ from metricforms import (
     killing_check,
     lie_derivative_metric,
     precurrents,
+    raise_forms,
     ricci_from_mixed,
     riemann_classical,
     riemann_decomposed,
     scalar_curvature,
     sym_covariant_derivative,
     sym_derivative_via_factors,
+    sym_partial,
 )
 from metricforms import expr as ex
 from metricforms import geometry as geo
@@ -36,7 +38,6 @@ from metricforms.geometry import (
     VERDICT_INCONSISTENT,
     classical_rhs,
     factored_rhs,
-    sym_partial,
 )
 from metricforms.manifolds import CATALOG_NAMES
 from metricforms.tensor import (
@@ -94,7 +95,7 @@ class TestChristoffel:
     def test_factored_route_matches(self, sphere):
         g, g_inv, forms, conn = sphere
         f = exterior_derivative(forms)
-        factored = christoffel_factored(forms, f, g_inv)
+        factored = christoffel_factored(forms, f, g_inv, sym_partial(forms))
         for point in g.chart.sample_points(20, seed=42):
             gap = max(
                 max_abs(conn.lower.evaluate(point)
@@ -134,8 +135,8 @@ class TestSymDerivative:
     def test_routes_agree_on_sphere(self, sphere):
         g, g_inv, forms, conn = sphere
         f = exterior_derivative(forms)
-        direct = sym_covariant_derivative(forms, conn)
-        via = sym_derivative_via_factors(forms, f, g_inv)
+        direct = sym_covariant_derivative(forms, conn, sym_partial(forms))
+        via = sym_derivative_via_factors(forms, f, raise_forms(forms, g_inv))
         for point in g.chart.sample_points(20, seed=42):
             assert max_abs(direct.evaluate(point)
                            - via.evaluate(point)) <= 1e-9
@@ -157,7 +158,7 @@ class TestSymDerivative:
         # whole set, not of each member alone
         g, g_inv, forms, conn = sphere
         f = exterior_derivative(forms)
-        s = sym_covariant_derivative(forms, conn)
+        s = sym_covariant_derivative(forms, conn, sym_partial(forms))
         point = {"theta": 1.1, "phi": 2.0}
         assert max_abs(f.evaluate(point)[0]) == 0.0
         expected = 1.3 * math.sin(1.1) * math.cos(1.1)
@@ -166,9 +167,9 @@ class TestSymDerivative:
     def test_direct_route_requires_classical_connection(self, sphere):
         g, g_inv, forms, conn = sphere
         f = exterior_derivative(forms)
-        factored = christoffel_factored(forms, f, g_inv)
+        factored = christoffel_factored(forms, f, g_inv, sym_partial(forms))
         with pytest.raises(TensorError):
-            sym_covariant_derivative(forms, factored)
+            sym_covariant_derivative(forms, factored, sym_partial(forms))
 
 
 class TestCurrents:
@@ -339,9 +340,9 @@ class TestKilling:
     def test_sphere_azimuthal_form_not_killing(self, sphere):
         g, g_inv, forms, conn = sphere
         f = exterior_derivative(forms)
-        s = sym_covariant_derivative(forms, conn)
+        s = sym_covariant_derivative(forms, conn, sym_partial(forms))
         points = g.chart.sample_points(10, seed=5)
-        lie = lie_derivative_metric(forms, g, g_inv)
+        lie = lie_derivative_metric(forms, g, raise_forms(forms, g_inv))
         report = killing_check(*(stacked(t.evaluate, points)
                                  for t in (f, s, lie)))
         assert not report.set_closed
@@ -432,7 +433,7 @@ class TestSemiFlatLike:
         g_inv = invert_metric(g)
         conn = christoffel_classical(g, g_inv)
         f = exterior_derivative(forms)
-        s = sym_covariant_derivative(forms, conn)
+        s = sym_covariant_derivative(forms, conn, sym_partial(forms))
         parts = riemann_decomposed(forms, f, s, precurrents(f, conn))
         point = {"r": 1.5, "phi": 1.0, "z": 0.0, "t": 0.0}
         assert max_abs(parts.total.evaluate(point)) <= 1e-12
@@ -444,7 +445,7 @@ class TestSemiFlatLike:
         g_inv = invert_metric(g)
         conn = christoffel_classical(g, g_inv)
         f = exterior_derivative(forms)
-        factored = christoffel_factored(forms, f, g_inv)
+        factored = christoffel_factored(forms, f, g_inv, sym_partial(forms))
         point = {"r": 1.5, "phi": 1.0, "z": 0.0, "t": 0.0}
         assert max_abs(conn.lower.evaluate(point)) > 0.5
         assert max_abs(conn.lower.evaluate(point)
@@ -456,9 +457,9 @@ class TestSemiFlatLike:
         g_inv = invert_metric(g)
         conn = christoffel_classical(g, g_inv)
         f = exterior_derivative(forms)
-        s = sym_covariant_derivative(forms, conn)
+        s = sym_covariant_derivative(forms, conn, sym_partial(forms))
         points = spec.chart.sample_points(10, seed=22)
-        lie = lie_derivative_metric(forms, g, g_inv)
+        lie = lie_derivative_metric(forms, g, raise_forms(forms, g_inv))
         report = killing_check(*(stacked(t.evaluate, points)
                                  for t in (f, s, lie)))
         assert report.set_closed
@@ -475,6 +476,7 @@ class TestGeodesics:
         start = np.array([-1.0, -1.0])
         velocity = np.array([0.5, 0.25])
         comp = integrate_geodesic(s.metric, s.g_inv, s.conn, s.forms, s.curl,
+                                  s.sym_partial, s.forms_raised,
                                   start, velocity, 200, 0.01)
         expected = start + comp.classical.s[:, None] * velocity
         assert max_abs(comp.classical.x - expected) <= 1e-12
@@ -488,7 +490,8 @@ class TestGeodesics:
         velocity = np.array([0.0, 1.0 / radius])
         steps = 1000
         h = 2 * math.pi * radius / steps
-        comp = integrate_geodesic(g, g_inv, conn, forms, f, start, velocity,
+        comp = integrate_geodesic(g, g_inv, conn, forms, f, sym_partial(forms),
+                                  raise_forms(forms, g_inv), start, velocity,
                                   steps, h)
         assert not comp.classical.exited_domain
         end = comp.classical.x[-1]
@@ -503,7 +506,8 @@ class TestGeodesics:
         g0 = g.evaluate({"theta": 1.2, "phi": 2.0})
         u = np.array([0.6, 0.8])
         u = u / math.sqrt(u @ g0 @ u)
-        comp = integrate_geodesic(g, g_inv, conn, forms, f,
+        comp = integrate_geodesic(g, g_inv, conn, forms, f, sym_partial(forms),
+                                  raise_forms(forms, g_inv),
                                   np.array([1.2, 2.0]), u, 1000, 0.002)
         assert comp.divergence <= 1e-6
         assert comp.norm_drift <= 1e-6
@@ -521,6 +525,7 @@ class TestGeodesics:
         velocity = np.array([u_r, u_phi, 0.3, 0.5])
         steps, h = 1000, 0.001
         comp = integrate_geodesic(s.metric, s.g_inv, s.conn, s.forms, s.curl,
+                                  s.sym_partial, s.forms_raised,
                                   start, velocity, steps, h)
         assert not comp.classical.exited_domain
         ts = comp.classical.s
@@ -536,6 +541,7 @@ class TestGeodesics:
     def test_domain_exit_truncates_with_flag(self, sessions):
         s = sessions("euclidean2-cartesian")
         comp = integrate_geodesic(s.metric, s.g_inv, s.conn, s.forms, s.curl,
+                                  s.sym_partial, s.forms_raised,
                                   np.array([1.5, 0.0]), np.array([1.0, 0.0]),
                                   200, 0.01)
         assert comp.classical.exited_domain
@@ -612,7 +618,9 @@ def _reference_rk4(rhs, start, velocity, steps, h):
 def test_rhs_match_numeric_reference(rhs_sessions, target):
     s = rhs_sessions(target)
     rng = np.random.default_rng(7)
-    fused = (classical_rhs(s.conn), factored_rhs(s.forms, s.curl, s.g_inv))
+    fused = (classical_rhs(s.conn),
+             factored_rhs(s.forms, s.curl, s.g_inv, s.sym_partial,
+                          s.forms_raised))
     for point in s.chart.sample_points(5, seed=11):
         x = tuple(point[c] for c in s.chart.coords)
         u = tuple(rng.normal(size=s.chart.dim).tolist())
@@ -629,6 +637,7 @@ def test_schwarzschild_trajectory_matches_numeric_reference(rhs_sessions):
     start = np.array([5.0, 1.2, 1.0, 0.0])
     velocity = np.array([0.1, 0.05, 0.1, 1.2])
     comp = integrate_geodesic(s.metric, s.g_inv, s.conn, s.forms, s.curl,
+                              s.sym_partial, s.forms_raised,
                               start, velocity, 200, 0.005)
     assert len(comp.classical.s) == 201
     for traj, rhs in zip((comp.classical, comp.factored), _reference_rhs(s)):
@@ -662,7 +671,9 @@ def test_rk4_loop_matches_tuple_state_loop(rhs_sessions, target):
     # two seeded starts of each chart (2-D ones among them)
     s = rhs_sessions(target)
     rng = np.random.default_rng(3)
-    routes = (classical_rhs(s.conn), factored_rhs(s.forms, s.curl, s.g_inv))
+    routes = (classical_rhs(s.conn),
+              factored_rhs(s.forms, s.curl, s.g_inv, s.sym_partial,
+                           s.forms_raised))
     for point in s.chart.sample_points(2, seed=5):
         start = np.array([point[c] for c in s.chart.coords])
         velocity = rng.normal(scale=0.3, size=s.chart.dim)
@@ -741,6 +752,7 @@ def test_norm_drift_matches_per_point_reference(rhs_sessions, target):
     widths = np.array([hi - lo for lo, hi in chart.domains])
     velocity = np.random.default_rng(5).uniform(-1, 1, chart.dim) * widths
     comp = integrate_geodesic(s.metric, s.g_inv, s.conn, s.forms, s.curl,
+                              s.sym_partial, s.forms_raised,
                               start, velocity, 200, 0.001)
     assert len(comp.classical.s) > 1
     assert comp.norm_drift == _reference_norm_drift(s.metric,
@@ -757,6 +769,7 @@ def test_metric_non_real_on_the_path_raises(rhs_sessions):
     g = MetricField(s.chart, comps)
     with pytest.raises(TensorError, match="non-real"):
         integrate_geodesic(g, s.g_inv, s.conn, s.forms, s.curl,
+                           s.sym_partial, s.forms_raised,
                            np.array([0.05, 0.0]), np.array([-1.0, 0.0]),
                            20, 0.01)
 
@@ -870,7 +883,7 @@ SESSION_TENSORS = ("g_inv", "conn", "conn_factored", "curl", "sym_deriv",
                    "sym_deriv_alt", "sym_trace", "precurrent", "current",
                    "riemann", "parts", "ricci", "scalar", "einstein",
                    "factored", "einstein_divergence", "metric_compat",
-                   "lie_deriv")
+                   "lie_deriv", "sym_partial", "forms_raised")
 
 
 @pytest.mark.parametrize("target", [
@@ -888,7 +901,8 @@ def test_geometry_builders_never_simplify(target, monkeypatch):
         getattr(session, name)
     session.parts.total, session.factored.einstein
     classical_rhs(session.conn)
-    factored_rhs(session.forms, session.curl, session.g_inv)
+    factored_rhs(session.forms, session.curl, session.g_inv,
+                 session.sym_partial, session.forms_raised)
     assert len(calls) == 0
 
 
