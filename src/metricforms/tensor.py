@@ -154,14 +154,11 @@ class _Term(NamedTuple):
     """One contraction of an einsum plan.  Its rows are the products it
     sums, one per built component and summed index, the summed letters
     fastest; ``columns`` holds, per operand, the flat index of its factor
-    in every row.  ``rows_of`` lists the rows of a product of several
-    factors by the entry of the first factor they read:
-    ``order[starts[e]:starts[e + 1]]``, ascending, for entry e."""
+    in every row."""
     negate: bool
     operands: slice
     width: int                  # rows per built component
     columns: tuple
-    rows_of: tuple | None       # (order, starts)
 
 
 class _Plan(NamedTuple):
@@ -235,18 +232,16 @@ def _plan(spec: str, shapes: tuple[tuple[int, ...], ...],
             columns.append((outer[:, None] + sum(
                 (steps.get(c, 0) * k for c, k in zip(summed, inner)),
                 np.zeros(width, dtype=np.intp))).ravel())
-        rows_of = None
-        if len(inputs) > 1:
-            counts = np.bincount(columns[0], minlength=math.prod(mine[0]))
-            rows_of = (_compact(np.argsort(columns[0], kind="stable")),
-                       _compact(np.concatenate(([0], np.cumsum(counts)))))
         terms.append(_Term(sign == "-", slice(first, first + len(inputs)),
-                           width, tuple(map(_compact, columns)), rows_of))
+                           width, tuple(map(_compact, columns))))
         first += len(inputs)
     if first != len(shapes):
         raise TensorError(f"einsum spec '{spec}' does not match "
                           f"{len(shapes)} operand(s)")
     return _Plan(shape, built, tuple(terms))
+
+
+_NOT = bytes([1]) + bytes(255)      # a byte table: 0 -> 1, 1 -> 0
 
 
 def _scan(entries: list) -> tuple[bytearray, bool]:
@@ -334,16 +329,9 @@ def einsum(spec: str, *operands, pair: Pair | None = None) -> np.ndarray:
             mine = [(entries, bytes(len(zero))) for entries, zero in mine]
         rows = range(len(term.columns[0]))
         zero = mine[0][1]
-        if 1 in zero:
-            # only the rows of the first factor's nonzero entries; those
-            # of one component stay in ascending order, since the summed
-            # letters, ordered by first appearance, start with the first
-            # factor's, so its entry grows with the row
-            order, starts = term.rows_of
-            rows = []
-            for e, z in enumerate(zero):
-                if not z:
-                    rows += order[starts[e]:starts[e + 1]]
+        if 1 in zero:       # only the rows of the first factor's nonzeros
+            rows = itertools.compress(rows, map(
+                zero.translate(_NOT).__getitem__, term.columns[0]))
         factors = [(*s, c) for s, c in zip(mine, term.columns)]
         for r in rows:
             args = []
