@@ -44,7 +44,6 @@ import functools
 import itertools
 import math
 import re
-from array import array
 from typing import NamedTuple
 
 import numpy as np
@@ -91,13 +90,19 @@ def elementwise(f, arr: np.ndarray) -> np.ndarray:
     return np.frompyfunc(f, 1, 1)(arr)
 
 
-def _compact(values) -> array:
-    """Non-negative integers as an array of the narrowest unsigned type
-    that holds them."""
+#: a sequence of non-negative integers in the narrowest unsigned width
+Index = bytes | memoryview
+
+
+def _compact(values) -> Index:
+    """Non-negative integers as bytes when all are below 256, else as a
+    memoryview of 16- or 32-bit ones: indexing either gives an int."""
     values = np.asarray(values, dtype=np.intp).ravel()
     top = int(values.max()) if values.size else 0
-    code = "B" if top < 1 << 8 else "H" if top < 1 << 16 else "I"
-    return array(code, values.tolist())
+    if top < 1 << 8:
+        return values.astype(np.uint8).tobytes()
+    code = "H" if top < 1 << 16 else "I"
+    return memoryview(values.astype(code).tobytes()).cast(code)
 
 
 @functools.lru_cache(maxsize=64)
@@ -165,7 +170,7 @@ class _Plan(NamedTuple):
     """An einsum plan: the output shape, the flat positions a pair hint
     builds, and the contractions summed into them."""
     shape: tuple[int, ...]
-    built: array | None         # flat positions built; None for all
+    built: Index | None         # flat positions built; None for all
     terms: tuple[_Term, ...]
 
 
@@ -217,7 +222,7 @@ def _plan(spec: str, shapes: tuple[tuple[int, ...], ...],
             built = _pair_plan(shape, pair)[0] if pair is not None else None
             where = np.indices(shape).reshape(len(shape), math.prod(shape))
             if built is not None:
-                where = where[:, np.asarray(built, dtype=np.intp)]
+                where = where[:, list(built)]
         elif shape != tuple(extent[c] for c in output):
             raise TensorError(f"einsum spec '{spec}' sums different shapes")
         summed = [c for c in dict.fromkeys("".join(inputs)) if c not in output]

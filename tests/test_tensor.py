@@ -605,7 +605,8 @@ def test_a_catalog_pass_plans_once_in_a_quarter_megabyte(catalog,
 
     def size(obj):
         inner = obj if isinstance(obj, tuple) else ()
-        return sys.getsizeof(obj) + sum(map(size, inner))
+        held = obj.nbytes if isinstance(obj, memoryview) else 0
+        return sys.getsizeof(obj) + held + sum(map(size, inner))
 
     plan = tensor_module._plan.__wrapped__
     monkeypatch.setattr(tensor_module, "_plan", functools.lru_cache(
