@@ -58,7 +58,7 @@ from .errors import (
     ZeroPivotError,
 )
 from . import expr as ex
-from .expr import Expr, _tame
+from .expr import _tame
 
 Pair = tuple[int, int, int]
 
