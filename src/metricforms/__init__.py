@@ -6,7 +6,6 @@ from .derivative import differentiate
 from .errors import MetricFormsError
 from .expr import (
     Expr,
-    Tape,
     evaluate,
     parse_expr,
     simplify,
@@ -56,6 +55,7 @@ from .manifolds import (
 )
 from .analysis import AnalysisReport, GeometrySession, run_analysis
 from .report import REPORT_SCHEMA, render_human, render_json
+from .tape import Tape
 from .tensor import MetricField, Tensor, invert_metric
 
 __version__ = "0.1.0"

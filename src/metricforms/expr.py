@@ -31,6 +31,7 @@ import re
 import threading
 import weakref
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import (
     EvalDomainError,
@@ -477,24 +478,29 @@ def _pow_value(v: Number, q: Fraction) -> Number:
 # Each function's value as an expression in its operand ``{0}``: the
 # ``math`` function (bound to its own name) for a real operand, the
 # ``cmath`` one (bound to the name with a ``c`` in front) for a complex
-# one.  A tape writes the expression inline; ``_FUNCTION`` holds it as a
-# callable for the walk.
-_FUNCTION_SOURCE = {
-    name: f"c{name}({{0}}) if isinstance({{0}}, complex) else {name}({{0}})"
-    for name in ("sin", "cos", "tan", "exp", "sinh", "cosh")}
+# one.  A tape writes the expression inline, and for an operand known to be
+# real only its real branch; ``_FUNCTION`` holds it as a callable for the
+# walk.
+_REAL_SOURCE = {name: f"{name}({{0}})" for name in FUNCTIONS}
 # the principal branch: timelike directions get +i
-_FUNCTION_SOURCE["sqrt"] = ("csqrt({0}) if isinstance({0}, complex) "
-                            "else sqrt({0}) if {0} >= 0 "
-                            "else complex(0, sqrt(-{0}))")
+_REAL_SOURCE["sqrt"] = "sqrt({0}) if {0} >= 0 else complex(0, sqrt(-{0}))"
+_COMPLEX_SOURCE = {name: f"c{name}({{0}})" for name in FUNCTIONS}
 # a zero imaginary part takes the real logarithm, which refuses a
 # non-positive real with ValueError
-_FUNCTION_SOURCE["log"] = ("(clog({0}) if {0}.imag else log({0}.real)) "
-                           "if isinstance({0}, complex) else log({0})")
+_COMPLEX_SOURCE["log"] = "(clog({0}) if {0}.imag else log({0}.real))"
+_FUNCTION_SOURCE = {
+    name: f"{_COMPLEX_SOURCE[name]} if isinstance({{0}}, complex) "
+          f"else {_REAL_SOURCE[name]}"
+    for name in FUNCTIONS}
 _FUNCTION_NAMES = {**{name: getattr(math, name) for name in FUNCTIONS},
                    **{"c" + name: getattr(cmath, name) for name in FUNCTIONS}}
 _FUNCTION = {name: eval(f"lambda v: {source.format('v')}",
                         dict(_FUNCTION_NAMES))
              for name, source in _FUNCTION_SOURCE.items()}
+
+
+#: the types of value that are real, and those that are never an exact int
+_REAL, _INEXACT = {int, float}, {float, complex}
 
 
 def _fun_values(name: str, values: list, node: Expr) -> list:
@@ -577,8 +583,14 @@ def _walk(roots: list, points: list, memo: dict) -> list[list]:
                     raise _fault("division by zero", e)
                 got = list(map(operator.truediv, value(e.num), den))
             elif t is Pow:
-                q = e.exponent
-                got = [_pow_value(v, q) for v in value(e.base)]
+                q, base = e.exponent, value(e.base)
+                # an integer power of floats and complexes is the operator,
+                # which raises ZeroDivisionError for zero as _pow_value does
+                if q.denominator == 1 and set(map(type, base)) <= _INEXACT:
+                    got = list(map(operator.pow, base,
+                                   repeat(q.numerator, k)))
+                else:
+                    got = [_pow_value(v, q) for v in base]
             elif t is Fun:
                 got = _fun_values(e.name, value(e.arg), e)
             else:
@@ -601,130 +613,6 @@ def _walk(roots: list, points: list, memo: dict) -> list[list]:
 def evaluate(e: Expr, env: dict[str, Number]) -> Number:
     """Evaluate ``e`` with every free symbol bound by ``env``."""
     return walk((e,), [env])[0][0]
-
-
-# Operands per statement of a sum or product.  Python's compiler recurses
-# once per binary operator and gives up near 3,000 of them in one
-# expression.  The geodesic right-hand sides of the catalog, of
-# Painleve-Gullstrand, Kerr and a dense 4-D metric, and of a dense 5-D one
-# hold sums and products of at most 30 operands; the bound keeps the tape
-# of any larger expression compilable.
-TAPE_CHAIN = 1000
-
-
-def _unbound(name: str):
-    raise UnboundSymbolError(name)
-
-
-class Tape:
-    """``Tape(roots, args)(*values)``: the tuple of the values of ``roots``
-    with the symbols named ``args`` bound to ``values`` in order, from one
-    compiled straight-line function, ``run``.  It pays only for a read that
-    runs thousands of times at points not known in advance, as a geodesic
-    right-hand side does: ``walk`` computes all the sample points of an
-    analysis at once for less than compiling costs.
-
-    With ``state`` true, ``run(x, u)`` is a right-hand side: ``x`` and
-    ``u`` bind the first and the second half of ``args``, and it returns
-    ``float(v.real)`` of each value ``v``.  Otherwise ``run`` takes one
-    parameter per symbol and returns the values as they are.
-
-    Every distinct non-constant node that is not an argument is one
-    statement on a local variable, in the order ``walk`` finishes them, a
-    quotient's denominator first.  A statement does the walk's arithmetic:
-    ``0 + a + b``, ``1 * a * b`` (continued past ``TAPE_CHAIN`` operands),
-    ``-a``, ``a / b``, ``a ** p`` for an integer power of a non-constant
-    and ``_pow_value`` otherwise, and a function node's expression from
-    ``_FUNCTION_SOURCE``, inline, so the values are the walk's bit for bit.
-    Numbers, exponents and the name of a symbol outside ``args``, which
-    faults when reached, are names ``k0``, ``k1``, ... of the function's
-    own namespace, read as globals (a call binds nothing per constant),
-    so ``source`` holds no user text.  On any exception
-    ``run`` walks its roots at that point and raises what the walk raises,
-    else the exception.
-    """
-
-    def __init__(self, roots, args, state=False):
-        self.roots, self.args = list(roots), tuple(args)
-        params = [f"a{k}" for k in range(len(self.args))]
-        local = dict(zip(map(Sym, self.args), params))
-        consts: dict = {}
-        lines: list[str] = []
-
-        def table(value) -> str:
-            name = f"k{len(consts)}"
-            consts[name] = value
-            return name
-
-        def emit(e: Expr) -> str:
-            """The name of the value of ``e``, after the statements for
-            its operands not yet computed and then for ``e``."""
-            t = type(e)
-            if t is Const:
-                return table(e.value)
-            if e in local:
-                return local[e]
-            refs = list(map(emit, (e.den, e.num) if t is Div
-                            else e.children()))
-            ref = local[e] = f"v{len(lines)}"
-            if t is Add or t is Mul:
-                op, first = (" + ", "0") if t is Add else (" * ", "1")
-                # a longer chain goes on in the variable, left to right
-                lines.append("; ".join(
-                    f"{ref} = " + op.join([ref if i else first,
-                                           *refs[i:i + TAPE_CHAIN]])
-                    for i in range(0, len(refs), TAPE_CHAIN)))
-                return ref
-            if t is Sym:
-                rhs = f"_unbound({table(e.name)})"
-            elif t is Neg:
-                rhs = "-" + refs[0]
-            elif t is Div:
-                rhs = f"{refs[1]} / {refs[0]}"
-            elif t is Pow and e.exponent.denominator == 1 \
-                    and type(e.base) is not Const:
-                rhs = f"{refs[0]} ** {table(e.exponent.numerator)}"
-            elif t is Pow:
-                rhs = f"_pow({refs[0]}, {table(e.exponent)})"
-            elif t is Fun:
-                rhs = _FUNCTION_SOURCE[e.name].format(refs[0])
-            else:
-                raise TypeError(f"cannot evaluate {t.__name__}")
-            lines.append(f"{ref} = {rhs}")
-            return ref
-
-        out = list(map(emit, self.roots))
-        listed = "".join(p + ", " for p in params)
-        if state:
-            half = len(params) // 2
-            head = ["def _tape(x, u):\n",
-                    f"    ({''.join(p + ', ' for p in params[:half])}) = x\n",
-                    f"    ({''.join(p + ', ' for p in params[half:])}) = u\n"]
-            out = [f"float({ref}.real)" for ref in out]
-        else:
-            head = [f"def _tape({listed}):\n"]
-        self.source = "".join([
-            *head, "    try:\n",
-            *(f"        {line}\n" for line in lines),
-            f"        return ({''.join(ref + ', ' for ref in out)})\n",
-            "    except Exception as exc:\n",
-            "        fault = exc\n",
-            f"    _refault(fault, {listed})\n"])
-
-        roots, args = self.roots, self.args
-
-        def refault(fault, *values):
-            walk(roots, [dict(zip(args, values))])
-            raise fault
-
-        namespace = {**_FUNCTION_NAMES, "_pow": _pow_value,
-                     "_unbound": _unbound, "_refault": refault,
-                     **consts}
-        exec(compile(self.source, "<tape>", "exec"), namespace)
-        self.run = namespace["_tape"]
-
-    def __call__(self, *values):
-        return self.run(*values)
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,9 @@ from .chart import Chart
 from .errors import EvalDomainError, NumericFaultError, TensorError
 from . import expr as ex
 from .derivative import Differentiator, tangents
-from .expr import Expr, Tape
+from .expr import Expr
 from .factorization import FormSet
+from .tape import Tape
 from .tensor import (
     MetricField,
     Tensor,
@@ -573,9 +574,11 @@ def _rk4_loop(n: int):
 
 
 def _rk4(rhs, chart: Chart, start: np.ndarray, velocity: np.ndarray,
-         steps: int, h: float) -> Trajectory:
+         steps: int, h: float) -> tuple[Trajectory, list[tuple]]:
     """Fixed-step RK4 on the state (x, u), a tuple of floats; ``rhs(x, u)``
-    gives du/ds.  Stops before the first step that leaves the chart."""
+    gives du/ds.  Stops before the first step that leaves the chart.
+    Returns the trajectory and its states, the tuples of floats it was
+    stacked from."""
     n = chart.dim
     # float arithmetic turns an overflow into inf or nan without raising:
     # the next evaluation raises, or the domain check ends the integration
@@ -584,7 +587,7 @@ def _rk4(rhs, chart: Chart, start: np.ndarray, velocity: np.ndarray,
         *map(float, velocity), *chain.from_iterable(chart.domains))
     xu = np.array(states)
     ss = np.array([0.0] + [k * h for k in range(1, len(states))])
-    return Trajectory(ss, xu[:, :n], xu[:, n:], exited)
+    return Trajectory(ss, xu[:, :n], xu[:, n:], exited), states
 
 
 def _velocity(chart: Chart) -> np.ndarray:
@@ -642,15 +645,20 @@ def integrate_geodesic(g: MetricField, g_inv: Tensor, conn: Connection,
     if not chart.contains(start):
         raise NumericFaultError(f"start point {start.tolist()} is outside "
                                 "the chart domain")
-    traj_c = _rk4(classical_rhs(conn), chart, start, velocity, steps, h)
-    traj_f = _rk4(factored_rhs(forms, f, g_inv, p, a_up), chart, start,
-                  velocity, steps, h)
+    traj_c, states = _rk4(classical_rhs(conn), chart, start, velocity,
+                          steps, h)
+    # the monitor's points share the floats of the classical states, whose
+    # tuples go before the factored route runs
+    points = [dict(zip(chart.coords, state)) for state in states]
+    del states
+    traj_f, _ = _rk4(factored_rhs(forms, f, g_inv, p, a_up), chart, start,
+                     velocity, steps, h)
 
     k = min(len(traj_c.s), len(traj_f.s))
     divergence = max(max_abs(traj_c.x[:k] - traj_f.x[:k]),
                      max_abs(traj_c.u[:k] - traj_f.u[:k]))
 
-    gs = g.values([chart.point(x) for x in traj_c.x])
+    gs = g.values(points)
     u = traj_c.u
     # a non-finite norm raises below, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
@@ -659,7 +667,7 @@ def integrate_geodesic(g: MetricField, g_inv: Tensor, conn: Connection,
     if bad.size:
         raise EvalDomainError(
             f"overflow to a non-finite g(u, u) on the geodesic at "
-            f"{chart.point(traj_c.x[bad[0]])}", None)
+            f"{points[bad[0]]}", None)
     if len(traj_c.s) == 1 or len(traj_f.s) == 1:
         raise NumericFaultError(
             f"the geodesic from {start.tolist()} integrated no step of size "

@@ -217,8 +217,14 @@ def _write_floats(obj, indent: int, out: list[str]) -> bool:
     if set(map(type, values)) != {float}:
         return False
     seps[-1] = close
-    out.append(head + "".join(chain.from_iterable(
-        zip(_float_formats(values), seps))) % tuple(values))
+    formats = _float_formats(values)        # refuses inf and nan
+    if any(map(float.is_integer, values)):
+        template = head + "".join(chain.from_iterable(zip(formats, seps)))
+    else:
+        # every format is %.17g: one join puts one after the head and
+        # after each separator but the last
+        template = _FLOAT_FORMAT[0].join([head, *seps])
+    out.append(template % tuple(values))
     return True
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from metricforms import expr as ex
 from metricforms.errors import EvalDomainError, TensorError, UnboundSymbolError
 from metricforms.geometry import Trajectory
+from metricforms.tape import Tape
 
 
 def eta(chart) -> np.ndarray:
@@ -94,7 +95,7 @@ def fd_riemann_mixed(gamma_mixed_at, env: dict, coords) -> np.ndarray:
 
 
 class TreeEvaluator:
-    """The reference for ``expr.Tape``: a memoised depth-first walk over
+    """The reference for ``tape.Tape``: a memoised depth-first walk over
     the expression tree, evaluating at one point.
 
     It combines operands as it reaches them (a running sum or product, a
@@ -150,10 +151,10 @@ class TreeEvaluator:
 def tape_reader(comps, coords):
     """Function from the values of ``coords``, in order, to the values of
     ``comps``, an array of expressions, as a complex array of its shape,
-    by one ``expr.Tape`` compiled here: a reference reader for a test that
+    by one ``tape.Tape`` compiled here: a reference reader for a test that
     reads many points."""
     comps = np.asarray(comps, dtype=object)
-    tape = ex.Tape(comps.flat, coords)
+    tape = Tape(comps.flat, coords)
     return lambda x: np.array(tape(*x), dtype=complex).reshape(comps.shape)
 
 

@@ -8,6 +8,7 @@ from metricforms import analysis, geometry as geo
 from metricforms import expr as ex
 from metricforms.derivative import Differentiator
 from metricforms.errors import FactorizationError, NumericFaultError
+from metricforms.tape import Tape
 
 import oracles
 from conftest import stacked
@@ -165,7 +166,7 @@ def test_analysis_compiles_only_the_spot_check_right_hand_sides(catalog,
     spec = catalog["schwarzschild"]
     velocity = {f"u'{c}" for c in spec.chart.coords}
     tapes = []
-    init = ex.Tape.__init__
+    init = Tape.__init__
 
     def spy(tape, roots, args, **kwargs):
         roots = list(roots)
@@ -173,7 +174,7 @@ def test_analysis_compiles_only_the_spot_check_right_hand_sides(catalog,
                       kwargs))
         return init(tape, roots, args, **kwargs)
 
-    monkeypatch.setattr(ex.Tape, "__init__", spy)
+    monkeypatch.setattr(Tape, "__init__", spy)
     run_analysis(spec, n_points=3)
     assert len(tapes) == 2
     # the arguments are the coordinates, then the velocities, in order,

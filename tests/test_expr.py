@@ -5,6 +5,7 @@ import math
 import operator
 import pickle
 import re
+import struct
 import sys
 import threading
 import tokenize
@@ -35,6 +36,7 @@ from metricforms.errors import (
 )
 from metricforms import expr as ex
 from metricforms.derivative import tangents
+from metricforms.tape import TAPE_CHAIN, Tape
 from metricforms.tensor import Tensor, require_finite, values_at
 
 import oracles
@@ -614,7 +616,7 @@ def _outcome(compute):
 def _tape_outcome(roots, env):
     """What a tape of ``roots`` over the symbols of ``env``, in order,
     returns or raises at ``env``."""
-    tape = ex.Tape(roots, env)
+    tape = Tape(roots, env)
     return _outcome(lambda: tape(*env.values()))
 
 
@@ -758,6 +760,33 @@ def test_tangent_fault_names_the_symbolic_node_without_numpy_warning():
     assert known[e] == [0.25]
 
 
+@pytest.mark.parametrize("zero", [0.0, -0.0, 0j])
+def test_integer_power_of_zero_names_the_fault(zero):
+    # the walk raises the operator's fault for floats and complexes
+    # under its own name, at the first point that faults
+    e = ex.pow_(ex.sym("x"), -1)
+    points = [{"x": 2.0}, {"x": zero}, {"x": complex(0.5, 1.0)}]
+    for at in (points[1:2], points):
+        with pytest.raises(EvalDomainError,
+                           match=r"^zero raised to a negative power in "
+                                 r"'x\^\(-1\)'$") as err:
+            ex.walk([e], at)
+        assert err.value.subexpr is e
+    assert ex.walk([e], points[::2]) == [[0.5, 1 / complex(0.5, 1.0)]]
+
+
+def test_integer_power_of_an_exact_integer_keeps_its_bound():
+    # an exact integer among the floats keeps _int_pow's bound: 10^1000 to
+    # the 5th has 16,610 bits, beyond EXACT_INT_BITS
+    e = ex.pow_(ex.sym("x"), 5)
+    points = [{"x": 1.5}, {"x": 10 ** 1000}]
+    with pytest.raises(EvalDomainError, match=r"^overflow in 'x\^5'$") as err:
+        ex.walk([e], points)
+    assert err.value.subexpr is e
+    assert ex.walk([e], [{"x": 1.5}, {"x": 10 ** 100}]) \
+        == [[1.5 ** 5, 10 ** 500]]
+
+
 def test_exact_integer_root_beyond_floats_is_an_overflow():
     big = ex.const(10 ** 400)
     assert ex.walk([big], [{}, {}]) == [[10 ** 400, 10 ** 400]]
@@ -770,7 +799,7 @@ def test_one_point_reads_compile_no_tape(monkeypatch, polar):
     def refuse(tape, roots, args):
         raise AssertionError("a one-point read compiled a tape")
 
-    monkeypatch.setattr(ex.Tape, "__init__", refuse)
+    monkeypatch.setattr(Tape, "__init__", refuse)
     e = parse_expr("r * sin(theta) / (1 + r^2)", polar)
     env = {"r": 1.5, "theta": 0.5}
     assert evaluate(e, env) == oracles.TreeEvaluator(env)(e)
@@ -803,19 +832,19 @@ def test_tape_reads_constant_argument_and_repeated_roots():
     # parameter, with no statement; each repeat of a root is in the tuple
     x, y = ex.sym("x"), ex.sym("y")
     e = ex.mul(x, y)
-    tape = ex.Tape([ex.const(2.5), y, e, ex.ZERO, e], ("x", "y"))
+    tape = Tape([ex.const(2.5), y, e, ex.ZERO, e], ("x", "y"))
     assert tape(3.0, -1.0) == (2.5, -1.0, -3.0, 0, -3.0)
     # a header and a try, the one statement, a return, and the three
     # lines of the fault path
     assert len(tape.source.splitlines()) == 2 + 1 + 1 + 3
-    assert ex.Tape([], ())() == ()
+    assert Tape([], ())() == ()
 
 
 def test_tape_of_many_statements():
     x, y = ex.sym("x"), ex.sym("y")
     roots = [ex.fn("sin", ex.add(ex.mul(ex.const(k + 0.5), x), y))
              for k in range(150)]
-    tape = ex.Tape(roots, ("x", "y"))
+    tape = Tape(roots, ("x", "y"))
     # a header and a try, one statement per node but the arguments, a
     # return, and the three lines of the fault path
     assert len(tape.source.splitlines()) == 2 + 3 * 150 + 1 + 3
@@ -825,7 +854,7 @@ def test_tape_of_many_statements():
         == [repr(reference(e)) for e in roots]
     # a fault in the last statement raises what the walk raises
     bad = ex.div(roots[-1], ex.sub(x, x))
-    tape = ex.Tape([*roots, bad], ("x", "y"))
+    tape = Tape([*roots, bad], ("x", "y"))
     with pytest.raises(EvalDomainError, match="^division by zero in") as err:
         tape(0.7, -1.3)
     assert err.value.subexpr is bad
@@ -843,7 +872,7 @@ def test_tape_long_sum_and_product():
              ex.mul(*[ex.add(ex.ONE, ex.mul(ex.const(1e-4 * (k + 0.5)), x))
                       for k in range(3500)])]
     assert all(len(r.children()) == 3500 for r in roots)
-    tape = ex.Tape(roots, ("x",))
+    tape = Tape(roots, ("x",))
     reference = oracles.TreeEvaluator({"x": 0.3})
     assert [repr(v) for v in tape(0.3)] \
         == [repr(reference(e)) for e in roots]
@@ -870,8 +899,8 @@ def test_tape_source_holds_no_user_text():
     e = ex.add(e, ex.fn("log", ex.fn("exp", syms[-1])))
     # the first name is outside the second tape's arguments; the third is
     # a right-hand side of the state (x, u) = (the first three, the rest)
-    tapes = [ex.Tape([e], names), ex.Tape([e], names[1:]),
-             ex.Tape([e], names, state=True)]
+    tapes = [Tape([e], names), Tape([e], names[1:]),
+             Tape([e], names, state=True)]
     for tape in tapes:
         for tok in tokenize.generate_tokens(
                 iter(tape.source.splitlines(True)).__next__):
@@ -897,14 +926,126 @@ def test_state_tape_returns_real_parts_and_else_the_original_fault():
     # an exact integer beyond floats, is raised as it is
     x, y, p, q = map(ex.sym, ("x", "y", "p", "q"))
     roots = [q, ex.const(3), ex.fn("sqrt", ex.sub(x, p)), ex.mul(y, p)]
-    run = ex.Tape(roots, ("x", "y", "p", "q"), state=True).run
+    run = Tape(roots, ("x", "y", "p", "q"), state=True).run
     got = run((1.0, 2.0), (5.0, -0.5))
     assert got == (-0.5, 3.0, 0.0, 10.0)
     assert list(map(type, got)) == [float] * 4
-    big = ex.Tape([ex.const(10 ** 400)], ("x", "p"), state=True).run
+    big = Tape([ex.const(10 ** 400)], ("x", "p"), state=True).run
     assert ex.walk([ex.const(10 ** 400)], [{}]) == [[10 ** 400]]
     with pytest.raises(OverflowError, match="int too large"):
         big((1.0,), (0.0,))
+
+
+# ---------------------------------------------------------------------------
+# the typed state tape against the walk
+# ---------------------------------------------------------------------------
+
+_XS, _US = ex.sym("x"), ex.sym("u")
+
+
+def _state_exprs():
+    """Expressions over a position x and a velocity u, and the unbound z:
+    signed zeros, int, float and complex constants, an int beyond exact
+    floats and one beyond floats, sums, products and quotients built as
+    they are, so a sum may start with -0.0 and a product with a complex
+    factor, and every function and power, folded where constant."""
+    leaves = st.sampled_from(
+        [_XS, _US, ex.sym("z"), ex.const(0), ex.const(-0.0), ex.const(0.0),
+         ex.const(2), ex.const(-3), ex.const(2 ** 60 + 128), ex.const(1.5),
+         ex.const(1e300), ex.const(10 ** 400), ex.const(1.5j),
+         ex.const(complex(-1.0, 0.5))])
+
+    def extend(children):
+        operands = st.lists(children, min_size=1, max_size=4).map(tuple)
+        return st.one_of(
+            st.tuples(st.sampled_from(ex.FUNCTIONS), children)
+            .map(lambda t: ex.fn(*t)),
+            children.map(ex.neg),
+            operands.map(ex.Add), operands.map(ex.Mul),
+            st.tuples(children, children).map(lambda t: ex.Div(*t)),
+            # exponents of at most 2, so a chain of powers of an exact
+            # integer grows slowly
+            st.tuples(children, st.sampled_from(
+                [2, -1, -2, Fraction(1, 2), Fraction(-3, 2),
+                 Fraction(1, 3)])).map(lambda t: ex.pow_(*t)))
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+_state_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, -4.0, 1e-300, 1e300, 710.0,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(-5, 5))
+
+
+def _bits(compute):
+    """The types and the bytes of the floats ``compute`` returns, so that
+    signed zeros and nans count, or the class and message of what it
+    raised."""
+    try:
+        values = compute()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return list(map(type, values)), struct.pack(f"{len(values)}d", *values)
+
+
+_LONG = [ex.neg(_XS), ex.const(-0.0), ex.mul(_XS, _US)] * (TAPE_CHAIN // 2)
+
+
+@given(st.lists(_state_exprs(), min_size=1, max_size=4), _state_values,
+       _state_values)
+# sums of -0.0 terms, from a -0.0 constant and from a negated argument
+@example([ex.Add((ex.neg(_XS), ex.neg(_US))), ex.Add((ex.const(-0.0), _XS)),
+          ex.Mul((_XS, _US)), ex.neg(_XS)], -0.0, 0.0)
+# square roots and logs of negative reals, of an argument and of a sum
+@example([ex.fn("sqrt", _XS), ex.fn("sqrt", ex.Add((_XS, _US)))], -4.0, 1.0)
+@example([ex.fn("log", ex.Add((_XS, _US)))], -4.0, 1.0)
+# products whose first factor is complex, an int or an int beyond floats;
+# 1.0 * z is not z for z = sqrt(-inf) = inf j, so the start shows
+@example([ex.Mul((ex.const(1.5j), _XS)), ex.Mul((ex.const(2), _XS)),
+          ex.Mul((ex.const(complex(-1.0, 0.5)), _US, ex.const(1.5j))),
+          ex.Mul((ex.fn("sqrt", _XS), ex.const(1.5j)))],
+         -math.inf, -0.0)
+@example([ex.Add((ex.const(10 ** 400), _XS))], 1.0, 2.0)
+@example([ex.Add((ex.const(2 ** 60 + 128), ex.const(2)))], 1.0, 2.0)
+# chains longer than TAPE_CHAIN
+@example([ex.Add(tuple(_LONG)), ex.Mul(tuple(_LONG[1:]))], 0.7, -1.3)
+@settings(max_examples=500, deadline=None)
+def test_state_tape_is_the_walk_bit_for_bit(roots, x, u):
+    # float(v.real) of each value of the walk, or what the walk raises,
+    # and else what the conversion raises
+    run = Tape(roots, ("x", "u"), state=True).run
+    env = {"x": x, "u": u}
+    want = _bits(lambda: [float(v.real) for [v] in ex.walk(roots, [env])])
+    assert _bits(lambda: run((x,), (u,))) == want
+
+
+def test_state_tape_writes_real_operations_without_type_tests():
+    # x + x * u is real: a function of it is its real branch, the sum
+    # starts from 0.0 and the product of two reals has no start; a product
+    # whose first factor is complex starts from 1.0 and a sum whose first
+    # term is an int from 0; a root known to be a float is returned as it
+    # is, a complex one or an int by its real part
+    roots = [*(ex.fn(name, ex.Add((_XS, ex.Mul((_XS, _US)))))
+               for name in ex.FUNCTIONS),
+             ex.Mul((ex.const(1.5j), _XS)), ex.Add((ex.const(3), _XS)),
+             ex.const(2)]
+    tape = Tape(roots, ("x", "u"), state=True)
+    assert "isinstance" not in tape.source
+    assert not re.search(r"= [01] [+*]", tape.source)
+    consts = tape.run.__globals__
+    body = [re.sub(r"k[0-9]+", lambda m: repr(consts[m[0]]), line.strip())
+            for line in tape.source.splitlines()[4:-3]]
+    assert body == [
+        "v0 = a0 * a1", "v1 = 0.0 + a0 + v0",
+        "v2 = sin(v1)", "v3 = cos(v1)", "v4 = tan(v1)", "v5 = exp(v1)",
+        "v6 = log(v1)", "v7 = sinh(v1)", "v8 = cosh(v1)",
+        "v9 = sqrt(v1) if v1 >= 0 else complex(0, sqrt(-v1))",
+        "v10 = 1.0 * 1.5j * a0", "v11 = 0 + 3 + a0",
+        "return (v2, v3, v4, v5, v6, v7, v8, float(v9.real), "
+        "float(v10.real), v11, float(2.real), )"]
+    assert tape.run((0.5,), (-0.25,)) == tuple(
+        float(v.real) for [v] in ex.walk(roots, [{"x": 0.5, "u": -0.25}]))
 
 
 # real, complex (a numpy complex scalar among them), huge and infinite
@@ -919,7 +1060,7 @@ _FUNCTION_ARGS = [2.5, -2.5, 0.0, -0.0, 3, 1000.0, -1000.0, 10 ** 400,
 @pytest.mark.parametrize("name", ex.FUNCTIONS)
 def test_tape_function_calls_match_tree_walk(name):
     e = ex.fn(name, ex.sym("x"))
-    tape = ex.Tape([e], ("x",))
+    tape = Tape([e], ("x",))
     for x in _FUNCTION_ARGS:
         want = _outcome(lambda: [oracles.TreeEvaluator({"x": x})(e)])
         assert _outcome(lambda: tape(x)) == want, x

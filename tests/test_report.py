@@ -71,19 +71,26 @@ def test_non_finite_number_raises(doc):
 
 # integers, both sides of 1e16, signed zeros and subnormals
 _MATRIX_FLOATS = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, -7.0, 1e16, -1e16, 9.999e15,
+    st.sampled_from([0.0, -0.0, 1.0, -7.0, 1e15, 1e16, -1e16, 9.999e15,
                      9999999999999998.0, 5e-324, -1e-310,
                      2.2250738585072014e-308]),
     st.integers(-10 ** 6, 10 ** 6).map(float),
     st.floats(allow_nan=False, allow_infinity=False))
-_matrices = st.integers(1, 4).flatmap(lambda width: st.lists(
-    st.lists(_MATRIX_FLOATS, min_size=width, max_size=width),
-    min_size=1, max_size=6))
+# with no integral value, every format is %.17g and the template is one
+# join of the separators
+_FRACTIONAL = st.floats(allow_nan=False, allow_infinity=False).filter(
+    lambda v: not v.is_integer())
+_matrices = st.sampled_from([_MATRIX_FLOATS, _FRACTIONAL]).flatmap(
+    lambda floats: st.integers(1, 4).flatmap(lambda width: st.lists(
+        st.lists(floats, min_size=width, max_size=width),
+        min_size=1, max_size=6)))
 
 
 @given(_matrices, st.integers(0, 3))
 @example([[0.0, -0.0], [1e16, 9.999e15]], 1)
 @example([[5e-324, 3.0]], 0)
+@example([[0.5, -2.5e-7], [1e300 / 3, 0.1]], 2)
+@example([[0.5, -2.5e-7], [1e15, 0.1]], 0)
 @settings(max_examples=300, deadline=None)
 def test_template_writer_matches_per_float_writer(rows, indent):
     # a matrix and its flattened list, each through one %-template

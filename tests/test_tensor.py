@@ -12,6 +12,7 @@ from metricforms import (
     Chart,
     GeometrySession,
     MetricField,
+    Tape,
     Tensor,
     invert_metric,
     parse_expr,
@@ -309,7 +310,7 @@ def test_inverse_check_and_one_point_reads_compile_no_tape(monkeypatch):
         raise AssertionError("a read that runs once compiled a tape")
 
     g = get_manifold(str(DATA / "painleve-gullstrand.metric")).metric()
-    monkeypatch.setattr(ex.Tape, "__init__", refuse)
+    monkeypatch.setattr(Tape, "__init__", refuse)
     inv = invert_metric(g)
     point = g.chart.sample_points(1, seed=5)[0]
     np.testing.assert_array_equal(inv.evaluate(point),
