@@ -1,16 +1,21 @@
 """Full-run orchestration: build every derived object for a manifold and
 quantify every identity of the suite at seeded sample points.
 
+The symbolic objects are read at the points by walks; the factored side
+past the first derivatives (pre-currents, currents, the three Riemann
+parts, the factored Ricci and Einstein split) and the Einstein divergence
+are computed at the points directly, from forward-mode tangents and
+``np.einsum``, and the session holds them as arrays.
+
 Residual tolerances, the ``TOL_*`` constants of ``geometry`` and
 ``factorization``, follow the derivative depth of each identity (the
-third is the contracted divergence of the Einstein tensor, computed from
-forward-mode tangents of G at the sample points, with no symbolic third
-derivative), reflecting conditioning loss per differentiation.  The
-decomposition-sum and factored Ricci/Einstein rows are reported, never
-asserted: whether the three-part curvature split reproduces the
-classical tensor in a general frame is measured by this harness, and
-the observed residuals are pinned as regression baselines by the
-acceptance suite rather than assumed to vanish.
+third is the contracted divergence of the Einstein tensor), reflecting
+conditioning loss per differentiation.  The decomposition-sum and
+factored Ricci/Einstein rows are reported, never asserted: whether the
+three-part curvature split reproduces the classical tensor in a general
+frame is measured by this harness, and the observed residuals are
+pinned as regression baselines by the acceptance suite rather than
+assumed to vanish.
 """
 
 from __future__ import annotations
@@ -77,10 +82,11 @@ class GeometrySession:
 
     Numeric evaluation walks each tensor at all sample points at once,
     with one memo from node to its values at the points kept across
-    tensors.  Expression nodes are interned, so every distinct subtree
-    (connection components inside pre-currents inside curvature parts) is
-    computed once per point, however many times it was built.  Stacked
-    tensor values are cached per tensor object.  Every builder that
+    tensors and read by the tangents.  Expression nodes are interned, so
+    every distinct subtree (metric components inside the connection inside
+    the Riemann tensor) is computed once per point, however many times it
+    was built.  Stacked tensor values are cached per tensor object, and
+    the numeric objects are arrays, each checked finite.  Every builder that
     differentiates shares the session's one differentiator per
     coordinate, ``diff``, so no (node, coordinate) pair is differentiated
     twice, and the contractions that several builders read, the
@@ -156,16 +162,19 @@ class GeometrySession:
                                               self.forms_raised)
 
     @cached_property
-    def sym_trace(self) -> Tensor:
-        return geo.sym_trace(self.sym_deriv, self.g_inv)
+    def sym_trace(self) -> np.ndarray:
+        return self._checked("sym_trace", geo.sym_trace,
+                             self.vals(self.sym_deriv), self.vals(self.g_inv))
 
     @cached_property
-    def precurrent(self) -> Tensor:
-        return geo.precurrents(self.curl, self.conn, self.diff)
+    def precurrent(self) -> np.ndarray:
+        return self._checked("precurrent", geo.precurrents, self.curl,
+                             self.conn, self.points, self._memo)
 
     @cached_property
-    def current(self) -> Tensor:
-        return geo.currents(self.precurrent, self.g_inv)
+    def current(self) -> np.ndarray:
+        return self._checked("current", geo.currents, self.precurrent,
+                             self.vals(self.g_inv))
 
     @cached_property
     def riemann(self) -> tuple[Tensor, Tensor]:
@@ -181,8 +190,10 @@ class GeometrySession:
 
     @cached_property
     def parts(self) -> RiemannParts:
-        return geo.riemann_decomposed(self.forms, self.curl, self.sym_deriv,
-                                      self.precurrent)
+        return self._checked(
+            "parts", geo.riemann_decomposed,
+            *map(self.vals, (self.forms, self.curl, self.sym_deriv)),
+            self.precurrent)
 
     @cached_property
     def ricci(self) -> Tensor:
@@ -198,20 +209,19 @@ class GeometrySession:
 
     @cached_property
     def factored(self) -> FactoredCurvature:
-        return geo.ricci_einstein_factored(
-            self.forms, self.curl, self.sym_deriv, self.sym_trace,
-            self.precurrent, self.current, self.metric, self.g_inv,
-            self.forms_raised)
+        return self._checked(
+            "factored", geo.ricci_einstein_factored,
+            *map(self.vals, (self.forms, self.curl, self.sym_deriv)),
+            self.sym_trace, self.precurrent, self.current, self.metric_vals,
+            *map(self.vals, (self.g_inv, self.forms_raised)))
 
     @cached_property
     def einstein_divergence(self) -> np.ndarray:
         """nabla^b G_ab at the points, stacked: numeric, from tangents of
         G and the values of this session's memo."""
-        return require_finite(
-            geo.covariant_divergence_sym2(self.einstein, self.conn,
-                                          self.g_inv, self.points,
-                                          self._memo),
-            None, "einstein_divergence", self.points)
+        return self._checked("einstein_divergence",
+                             geo.covariant_divergence_sym2, self.einstein,
+                             self.conn, self.g_inv, self.points, self._memo)
 
     @cached_property
     def metric_compat(self) -> Tensor:
@@ -243,6 +253,17 @@ class GeometrySession:
             return vals
         comps = target.comps if isinstance(target, Tensor) else target
         return require_finite(vals, comps, self._name_of(target), self.points)
+
+    def _checked(self, name: str, build, *args):
+        """``build(*args)``, an array or a dataclass of arrays at the points,
+        or EvalDomainError naming where it is not finite; numpy need not
+        warn of the overflow that made it so."""
+        with np.errstate(all="ignore"):
+            vals = build(*args)
+        for sub, member in getattr(vals, "__dict__", {"": vals}).items():
+            require_finite(member, None, ".".join(filter(None, (name, sub))),
+                           self.points)
+        return vals
 
     def _name_of(self, target: Tensor | Expr) -> str:
         """Attribute path of an object this session built, for messages."""
@@ -423,7 +444,7 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
                                   max_abs(balance), tol.first))
 
     # pre-currents
-    jp_vals = session.vals(session.precurrent)
+    jp_vals = session.precurrent
     rows.append(IdentityRow.check("precurrent_pair_antisymmetry",
                                   _pair_swap_residual(jp_vals, 3, 4, +1.0),
                                   tol.exact))
@@ -446,15 +467,15 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
                                   tol.second))
 
     # per-term first Bianchi of the decomposition
-    for label, tensor in (("bianchi_current_part", session.parts.current_part),
-                          ("bianchi_form_part", session.parts.form_part),
-                          ("bianchi_sym_part", session.parts.sym_part)):
+    parts = session.parts
+    for label, vals in (("bianchi_current_part", parts.current_part),
+                        ("bianchi_form_part", parts.form_part),
+                        ("bianchi_sym_part", parts.sym_part)):
         rows.append(IdentityRow.check(
-            label, antisym_cycle_residual(session.vals(tensor), (2, 3, 4)),
-            tol.second))
+            label, antisym_cycle_residual(vals, (2, 3, 4)), tol.second))
 
     # decomposition vs classical: measured, never asserted here
-    total_vals = session.vals(session.parts.total)
+    total_vals = parts.total
     per_point = np.max(np.abs(total_vals - r_vals),
                        axis=(1, 2, 3, 4)).tolist()
     rows.append(IdentityRow.report("decomposition_sum_vs_classical",
@@ -462,20 +483,22 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
 
     # Ricci / scalar / Einstein, both routes
     ricci_vals = session.vals(session.ricci)
-    ricci_f_vals = session.vals(session.factored.ricci)
+    factored = session.factored
+    ricci_f_vals = factored.ricci
     rows.append(IdentityRow.report("ricci_factored_vs_classical",
                                    max_abs(ricci_vals - ricci_f_vals)))
     scalar_gap = max_abs(session.scalar_vals(session.scalar)
-                         - session.scalar_vals(session.factored.scalar))
+                         - factored.scalar)
     rows.append(IdentityRow.report("scalar_curvature_factored_vs_classical",
                                    scalar_gap))
     rows.append(IdentityRow.report(
         "einstein_split_vs_classical",
-        session.route_residual(session.einstein, session.factored.einstein)))
+        max_abs(session.vals(session.einstein) - factored.einstein)))
 
     # contract the decomposed Riemann ourselves and compare with the
     # factored Ricci formula (printed-formula consistency)
-    contracted = geo.ricci_from_lower(total_vals, session.vals(session.g_inv))
+    contracted = np.einsum("pcd,pcadb->pab", session.vals(session.g_inv),
+                           total_vals)
     rows.append(IdentityRow.report(
         "ricci_decomposition_contraction_consistency",
         max_abs(contracted - ricci_f_vals)))
@@ -493,14 +516,13 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
                                    killing.killing_residual))
 
     # physical tensors must be real
-    imag = 0.0
-    for tensor in (session.metric, session.conn.lower,
-                   session.conn.mixed, session.conn_factored.lower,
-                   session.riemann_lower, session.parts.total,
-                   session.ricci, session.factored.ricci, session.einstein,
-                   session.factored.einstein, session.parts.current_part,
-                   session.parts.form_part, session.parts.sym_part):
-        imag = max(imag, max_imag(session.vals(tensor)))
+    imag = max(map(max_imag, (
+        *map(session.vals, (session.metric, session.conn.lower,
+                            session.conn.mixed, session.conn_factored.lower,
+                            session.riemann_lower, session.ricci,
+                            session.einstein)),
+        parts.total, factored.ricci, factored.einstein, parts.current_part,
+        parts.form_part, parts.sym_part)))
     rows.append(IdentityRow.check("imaginary_residue_physical", imag,
                                   tol.imag_residue))
 
@@ -544,29 +566,26 @@ def _tensor_summaries(session: GeometrySession
                       ) -> list[tuple[str, float, float | None]]:
     """Name, max |component|, max |imaginary part| (None when complex values
     are expected, i.e. for the form set and its direct derivatives)."""
-    out = [("metric", max_abs(session.vals(session.metric)),
-            max_imag(session.vals(session.metric))),
-           ("metric_inverse", max_abs(session.vals(session.g_inv)),
-            max_imag(session.vals(session.g_inv))),
-           ("forms", max_abs(session.vals(session.forms)), None),
-           ("exterior_derivative", max_abs(session.vals(session.curl)), None),
-           ("sym_derivative", max_abs(session.vals(session.sym_deriv)), None),
-           ("precurrents", max_abs(session.vals(session.precurrent)), None),
-           ("currents", max_abs(session.vals(session.current)), None)]
-    for name, tensor in (
-            ("christoffel_classical", session.conn.lower),
-            ("christoffel_factored", session.conn_factored.lower),
-            ("riemann_classical", session.riemann_lower),
-            ("riemann_current_part", session.parts.current_part),
-            ("riemann_form_part", session.parts.form_part),
-            ("riemann_sym_part", session.parts.sym_part),
-            ("riemann_decomposed_sum", session.parts.total),
-            ("ricci_classical", session.ricci),
-            ("ricci_factored", session.factored.ricci),
-            ("einstein_classical", session.einstein),
-            ("stress_form", session.factored.stress_form),
-            ("stress_current", session.factored.stress_current),
-            ("stress_sym", session.factored.stress_sym)):
-        vals = session.vals(tensor)
-        out.append((name, max_abs(vals), max_imag(vals)))
-    return out
+    v, parts, factored = session.vals, session.parts, session.factored
+    named = (("metric", v(session.metric), True),
+             ("metric_inverse", v(session.g_inv), True),
+             ("forms", v(session.forms), False),
+             ("exterior_derivative", v(session.curl), False),
+             ("sym_derivative", v(session.sym_deriv), False),
+             ("precurrents", session.precurrent, False),
+             ("currents", session.current, False),
+             ("christoffel_classical", v(session.conn.lower), True),
+             ("christoffel_factored", v(session.conn_factored.lower), True),
+             ("riemann_classical", v(session.riemann_lower), True),
+             ("riemann_current_part", parts.current_part, True),
+             ("riemann_form_part", parts.form_part, True),
+             ("riemann_sym_part", parts.sym_part, True),
+             ("riemann_decomposed_sum", parts.total, True),
+             ("ricci_classical", v(session.ricci), True),
+             ("ricci_factored", factored.ricci, True),
+             ("einstein_classical", v(session.einstein), True),
+             ("stress_form", factored.stress_form, True),
+             ("stress_current", factored.stress_current, True),
+             ("stress_sym", factored.stress_sym, True))
+    return [(name, max_abs(vals), max_imag(vals) if real else None)
+            for name, vals, real in named]

@@ -16,21 +16,25 @@ derivative on the factored route uses the classical connection, so a
 discrepancy between routes is attributable to the factored formulas and
 not to compounded connection error.
 
-Index layout of component arrays (set axis first where present):
-Gamma[c,a,b], F[I,a,b], S[I,a,b], J_pre[I,a,b,c] = nabla_a F_Ibc,
-J[I,b], Riemann[a,b,c,d].  Coordinate derivatives are stacked with the
-derivative slot first, d[k, ...] = d_k (...), so a derivative is one more
-index.
+Index layout (set axis first where present): Gamma[c,a,b], F[I,a,b],
+S[I,a,b], J_pre[I,a,b,c] = nabla_a F_Ibc, J[I,b], Riemann[a,b,c,d].
+Symbolic coordinate derivatives are stacked with the derivative slot
+first, d[k, ...] = d_k (...), so a derivative is one more index.
 
-The contracted divergence of a symmetric tensor is numeric: its
-coordinate derivatives are forward-mode tangents at the sample points
-(``derivative.tangents``), so the third derivatives behind the
-contracted Bianchi identity are never built.  Builders that differentiate take
-``diff``, one differentiator per coordinate (``differentiators``); a
-session hands every builder the same one.  The contractions that several
-builders read, the symmetrized derivative of the forms (``sym_partial``)
-and the raised forms (``raise_forms``), are arguments of those builders,
-so a session builds each once.
+The classical route, the factored objects up to the first derivatives of
+the forms and both geodesic right-hand sides are symbolic.  The rest of
+the factored side (S traces, pre-currents, currents, the three Riemann
+parts, the factored Ricci, scalar and Einstein split) and the contracted
+divergence of a symmetric tensor are read only at the sample points, so
+they are numeric: ``np.einsum`` over the values of symbolic objects,
+stacked on a leading point axis, with coordinate derivatives from
+forward-mode tangents at the points (``derivative.tangents``).  No second
+derivative of the forms and no third derivative is built.
+
+Builders that differentiate take ``diff``, one differentiator per
+coordinate (``differentiators``); a session hands every builder the same
+one, and builds the contractions several builders read (``sym_partial``,
+``raise_forms``) once.
 
 Every symbolic builder returns the formula in its docstring as built:
 index contractions through ``tensor.einsum``, sums and scalings through
@@ -43,7 +47,7 @@ and mirrors the rest, so mirrored components share one node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -61,7 +65,6 @@ from .tensor import (
     einsum,
     elementwise,
     max_abs,
-    mirror,
     quiet,
     values_at,
 )
@@ -192,35 +195,46 @@ def sym_derivative_via_factors(forms: FormSet, f: Tensor,
                          pair=_SYM12) * ex.Const(-0.5))
 
 
-def sym_trace(s: Tensor, g_inv: Tensor) -> Tensor:
-    """Scalar trace S_I = g^{ab} S_Iab per form (unnormalized gauge)."""
-    return Tensor(einsum("ab,iab->i", g_inv.comps, s.comps))
+def _antisym_last(vals: np.ndarray) -> np.ndarray:
+    """``vals`` antisymmetric in its last two axes: the entries below the
+    diagonal are the exact negation of those above it, and the diagonal
+    is zero."""
+    upper = np.triu(vals, 1)
+    return upper - np.swapaxes(upper, -1, -2)
 
 
-@quiet
-def precurrents(f: Tensor, conn: Connection, diff=None) -> Tensor:
-    """J[I,a,b,c] = nabla_a F_Ibc with the classical connection.
+def sym_trace(s: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+    """S[p,I] = g^ab S_Iab per form (unnormalized gauge), stacked."""
+    return np.einsum("pab,piab->pi", g_inv, s)
 
-    Pair antisymmetry in (b,c) is structural; the cyclic identity over
-    (a,b,c) holds because F is exact (dF = ddA = 0) and is checked
-    numerically downstream.
+
+def precurrents(f: Tensor, conn: Connection,
+                points: list[dict[str, float]],
+                known: dict | None = None) -> np.ndarray:
+    """J[p,I,a,b,c] = nabla_a F_Ibc at each of ``points``, stacked:
+
+        nabla_a F_Ibc = d_a F_Ibc - Gamma^e_ab F_Iec - Gamma^e_ac F_Ibe
+
+    with the classical connection, d_a F_Ibc from ``derivative.tangents``
+    and the values of F and Gamma read over the memo ``known``.  The pair
+    antisymmetry in (b,c) is structural (``_antisym_last``); the cyclic
+    identity over (a,b,c) holds because dF = ddA = 0, checked downstream.
     """
     if conn.route != "classical":
         raise TensorError("pre-currents use the classical connection")
-    fc = f.comps
-    gm = conn.mixed.comps
-    df = _partials(conn.chart, fc, diff)
-    jp = einsum("aibc->iabc", df, pair=_ANTI23) - einsum(
-        "eab,iec->iabc + eac,ibe->iabc", gm, fc, gm, fc, pair=_ANTI23)
-    # the difference of two mirrored halves stores neg(a) - neg(b) below the
-    # diagonal; mirror again to store the negation of the built component
-    return Tensor(mirror(jp, _ANTI23))
+    m, n = f.comps.shape[:2]
+    df = tangents(f.comps.flat, points, conn.chart.coords, known)
+    # (I, b, c, a, p) -> (p, I, a, b, c): the derivative slot after the set
+    df = df.reshape(m, n, n, n, len(points)).transpose(4, 0, 3, 1, 2)
+    fv, gm = (values_at(x, points, known) for x in (f.comps, conn.mixed.comps))
+    return _antisym_last(df - np.einsum("peab,piec->piabc", gm, fv)
+                         - np.einsum("peac,pibe->piabc", gm, fv))
 
 
-def currents(j_pre: Tensor, g_inv: Tensor) -> Tensor:
-    """J[I,b] = nabla^a F_Iab: trace of the pre-current with its derivative
+def currents(j_pre: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+    """J[p,I,b] = nabla^a F_Iab: trace of the pre-current with its derivative
     slot raised against the first form slot."""
-    return Tensor(einsum("ad,idab->ib", g_inv.comps, j_pre.comps))
+    return np.einsum("pad,pidab->pib", g_inv, j_pre)
 
 
 # ---------------------------------------------------------------------------
@@ -241,53 +255,40 @@ def riemann_classical(conn: Connection, g: MetricField,
 
 @dataclass
 class RiemannParts:
-    """Three-part split of the all-lower Riemann tensor."""
+    """Three-part split of the all-lower Riemann tensor, stacked values."""
 
-    current_part: Tensor   # built from A and pre-currents
-    form_part: Tensor      # built from F (.) F squares
-    sym_part: Tensor       # built from S (.) S squares
-
-    @cached_property
-    def total(self) -> Tensor:
-        return self.current_part + self.form_part + self.sym_part
+    current_part: np.ndarray   # built from A and pre-currents
+    form_part: np.ndarray      # built from F (.) F squares
+    sym_part: np.ndarray       # built from S (.) S squares
+    total: np.ndarray          # their sum
 
 
-@quiet
-def riemann_decomposed(forms: FormSet, f: Tensor, s: Tensor,
-                       j_pre: Tensor) -> RiemannParts:
+def riemann_decomposed(a: np.ndarray, f: np.ndarray, s: np.ndarray,
+                       j_pre: np.ndarray) -> RiemannParts:
     """R(c) = (A_a.J_bcd - A_b.J_acd + A_c.J_dab - A_d.J_cab) / 2
     R(f) = (F_ad.F_bc - F_ac.F_bd - 2 F_ab.F_cd) / 4
     R(s) = S_ac.S_bd - S_ad.S_bc
 
-    with (.) contracting the set axis.  All inputs must come from one
-    form set and the classical connection.
+    from stacked values, with (.) contracting the set axis; each part is
+    antisymmetric in (c, d) by ``_antisym_last``.  All inputs must come
+    from one form set and the classical connection.
     """
-    ac = forms.comps
-    fc, sc, jp = f.comps, s.comps, j_pre.comps
-    rc = einsum("ia,ibcd->abcd - ib,iacd->abcd + ic,idab->abcd "
-                "- id,icab->abcd", ac, jp, ac, jp, ac, jp, ac, jp,
-                pair=_ANTI23) * ex.HALF
-    rf = einsum("iad,ibc->abcd - iac,ibd->abcd + ,iab,icd->abcd",
-                fc, fc, fc, fc, ex.Const(-2), fc, fc,
-                pair=_ANTI23) * ex.Const(0.25)
-    rs = einsum("iac,ibd->abcd - iad,ibc->abcd", sc, sc, sc, sc,
-                pair=_ANTI23)
-    # scaling the mirrored half gives Mul(c, Neg(sum)); mirror again to
-    # store Neg(Mul(c, sum)), the negation of the built component
-    return RiemannParts(Tensor(mirror(rc, _ANTI23)),
-                        Tensor(mirror(rf, _ANTI23)), Tensor(rs))
+    rc = (np.einsum("pia,pibcd->pabcd", a, j_pre)
+          - np.einsum("pib,piacd->pabcd", a, j_pre)
+          + np.einsum("pic,pidab->pabcd", a, j_pre)
+          - np.einsum("pid,picab->pabcd", a, j_pre)) * 0.5
+    rf = (np.einsum("piad,pibc->pabcd", f, f)
+          - np.einsum("piac,pibd->pabcd", f, f)
+          - 2.0 * np.einsum("piab,picd->pabcd", f, f)) * 0.25
+    rs = (np.einsum("piac,pibd->pabcd", s, s)
+          - np.einsum("piad,pibc->pabcd", s, s))
+    rc, rf, rs = map(_antisym_last, (rc, rf, rs))
+    return RiemannParts(rc, rf, rs, rc + rf + rs)
 
 
 def ricci_from_mixed(riemann_mixed: Tensor) -> Tensor:
     """Ric[a,b] = R^c_{acb}; mirrored since Ricci is symmetric."""
     return Tensor(einsum("cacb->ab", riemann_mixed.comps, pair=_SYM01))
-
-
-def ricci_from_lower(riemann_lower_vals: np.ndarray,
-                     g_inv_vals: np.ndarray) -> np.ndarray:
-    """Numeric contraction Ric[a,b] = g^{cd} R[c,a,d,b], over any leading
-    (stacking) axes."""
-    return np.einsum("...cd,...cadb->...ab", g_inv_vals, riemann_lower_vals)
 
 
 def scalar_curvature(ricci: Tensor, g_inv: Tensor) -> Expr:
@@ -303,26 +304,23 @@ def einstein_tensor(ricci: Tensor, scalar: Expr, g: MetricField) -> Tensor:
 
 @dataclass
 class FactoredCurvature:
-    """Ricci, scalar curvature and the Einstein split of the factored route."""
+    """Ricci, scalar curvature and the Einstein split of the factored route,
+    stacked values."""
 
-    ricci: Tensor
-    scalar: Expr
-    stress_form: Tensor      # -3/4 (F.F - g F.F / 2)
-    stress_current: Tensor   # current-built part plus its trace term
-    stress_sym: Tensor       # S-built part plus its trace terms
-
-    @cached_property
-    def einstein(self) -> Tensor:
-        return self.stress_form + self.stress_current + self.stress_sym
+    ricci: np.ndarray
+    scalar: np.ndarray
+    stress_form: np.ndarray      # -3/4 (F.F - g F.F / 2)
+    stress_current: np.ndarray   # current-built part plus its trace term
+    stress_sym: np.ndarray       # S-built part plus its trace terms
+    einstein: np.ndarray         # their sum
 
 
-@quiet
-def ricci_einstein_factored(forms: FormSet, f: Tensor, s: Tensor,
-                            s_trace: Tensor, j_pre: Tensor, j: Tensor,
-                            g: MetricField, g_inv: Tensor,
-                            a_up: Tensor) -> FactoredCurvature:
-    """Ricci and scalar curvature from the factored objects, with
-    A_I^c = ``raise_forms``:
+def ricci_einstein_factored(a: np.ndarray, f: np.ndarray, s: np.ndarray,
+                            s_trace: np.ndarray, j_pre: np.ndarray,
+                            j: np.ndarray, g: np.ndarray, g_inv: np.ndarray,
+                            a_up: np.ndarray) -> FactoredCurvature:
+    """Ricci and scalar curvature from stacked values of the factored
+    objects, with A_I^c = ``raise_forms``:
 
     Ric_ab = (-A_a.J_b + A^c.J_acb - A_b.J_a + A^c.J_bca) / 2
              - 3/4 F_ac.F_b^c + S.S_ab - S_ac.S_b^c
@@ -331,43 +329,32 @@ def ricci_einstein_factored(forms: FormSet, f: Tensor, s: Tensor,
     plus the Einstein split G = T(f) + T(c) + T(s), whose sum equals
     Ric - g R / 2 of this route by construction.
     """
-    ac = forms.comps
-    fc, sc, st, jp, jc = f.comps, s.comps, s_trace.comps, j_pre.comps, j.comps
-    ginv, gc, a_up = g_inv.comps, g.comps, a_up.comps
+    f_mix = np.einsum("pbd,piad->piab", g_inv, f)       # F_Ia^b
+    s_mix = np.einsum("pbd,piad->piab", g_inv, s)       # S_Ia^b
 
-    f_mix = einsum("bd,iad->iab", ginv, fc)        # F_Ia^b
-    s_mix = einsum("bd,iad->iab", ginv, sc)        # S_Ia^b
+    # shared scalars, one per point, broadcast against g
+    a_dot_j = np.einsum("pic,pcd,pid->p", a, g_inv, j)[:, None, None]
+    f_dot_f = np.einsum("piab,pac,picb->p", f, g_inv, f_mix)[:, None, None]
+    s_dot_s = np.einsum("piab,pac,picb->p", s, g_inv, s_mix)[:, None, None]
+    trace_sq = np.einsum("pi,pi->p", s_trace, s_trace)[:, None, None]
 
-    # shared scalars
-    a_dot_j = einsum("ic,ic->", ac, einsum("cd,id->ic", ginv, jc))[()]
-    f_dot_f = einsum("iab,iab->", fc,
-                     einsum("ac,icb->iab", ginv, f_mix))[()]
-    s_dot_s = einsum("iab,iab->", sc,
-                     einsum("ac,icb->iab", ginv, s_mix))[()]
-    trace_sq = einsum("i,i->", st, st)[()]
+    # -A_a.J_b + A^c.J_acb, plus its (a, b) swap: symmetric exactly
+    half = (np.einsum("pic,piacb->pab", a_up, j_pre)
+            - np.einsum("pia,pib->pab", a, j))
+    current_half = (half + np.swapaxes(half, 1, 2)) * 0.5
+    ff = np.einsum("piac,pibc->pab", f, f_mix)
+    ss = np.einsum("piac,pibc->pab", s, s_mix)
+    s_tr = np.einsum("pi,piab->pab", s_trace, s)
 
-    # every part is symmetric in (a, b); built on a <= b and mirrored, the
-    # sums below share one node between ab and ba as well
-    current_half = einsum(
-        "-ia,ib->ab - ib,ia->ab + ic,iacb->ab + ic,ibca->ab",
-        ac, jc, ac, jc, a_up, jp, a_up, jp, pair=_SYM01) * ex.HALF
-    ff = einsum("iac,ibc->ab", fc, f_mix, pair=_SYM01)
-    ss = einsum("iac,ibc->ab", sc, s_mix, pair=_SYM01)
-    s_tr = einsum("i,iab->ab", st, sc)
-
-    ricci = current_half + ff * ex.Const(-0.75) + s_tr - ss
-    t_form = (ff + ex.Const(-0.5) * gc * f_dot_f) * ex.Const(-0.75)
-    t_current = current_half + gc * a_dot_j
-    t_sym = (s_tr - ss + ex.Const(-0.5) * gc * trace_sq
-             + ex.HALF * gc * s_dot_s)
-    scalar = ex.add(ex.mul(ex.Const(-2), a_dot_j),
-                    ex.mul(ex.Const(-0.75), f_dot_f),
-                    trace_sq, ex.neg(s_dot_s))
-    return FactoredCurvature(Tensor(ricci), scalar, Tensor(t_form),
-                             Tensor(t_current), Tensor(t_sym))
+    ricci = current_half - 0.75 * ff + s_tr - ss
+    t_form = (ff - 0.5 * g * f_dot_f) * -0.75
+    t_current = current_half + g * a_dot_j
+    t_sym = s_tr - ss - 0.5 * g * trace_sq + 0.5 * g * s_dot_s
+    scalar = -2.0 * a_dot_j - 0.75 * f_dot_f + trace_sq - s_dot_s
+    return FactoredCurvature(ricci, scalar[:, 0, 0], t_form, t_current,
+                             t_sym, t_form + t_current + t_sym)
 
 
-@quiet
 def covariant_divergence_sym2(t: Tensor, conn: Connection, g_inv: Tensor,
                               points: list[dict[str, float]],
                               known: dict | None = None) -> np.ndarray:

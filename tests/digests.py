@@ -9,7 +9,15 @@ check.  Run this file to rewrite the corpus from the working tree::
     PYTHONPATH=src python tests/digests.py
 
 An intended change of output then shows as a diff of the JSON file, one
-line per changed call.
+line per changed call.  To see what changed, replay the corpus against
+the source of two checkouts and print every call whose exit code, stdout
+or stderr differs, with a unified diff of its two outputs::
+
+    python tests/digests.py --diff OLD_CHECKOUT [NEW_CHECKOUT]
+
+Each checkout's ``src`` is replayed in its own process; the calls, the
+edge files and the data files are this checkout's, and ``NEW_CHECKOUT``
+defaults to it.
 
 The calls: ``analyze --json`` (auto and ldl), ``factor --json``,
 ``classify --json`` and ``factor --point`` with each strategy on the 11
@@ -30,13 +38,18 @@ significant digits.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
+import os
 import platform
 import re
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -212,17 +225,80 @@ def host() -> str:
             f"numpy {np.__version__}, {platform.machine()}")
 
 
-def main() -> None:
-    import tempfile
-
+def replay_all() -> list[tuple[list[str], tuple[int, str, str]]]:
+    """Every call of the corpus with its exit code, stdout and stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         edge = write_edge_files(Path(tmp))
-        entries = [{"argv": argv, **digest(*replay(argv, edge))}
-                   for argv in calls()]
+        return [(argv, replay(argv, edge)) for argv in calls()]
+
+
+def write_corpus() -> None:
+    entries = [{"argv": argv, **digest(*result)}
+               for argv, result in replay_all()]
     lines = ",\n".join("    " + json.dumps(e) for e in entries)
     CORPUS.write_text(f'{{"host": {json.dumps(host())},\n "calls": [\n'
                       f"{lines}\n]}}\n", encoding="utf-8")
     print(f"{len(entries)} calls written to {CORPUS}")
+
+
+def _dump(checkout: Path, path: Path) -> None:
+    """Write the replayed corpus as JSON to ``path``, after checking that
+    the package replayed is the one under ``checkout``."""
+    import metricforms
+
+    src = (checkout / "src").resolve()
+    if src not in Path(metricforms.__file__).resolve().parents:
+        sys.exit(f"replayed {metricforms.__file__}, not the package in {src}")
+    path.write_text(json.dumps(replay_all()), encoding="utf-8")
+
+
+def _outputs(checkout: Path) -> list:
+    """The corpus replayed against the source of ``checkout``, in a fresh
+    process: per call, its argument vector and [exit, stdout, stderr]."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "outputs.json"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            (str(checkout / "src"), str(TESTS))))
+        subprocess.run([sys.executable, __file__, "--dump", str(checkout),
+                        str(path)], env=env, check=True)
+        return json.loads(path.read_text(encoding="utf-8"))
+
+
+def diff(old: Path, new: Path) -> None:
+    """Print every call whose exit code, stdout or stderr differs between
+    the two checkouts, with a unified diff of each stream that differs."""
+    changed = 0
+    before_all, after_all = _outputs(old), _outputs(new)
+    for (argv, before), (_, after) in zip(before_all, after_all):
+        if before == after:
+            continue
+        changed += 1
+        print(f"== {' '.join(argv)}")
+        if before[0] != after[0]:
+            print(f"exit {before[0]} -> {after[0]}")
+        for name, a, b in zip(("stdout", "stderr"), before[1:], after[1:]):
+            sys.stdout.writelines(difflib.unified_diff(
+                a.splitlines(True), b.splitlines(True),
+                f"{old} {name}", f"{new} {name}", n=1))
+    print(f"{changed} of {len(after_all)} calls differ")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("--diff", nargs="+", type=Path, metavar="CHECKOUT",
+                        help="OLD [NEW]: print the calls whose outputs differ "
+                        "between two checkouts (NEW: this one)")
+    parser.add_argument("--dump", nargs=2, type=Path,
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.dump:
+        _dump(*args.dump)
+    elif args.diff:
+        if len(args.diff) > 2:
+            parser.error("--diff takes one or two checkouts")
+        diff(args.diff[0], args.diff[1] if len(args.diff) > 1 else ROOT)
+    else:
+        write_corpus()
 
 
 if __name__ == "__main__":

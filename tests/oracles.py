@@ -11,8 +11,11 @@ planner of ``metricforms.tensor`` (its ``_plan`` and ``mirror`` are the
 ones ``tensor.einsum`` had before it cached its plans), ``rk4`` the
 tuple-state RK4 loop that the generated loop in ``metricforms.geometry``
 replaced, ``dumps_canonical`` the recursive writer of canonical JSON
-that the one-pass writer in ``metricforms.report`` replaced, and
-``escape`` the character loop its string escape replaced.
+that the one-pass writer in ``metricforms.report`` replaced,
+``escape`` the character loop its string escape replaced, and
+``precurrents`` to ``ricci_einstein_factored`` the symbolic formulas of
+the factored side past the first derivatives, which ``metricforms``
+computes at the sample points with numpy.
 """
 
 import functools
@@ -24,6 +27,7 @@ import re
 import numpy as np
 
 from metricforms import expr as ex
+from metricforms.derivative import Differentiator
 from metricforms.errors import EvalDomainError, TensorError, UnboundSymbolError
 from metricforms.geometry import Trajectory
 from metricforms.tape import Tape
@@ -270,6 +274,75 @@ def einsum(spec: str, *operands, pair=None) -> np.ndarray:
         (ex.add(*itertools.chain.from_iterable(per_component))
          for per_component in zip(*chunks)), dtype=object, count=count)
     return mirror(out, pair) if pair is not None else out
+
+
+#: pair hints of the symbolic formulas: (anti)symmetric component axes
+_SYM01 = (0, 1, +1)
+_ANTI23 = (2, 3, -1)
+
+
+def sym_trace(s, g_inv):
+    """S_I = g^ab S_Iab, symbolic."""
+    return einsum("ab,iab->i", g_inv, s)
+
+
+def precurrents(f, gamma_mixed, coords):
+    """J[I,a,b,c] = nabla_a F_Ibc = d_a F_Ibc - Gamma^e_ab F_Iec
+    - Gamma^e_ac F_Ibe, symbolic, from the symbolic derivatives of F."""
+    gm = gamma_mixed
+    df = np.stack([np.frompyfunc(Differentiator(c), 1, 1)(f)
+                   for c in coords])
+    jp = einsum("aibc->iabc", df, pair=_ANTI23) - einsum(
+        "eab,iec->iabc + eac,ibe->iabc", gm, f, gm, f, pair=_ANTI23)
+    # the difference of two mirrored halves stores neg(a) - neg(b) below the
+    # diagonal; mirror again to store the negation of the built component
+    return mirror(jp, _ANTI23)
+
+
+def currents(j_pre, g_inv):
+    """J[I,b] = g^ad J_Idab, symbolic."""
+    return einsum("ad,idab->ib", g_inv, j_pre)
+
+
+def riemann_decomposed(a, f, s, j_pre):
+    """The three parts (R(c), R(f), R(s)) of the Riemann split, symbolic,
+    with the formulas of ``metricforms.geometry.riemann_decomposed``."""
+    rc = einsum("ia,ibcd->abcd - ib,iacd->abcd + ic,idab->abcd "
+                "- id,icab->abcd", a, j_pre, a, j_pre, a, j_pre, a, j_pre,
+                pair=_ANTI23) * ex.HALF
+    rf = einsum("iad,ibc->abcd - iac,ibd->abcd + ,iab,icd->abcd",
+                f, f, f, f, ex.Const(-2), f, f,
+                pair=_ANTI23) * ex.Const(0.25)
+    rs = einsum("iac,ibd->abcd - iad,ibc->abcd", s, s, s, s, pair=_ANTI23)
+    # scaling the mirrored half gives Mul(c, Neg(sum)); mirror again to
+    # store Neg(Mul(c, sum)), the negation of the built component
+    return mirror(rc, _ANTI23), mirror(rf, _ANTI23), rs
+
+
+def ricci_einstein_factored(a, f, s, s_trace, j_pre, j, g, g_inv, a_up):
+    """(Ric, R, T(f), T(c), T(s)) of the factored route, symbolic, with the
+    formulas of ``metricforms.geometry.ricci_einstein_factored``."""
+    f_mix = einsum("bd,iad->iab", g_inv, f)        # F_Ia^b
+    s_mix = einsum("bd,iad->iab", g_inv, s)        # S_Ia^b
+    a_dot_j = einsum("ic,ic->", a, einsum("cd,id->ic", g_inv, j))[()]
+    f_dot_f = einsum("iab,iab->", f, einsum("ac,icb->iab", g_inv, f_mix))[()]
+    s_dot_s = einsum("iab,iab->", s, einsum("ac,icb->iab", g_inv, s_mix))[()]
+    trace_sq = einsum("i,i->", s_trace, s_trace)[()]
+    current_half = einsum(
+        "-ia,ib->ab - ib,ia->ab + ic,iacb->ab + ic,ibca->ab",
+        a, j, a, j, a_up, j_pre, a_up, j_pre, pair=_SYM01) * ex.HALF
+    ff = einsum("iac,ibc->ab", f, f_mix, pair=_SYM01)
+    ss = einsum("iac,ibc->ab", s, s_mix, pair=_SYM01)
+    s_tr = einsum("i,iab->ab", s_trace, s)
+    ricci = current_half + ff * ex.Const(-0.75) + s_tr - ss
+    t_form = (ff + ex.Const(-0.5) * g * f_dot_f) * ex.Const(-0.75)
+    t_current = current_half + g * a_dot_j
+    t_sym = (s_tr - ss + ex.Const(-0.5) * g * trace_sq
+             + ex.HALF * g * s_dot_s)
+    scalar = ex.add(ex.mul(ex.Const(-2), a_dot_j),
+                    ex.mul(ex.Const(-0.75), f_dot_f),
+                    trace_sq, ex.neg(s_dot_s))
+    return ricci, scalar, t_form, t_current, t_sym
 
 
 def _apply(node, f, *args):

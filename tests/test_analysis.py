@@ -7,7 +7,8 @@ from metricforms import GeometrySession, get_manifold, run_analysis
 from metricforms import analysis, geometry as geo
 from metricforms import expr as ex
 from metricforms.derivative import Differentiator
-from metricforms.errors import FactorizationError, NumericFaultError
+from metricforms.errors import (EvalDomainError, FactorizationError,
+                                NumericFaultError)
 from metricforms.tape import Tape
 
 import oracles
@@ -196,6 +197,21 @@ def test_library_call_warns_of_no_refused_fold(tmp_path):
                     "g 1 1 = 1e-300\ng 2 2 = (1.0)^2\ng 1 2 = (x * (x - x))\n")
     with pytest.raises(NumericFaultError,
                        match="^cannot normalize the spot-check velocity"):
+        run_analysis(get_manifold(str(path)))
+
+
+def test_overflow_in_the_pre_currents_names_its_point_and_component(
+        tmp_path):
+    # the numeric factored side is checked finite as the session computes
+    # it, with numpy's warning of the overflow off: here d_x F and the
+    # Gamma F products overflow, and inf - inf is nan
+    path = tmp_path / "steep.metric"
+    path.write_text("name steep\ndim 2\ncoords x y\nsignature 2 0\n"
+                    "domain x 0.5 2\ndomain y 0.5 2\n"
+                    "g 1 1 = (y * 4.969228215983129e+205)\ng 2 2 = x\n")
+    with pytest.raises(EvalDomainError, match=(
+            r"^overflow to a non-finite value in precurrent component "
+            r"\(0, 1, 0, 1\) at \{'x': 1\.434")):
         run_analysis(get_manifold(str(path)))
 
 

@@ -176,16 +176,17 @@ class TestSymDerivative:
 class TestCurrents:
     def test_flat_exact_case_vanishes(self, sessions):
         s = sessions("euclidean3-cartesian")
-        assert max_abs(s.vals(s.precurrent)) == 0.0
-        assert max_abs(s.vals(s.current)) == 0.0
+        assert max_abs(s.precurrent) == 0.0
+        assert max_abs(s.current) == 0.0
 
     def test_sphere_hand_value(self, sphere):
         # J_2 = (0, -1/(r sin(theta))), derived by hand from nabla^a F_ab
         g, g_inv, forms, conn = sphere
         f = exterior_derivative(forms)
-        j = currents(precurrents(f, conn), g_inv)
-        for point in g.chart.sample_points(10, seed=3):
-            jv = j.evaluate(point)
+        points = g.chart.sample_points(10, seed=3)
+        j = currents(precurrents(f, conn, points),
+                     stacked(g_inv.evaluate, points))
+        for point, jv in zip(points, j):
             assert max_abs(jv[0]) <= 1e-12
             assert abs(jv[1, 0]) <= 1e-12
             expected = -1.0 / (1.3 * math.sin(point["theta"]))
@@ -193,12 +194,12 @@ class TestCurrents:
 
     def test_pair_antisymmetry_exact(self, sessions):
         s = sessions("schwarzschild")
-        jp = s.vals(s.precurrent)
+        jp = s.precurrent
         assert max_abs(jp + np.swapaxes(jp, 3, 4)) == 0.0
 
     def test_cyclic_identity(self, sessions):
         s = sessions("schwarzschild")
-        jp = s.vals(s.precurrent)
+        jp = s.precurrent
         worst = max(antisym_cycle_residual(jp[k], (1, 2, 3))
                     for k in range(len(s.points)))
         assert worst <= 1e-8
@@ -207,13 +208,11 @@ class TestCurrents:
         # the current op is literally the trace of the raised pre-current
         g, g_inv, forms, conn = sphere
         f = exterior_derivative(forms)
-        jp = precurrents(f, conn)
-        j = currents(jp, g_inv)
         point = {"theta": 1.3, "phi": 4.0}
-        jp_v = jp.evaluate(point)
+        jp = precurrents(f, conn, [point])
         ginv_v = g_inv.evaluate(point)
-        direct = np.einsum("ad,idab->ib", ginv_v, jp_v)
-        assert max_abs(direct - j.evaluate(point)) <= 1e-14
+        direct = np.einsum("ad,idab->ib", ginv_v, jp[0])
+        assert max_abs(direct - currents(jp, ginv_v[None])[0]) <= 1e-14
 
 
 class TestRiemannClassical:
@@ -259,13 +258,13 @@ class TestDecomposition:
         s = sessions("minkowski")
         for part in (s.parts.current_part, s.parts.form_part,
                      s.parts.sym_part):
-            assert max_abs(s.vals(part)) == 0.0
+            assert max_abs(part) == 0.0
 
     def test_closed_forms_give_flat_sum(self, sessions):
         # flat chart with a non-trivial factorization where dA = 0 would be
         # semi-flat; the cartesian factorizations realize dA = 0 exactly
         s = sessions("euclidean2-cartesian")
-        assert max_abs(s.vals(s.parts.total)) == 0.0
+        assert max_abs(s.parts.total) == 0.0
         assert max_abs(s.vals(s.riemann_lower)) == 0.0
 
     @pytest.mark.parametrize("name", [
@@ -273,31 +272,29 @@ class TestDecomposition:
         "schwarzschild", "flrw-flat"])
     def test_sum_reproduces_classical(self, sessions, name):
         s = sessions(name)
-        gap = max_abs(s.vals(s.parts.total) - s.vals(s.riemann_lower))
+        gap = max_abs(s.parts.total - s.vals(s.riemann_lower))
         assert gap <= 1e-10   # measured at machine precision on the catalog
 
     def test_per_term_bianchi(self, sessions):
         s = sessions("schwarzschild")
-        for part in (s.parts.current_part, s.parts.form_part,
+        for vals in (s.parts.current_part, s.parts.form_part,
                      s.parts.sym_part):
-            vals = s.vals(part)
             worst = max(antisym_cycle_residual(vals[k], (1, 2, 3))
                         for k in range(len(s.points)))
             assert worst <= 1e-8
 
     def test_part_antisymmetry_in_last_pair(self, sessions):
         s = sessions("sphere2")
-        for part in (s.parts.current_part, s.parts.form_part,
+        for vals in (s.parts.current_part, s.parts.form_part,
                      s.parts.sym_part):
-            vals = s.vals(part)
             assert max_abs(vals + np.swapaxes(vals, 3, 4)) == 0.0
 
 
 class TestRicciEinstein:
     def test_flat_exact_case_zero(self, sessions):
         s = sessions("minkowski")
-        assert max_abs(s.vals(s.factored.ricci)) == 0.0
-        assert max_abs(s.vals(s.factored.einstein)) == 0.0
+        assert max_abs(s.factored.ricci) == 0.0
+        assert max_abs(s.factored.einstein) == 0.0
 
     def test_schwarzschild_vacuum_einstein(self, sessions):
         s = sessions("schwarzschild")
@@ -306,9 +303,8 @@ class TestRicciEinstein:
     def test_factored_formulas_match_classical(self, sessions):
         for name in ("sphere2", "schwarzschild", "flrw-flat"):
             s = sessions(name)
-            assert max_abs(s.vals(s.factored.ricci)
-                           - s.vals(s.ricci)) <= 1e-9
-            assert max_abs(s.vals(s.factored.einstein)
+            assert max_abs(s.factored.ricci - s.vals(s.ricci)) <= 1e-9
+            assert max_abs(s.factored.einstein
                            - s.vals(s.einstein)) <= 1e-9
 
     def test_contracted_bianchi(self, sessions):
@@ -374,11 +370,9 @@ class TestClassification:
         assert "curvature vanishes" in verdict.note
 
     def test_inconsistent_diagnostic(self, sessions):
-        from metricforms.expr import ZERO
-
         s = sessions("sphere2")
-        fake_f = s.curl.map(lambda e: ZERO)
-        verdict = classify_flatness(s.vals(fake_f), s.vals(s.riemann_lower))
+        fake_f = np.zeros_like(s.vals(s.curl))
+        verdict = classify_flatness(fake_f, s.vals(s.riemann_lower))
         assert verdict.verdict == VERDICT_INCONSISTENT
         assert "fault" in verdict.note
 
@@ -435,9 +429,11 @@ class TestSemiFlatLike:
         conn = christoffel_classical(g, g_inv)
         f = exterior_derivative(forms)
         s = sym_covariant_derivative(forms, conn, sym_partial(forms))
-        parts = riemann_decomposed(forms, f, s, precurrents(f, conn))
         point = {"r": 1.5, "phi": 1.0, "z": 0.0, "t": 0.0}
-        assert max_abs(parts.total.evaluate(point)) <= 1e-12
+        parts = riemann_decomposed(
+            *(stacked(t.evaluate, [point]) for t in (forms, f, s)),
+            precurrents(f, conn, [point]))
+        assert max_abs(parts.total) <= 1e-12
         assert max_abs(s.evaluate(point)) <= 1e-12
 
     def test_connection_nonzero_but_routes_agree(self, closed_forms):
@@ -868,7 +864,10 @@ def test_einsum_builders_return_the_loop_nodes(name, catalog):
     lower, mixed = _loop_christoffel(g, g_inv)
     assert _same_nodes(conn.lower.comps, lower)
     assert _same_nodes(conn.mixed.comps, mixed)
-    assert _same_nodes(session.precurrent.comps,
+    # the symbolic reference of the numeric pre-currents
+    assert _same_nodes(oracles.precurrents(session.curl.comps,
+                                           conn.mixed.comps,
+                                           session.chart.coords),
                        _loop_precurrents(session.chart, session.curl.comps,
                                          conn.mixed.comps))
     r_mixed, r_lower = _loop_riemann(conn.mixed.comps, g)
@@ -880,7 +879,7 @@ def test_einsum_builders_return_the_loop_nodes(name, catalog):
 # only the factorization simplifies
 # ---------------------------------------------------------------------------
 
-#: every symbolic object a GeometrySession builds
+#: every object a GeometrySession builds
 SESSION_TENSORS = ("g_inv", "conn", "conn_factored", "curl", "sym_deriv",
                    "sym_deriv_alt", "sym_trace", "precurrent", "current",
                    "riemann", "parts", "ricci", "scalar", "einstein",
@@ -928,4 +927,39 @@ def test_tangents_match_the_symbolic_partials(target):
         want = np.stack([values_at(elementwise(d, comps), s.points)
                          for d in s.diff]).reshape(n, p, -1).transpose(2, 0, 1)
         assert got.shape == want.shape == (comps.size, n, p)
+        assert max_abs(got - want) <= 1e-13 * (1 + max_abs(want))
+
+
+# ---------------------------------------------------------------------------
+# the numeric factored side against its symbolic formulas
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("strategy", ["auto", "ldl"])
+@pytest.mark.parametrize("target", ELEVEN, ids=lambda t: Path(t).stem)
+def test_factored_side_matches_its_symbolic_formulas(target, strategy):
+    # the pre-currents, currents, S traces, the three Riemann parts and
+    # the factored Ricci, scalar and Einstein split, computed at the points
+    # with tangents and numpy, against a walk of the symbolic formulas of
+    # the same session's forms, F, S, Gamma and inverse metric
+    s = GeometrySession(get_manifold(target), strategy, seed=42)
+    a, f, sd, g, g_inv, a_up = (t.comps for t in (
+        s.forms, s.curl, s.sym_deriv, s.metric, s.g_inv, s.forms_raised))
+    st = oracles.sym_trace(sd, g_inv)
+    jp = oracles.precurrents(f, s.conn.mixed.comps, s.chart.coords)
+    j = oracles.currents(jp, g_inv)
+    parts = oracles.riemann_decomposed(a, f, sd, jp)
+    factored = oracles.ricci_einstein_factored(a, f, sd, st, jp, j, g,
+                                               g_inv, a_up)
+    pairs = [(s.sym_trace, st), (s.precurrent, jp), (s.current, j),
+             (s.parts.current_part, parts[0]), (s.parts.form_part, parts[1]),
+             (s.parts.sym_part, parts[2]), (s.parts.total, sum(parts)),
+             (s.factored.ricci, factored[0]),
+             (s.factored.scalar, np.array(factored[1])),
+             (s.factored.stress_form, factored[2]),
+             (s.factored.stress_current, factored[3]),
+             (s.factored.stress_sym, factored[4]),
+             (s.factored.einstein, sum(factored[2:]))]
+    for got, formula in pairs:
+        want = values_at(formula, s.points)
+        assert got.shape == want.shape
         assert max_abs(got - want) <= 1e-13 * (1 + max_abs(want))

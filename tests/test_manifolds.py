@@ -170,7 +170,7 @@ class TestCatalog:
         riem_ref = spec.reference_expr(refs["riemann_component_0101"])
         cur_ref = spec.reference_expr(refs["current_component_1_1"])
         r_vals = s.vals(s.riemann_lower)
-        j_vals = s.vals(s.current)
+        j_vals = s.current
         scal, scal_refs, riem_refs, cur_refs = (
             s.scalar_vals(e) for e in (s.scalar, scal_ref, riem_ref, cur_ref))
         for k in range(len(s.points)):
