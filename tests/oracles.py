@@ -27,10 +27,26 @@ import re
 import numpy as np
 
 from metricforms import expr as ex
+from metricforms.chart import DOMAIN_MARGIN
 from metricforms.derivative import Differentiator
 from metricforms.errors import EvalDomainError, TensorError, UnboundSymbolError
 from metricforms.geometry import Trajectory
 from metricforms.tape import Tape
+
+
+def sample_points(chart, count: int, seed: int,
+                  margin: float = DOMAIN_MARGIN) -> list[dict[str, float]]:
+    """``Chart.sample_points`` drawn through numpy's own generator, the
+    body it had before the chart computed the PCG64 stream itself."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(count):
+        point = {}
+        for name, (lo, hi) in zip(chart.coords, chart.domains):
+            pad = margin * (hi - lo)
+            point[name] = float(rng.uniform(lo + pad, hi - pad))
+        points.append(point)
+    return points
 
 
 def eta(chart) -> np.ndarray:

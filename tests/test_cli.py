@@ -377,6 +377,28 @@ def test_one_parser_serves_every_call(capsys, tmp_path, monkeypatch):
                                              EXIT_INPUT] * 2
 
 
+def test_no_command_loads_numpy_random():
+    # the sample points come from the chart's own PCG64 stream; this test
+    # process has loaded numpy.random through Hypothesis and the oracles,
+    # so the commands run in a fresh interpreter
+    child = (
+        "import contextlib, io, json, sys\n"
+        "from metricforms.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'numpy.random' in sys.modules]))\n")
+    argvs = [["analyze", "sphere2", "--json"], ["check", "sphere2"],
+             ["factor", "sphere2", "--json"], ["classify", "sphere2"],
+             SPHERE_GEODESIC + ["--steps", "20", "--json"]]
+    src = os.path.dirname(os.path.dirname(metricforms.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", child, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[EXIT_OK] * 5, False]
+
+
 class TestGeodesic:
     def test_trajectory_file(self, capsys, tmp_path):
         out_path = tmp_path / "traj.csv"
