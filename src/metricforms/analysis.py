@@ -1,11 +1,12 @@
 """Full-run orchestration: build every derived object for a manifold and
 quantify every identity of the suite at seeded sample points.
 
-The symbolic objects are read at the points by walks; the factored side
-past the first derivatives (pre-currents, currents, the three Riemann
-parts, the factored Ricci and Einstein split) and the Einstein divergence
-are computed at the points directly, from forward-mode tangents and
-``np.einsum``, and the session holds them as arrays.
+By the rule of ``geometry``, the symbolic objects are the forms, F, P,
+A^c, g, g^-1, the classical Gamma, R^a_bcd, Ric, the scalar and G, read
+at the points by walks.  Everything else (both S, the factored Gamma,
+nabla g, L_A g, R_abcd, the factored side past the first derivatives and
+the Einstein divergence) is computed at the points from forward-mode
+tangents and ``np.einsum``, and the session holds it as arrays.
 
 Residual tolerances, the ``TOL_*`` constants of ``geometry`` and
 ``factorization``, follow the derivative depth of each identity (the
@@ -41,6 +42,7 @@ from .factorization import (
 from . import geometry as geo
 from .geometry import (
     Connection,
+    ConnectionValues,
     FactoredCurvature,
     FlatnessReport,
     GeodesicComparison,
@@ -80,19 +82,16 @@ class Tolerances(NamedTuple):
 class GeometrySession:
     """Lazy builder for every object derived from one manifold + strategy.
 
-    Numeric evaluation walks each tensor at all sample points at once,
-    with one memo from node to its values at the points kept across
-    tensors and read by the tangents.  Expression nodes are interned, so
-    every distinct subtree (metric components inside the connection inside
-    the Riemann tensor) is computed once per point, however many times it
-    was built.  Stacked tensor values are cached per tensor object, and
-    the numeric objects are arrays, each checked finite.  Every builder that
-    differentiates shares the session's one differentiator per
-    coordinate, ``diff``, so no (node, coordinate) pair is differentiated
-    twice, and the contractions that several builders read, the
-    symmetrized derivative of the forms and the raised forms, are built
-    once and handed to each.  Checks judge at the scaled tolerances
-    ``tol``.
+    Only the symbolic objects of the rule (module docstring) pass through
+    ``vals``: one walk of a tensor at all the points, cached per tensor,
+    over one memo from node to values that the tangents read too.  Nodes
+    are interned, so each distinct subtree is computed once per point.
+    Every other object is an array at the points, built by ``_checked``
+    under its own name.  The symbolic builders share one differentiator
+    per coordinate, ``diff``, so no (node, coordinate) pair is
+    differentiated twice, and the contractions several of them read
+    (``sym_partial``, ``forms_raised``) are built once.  Checks judge at
+    the scaled tolerances ``tol``.
     """
 
     def __init__(self, spec: ManifoldSpec, strategy: str = "auto",
@@ -128,14 +127,9 @@ class GeometrySession:
         return geo.christoffel_classical(self.metric, self.g_inv, self.diff)
 
     @cached_property
-    def conn_factored(self) -> Connection:
-        return geo.christoffel_factored(self.forms, self.curl, self.g_inv,
-                                        self.sym_partial)
-
-    @cached_property
     def sym_partial(self) -> Tensor:
-        """P = sym dA, read by the factored connection, the direct S and
-        the factored geodesic right-hand side."""
+        """P = sym dA, read by the factored connection and the factored
+        geodesic right-hand side."""
         return geo.sym_partial(self.forms, self.diff)
 
     @cached_property
@@ -150,50 +144,8 @@ class GeometrySession:
         return geo.exterior_derivative(self.forms, self.diff)
 
     @cached_property
-    def sym_deriv(self) -> Tensor:
-        """S via the direct covariant route."""
-        return geo.sym_covariant_derivative(self.forms, self.conn,
-                                            self.sym_partial)
-
-    @cached_property
-    def sym_deriv_alt(self) -> Tensor:
-        """S rebuilt from F and orthogonality."""
-        return geo.sym_derivative_via_factors(self.forms, self.curl,
-                                              self.forms_raised)
-
-    @cached_property
-    def sym_trace(self) -> np.ndarray:
-        return self._checked("sym_trace", geo.sym_trace,
-                             self.vals(self.sym_deriv), self.vals(self.g_inv))
-
-    @cached_property
-    def precurrent(self) -> np.ndarray:
-        return self._checked("precurrent", geo.precurrents, self.curl,
-                             self.conn, self.points, self._memo)
-
-    @cached_property
-    def current(self) -> np.ndarray:
-        return self._checked("current", geo.currents, self.precurrent,
-                             self.vals(self.g_inv))
-
-    @cached_property
-    def riemann(self) -> tuple[Tensor, Tensor]:
-        return geo.riemann_classical(self.conn, self.metric, self.diff)
-
-    @property
     def riemann_mixed(self) -> Tensor:
-        return self.riemann[0]
-
-    @property
-    def riemann_lower(self) -> Tensor:
-        return self.riemann[1]
-
-    @cached_property
-    def parts(self) -> RiemannParts:
-        return self._checked(
-            "parts", geo.riemann_decomposed,
-            *map(self.vals, (self.forms, self.curl, self.sym_deriv)),
-            self.precurrent)
+        return geo.riemann_classical(self.conn, self.diff)
 
     @cached_property
     def ricci(self) -> Tensor:
@@ -207,11 +159,61 @@ class GeometrySession:
     def einstein(self) -> Tensor:
         return geo.einstein_tensor(self.ricci, self.scalar, self.metric)
 
+    # -- objects at the points ---------------------------------------------
+
+    @cached_property
+    def conn_factored(self) -> ConnectionValues:
+        return self._checked(
+            "conn_factored", geo.christoffel_factored,
+            *map(self.vals, (self.forms, self.curl, self.sym_partial,
+                             self.g_inv)))
+
+    @cached_property
+    def sym_deriv(self) -> np.ndarray:
+        """S via the direct covariant route."""
+        return self._checked("sym_deriv", geo.sym_covariant_derivative,
+                             self.forms, self.conn, self.points, self._memo)
+
+    @cached_property
+    def sym_deriv_alt(self) -> np.ndarray:
+        """S rebuilt from F and orthogonality."""
+        return self._checked(
+            "sym_deriv_alt", geo.sym_derivative_via_factors,
+            *map(self.vals, (self.forms, self.curl, self.forms_raised)))
+
+    @cached_property
+    def sym_trace(self) -> np.ndarray:
+        return self._checked("sym_trace", geo.sym_trace, self.sym_deriv,
+                             self.vals(self.g_inv))
+
+    @cached_property
+    def precurrent(self) -> np.ndarray:
+        return self._checked("precurrent", geo.precurrents, self.curl,
+                             self.conn, self.points, self._memo)
+
+    @cached_property
+    def current(self) -> np.ndarray:
+        return self._checked("current", geo.currents, self.precurrent,
+                             self.vals(self.g_inv))
+
+    @cached_property
+    def riemann_lower(self) -> np.ndarray:
+        """R_abcd = g_ae R^e_bcd at the points."""
+        return self._checked("riemann_lower", np.einsum, "pebcd,pae->pabcd",
+                             self.vals(self.riemann_mixed), self.metric_vals)
+
+    @cached_property
+    def parts(self) -> RiemannParts:
+        return self._checked(
+            "parts", geo.riemann_decomposed,
+            *map(self.vals, (self.forms, self.curl)), self.sym_deriv,
+            self.precurrent)
+
     @cached_property
     def factored(self) -> FactoredCurvature:
         return self._checked(
             "factored", geo.ricci_einstein_factored,
-            *map(self.vals, (self.forms, self.curl, self.sym_deriv)),
+            *map(self.vals, (self.forms, self.curl)), self.sym_deriv,
             self.sym_trace, self.precurrent, self.current, self.metric_vals,
             *map(self.vals, (self.g_inv, self.forms_raised)))
 
@@ -224,14 +226,17 @@ class GeometrySession:
                              self.conn, self.g_inv, self.points, self._memo)
 
     @cached_property
-    def metric_compat(self) -> Tensor:
-        return geo.metric_compatibility(self.metric, self.conn, self.diff)
+    def metric_compat(self) -> np.ndarray:
+        return self._checked("metric_compat", geo.metric_compatibility,
+                             self.metric, self.conn, self.points, self._memo)
 
     @cached_property
-    def lie_deriv(self) -> Tensor:
+    def lie_deriv(self) -> np.ndarray:
         """Lie derivative of the metric along each form, L_{A_I} g."""
-        return geo.lie_derivative_metric(self.forms, self.metric,
-                                         self.forms_raised, self.diff)
+        return self._checked(
+            "lie_deriv", geo.lie_derivative_metric, self.metric_vals,
+            self._gradient(self.metric), self.vals(self.forms_raised),
+            self._gradient(self.forms_raised, 1))
 
     # -- numeric evaluation ---------------------------------------------------
 
@@ -268,16 +273,16 @@ class GeometrySession:
     def _name_of(self, target: Tensor | Expr) -> str:
         """Attribute path of an object this session built, for messages."""
         for key, value in vars(self).items():
-            members = [("", value), *getattr(value, "__dict__", {}).items()]
-            if isinstance(value, tuple):
-                members += [(str(k), v) for k, v in enumerate(value)]
-            for sub, member in members:
+            for sub, member in [("", value),
+                                *getattr(value, "__dict__", {}).items()]:
                 if member is target:
                     return f"{key}.{sub}" if sub else key
         return "a derived tensor"
 
-    def route_residual(self, a: Tensor, b: Tensor) -> float:
-        return max_abs(self.vals(a) - self.vals(b))
+    def _gradient(self, tensor: Tensor, labels: int = 0) -> np.ndarray:
+        """``geometry.gradient`` of a symbolic object at the points."""
+        return geo.gradient(tensor.comps, self.points, self.chart.coords,
+                            self._memo, labels)
 
     @cached_property
     def metric_vals(self) -> np.ndarray:
@@ -298,14 +303,12 @@ class GeometrySession:
 
     @cached_property
     def killing(self) -> KillingReport:
-        return geo.killing_check(self.vals(self.curl),
-                                 self.vals(self.sym_deriv),
-                                 self.vals(self.lie_deriv), self.tol.second)
+        return geo.killing_check(self.vals(self.curl), self.sym_deriv,
+                                 self.lie_deriv, self.tol.second)
 
     @cached_property
     def classification(self) -> FlatnessReport:
-        return geo.classify_flatness(self.vals(self.curl),
-                                     self.vals(self.riemann_lower),
+        return geo.classify_flatness(self.vals(self.curl), self.riemann_lower,
                                      self.tol.second, self.tol.second)
 
     def geodesic_spot_check(self, steps: int = GEODESIC_SPOT_STEPS,
@@ -418,28 +421,24 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
                                   session.orthogonality, tol.first))
 
     # connection level
-    gamma_gap = max(session.route_residual(session.conn.lower,
-                                           session.conn_factored.lower),
-                    session.route_residual(session.conn.mixed,
-                                           session.conn_factored.mixed))
+    conn, factored_conn = session.conn, session.conn_factored
+    gamma_gap = max(
+        max_abs(session.vals(conn.lower) - factored_conn.lower),
+        max_abs(session.vals(conn.mixed) - factored_conn.mixed))
     rows.append(IdentityRow.check("christoffel_route_agreement",
                                   gamma_gap, tol.first))
     rows.append(IdentityRow.check("metric_compatibility",
-                                  max_abs(session.vals(session.metric_compat)),
-                                  tol.second))
+                                  max_abs(session.metric_compat), tol.second))
 
     # first-derivative objects
+    s_vals = session.sym_deriv
     rows.append(IdentityRow.check(
         "sym_derivative_route_agreement",
-        session.route_residual(session.sym_deriv, session.sym_deriv_alt),
-        tol.first))
+        max_abs(s_vals - session.sym_deriv_alt), tol.first))
 
     a_vals = session.vals(session.forms)
-    s_vals = session.vals(session.sym_deriv)
-    f_vals = session.vals(session.curl)
-    balance = np.einsum("pic,piab->pcab", a_vals, s_vals) + 0.5 * (
-        np.einsum("pia,pibc->pcab", a_vals, f_vals)
-        + np.einsum("pib,piac->pcab", a_vals, f_vals))
+    balance = (np.einsum("pic,piab->pcab", a_vals, s_vals)
+               + 0.5 * geo._form_cross(a_vals, session.vals(session.curl)))
     rows.append(IdentityRow.check("sym_antisym_cancellation",
                                   max_abs(balance), tol.first))
 
@@ -453,7 +452,7 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
                                   tol.second))
 
     # classical curvature symmetries
-    r_vals = session.vals(session.riemann_lower)
+    r_vals = session.riemann_lower
     rows.append(IdentityRow.check("riemann_antisym_first_pair",
                                   _pair_swap_residual(r_vals, 1, 2, +1.0),
                                   tol.second))
@@ -517,12 +516,11 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
 
     # physical tensors must be real
     imag = max(map(max_imag, (
-        *map(session.vals, (session.metric, session.conn.lower,
-                            session.conn.mixed, session.conn_factored.lower,
-                            session.riemann_lower, session.ricci,
-                            session.einstein)),
-        parts.total, factored.ricci, factored.einstein, parts.current_part,
-        parts.form_part, parts.sym_part)))
+        *map(session.vals, (session.metric, conn.lower, conn.mixed,
+                            session.ricci, session.einstein)),
+        factored_conn.lower, r_vals, parts.total, factored.ricci,
+        factored.einstein, parts.current_part, parts.form_part,
+        parts.sym_part)))
     rows.append(IdentityRow.check("imaginary_residue_physical", imag,
                                   tol.imag_residue))
 
@@ -571,12 +569,12 @@ def _tensor_summaries(session: GeometrySession
              ("metric_inverse", v(session.g_inv), True),
              ("forms", v(session.forms), False),
              ("exterior_derivative", v(session.curl), False),
-             ("sym_derivative", v(session.sym_deriv), False),
+             ("sym_derivative", session.sym_deriv, False),
              ("precurrents", session.precurrent, False),
              ("currents", session.current, False),
              ("christoffel_classical", v(session.conn.lower), True),
-             ("christoffel_factored", v(session.conn_factored.lower), True),
-             ("riemann_classical", v(session.riemann_lower), True),
+             ("christoffel_factored", session.conn_factored.lower, True),
+             ("riemann_classical", session.riemann_lower, True),
              ("riemann_current_part", parts.current_part, True),
              ("riemann_form_part", parts.form_part, True),
              ("riemann_sym_part", parts.sym_part, True),

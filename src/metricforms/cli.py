@@ -246,7 +246,11 @@ def _trajectory_doc(traj: geo.Trajectory) -> dict:
 
 def _write_trajectory_csv(path: str, chart, comparison) -> None:
     k = min(len(comparison.classical.s), len(comparison.factored.s))
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    try:
+        handle = open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ChartError(f"cannot write '{path}': {exc.strerror}") from None
+    with handle:
         writer = csv.writer(handle)
         header = (["s"] + [f"x_{c}" for c in chart.coords]
                   + [f"u_{c}" for c in chart.coords]

@@ -19,29 +19,30 @@ not to compounded connection error.
 Index layout (set axis first where present): Gamma[c,a,b], F[I,a,b],
 S[I,a,b], J_pre[I,a,b,c] = nabla_a F_Ibc, J[I,b], Riemann[a,b,c,d].
 Symbolic coordinate derivatives are stacked with the derivative slot
-first, d[k, ...] = d_k (...), so a derivative is one more index.
+first, d[k, ...] = d_k (...); numeric ones follow the set axis.
 
-The classical route, the factored objects up to the first derivatives of
-the forms and both geodesic right-hand sides are symbolic.  The rest of
-the factored side (S traces, pre-currents, currents, the three Riemann
-parts, the factored Ricci, scalar and Einstein split) and the contracted
-divergence of a symmetric tensor are read only at the sample points, so
-they are numeric: ``np.einsum`` over the values of symbolic objects,
-stacked on a leading point axis, with coordinate derivatives from
-forward-mode tangents at the points (``derivative.tangents``).  No second
+An object is built as an expression only where a tape compiles it (the
+geodesic right-hand sides read g^-1, A, A^c, P = sym dA, F and Gamma),
+``derivative.tangents`` differentiates it (g, A, A^c, F and G), or
+another symbolic object is built from it (Gamma_cab, R^a_bcd, Ric and
+the scalar).  Everything else is read only at the sample points, so it
+is numeric: ``np.einsum`` over the values of symbolic objects, stacked on
+a leading point axis, with coordinate derivatives from forward-mode
+tangents at the points (``gradient``).  One ``covariant_derivative``
+serves S, nabla g, the pre-currents and the divergence of G.  No second
 derivative of the forms and no third derivative is built.
 
-Builders that differentiate take ``diff``, one differentiator per
-coordinate (``differentiators``); a session hands every builder the same
-one, and builds the contractions several builders read (``sym_partial``,
-``raise_forms``) once.
+Builders that differentiate symbolically take ``diff``, one
+differentiator per coordinate (``differentiators``); a session hands
+every builder the same one, and builds the contractions several builders
+read (``sym_partial``, ``raise_forms``) once.
 
 Every symbolic builder returns the formula in its docstring as built:
-index contractions through ``tensor.einsum``, sums and scalings through
-numpy object arithmetic, and no simplification (every object is
-compared numerically with the other route, never by its symbolic form).
-A pair hint builds only one half of an (anti)symmetric pair of slots
-and mirrors the rest, so mirrored components share one node.
+index contractions, sums, scalings and negations through ``tensor.einsum``
+alone, and no simplification (every object is compared numerically with
+the other route, never by its symbolic form).  A pair hint builds only
+one half of an (anti)symmetric pair of slots and mirrors the rest, so
+mirrored components share one node.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from itertools import chain
 import numpy as np
 
 from .chart import Chart
-from .errors import EvalDomainError, NumericFaultError, TensorError
+from .errors import EvalDomainError, NumericFaultError
 from . import expr as ex
 from .derivative import Differentiator, tangents
 from .expr import Expr
@@ -65,7 +66,6 @@ from .tensor import (
     einsum,
     elementwise,
     max_abs,
-    quiet,
     values_at,
 )
 
@@ -85,7 +85,6 @@ class Connection:
     chart: Chart
     lower: Tensor    # Gamma_cab
     mixed: Tensor    # Gamma^c_ab
-    route: str       # "classical" | "factored"
 
 
 def differentiators(chart: Chart) -> tuple[Differentiator, ...]:
@@ -112,54 +111,27 @@ _ANTI12 = (1, 2, -1)
 _ANTI23 = (2, 3, -1)
 
 
-def _connection(chart: Chart, lower: np.ndarray, g_inv: Tensor,
-                route: str) -> Connection:
-    """Connection from its all-lower components, raising the first slot:
-    Gamma^c_ab = g^cd Gamma_dab."""
-    mixed = einsum("cd,dab->cab", g_inv.comps, lower, pair=_SYM12)
-    return Connection(chart, Tensor(lower), Tensor(mixed), route)
-
-
-@quiet
 def christoffel_classical(g: MetricField, g_inv: Tensor,
                           diff=None) -> Connection:
-    """Gamma_cab = (d_a g_cb + d_b g_ca - d_c g_ab) / 2."""
+    """Gamma_cab = (d_a g_cb + d_b g_ca - d_c g_ab) / 2, with its first
+    slot raised: Gamma^c_ab = g^cd Gamma_dab."""
     dg = _partials(g.chart, g.comps, diff)
-    lower = einsum("acb->cab + bca->cab - cab->cab", dg, dg, dg,
-                   pair=_SYM12) * ex.HALF
-    return _connection(g.chart, lower, g_inv, "classical")
+    inner = einsum("acb->cab + bca->cab - cab->cab", dg, dg, dg, pair=_SYM12)
+    lower = einsum(",cab->cab", ex.HALF, inner, pair=_SYM12)
+    mixed = einsum("cd,dab->cab", g_inv.comps, lower, pair=_SYM12)
+    return Connection(g.chart, Tensor(lower), Tensor(mixed))
 
 
-@quiet
 def sym_partial(forms: FormSet, diff=None) -> Tensor:
     """P[I,a,b] = symmetrized coordinate derivative of the forms."""
     da = _partials(forms.chart, forms.comps, diff)
-    return Tensor(einsum("aib->iab + bia->iab", da, da, pair=_SYM12)
-                  * ex.HALF)
+    inner = einsum("aib->iab + bia->iab", da, da, pair=_SYM12)
+    return Tensor(einsum(",iab->iab", ex.HALF, inner, pair=_SYM12))
 
 
 def raise_forms(forms: FormSet, g_inv: Tensor) -> Tensor:
     """A[I,c] = g^cd A_Id, each form with its slot raised."""
     return Tensor(einsum("cd,id->ic", g_inv.comps, forms.comps))
-
-
-def _form_cross(a_comps: np.ndarray, f_comps: np.ndarray) -> np.ndarray:
-    """X[c,a,b] = A_a (.) F_bc + A_b (.) F_ac."""
-    return einsum("ia,ibc->cab + ib,iac->cab", a_comps, f_comps, a_comps,
-                  f_comps, pair=_SYM12)
-
-
-@quiet
-def christoffel_factored(forms: FormSet, f: Tensor, g_inv: Tensor,
-                         p: Tensor) -> Connection:
-    """Connection rebuilt from the form set and P = ``sym_partial``:
-
-    Gamma_cab = A_c (.) sym dA_ab + [A_a (.) F_bc + A_b (.) F_ac] / 2
-    """
-    ac = forms.comps
-    lower = (einsum("ic,iab->cab", ac, p.comps, pair=_SYM12)
-             + _form_cross(ac, f.comps) * ex.HALF)
-    return _connection(forms.chart, lower, g_inv, "factored")
 
 
 def exterior_derivative(forms: FormSet, diff=None) -> Tensor:
@@ -168,31 +140,69 @@ def exterior_derivative(forms: FormSet, diff=None) -> Tensor:
     return Tensor(einsum("aib->iab - bia->iab", da, da, pair=_ANTI12))
 
 
-@quiet
-def sym_covariant_derivative(forms: FormSet, conn: Connection,
-                             p: Tensor) -> Tensor:
-    """S[I,a,b] = sym part of nabla_a A_Ib, via the classical connection:
-    P = ``sym_partial`` less Gamma^c_ab A_Ic."""
-    if conn.route != "classical":
-        raise TensorError("the direct symmetric derivative is defined "
-                          "against the classical connection")
-    return Tensor(p.comps - einsum("cab,ic->iab", conn.mixed.comps,
-                                   forms.comps, pair=_SYM12))
+# ---------------------------------------------------------------------------
+# objects read at the points
+# ---------------------------------------------------------------------------
+
+def gradient(comps: np.ndarray, points: list[dict[str, float]], coords,
+             known: dict | None = None, labels: int = 0) -> np.ndarray:
+    """d[p, labels..., k, slots...] = d_k comps[labels..., slots...] at
+    each of ``points``, stacked, from ``derivative.tangents`` (``known``
+    seeds its walk): the derivative slot follows the leading ``labels``
+    axes."""
+    d = tangents(comps.flat, points, coords, known)
+    d = d.reshape(*comps.shape, len(coords), len(points))
+    return np.moveaxis(d, (-1, -2), (0, labels + 1))
 
 
-@quiet
-def sym_derivative_via_factors(forms: FormSet, f: Tensor,
-                               a_up: Tensor) -> Tensor:
-    """S rebuilt from F alone, with A_J^c = ``raise_forms``:
+def covariant_derivative(t: Tensor, conn: Connection,
+                         points: list[dict[str, float]],
+                         known: dict | None = None,
+                         labels: int = 0) -> np.ndarray:
+    """nabla[p, labels..., c, slots...] = nabla_c t at each of ``points``,
+    stacked: d_c t from ``gradient``, less one term per lower slot x,
 
-    S[J,a,b] = -A_J^c [A_a (.) F_bc + A_b (.) F_ac] / 2
+        Gamma^e_cx t[..., e, ...]    (e in the place of x)
 
-    Valid because the form rows are orthonormal against the inverse
-    metric (A_Ic A_J^c = delta_IJ).
+    in slot order, the leading ``labels`` axes (a form index) taking
+    none; the values of t and Gamma^c_ab read over the memo ``known``."""
+    nabla = gradient(t.comps, points, conn.chart.coords, known, labels)
+    tv, gm = (values_at(x, points, known) for x in (t.comps, conn.mixed.comps))
+    # einsum sublists: the point, the derivative slot, the summed e, then
+    # t's own axes
+    p, c, e, *axes = range(3 + t.comps.ndim)
+    out = [p, *axes[:labels], c, *axes[labels:]]
+    for k in range(labels, len(axes)):
+        nabla = nabla - np.einsum(gm, [p, e, c, axes[k]],
+                                  tv, [p, *axes[:k], e, *axes[k + 1:]], out)
+    return nabla
+
+
+def _form_cross(a: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """X[p,c,a,b] = A_a (.) F_bc + A_b (.) F_ac from stacked values."""
+    return (np.einsum("pia,pibc->pcab", a, f)
+            + np.einsum("pib,piac->pcab", a, f))
+
+
+@dataclass
+class ConnectionValues:
+    """A connection's components at the points, stacked."""
+
+    lower: np.ndarray    # Gamma[p,c,a,b]
+    mixed: np.ndarray    # Gamma^c_ab
+
+
+def christoffel_factored(a: np.ndarray, f: np.ndarray, p: np.ndarray,
+                         g_inv: np.ndarray) -> ConnectionValues:
+    """Connection rebuilt from stacked values of the forms, F and
+    P = ``sym_partial``:
+
+    Gamma_cab = A_c (.) sym dA_ab + [A_a (.) F_bc + A_b (.) F_ac] / 2
+
+    and Gamma^c_ab = g^cd Gamma_dab.
     """
-    return Tensor(einsum("jc,cab->jab", a_up.comps,
-                         _form_cross(forms.comps, f.comps),
-                         pair=_SYM12) * ex.Const(-0.5))
+    lower = np.einsum("pic,piab->pcab", a, p) + 0.5 * _form_cross(a, f)
+    return ConnectionValues(lower, np.einsum("pcd,pdab->pcab", g_inv, lower))
 
 
 def _antisym_last(vals: np.ndarray) -> np.ndarray:
@@ -203,6 +213,28 @@ def _antisym_last(vals: np.ndarray) -> np.ndarray:
     return upper - np.swapaxes(upper, -1, -2)
 
 
+def sym_covariant_derivative(forms: FormSet, conn: Connection,
+                             points: list[dict[str, float]],
+                             known: dict | None = None) -> np.ndarray:
+    """S[p,I,a,b] = sym part of nabla_a A_Ib at each of ``points``, via the
+    classical connection (``covariant_derivative``)."""
+    nabla = covariant_derivative(forms, conn, points, known, 1)
+    return (nabla + np.swapaxes(nabla, -1, -2)) * 0.5
+
+
+def sym_derivative_via_factors(a: np.ndarray, f: np.ndarray,
+                               a_up: np.ndarray) -> np.ndarray:
+    """S rebuilt from stacked values of the forms and F alone, with
+    A_J^c = ``raise_forms``:
+
+    S[p,J,a,b] = -A_J^c [A_a (.) F_bc + A_b (.) F_ac] / 2
+
+    Valid because the form rows are orthonormal against the inverse
+    metric (A_Ic A_J^c = delta_IJ).
+    """
+    return np.einsum("pjc,pcab->pjab", a_up, _form_cross(a, f)) * -0.5
+
+
 def sym_trace(s: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
     """S[p,I] = g^ab S_Iab per form (unnormalized gauge), stacked."""
     return np.einsum("pab,piab->pi", g_inv, s)
@@ -211,24 +243,12 @@ def sym_trace(s: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
 def precurrents(f: Tensor, conn: Connection,
                 points: list[dict[str, float]],
                 known: dict | None = None) -> np.ndarray:
-    """J[p,I,a,b,c] = nabla_a F_Ibc at each of ``points``, stacked:
-
-        nabla_a F_Ibc = d_a F_Ibc - Gamma^e_ab F_Iec - Gamma^e_ac F_Ibe
-
-    with the classical connection, d_a F_Ibc from ``derivative.tangents``
-    and the values of F and Gamma read over the memo ``known``.  The pair
+    """J[p,I,a,b,c] = nabla_a F_Ibc at each of ``points``, stacked
+    (``covariant_derivative`` with the classical connection).  The pair
     antisymmetry in (b,c) is structural (``_antisym_last``); the cyclic
     identity over (a,b,c) holds because dF = ddA = 0, checked downstream.
     """
-    if conn.route != "classical":
-        raise TensorError("pre-currents use the classical connection")
-    m, n = f.comps.shape[:2]
-    df = tangents(f.comps.flat, points, conn.chart.coords, known)
-    # (I, b, c, a, p) -> (p, I, a, b, c): the derivative slot after the set
-    df = df.reshape(m, n, n, n, len(points)).transpose(4, 0, 3, 1, 2)
-    fv, gm = (values_at(x, points, known) for x in (f.comps, conn.mixed.comps))
-    return _antisym_last(df - np.einsum("peab,piec->piabc", gm, fv)
-                         - np.einsum("peac,pibe->piabc", gm, fv))
+    return _antisym_last(covariant_derivative(f, conn, points, known, 1))
 
 
 def currents(j_pre: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
@@ -241,16 +261,14 @@ def currents(j_pre: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
 # curvature
 # ---------------------------------------------------------------------------
 
-def riemann_classical(conn: Connection, g: MetricField,
-                      diff=None) -> tuple[Tensor, Tensor]:
-    """R^a_bcd = d_c G^a_bd - d_d G^a_bc + G^a_ec G^e_bd - G^a_ed G^e_bc,
-    returned mixed and all-lower.  This is the oracle route."""
+def riemann_classical(conn: Connection, diff=None) -> Tensor:
+    """R^a_bcd = d_c G^a_bd - d_d G^a_bc + G^a_ec G^e_bd - G^a_ed G^e_bc.
+    This is the oracle route."""
     gm = conn.mixed.comps
     dgm = _partials(conn.chart, gm, diff)
-    mixed = einsum(
+    return Tensor(einsum(
         "cabd->abcd - dabc->abcd + aec,ebd->abcd - aed,ebc->abcd",
-        dgm, dgm, gm, gm, gm, gm, pair=_ANTI23)
-    return Tensor(mixed), Tensor(einsum("ae,ebcd->abcd", g.comps, mixed))
+        dgm, dgm, gm, gm, gm, gm, pair=_ANTI23))
 
 
 @dataclass
@@ -296,10 +314,10 @@ def scalar_curvature(ricci: Tensor, g_inv: Tensor) -> Expr:
     return einsum("ab,ab->", g_inv.comps, ricci.comps)[()]
 
 
-@quiet
 def einstein_tensor(ricci: Tensor, scalar: Expr, g: MetricField) -> Tensor:
     """G[a,b] = Ric[a,b] - g[a,b] R / 2 (exact identity of this route)."""
-    return Tensor(ricci.comps - ex.HALF * g.comps * scalar)
+    return Tensor(einsum("ab->ab - ,ab,->ab", ricci.comps, ex.HALF, g.comps,
+                         scalar))
 
 
 @dataclass
@@ -359,50 +377,34 @@ def covariant_divergence_sym2(t: Tensor, conn: Connection, g_inv: Tensor,
                               points: list[dict[str, float]],
                               known: dict | None = None) -> np.ndarray:
     """div[p,a] = g^bc nabla_c t_ab at each of ``points``, stacked, for a
-    symmetric rank-2 lower tensor, with
-
-        nabla_c t_ab = d_c t_ab - Gamma^e_ca t_eb - Gamma^e_cb t_ae
-
-    computed numerically: d_c t_ab from ``derivative.tangents`` of t, and
-    the values of t, Gamma^c_ab and g^ab read by walks over the memo
-    ``known``, contracted by ``np.einsum``.  No derivative of t is
-    built."""
-    dt = tangents(t.comps.flat, points, conn.chart.coords, known)
-    n = conn.chart.dim
-    # (a, b, c, p) -> (p, c, a, b): the derivative slot first
-    dt = dt.reshape(n, n, n, len(points)).transpose(3, 2, 0, 1)
-    tv, gm, gi = (values_at(x.comps, points, known)
-                  for x in (t, conn.mixed, g_inv))
-    nabla = (dt - np.einsum("peca,peb->pcab", gm, tv)
-             - np.einsum("pecb,pae->pcab", gm, tv))
-    return np.einsum("pbc,pcab->pa", gi, nabla)
+    symmetric rank-2 lower tensor (``covariant_derivative``); no
+    derivative of t is built."""
+    return np.einsum("pbc,pcab->pa", values_at(g_inv.comps, points, known),
+                     covariant_derivative(t, conn, points, known))
 
 
 def metric_compatibility(g: MetricField, conn: Connection,
-                         diff=None) -> Tensor:
-    """nabla_c g_ab = d_c g_ab - Gamma^e_ca g_eb - Gamma^e_cb g_ae,
-    identically zero for a Levi-Civita connection."""
-    gm, gc = conn.mixed.comps, g.comps
-    return Tensor(einsum("cab->cab - eca,eb->cab - ecb,ae->cab",
-                         _partials(g.chart, gc, diff), gm, gc, gm, gc,
-                         pair=_SYM12))
+                         points: list[dict[str, float]],
+                         known: dict | None = None) -> np.ndarray:
+    """nabla[p,c,a,b] = nabla_c g_ab at each of ``points``
+    (``covariant_derivative``), identically zero for a Levi-Civita
+    connection."""
+    return covariant_derivative(g, conn, points, known)
 
 
 # ---------------------------------------------------------------------------
 # Killing fields and flatness
 # ---------------------------------------------------------------------------
 
-def lie_derivative_metric(forms: FormSet, g: MetricField, a_up: Tensor,
-                          diff=None) -> Tensor:
-    """(L_{A_I} g)_ab = A^c d_c g_ab + g_cb d_a A^c + g_ac d_b A^c, with
-    A_I^c = ``raise_forms``, computed from coordinate derivatives only
-    (no connection)."""
-    chart = forms.chart
-    x = a_up.comps
-    dg = _partials(chart, g.comps, diff)
-    dx = _partials(chart, x, diff)
-    return Tensor(einsum("ic,cab->iab + cb,aic->iab + ac,bic->iab",
-                         x, dg, g.comps, dx, g.comps, dx, pair=_SYM12))
+def lie_derivative_metric(g: np.ndarray, dg: np.ndarray, a_up: np.ndarray,
+                          da_up: np.ndarray) -> np.ndarray:
+    """(L_{A_I} g)_ab = A^c d_c g_ab + g_cb d_a A^c + g_ac d_b A^c from
+    stacked values, with A_I^c = ``raise_forms`` and the coordinate
+    derivatives dg[p,c,a,b] = d_c g_ab and da_up[p,I,a,c] = d_a A_I^c from
+    ``gradient`` (no connection)."""
+    return (np.einsum("pic,pcab->piab", a_up, dg)
+            + np.einsum("pcb,piac->piab", g, da_up)
+            + np.einsum("pac,pibc->piab", g, da_up))
 
 
 @dataclass
@@ -595,7 +597,8 @@ def _rhs(chart: Chart, u: np.ndarray, du: np.ndarray):
 def classical_rhs(conn: Connection):
     """du^c/ds = -Gamma^c_ab u^a u^b."""
     u = _velocity(conn.chart)
-    return _rhs(conn.chart, u, -einsum("cab,a,b->c", conn.mixed.comps, u, u))
+    return _rhs(conn.chart, u, einsum(
+        "-c->c", einsum("cab,a,b->c", conn.mixed.comps, u, u)))
 
 
 def factored_rhs(forms: FormSet, f: Tensor, g_inv: Tensor, p: Tensor,
@@ -612,9 +615,8 @@ def factored_rhs(forms: FormSet, f: Tensor, g_inv: Tensor, p: Tensor,
     f_mix = einsum("cd,idb->icb", g_inv.comps, f.comps)        # F_I^c_b
     quad = einsum("iab,a,b->i", p.comps, u, u)
     a_dot_u = einsum("ia,a->i", a, u)
-    du = -einsum("ic,i->c - i,icb,b->c", a_up.comps, quad, a_dot_u, f_mix,
-                 u)
-    return _rhs(forms.chart, u, du)
+    du = einsum("ic,i->c - i,icb,b->c", a_up.comps, quad, a_dot_u, f_mix, u)
+    return _rhs(forms.chart, u, einsum("-c->c", du))
 
 
 def integrate_geodesic(g: MetricField, g_inv: Tensor, conn: Connection,

@@ -209,8 +209,16 @@ def loads(text: str, origin: str = "<string>") -> ManifoldSpec:
 
 
 def load_file(path: str) -> ManifoldSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads(handle.read(), origin=path)
+    """The metric definition file at ``path``; ChartError naming it when
+    it cannot be read as UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = (exc.strerror if isinstance(exc, OSError)
+                  else "not UTF-8 text")
+        raise ChartError(f"cannot read '{path}': {reason}") from None
+    return loads(text, origin=path)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ contraction written with it builds the same terms in the same order as
 the equivalent nest of loops, and hash-consing makes the results the
 very same nodes.  A product with a zero constant factor, most of them
 for the sparse metrics of the catalog, is not built: ``ex.mul`` would
-make it ZERO and ``ex.add`` drop it.  Elementwise sums and differences
-use numpy object arithmetic, which calls the same smart constructors.
+make it ZERO and ``ex.add`` drop it.  Scalings, sums and negations are
+contractions too, with scalar operands, so no numpy loop runs over
+expressions.
 
 What a contraction costs is what it builds.  Its plan, the integer
 index of every factor of every product, is made once per spec, operand
@@ -71,23 +72,12 @@ SINGULAR_BOUND = 1e-12
 # the contraction primitive
 # ---------------------------------------------------------------------------
 
-def quiet(build):
-    """``build`` with numpy's floating-point warnings off, for a function
-    that does arithmetic on object arrays of expressions.  Constant
-    folding there is Python arithmetic: numpy would warn of an overflow
-    that folding met and refused, and a non-finite value is named by the
-    checks that read it instead."""
-    @functools.wraps(build)
-    def run(*args, **kwargs):
-        with np.errstate(all="ignore"):
-            return build(*args, **kwargs)
-    return run
-
-
-@quiet
 def elementwise(f, arr: np.ndarray) -> np.ndarray:
-    """``f`` of every component of an object array."""
-    return np.frompyfunc(f, 1, 1)(arr)
+    """``f`` of every component of an object array, called from Python:
+    no numpy loop runs over expressions, so none warns of the overflow
+    that constant folding met and refused."""
+    return np.fromiter(map(f, arr.flat), dtype=object,
+                       count=arr.size).reshape(arr.shape)
 
 
 #: a sequence of non-negative integers in the narrowest unsigned width

@@ -12,10 +12,12 @@ ones ``tensor.einsum`` had before it cached its plans), ``rk4`` the
 tuple-state RK4 loop that the generated loop in ``metricforms.geometry``
 replaced, ``dumps_canonical`` the recursive writer of canonical JSON
 that the one-pass writer in ``metricforms.report`` replaced,
-``escape`` the character loop its string escape replaced, and
-``precurrents`` to ``ricci_einstein_factored`` the symbolic formulas of
-the factored side past the first derivatives, which ``metricforms``
-computes at the sample points with numpy.
+``escape`` the character loop its string escape replaced,
+``precurrents`` to ``riemann_lower`` the symbolic formulas of the objects
+that ``metricforms`` reads only at the sample points and so computes
+there with numpy, and ``christoffel_lower`` to ``factored_du`` the
+elementwise numpy arithmetic on expressions that the symbolic builders
+had before they scaled, summed and negated through ``einsum`` alone.
 """
 
 import functools
@@ -294,7 +296,47 @@ def einsum(spec: str, *operands, pair=None) -> np.ndarray:
 
 #: pair hints of the symbolic formulas: (anti)symmetric component axes
 _SYM01 = (0, 1, +1)
+_SYM12 = (1, 2, +1)
 _ANTI23 = (2, 3, -1)
+
+
+def partials(comps, coords):
+    """d[k, ...] = d_k comps, symbolic, stacked on a leading axis."""
+    return np.stack([np.frompyfunc(Differentiator(c), 1, 1)(comps)
+                     for c in coords])
+
+
+def christoffel_lower(g, coords):
+    """Gamma_cab, scaled by numpy object arithmetic as
+    ``christoffel_classical`` once did."""
+    dg = partials(g, coords)
+    return einsum("acb->cab + bca->cab - cab->cab", dg, dg, dg,
+                  pair=_SYM12) * ex.HALF
+
+
+def sym_partial(a, coords):
+    """P[I,a,b] = sym dA, scaled by numpy object arithmetic."""
+    da = partials(a, coords)
+    return einsum("aib->iab + bia->iab", da, da, pair=_SYM12) * ex.HALF
+
+
+def einstein_tensor(ricci, scalar, g):
+    """G = Ric - g R / 2 by numpy object arithmetic."""
+    return ricci - ex.HALF * g * scalar
+
+
+def classical_du(gamma_mixed, u):
+    """du^c/ds = -Gamma^c_ab u^a u^b, negated by numpy."""
+    return -einsum("cab,a,b->c", gamma_mixed, u, u)
+
+
+def factored_du(a, f, g_inv, p, a_up, u):
+    """The factored du^c/ds of ``geometry.factored_rhs``, negated by
+    numpy."""
+    f_mix = einsum("cd,idb->icb", g_inv, f)
+    quad = einsum("iab,a,b->i", p, u, u)
+    a_dot_u = einsum("ia,a->i", a, u)
+    return -einsum("ic,i->c - i,icb,b->c", a_up, quad, a_dot_u, f_mix, u)
 
 
 def sym_trace(s, g_inv):
@@ -306,8 +348,7 @@ def precurrents(f, gamma_mixed, coords):
     """J[I,a,b,c] = nabla_a F_Ibc = d_a F_Ibc - Gamma^e_ab F_Iec
     - Gamma^e_ac F_Ibe, symbolic, from the symbolic derivatives of F."""
     gm = gamma_mixed
-    df = np.stack([np.frompyfunc(Differentiator(c), 1, 1)(f)
-                   for c in coords])
+    df = partials(f, coords)
     jp = einsum("aibc->iabc", df, pair=_ANTI23) - einsum(
         "eab,iec->iabc + eac,ibe->iabc", gm, f, gm, f, pair=_ANTI23)
     # the difference of two mirrored halves stores neg(a) - neg(b) below the
@@ -359,6 +400,50 @@ def ricci_einstein_factored(a, f, s, s_trace, j_pre, j, g, g_inv, a_up):
                     ex.mul(ex.Const(-0.75), f_dot_f),
                     trace_sq, ex.neg(s_dot_s))
     return ricci, scalar, t_form, t_current, t_sym
+
+
+def sym_covariant_derivative(p, gamma_mixed, a):
+    """S[I,a,b] = P_Iab - Gamma^c_ab A_Ic, symbolic."""
+    return p - einsum("cab,ic->iab", gamma_mixed, a, pair=_SYM12)
+
+
+def form_cross(a, f):
+    """X[c,a,b] = A_a (.) F_bc + A_b (.) F_ac, symbolic."""
+    return einsum("ia,ibc->cab + ib,iac->cab", a, f, a, f, pair=_SYM12)
+
+
+def sym_derivative_via_factors(a, f, a_up):
+    """S[J,a,b] = -A_J^c X_cab / 2, symbolic."""
+    return einsum("jc,cab->jab", a_up, form_cross(a, f),
+                  pair=_SYM12) * ex.Const(-0.5)
+
+
+def christoffel_factored(a, f, p, g_inv):
+    """(Gamma_cab, Gamma^c_ab) of the factored route, symbolic."""
+    lower = (einsum("ic,iab->cab", a, p, pair=_SYM12)
+             + form_cross(a, f) * ex.HALF)
+    return lower, einsum("cd,dab->cab", g_inv, lower, pair=_SYM12)
+
+
+def metric_compatibility(g, gamma_mixed, coords):
+    """nabla_c g_ab = d_c g_ab - Gamma^e_ca g_eb - Gamma^e_cb g_ae,
+    symbolic."""
+    gm = gamma_mixed
+    return einsum("cab->cab - eca,eb->cab - ecb,ae->cab",
+                  partials(g, coords), gm, g, gm, g, pair=_SYM12)
+
+
+def lie_derivative_metric(g, a_up, coords):
+    """(L_{A_I} g)_ab = A^c d_c g_ab + g_cb d_a A^c + g_ac d_b A^c,
+    symbolic."""
+    dg, dx = partials(g, coords), partials(a_up, coords)
+    return einsum("ic,cab->iab + cb,aic->iab + ac,bic->iab",
+                  a_up, dg, g, dx, g, dx, pair=_SYM12)
+
+
+def riemann_lower(g, riemann_mixed):
+    """R_abcd = g_ae R^e_bcd, symbolic."""
+    return einsum("ae,ebcd->abcd", g, riemann_mixed)
 
 
 def _apply(node, f, *args):

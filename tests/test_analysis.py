@@ -9,6 +9,7 @@ from metricforms import expr as ex
 from metricforms.derivative import Differentiator
 from metricforms.errors import (EvalDomainError, FactorizationError,
                                 NumericFaultError)
+from metricforms.manifolds import CATALOG_NAMES
 from metricforms.tape import Tape
 
 import oracles
@@ -279,3 +280,38 @@ def test_shared_contractions_are_built_once_per_analysis(target,
     assert [spec for spec, _ in contracted].count("aib->iab + bia->iab") == 1
     assert sum(spec == "cd,id->ic" and operands[1] is forms[0].comps
                for spec, operands in contracted) == 1
+
+
+
+ELEVEN = [*CATALOG_NAMES, *(str(DATA / f"{name}.metric") for name in (
+    "painleve-gullstrand", "kerr-boyer-lindquist", "dense-4d"))]
+
+
+@pytest.mark.parametrize("target", ELEVEN, ids=lambda t: Path(t).stem)
+def test_only_symbolic_objects_are_walked(target, monkeypatch):
+    # an object is built as an expression only where a tape compiles it
+    # (g^-1, A, A^c, P, F, Gamma), tangents differentiate it (g, A, A^c,
+    # F, G) or another symbolic object is built from it (Gamma_cab,
+    # R^a_bcd, Ric): only those are walked, and the scalar curvature by
+    # scalar_vals; everything else is computed at the points
+    walked, scalars = [], []
+    vals, scalar_vals = GeometrySession.vals, GeometrySession.scalar_vals
+
+    def spy(session, tensor):
+        walked.append((session, tensor))
+        return vals(session, tensor)
+
+    def scalar_spy(session, e):
+        scalars.append(e)
+        return scalar_vals(session, e)
+
+    monkeypatch.setattr(GeometrySession, "vals", spy)
+    monkeypatch.setattr(GeometrySession, "scalar_vals", scalar_spy)
+    run_analysis(get_manifold(target), seed=42, n_points=4)
+    s = walked[0][0]
+    symbolic = set(map(id, (
+        s.forms, s.curl, s.sym_partial, s.forms_raised, s.metric, s.g_inv,
+        s.conn.lower, s.conn.mixed, s.riemann_mixed, s.ricci, s.einstein)))
+    assert all(session is s for session, _ in walked)
+    assert [s._name_of(t) for _, t in walked if id(t) not in symbolic] == []
+    assert scalars == [s.scalar]

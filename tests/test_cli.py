@@ -451,6 +451,28 @@ class TestErrors:
         code, out, err = run(capsys, "check", "nope")
         assert code == EXIT_INPUT
 
+    def test_directory_as_metric_file_is_input_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "analyze", str(tmp_path))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith(f"input error: cannot read '{tmp_path}': ")
+        assert err.count("\n") == 1
+
+    def test_non_utf8_metric_file_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "binary.metric"
+        path.write_bytes(GOOD_FILE.encode() + b"\xff\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"input error: cannot read '{path}': not UTF-8 text\n"
+
+    def test_directory_as_trajectory_file_is_input_error(self, capsys,
+                                                         tmp_path):
+        code, out, err = run(capsys, "geodesic", "sphere2", "--start",
+                             "1.0,0.4", "--velocity", "0,1", "--steps", "3",
+                             "--out", str(tmp_path))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith(f"input error: cannot write '{tmp_path}': ")
+        assert err.count("\n") == 1
+
     def test_bad_file_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "bad.metric"
         path.write_text(GOOD_FILE.replace("signature 2 0", "signature 9 9"))

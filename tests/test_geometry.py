@@ -64,11 +64,27 @@ def sphere():
     return g, g_inv, forms, conn
 
 
+def _at(points, *tensors):
+    """The stacked values of each of ``tensors`` at ``points``."""
+    return [values_at(t.comps, points) for t in tensors]
+
+
+def _lie(g, forms, g_inv, points):
+    """L_{A_I} g at ``points``, from the values and tangents of g and of
+    the raised forms."""
+    a_up = raise_forms(forms, g_inv).comps
+    coords = g.chart.coords
+    return lie_derivative_metric(
+        values_at(g.comps, points), geo.gradient(g.comps, points, coords),
+        values_at(a_up, points),
+        geo.gradient(a_up, points, coords, labels=1))
+
+
 class TestChristoffel:
     def test_euclidean_cartesian_vanishes(self, sessions):
         s = sessions("euclidean3-cartesian")
         assert max_abs(s.vals(s.conn.lower)) == 0.0
-        assert max_abs(s.vals(s.conn_factored.lower)) == 0.0
+        assert max_abs(s.conn_factored.lower) == 0.0
 
     def test_sphere_hand_values(self, sphere):
         g, g_inv, forms, conn = sphere
@@ -95,15 +111,13 @@ class TestChristoffel:
 
     def test_factored_route_matches(self, sphere):
         g, g_inv, forms, conn = sphere
+        points = g.chart.sample_points(20, seed=42)
         f = exterior_derivative(forms)
-        factored = christoffel_factored(forms, f, g_inv, sym_partial(forms))
-        for point in g.chart.sample_points(20, seed=42):
-            gap = max(
-                max_abs(conn.lower.evaluate(point)
-                        - factored.lower.evaluate(point)),
-                max_abs(conn.mixed.evaluate(point)
-                        - factored.mixed.evaluate(point)))
-            assert gap <= 1e-9
+        factored = christoffel_factored(
+            *_at(points, forms, f, sym_partial(forms), g_inv))
+        lower, mixed = _at(points, conn.lower, conn.mixed)
+        assert max_abs(lower - factored.lower) <= 1e-9
+        assert max_abs(mixed - factored.mixed) <= 1e-9
 
 
 class TestExteriorDerivative:
@@ -131,22 +145,22 @@ class TestExteriorDerivative:
 class TestSymDerivative:
     def test_flat_exact_forms_give_zero(self, sessions):
         s = sessions("minkowski")
-        assert max_abs(s.vals(s.sym_deriv)) == 0.0
+        assert max_abs(s.sym_deriv) == 0.0
 
     def test_routes_agree_on_sphere(self, sphere):
         g, g_inv, forms, conn = sphere
-        f = exterior_derivative(forms)
-        direct = sym_covariant_derivative(forms, conn, sym_partial(forms))
-        via = sym_derivative_via_factors(forms, f, raise_forms(forms, g_inv))
-        for point in g.chart.sample_points(20, seed=42):
-            assert max_abs(direct.evaluate(point)
-                           - via.evaluate(point)) <= 1e-9
+        points = g.chart.sample_points(20, seed=42)
+        direct = sym_covariant_derivative(forms, conn, points)
+        via = sym_derivative_via_factors(*_at(
+            points, forms, exterior_derivative(forms),
+            raise_forms(forms, g_inv)))
+        assert max_abs(direct - via) <= 1e-9
 
     def test_cancellation_identity_on_schwarzschild(self, sessions):
         s = sessions("schwarzschild")
         for k, point in enumerate(s.points):
             a = s.forms.evaluate(point)
-            sv = s.vals(s.sym_deriv)[k]
+            sv = s.sym_deriv[k]
             fv = s.vals(s.curl)[k]
             balance = np.einsum("ic,iab->cab", a, sv) + 0.5 * (
                 np.einsum("ia,ibc->cab", a, fv)
@@ -159,18 +173,11 @@ class TestSymDerivative:
         # whole set, not of each member alone
         g, g_inv, forms, conn = sphere
         f = exterior_derivative(forms)
-        s = sym_covariant_derivative(forms, conn, sym_partial(forms))
         point = {"theta": 1.1, "phi": 2.0}
+        s = sym_covariant_derivative(forms, conn, [point])[0]
         assert max_abs(f.evaluate(point)[0]) == 0.0
         expected = 1.3 * math.sin(1.1) * math.cos(1.1)
-        assert s.evaluate(point)[0, 1, 1] == pytest.approx(expected)
-
-    def test_direct_route_requires_classical_connection(self, sphere):
-        g, g_inv, forms, conn = sphere
-        f = exterior_derivative(forms)
-        factored = christoffel_factored(forms, f, g_inv, sym_partial(forms))
-        with pytest.raises(TensorError):
-            sym_covariant_derivative(forms, factored, sym_partial(forms))
+        assert s[0, 1, 1] == pytest.approx(expected)
 
 
 class TestCurrents:
@@ -218,12 +225,13 @@ class TestCurrents:
 class TestRiemannClassical:
     def test_sphere_component_and_scalar(self, sphere):
         g, g_inv, forms, conn = sphere
-        mixed, lower = riemann_classical(conn, g)
+        mixed = riemann_classical(conn)
         ricci = ricci_from_mixed(mixed)
         scal = scalar_curvature(ricci, g_inv)
         for point in g.chart.sample_points(10, seed=6):
             theta = point["theta"]
-            rv = lower.evaluate(point)
+            rv = np.einsum("ae,ebcd->abcd", g.evaluate(point),
+                           mixed.evaluate(point))
             expected = (1.3 * math.sin(theta)) ** 2
             assert rv[0, 1, 0, 1] == pytest.approx(expected, rel=1e-10)
             assert ex.evaluate(scal, point) == pytest.approx(2 / 1.3 ** 2,
@@ -235,11 +243,11 @@ class TestRiemannClassical:
 
     def test_minkowski_cylindrical_flat(self, sessions):
         s = sessions("minkowski-cylindrical")
-        assert max_abs(s.vals(s.riemann_lower)) <= 1e-8
+        assert max_abs(s.riemann_lower) <= 1e-8
 
     def test_against_fd_oracle(self, sphere):
         g, g_inv, forms, conn = sphere
-        mixed, lower = riemann_classical(conn, g)
+        mixed = riemann_classical(conn)
         env = {"theta": 1.0, "phi": 2.0}
         fd = oracles.fd_riemann_mixed(
             lambda p: conn.mixed.evaluate(p).real, env, g.chart.coords)
@@ -247,7 +255,7 @@ class TestRiemannClassical:
 
     def test_classical_symmetries(self, sessions):
         s = sessions("flrw-flat")
-        rv = s.vals(s.riemann_lower)
+        rv = s.riemann_lower
         assert max_abs(rv + np.swapaxes(rv, 1, 2)) <= 1e-8
         assert max_abs(rv + np.swapaxes(rv, 3, 4)) <= 1e-8
         assert max_abs(rv - np.transpose(rv, (0, 3, 4, 1, 2))) <= 1e-8
@@ -265,14 +273,14 @@ class TestDecomposition:
         # semi-flat; the cartesian factorizations realize dA = 0 exactly
         s = sessions("euclidean2-cartesian")
         assert max_abs(s.parts.total) == 0.0
-        assert max_abs(s.vals(s.riemann_lower)) == 0.0
+        assert max_abs(s.riemann_lower) == 0.0
 
     @pytest.mark.parametrize("name", [
         "euclidean3-spherical", "minkowski-cylindrical", "sphere2",
         "schwarzschild", "flrw-flat"])
     def test_sum_reproduces_classical(self, sessions, name):
         s = sessions(name)
-        gap = max_abs(s.parts.total - s.vals(s.riemann_lower))
+        gap = max_abs(s.parts.total - s.riemann_lower)
         assert gap <= 1e-10   # measured at machine precision on the catalog
 
     def test_per_term_bianchi(self, sessions):
@@ -336,12 +344,10 @@ class TestKilling:
 
     def test_sphere_azimuthal_form_not_killing(self, sphere):
         g, g_inv, forms, conn = sphere
-        f = exterior_derivative(forms)
-        s = sym_covariant_derivative(forms, conn, sym_partial(forms))
         points = g.chart.sample_points(10, seed=5)
-        lie = lie_derivative_metric(forms, g, raise_forms(forms, g_inv))
-        report = killing_check(*(stacked(t.evaluate, points)
-                                 for t in (f, s, lie)))
+        report = killing_check(*_at(points, exterior_derivative(forms)),
+                               sym_covariant_derivative(forms, conn, points),
+                               _lie(g, forms, g_inv, points))
         assert not report.set_closed
         assert report.f_max[1] > 1e-3
         assert report.lie_max[1] > 1e-3       # metric varies along A_2
@@ -372,7 +378,7 @@ class TestClassification:
     def test_inconsistent_diagnostic(self, sessions):
         s = sessions("sphere2")
         fake_f = np.zeros_like(s.vals(s.curl))
-        verdict = classify_flatness(fake_f, s.vals(s.riemann_lower))
+        verdict = classify_flatness(fake_f, s.riemann_lower)
         assert verdict.verdict == VERDICT_INCONSISTENT
         assert "fault" in verdict.note
 
@@ -428,25 +434,25 @@ class TestSemiFlatLike:
         g_inv = invert_metric(g)
         conn = christoffel_classical(g, g_inv)
         f = exterior_derivative(forms)
-        s = sym_covariant_derivative(forms, conn, sym_partial(forms))
         point = {"r": 1.5, "phi": 1.0, "z": 0.0, "t": 0.0}
-        parts = riemann_decomposed(
-            *(stacked(t.evaluate, [point]) for t in (forms, f, s)),
-            precurrents(f, conn, [point]))
+        s = sym_covariant_derivative(forms, conn, [point])
+        parts = riemann_decomposed(*_at([point], forms, f), s,
+                                   precurrents(f, conn, [point]))
         assert max_abs(parts.total) <= 1e-12
-        assert max_abs(s.evaluate(point)) <= 1e-12
+        assert max_abs(s) <= 1e-12
 
     def test_connection_nonzero_but_routes_agree(self, closed_forms):
         spec, forms = closed_forms
         g = spec.metric()
         g_inv = invert_metric(g)
         conn = christoffel_classical(g, g_inv)
-        f = exterior_derivative(forms)
-        factored = christoffel_factored(forms, f, g_inv, sym_partial(forms))
         point = {"r": 1.5, "phi": 1.0, "z": 0.0, "t": 0.0}
+        factored = christoffel_factored(*_at(
+            [point], forms, exterior_derivative(forms), sym_partial(forms),
+            g_inv))
         assert max_abs(conn.lower.evaluate(point)) > 0.5
         assert max_abs(conn.lower.evaluate(point)
-                       - factored.lower.evaluate(point)) <= 1e-12
+                       - factored.lower[0]) <= 1e-12
 
     def test_closed_set_is_killing_and_classified_flat(self, closed_forms):
         spec, forms = closed_forms
@@ -454,16 +460,15 @@ class TestSemiFlatLike:
         g_inv = invert_metric(g)
         conn = christoffel_classical(g, g_inv)
         f = exterior_derivative(forms)
-        s = sym_covariant_derivative(forms, conn, sym_partial(forms))
         points = spec.chart.sample_points(10, seed=22)
-        lie = lie_derivative_metric(forms, g, raise_forms(forms, g_inv))
-        report = killing_check(*(stacked(t.evaluate, points)
-                                 for t in (f, s, lie)))
+        report = killing_check(*_at(points, f),
+                               sym_covariant_derivative(forms, conn, points),
+                               _lie(g, forms, g_inv, points))
         assert report.set_closed
         assert report.killing_residual <= 1e-9
-        mixed, lower = riemann_classical(conn, g)
-        verdict = classify_flatness(stacked(f.evaluate, points),
-                                    stacked(lower.evaluate, points))
+        g_vals, mixed = _at(points, g, riemann_classical(conn))
+        verdict = classify_flatness(*_at(points, f), np.einsum(
+            "pae,pebcd->pabcd", g_vals, mixed))
         assert verdict.verdict == VERDICT_CLOSED_FLAT
 
 
@@ -872,7 +877,38 @@ def test_einsum_builders_return_the_loop_nodes(name, catalog):
                                          conn.mixed.comps))
     r_mixed, r_lower = _loop_riemann(conn.mixed.comps, g)
     assert _same_nodes(session.riemann_mixed.comps, r_mixed)
-    assert _same_nodes(session.riemann_lower.comps, r_lower)
+    # the symbolic reference of the numeric all-lower Riemann tensor
+    assert _same_nodes(oracles.riemann_lower(g.comps, r_mixed), r_lower)
+
+
+ELEVEN = [*CATALOG_NAMES, *(str(DATA / f"{name}.metric") for name in (
+    "painleve-gullstrand", "kerr-boyer-lindquist", "dense-4d"))]
+
+
+@pytest.mark.parametrize("strategy", ["auto", "ldl"])
+@pytest.mark.parametrize("target", ELEVEN, ids=lambda t: Path(t).stem)
+def test_nested_einsums_return_the_nodes_of_elementwise_arithmetic(
+        target, strategy, monkeypatch):
+    # the Christoffel and sym dA scalings, the Einstein sum and the
+    # negations of both geodesic right-hand sides, each a nested einsum
+    # with scalar operands, against numpy object arithmetic on the same
+    # expressions
+    s = GeometrySession(get_manifold(target), strategy, seed=42)
+    coords = s.chart.coords
+    assert _same_nodes(s.conn.lower.comps,
+                       oracles.christoffel_lower(s.metric.comps, coords))
+    assert _same_nodes(s.sym_partial.comps,
+                       oracles.sym_partial(s.forms.comps, coords))
+    assert _same_nodes(s.einstein.comps, oracles.einstein_tensor(
+        s.ricci.comps, s.scalar, s.metric.comps))
+    monkeypatch.setattr(geo, "_rhs", lambda chart, u, du: (u, du))
+    u, du = classical_rhs(s.conn)
+    assert _same_nodes(du, oracles.classical_du(s.conn.mixed.comps, u))
+    u, du = factored_rhs(s.forms, s.curl, s.g_inv, s.sym_partial,
+                         s.forms_raised)
+    assert _same_nodes(du, oracles.factored_du(
+        *(t.comps for t in (s.forms, s.curl, s.g_inv, s.sym_partial,
+                            s.forms_raised)), u))
 
 
 # ---------------------------------------------------------------------------
@@ -882,9 +918,10 @@ def test_einsum_builders_return_the_loop_nodes(name, catalog):
 #: every object a GeometrySession builds
 SESSION_TENSORS = ("g_inv", "conn", "conn_factored", "curl", "sym_deriv",
                    "sym_deriv_alt", "sym_trace", "precurrent", "current",
-                   "riemann", "parts", "ricci", "scalar", "einstein",
-                   "factored", "einstein_divergence", "metric_compat",
-                   "lie_deriv", "sym_partial", "forms_raised")
+                   "riemann_mixed", "riemann_lower", "parts", "ricci",
+                   "scalar", "einstein", "factored", "einstein_divergence",
+                   "metric_compat", "lie_deriv", "sym_partial",
+                   "forms_raised")
 
 
 @pytest.mark.parametrize("target", [
@@ -911,10 +948,6 @@ def test_geometry_builders_never_simplify(target, monkeypatch):
 # tangents of the 11 metrics against the symbolic partials
 # ---------------------------------------------------------------------------
 
-ELEVEN = [*CATALOG_NAMES, *(str(DATA / f"{name}.metric") for name in (
-    "painleve-gullstrand", "kerr-boyer-lindquist", "dense-4d"))]
-
-
 @pytest.mark.parametrize("target", ELEVEN, ids=lambda t: Path(t).stem)
 def test_tangents_match_the_symbolic_partials(target):
     # of g, A and Gamma^c_ab: each derivative to rounding, against a walk
@@ -937,20 +970,33 @@ def test_tangents_match_the_symbolic_partials(target):
 @pytest.mark.parametrize("strategy", ["auto", "ldl"])
 @pytest.mark.parametrize("target", ELEVEN, ids=lambda t: Path(t).stem)
 def test_factored_side_matches_its_symbolic_formulas(target, strategy):
-    # the pre-currents, currents, S traces, the three Riemann parts and
-    # the factored Ricci, scalar and Einstein split, computed at the points
-    # with tangents and numpy, against a walk of the symbolic formulas of
-    # the same session's forms, F, S, Gamma and inverse metric
+    # the objects read only at the points (both S, the factored Gamma,
+    # nabla g, L_A g, R_abcd, the pre-currents, currents, S traces, the
+    # three Riemann parts and the factored Ricci, scalar and Einstein
+    # split), computed there with tangents and numpy, against a walk of
+    # the symbolic formulas of the same session's forms, F, P, A^c, g,
+    # Gamma, R^a_bcd and inverse metric
     s = GeometrySession(get_manifold(target), strategy, seed=42)
-    a, f, sd, g, g_inv, a_up = (t.comps for t in (
-        s.forms, s.curl, s.sym_deriv, s.metric, s.g_inv, s.forms_raised))
+    a, f, p, g, g_inv, a_up = (t.comps for t in (
+        s.forms, s.curl, s.sym_partial, s.metric, s.g_inv, s.forms_raised))
+    gm, coords = s.conn.mixed.comps, s.chart.coords
+    sd = oracles.sym_covariant_derivative(p, gm, a)
+    gamma = oracles.christoffel_factored(a, f, p, g_inv)
     st = oracles.sym_trace(sd, g_inv)
-    jp = oracles.precurrents(f, s.conn.mixed.comps, s.chart.coords)
+    jp = oracles.precurrents(f, gm, coords)
     j = oracles.currents(jp, g_inv)
     parts = oracles.riemann_decomposed(a, f, sd, jp)
     factored = oracles.ricci_einstein_factored(a, f, sd, st, jp, j, g,
                                                g_inv, a_up)
-    pairs = [(s.sym_trace, st), (s.precurrent, jp), (s.current, j),
+    pairs = [(s.sym_deriv, sd),
+             (s.sym_deriv_alt, oracles.sym_derivative_via_factors(a, f, a_up)),
+             (s.conn_factored.lower, gamma[0]),
+             (s.conn_factored.mixed, gamma[1]),
+             (s.metric_compat, oracles.metric_compatibility(g, gm, coords)),
+             (s.lie_deriv, oracles.lie_derivative_metric(g, a_up, coords)),
+             (s.riemann_lower,
+              oracles.riemann_lower(g, s.riemann_mixed.comps)),
+             (s.sym_trace, st), (s.precurrent, jp), (s.current, j),
              (s.parts.current_part, parts[0]), (s.parts.form_part, parts[1]),
              (s.parts.sym_part, parts[2]), (s.parts.total, sum(parts)),
              (s.factored.ricci, factored[0]),

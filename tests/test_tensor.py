@@ -453,10 +453,9 @@ class TestEinsum:
 def _built_tensors(spec, strategy):
     """The component arrays of every symbolic tensor a session builds."""
     s = GeometrySession(spec, strategy)
-    tensors = [s.g_inv, s.forms, s.conn.lower, s.conn.mixed,
-               s.conn_factored.lower, s.conn_factored.mixed, s.curl,
-               s.sym_deriv, s.sym_deriv_alt, *s.riemann, s.ricci,
-               s.einstein, s.metric_compat, s.lie_deriv]
+    tensors = [s.g_inv, s.forms, s.conn.lower, s.conn.mixed, s.curl,
+               s.sym_partial, s.forms_raised, s.riemann_mixed, s.ricci,
+               s.einstein]
     return [t.comps for t in tensors] + [np.array(s.scalar)]
 
 
@@ -627,8 +626,8 @@ def test_each_row_is_the_walk_of_its_component_alone(target):
     # conversion of a walk of that component on its own
     s = GeometrySession(get_manifold(target), seed=42, n_points=4)
     memo: dict = {}
-    for tensor in (s.conn.lower, s.conn.mixed, s.riemann_mixed,
-                   s.riemann_lower, s.curl, s.sym_deriv):
+    for tensor in (s.conn.lower, s.conn.mixed, s.riemann_mixed, s.ricci,
+                   s.curl, s.sym_partial):
         comps = tensor.comps
         assert len(set(map(id, comps.flat))) < comps.size
         got = values_at(comps, s.points)
