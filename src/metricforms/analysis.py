@@ -106,6 +106,9 @@ class GeometrySession:
         if n_points < 1:
             raise ChartError("at least one sample point is required")
         self.points = self.chart.sample_points(n_points, seed)
+        # the metric is judged at its check points before anything reads
+        # it, so every command names a fault there at the same point
+        self.metric.check_values
         # one per coordinate, shared by every builder of this session
         self.diff = geo.differentiators(self.chart)
         self._strategy = strategy

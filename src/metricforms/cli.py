@@ -216,13 +216,15 @@ def cmd_geodesic(args) -> int:
             "steps": args.steps,
             "step_size": args.step_size,
             "coords": list(chart.coords),
-            "s": comparison.classical.s.tolist(),
+            "s": comparison.classical.s,
             "classical": _trajectory_doc(comparison.classical),
             "factored": _trajectory_doc(comparison.factored),
             "route_divergence": comparison.divergence,
             "norm_drift": comparison.norm_drift,
         }
-        print(dumps_canonical(doc))
+        # streamed: the trajectories are formatted from their arrays
+        dumps_canonical(doc, write=sys.stdout.write)
+        sys.stdout.write("\n")
     else:
         print(f"integrated {len(comparison.classical.s) - 1} steps"
               + (" (truncated at domain edge)"
@@ -238,8 +240,8 @@ def cmd_geodesic(args) -> int:
 
 def _trajectory_doc(traj: geo.Trajectory) -> dict:
     return {
-        "x": traj.x.tolist(),
-        "u": traj.u.tolist(),
+        "x": traj.x,
+        "u": traj.u,
         "exited_domain": traj.exited_domain,
     }
 

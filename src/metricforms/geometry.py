@@ -47,6 +47,7 @@ mirrored components share one node.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
@@ -54,7 +55,7 @@ from itertools import chain
 import numpy as np
 
 from .chart import Chart
-from .errors import EvalDomainError, NumericFaultError
+from .errors import EvalDomainError, MetricFormsError, NumericFaultError
 from . import expr as ex
 from .derivative import Differentiator, tangents
 from .expr import Expr
@@ -520,8 +521,9 @@ def _rk4_loop(n: int):
     compiled function ``loop(rhs, steps, h, half, sixth, *x, *u, *bounds)``
     -> (states, exited): ``rhs(x, u)`` gives du/ds as a tuple, ``bounds``
     are ``lo0, hi0, lo1, hi1, ...``, ``half`` and ``sixth`` are h/2 and
-    h/6, and ``states`` lists the state tuples from the start to the last
-    one inside the bounds; ``exited`` says whether a step left them.
+    h/6, and ``states`` is one ``array('d')`` of the states from the start
+    to the last one inside the bounds, each x then u; ``exited`` says
+    whether a step left them.
 
     The state lives in scalar locals and the four stages are unrolled.
     Stage k's derivative is (u_k, du_k), so each stage state and the update
@@ -542,7 +544,8 @@ def _rk4_loop(n: int):
     source = "\n".join([
         f"def _rk4(rhs, steps, h, half, sixth, {row('x{0}')}{row('u{0}')}"
         f"{row('lo{0}, hi{0}')}):",
-        f"    states = [{state}]",
+        f"    states = array('d', {state})",
+        "    push = states.extend",
         "    for _ in range(steps):",
         stage("a{0}", "x{0}", "u{0}"),
         each("ub{0} = u{0} + half * a{0}"),
@@ -555,28 +558,29 @@ def _rk4_loop(n: int):
         each("u{0} = u{0} + sixth * (a{0} + 2 * b{0} + 2 * c{0} + d{0})"),
         f"        if not ({inside}):",
         "            return states, True",
-        f"        states.append({state})",
+        f"        push({state})",
         "    return states, False\n"])
-    namespace: dict = {}
+    namespace: dict = {"array": array}
     exec(compile(source, "<rk4>", "exec"), namespace)
     return namespace["_rk4"]
 
 
 def _rk4(rhs, chart: Chart, start: np.ndarray, velocity: np.ndarray,
-         steps: int, h: float) -> tuple[Trajectory, list[tuple]]:
+         steps: int, h: float) -> Trajectory:
     """Fixed-step RK4 on the state (x, u), a tuple of floats; ``rhs(x, u)``
-    gives du/ds.  Stops before the first step that leaves the chart.
-    Returns the trajectory and its states, the tuples of floats it was
-    stacked from."""
+    gives du/ds.  Stops before the first step that leaves the chart.  The
+    trajectory's x and u are views of one (k+1, 2n) array over the loop's
+    buffer of states, so each float is held once, unboxed."""
     n = chart.dim
     # float arithmetic turns an overflow into inf or nan without raising:
     # the next evaluation raises, or the domain check ends the integration
     states, exited = _rk4_loop(n)(
         rhs, steps, h, 0.5 * h, h / 6.0, *map(float, start),
         *map(float, velocity), *chain.from_iterable(chart.domains))
-    xu = np.array(states)
-    ss = np.array([0.0] + [k * h for k in range(1, len(states))])
-    return Trajectory(ss, xu[:, :n], xu[:, n:], exited), states
+    xu = np.frombuffer(states, dtype=float).reshape(-1, 2 * n)
+    ss = np.arange(len(xu)) * h         # float(k) * h, as Python's k * h
+    ss[0] = 0.0                         # not -0.0 when h < 0
+    return Trajectory(ss, xu[:, :n], xu[:, n:], exited)
 
 
 def _velocity(chart: Chart) -> np.ndarray:
@@ -619,44 +623,82 @@ def factored_rhs(forms: FormSet, f: Tensor, g_inv: Tensor, p: Tensor,
     return _rhs(forms.chart, u, einsum("-c->c", du))
 
 
+#: points per block of the norm monitor's metric reads
+MONITOR_BLOCK = 256
+
+
+class _Points:
+    """The rows of a coordinate array as a sequence of points, each one
+    made into a dict only when it is read: by a walk or for a message."""
+
+    def __init__(self, chart: Chart, rows: np.ndarray):
+        self.chart, self.rows = chart, rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k: int) -> dict[str, float]:
+        return self.chart.point(self.rows[k])
+
+
+def _metric_norms(g: MetricField, x: np.ndarray,
+                  u: np.ndarray) -> np.ndarray:
+    """g(u, u) at each row of positions ``x`` and velocities ``u``.
+
+    g is read by one tape of its components, fed the coordinate columns
+    of ``MONITOR_BLOCK`` rows at a time: its values are the walk's bit for
+    bit, and a fault is the walk's at the first point that faults.  Each
+    block is judged by ``MetricField.values``; where one fails, the whole
+    of ``x`` is judged at once, so the error is the one a single read of
+    every point raises.  The norms are matrix products over the real view
+    of the complex values, as ``values`` returns it."""
+    chart = g.chart
+    n = chart.dim
+    tape = Tape(g.comps.flat, chart.coords)
+    norms = np.empty(len(x))
+    for start in range(0, len(x), MONITOR_BLOCK):
+        rows = slice(start, start + MONITOR_BLOCK)
+        vals = np.array(list(map(tape.run, *x[rows].T.tolist())),
+                        dtype=complex).reshape(-1, n, n)
+        try:
+            gs = g.values(_Points(chart, x[rows]), vals)
+        except MetricFormsError:
+            g.values(_Points(chart, x))
+            raise
+        # a non-finite norm is refused by the caller, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms[rows] = (u[rows, None, :] @ gs @ u[rows, :, None])[:, 0, 0]
+    return norms
+
+
 def integrate_geodesic(g: MetricField, g_inv: Tensor, conn: Connection,
                        forms: FormSet, f: Tensor, p: Tensor, a_up: Tensor,
                        start: np.ndarray, velocity: np.ndarray,
                        steps: int, h: float) -> GeodesicComparison:
     """Integrate both right-hand-side forms with fixed-step RK4 and
-    compare them pointwise; also monitor conservation of g(u, u), with
-    the metric read by ``MetricField.values`` along the classical route.
-    ``p`` and ``a_up`` are the factored side's ``sym_partial`` and
-    ``raise_forms``."""
+    compare them pointwise; also monitor conservation of g(u, u) along
+    the classical route (``_metric_norms``).  ``p`` and ``a_up`` are the
+    factored side's ``sym_partial`` and ``raise_forms``."""
     chart = g.chart
     start = np.asarray(start, dtype=float)
     velocity = np.asarray(velocity, dtype=float)
     if not chart.contains(start):
         raise NumericFaultError(f"start point {start.tolist()} is outside "
                                 "the chart domain")
-    traj_c, states = _rk4(classical_rhs(conn), chart, start, velocity,
-                          steps, h)
-    # the monitor's points share the floats of the classical states, whose
-    # tuples go before the factored route runs
-    points = [dict(zip(chart.coords, state)) for state in states]
-    del states
-    traj_f, _ = _rk4(factored_rhs(forms, f, g_inv, p, a_up), chart, start,
-                     velocity, steps, h)
+    traj_c = _rk4(classical_rhs(conn), chart, start, velocity, steps, h)
+    traj_f = _rk4(factored_rhs(forms, f, g_inv, p, a_up), chart, start,
+                  velocity, steps, h)
 
     k = min(len(traj_c.s), len(traj_f.s))
     divergence = max(max_abs(traj_c.x[:k] - traj_f.x[:k]),
                      max_abs(traj_c.u[:k] - traj_f.u[:k]))
 
-    gs = g.values(points)
-    u = traj_c.u
-    # a non-finite norm raises below, so numpy need not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = (u[:, None, :] @ gs @ u[:, :, None])[:, 0, 0]
+    norms = _metric_norms(g, traj_c.x, traj_c.u)
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
         raise EvalDomainError(
             f"overflow to a non-finite g(u, u) on the geodesic at "
-            f"{points[bad[0]]}", None)
+            f"{chart.point(traj_c.x[bad[0]])}", None)
     if len(traj_c.s) == 1 or len(traj_f.s) == 1:
         raise NumericFaultError(
             f"the geodesic from {start.tolist()} integrated no step of size "

@@ -12,6 +12,8 @@ import math
 import operator
 from itertools import chain
 
+import numpy as np
+
 from .analysis import AnalysisReport
 
 SCHEMA_ID = "metricforms-report/1"
@@ -126,6 +128,8 @@ _FLOAT_FORMAT = ("%.17g", "%.1f")
 # a control character as its \u escape, a quote or backslash behind one
 _ESCAPES = ({c: f"\\u{c:04x}" for c in range(0x20)}
             | {ord("\""): "\\\"", ord("\\"): "\\\\"})
+#: rows of a float array formatted per piece of a streamed document
+ROW_BLOCK = 256
 
 
 def _float_formats(values):
@@ -142,90 +146,132 @@ def _escape(s: str) -> str:
     return '"' + s.translate(_ESCAPES) + '"'
 
 
-def dumps_canonical(obj, indent: int = 0) -> str:
+def _finite(obj) -> bool:
+    """Whether every number of a document is finite."""
+    if isinstance(obj, dict):
+        return all(map(_finite, obj.values()))
+    if isinstance(obj, (list, tuple)):
+        return all(map(_finite, obj))
+    if isinstance(obj, (float, complex, np.ndarray)):
+        return bool(np.isfinite(obj).all())
+    return True
+
+
+def dumps_canonical(obj, indent: int = 0, write=None) -> str | None:
     """Deterministic JSON: insertion-ordered keys, floats at 17 significant
-    digits, two-space indentation.  One pass appends the pieces to one
-    list, joined at the end; a list of floats is one join."""
-    out: list[str] = []
-    _write(obj, indent, out)
-    return "".join(out)
+    digits, two-space indentation.  A 1-D or 2-D float array (an
+    ``np.ndarray``, or a list of floats or of equal-length lists of them)
+    is written as the nested list of its floats, one %-template per
+    ``ROW_BLOCK`` of its rows.
+
+    The pieces are joined and returned; with ``write``, each is passed to
+    it as it is made and nothing is returned, after every number of the
+    document is checked finite, so a refused document writes nothing."""
+    if write is None:
+        out: list[str] = []
+        _write(obj, indent, out.append)
+        return "".join(out)
+    if not _finite(obj):
+        raise ValueError("reports must contain finite numbers")
+    _write(obj, indent, write)
+    return None
 
 
-def _write(obj, indent: int, out: list[str]) -> None:
+def _write(obj, indent: int, emit) -> None:
     if obj is None:
-        out.append("null")
+        emit("null")
     elif obj is True:
-        out.append("true")
+        emit("true")
     elif obj is False:
-        out.append("false")
+        emit("false")
     elif isinstance(obj, str):
-        out.append(_escape(obj))
+        emit(_escape(obj))
     elif isinstance(obj, int):
-        out.append(str(obj))
+        emit(str(obj))
     elif isinstance(obj, float):
-        out.append(next(_float_formats((obj,))) % obj)
+        emit(next(_float_formats((obj,))) % obj)
     elif isinstance(obj, complex):
-        _write([obj.real, obj.imag], indent, out)
+        _write([obj.real, obj.imag], indent, emit)
+    elif isinstance(obj, np.ndarray):
+        if obj.dtype == float and obj.ndim in (1, 2) and obj.size:
+            _write_array(obj, indent, emit)
+        else:
+            _write(obj.tolist(), indent, emit)
     elif isinstance(obj, (list, tuple)):
         if not obj:
-            out.append("[]")
+            emit("[]")
             return
-        if _write_floats(obj, indent, out):
+        if _write_floats(obj, indent, emit):
             return
         inner = "\n" + "  " * (indent + 1)
         sep = "[" + inner
         for v in obj:
-            out.append(sep)
-            _write(v, indent + 1, out)
+            emit(sep)
+            _write(v, indent + 1, emit)
             sep = "," + inner
-        out.append("\n" + "  " * indent + "]")
+        emit("\n" + "  " * indent + "]")
     elif isinstance(obj, dict):
         if not obj:
-            out.append("{}")
+            emit("{}")
             return
         inner = "\n" + "  " * (indent + 1)
         sep = "{" + inner
         for k, v in obj.items():
-            out.append(f"{sep}{_escape(str(k))}: ")
-            _write(v, indent + 1, out)
+            emit(f"{sep}{_escape(str(k))}: ")
+            _write(v, indent + 1, emit)
             sep = "," + inner
-        out.append("\n" + "  " * indent + "}")
+        emit("\n" + "  " * indent + "}")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _write_floats(obj, indent: int, out: list[str]) -> bool:
+def _write_floats(obj, indent: int, emit) -> bool:
     """Write ``obj``, a list of floats or a list of equal-length lists of
-    floats, as ``_write`` does, with one %-template over all its floats,
-    and say whether it did.  It does not when a value is not exactly a
-    float: ``_write`` writes those one at a time."""
-    inner = "\n" + "  " * (indent + 1)
-    close = "\n" + "  " * indent + "]"
+    floats, as the float array of its values, and say whether it did.  It
+    does not when a value is not exactly a float: ``_write`` writes those
+    one at a time."""
     if set(map(type, obj)) <= {list, tuple}:
         width = len(obj[0])
         if not width or set(map(len, obj)) != {width}:
             return False
-        values = list(chain.from_iterable(obj))
-        row = inner + "  "
-        seps = ([f",{row}"] * (width - 1)
-                + [f"{inner}],{inner}[{row}"]) * len(obj)
-        head, close = f"[{inner}[{row}", f"{inner}]{close}"
+        values = chain.from_iterable(obj)
     else:
         values = obj
-        seps = [f",{inner}"] * len(obj)
-        head = f"[{inner}"
     if set(map(type, values)) != {float}:
         return False
-    seps[-1] = close
-    formats = _float_formats(values)        # refuses inf and nan
-    if any(map(float.is_integer, values)):
-        template = head + "".join(chain.from_iterable(zip(formats, seps)))
-    else:
-        # every format is %.17g: one join puts one after the head and
-        # after each separator but the last
-        template = _FLOAT_FORMAT[0].join([head, *seps])
-    out.append(template % tuple(values))
+    _write_array(np.array(obj), indent, emit)
     return True
+
+
+def _write_array(arr: np.ndarray, indent: int, emit) -> None:
+    """Write a non-empty 1-D or 2-D float array as the nested list of its
+    floats, one %-template per ``ROW_BLOCK`` of its rows, filled from a
+    flat list of that block's floats."""
+    inner = "\n" + "  " * (indent + 1)
+    close = "\n" + "  " * indent + "]"
+    if arr.ndim == 1:
+        head, seps = f"[{inner}", [f",{inner}"]
+    else:
+        row = inner + "  "
+        head, close = f"[{inner}[{row}", f"{inner}]{close}"
+        seps = ([f",{row}"] * (arr.shape[1] - 1)
+                + [f"{inner}],{inner}[{row}"])
+    for start in range(0, len(arr), ROW_BLOCK):
+        block = arr[start:start + ROW_BLOCK]
+        values = block.ravel().tolist()
+        after = seps * len(block)
+        if start + ROW_BLOCK >= len(arr):
+            after[-1] = close
+        formats = _float_formats(values)        # refuses inf and nan
+        if any(map(float.is_integer, values)):
+            template = head + "".join(chain.from_iterable(zip(formats,
+                                                              after)))
+        else:
+            # every format is %.17g: one join puts one after the head and
+            # after each separator but the last
+            template = _FLOAT_FORMAT[0].join([head, *after])
+        emit(template % tuple(values))
+        head = ""
 
 
 def report_document(report: AnalysisReport) -> dict:

@@ -2,8 +2,9 @@
 
 ``expr.walk`` is the definition of evaluation; a tape computes the same
 values bit for bit from one compiled Python function, and pays only where
-one read runs thousands of times at points not known in advance, as a
-geodesic right-hand side does.  It stands apart from ``expr`` because,
+one read runs thousands of times at points not known in advance: a
+geodesic right-hand side, and the norm monitor's metric along a
+trajectory.  It stands apart from ``expr`` because,
 without cached bytecode, compiling the largest module sets the memory
 peak of an import.
 """
@@ -49,7 +50,9 @@ class Tape:
     compiled straight-line function, ``run``.  It pays only for a read that
     runs thousands of times at points not known in advance, as a geodesic
     right-hand side does: ``walk`` computes all the sample points of an
-    analysis at once for less than compiling costs.
+    analysis at once for less than compiling costs.  The norm monitor maps
+    ``run`` over the coordinate columns of a block of trajectory points,
+    where a walk would hold one list of values per node for all of them.
 
     With ``state`` true, ``run(x, u)`` is a right-hand side: ``x`` and
     ``u`` are tuples of floats that bind the first and the second half of

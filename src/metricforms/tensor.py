@@ -386,7 +386,8 @@ class MetricField(Tensor):
     def evaluate(self, point: dict[str, float]) -> np.ndarray:
         return self.values([point])[0]
 
-    def values(self, points: list[dict[str, float]]) -> np.ndarray:
+    def values(self, points: list[dict[str, float]],
+               vals: np.ndarray | None = None) -> np.ndarray:
         """The real metric at ``points``, stacked (p, n, n), from one walk
         over all of them: the one place that judges its numbers.  A point
         is read, walked then converted, before the next: on a fault the
@@ -394,13 +395,16 @@ class MetricField(Tensor):
         non-finite value, then TensorError at a non-real one, then
         SingularMetricError at the first point where det g = 0 or
         |det g| < SINGULAR_BOUND * prod_a max_b |g_ab|, a scale-free bound
-        by Hadamard's inequality, compared in logs."""
-        try:
-            vals = values_at(self.comps, points)
-        except MetricFormsError:
-            for point in points:
-                values_at(self.comps, [point])
-            raise
+        by Hadamard's inequality, compared in logs.  ``vals``, the complex
+        values at ``points`` read already (by a tape, bit for bit the
+        walk's), are judged in place of a walk."""
+        if vals is None:
+            try:
+                vals = values_at(self.comps, points)
+            except MetricFormsError:
+                for point in points:
+                    values_at(self.comps, [point])
+                raise
         vals = require_finite(vals, self.comps, "metric", points)
         if max_imag(vals) > 1e-12:
             raise TensorError("metric evaluated to a non-real matrix")

@@ -163,8 +163,9 @@ class TestSessionMemo:
 
 def test_analysis_compiles_only_the_spot_check_right_hand_sides(catalog,
                                                                  monkeypatch):
-    # the session, the inverse check, the metric values and the norm
-    # monitor walk; the two geodesic right-hand sides are compiled
+    # the session, the inverse check and the metric values walk; the two
+    # geodesic right-hand sides are compiled, and so is the norm monitor's
+    # read of the metric along the trajectory
     spec = catalog["schwarzschild"]
     velocity = {f"u'{c}" for c in spec.chart.coords}
     tapes = []
@@ -172,19 +173,26 @@ def test_analysis_compiles_only_the_spot_check_right_hand_sides(catalog,
 
     def spy(tape, roots, args, **kwargs):
         roots = list(roots)
-        tapes.append((set().union(*map(oracles.free_symbols, roots)), args,
-                      kwargs))
+        tapes.append((roots, args, kwargs))
         return init(tape, roots, args, **kwargs)
 
     monkeypatch.setattr(Tape, "__init__", spy)
     run_analysis(spec, n_points=3)
-    assert len(tapes) == 2
+    assert len(tapes) == 3
     # the arguments are the coordinates, then the velocities, in order,
     # and each tape is a right-hand side of that state
     args = spec.chart.coords + tuple(f"u'{c}" for c in spec.chart.coords)
-    assert all(velocity <= symbols <= set(args) and tape_args == args
+    assert all(velocity <= set().union(*map(oracles.free_symbols, roots))
+               <= set(args) and tape_args == args
                and kwargs == {"state": True}
-               for symbols, tape_args, kwargs in tapes)
+               for roots, tape_args, kwargs in tapes[:2])
+    # the monitor's tape: the metric's components, in flat order, in the
+    # coordinates alone
+    roots, tape_args, kwargs = tapes[2]
+    g = spec.metric()
+    assert tape_args == spec.chart.coords and kwargs == {}
+    assert len(roots) == g.comps.size
+    assert all(r is c for r, c in zip(roots, g.comps.flat))
 
 
 def test_library_call_warns_of_no_refused_fold(tmp_path):

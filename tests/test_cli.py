@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import pytest
@@ -85,24 +86,22 @@ SMALL_FILE = ("name small\ndim 4\ncoords a b c d\nsignature 4 0\n"
               + "".join(f"g {k} {k} = 1e-4\n" for k in range(1, 5)))
 
 # constant folding leaves 1e200 * 1e150 unfolded, and it evaluates to inf,
-# so every derived tensor evaluates to inf or nan; each command's message
-# names the first one it evaluates, with its component
+# so every derived tensor evaluates to inf or nan; a session judges the
+# metric at its check points before it reads anything else, so every
+# command names the metric's component
+_METRIC_INF = ("non-finite value in metric component (1, 1) "
+               "'1e+200 * x * y * 1e+150'")
 NON_FINITE_CASES = [
-    (["analyze", "--json"], "non-finite value in forms component"),
-    (["check"], "non-finite value in forms component"),
-    (["classify", "--json"], "non-finite value in curl component"),
-    (["factor", "--json"], "non-finite value in forms component"),
-    # the inverse metric's check of the metric values comes first here
+    (["analyze", "--json"], _METRIC_INF),
+    (["check"], _METRIC_INF),
+    (["classify", "--json"], _METRIC_INF),
+    (["factor", "--json"], _METRIC_INF),
     (["geodesic", "--start", "1,1", "--velocity", "1,0", "--steps", "5",
-      "--json"],
-     "non-finite value in metric component (1, 1) '1e+200 * x * y * 1e+150'"),
+      "--json"], _METRIC_INF),
     # factoring at one point evaluates outside the session
-    (["factor", "--point", "1,1", "--json"],
-     "non-finite value in metric component (1, 1) '1e+200 * x * y * 1e+150'"),
-    (["factor", "--point", "1,1"],
-     "non-finite value in metric component (1, 1) '1e+200 * x * y * 1e+150'"),
-    (["factor", "--point", "1,1", "--strategy", "numeric"],
-     "non-finite value in metric component (1, 1) '1e+200 * x * y * 1e+150'"),
+    (["factor", "--point", "1,1", "--json"], _METRIC_INF),
+    (["factor", "--point", "1,1"], _METRIC_INF),
+    (["factor", "--point", "1,1", "--strategy", "numeric"], _METRIC_INF),
 ]
 
 
@@ -445,6 +444,39 @@ class TestGeodesic:
                              "--start", "5,0.4", "--velocity", "0,1")
         assert code == EXIT_NUMERIC
 
+    def test_metric_fault_on_the_path_writes_nothing(self, capsys, tmp_path):
+        # g is non-real in the band |u - 0.5| < 0.01, which no check point
+        # reaches; the norm monitor meets it along the trajectory
+        path = tmp_path / "band.metric"
+        path.write_text(GOOD_FILE.replace(
+            "1 + k * u^2", "1 + sqrt((u - 0.5)^2 - 0.0001) / 1000"))
+        argv = ["geodesic", str(path), "--start", "0.48,0", "--velocity",
+                "1,0", "--step-size", "0.001", "--json"]
+        code, out, err = run(capsys, *argv, "--steps", "5")
+        assert (code, err) == (EXIT_OK, "") and json.loads(out)
+        code, out, err = run(capsys, *argv, "--steps", "40")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "input error: metric evaluated to a non-real matrix\n"
+
+    def test_long_json_call_allocates_at_most_3_mb(self):
+        # the trajectories are held once, as float arrays, from the RK4 loop
+        # to the streamed document: one 2,500-step call, its output in a
+        # StringIO, allocates at most 3 MB at its traced peak
+        argv = ["geodesic", "schwarzschild", "--steps", "2500",
+                "--step-size", "0.001", "--start", "5.0,1.3,1.0,-1.8",
+                "--velocity", "0.12,0.03,0.06,1.3", "--json"]
+        buf = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(buf):
+                code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert len(json.loads(buf.getvalue())["s"]) == 2501
+        assert peak <= 3.0e6, f"traced peak {peak / 1e6:.2f} MB"
+
 
 class TestErrors:
     def test_unknown_metric_is_input_error(self, capsys):
@@ -545,6 +577,30 @@ g 2 2 = 1
         assert got == code
         assert re.fullmatch(message + "\n", err), err
         assert "sample point" not in err
+
+    # a session judges the metric at its check points before it reads
+    # anything else, so a fault of the metric's values is named at the same
+    # point, in the same words, whichever command meets it
+    @pytest.mark.parametrize("name", [*METRIC_FAULTS, "overflow-4",
+                                      "nan-product"])
+    def test_session_commands_name_one_metric_fault_alike(self, capsys,
+                                                          tmp_path, name):
+        text, point = {
+            **{k: (v[0], v[1]) for k, v in METRIC_FAULTS.items()},
+            "overflow-4": (overflow_text(OVERFLOWING_G11[4]), "1,0"),
+            "nan-product": (overflow_text("1 + 1e200*1e200*x*0"), "1,0"),
+        }[name]
+        path = tmp_path / f"{name}.metric"
+        path.write_text(text)
+        outcomes = {tuple(argv): run(capsys, argv[0], str(path), *argv[1:])
+                    for argv in (["check"], ["analyze", "--json"],
+                                 ["classify", "--json"], ["factor", "--json"],
+                                 ["geodesic", "--start", point, "--velocity",
+                                  "1,0", "--steps", "5", "--json"])}
+        assert len(set(outcomes.values())) == 1, outcomes
+        code, out, err = outcomes[("check",)]
+        assert code in (EXIT_INPUT, EXIT_NUMERIC) and out == ""
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["check"], ["classify"], ["factor", "--point", "0,0,0,0",

@@ -684,7 +684,7 @@ def test_rk4_loop_matches_tuple_state_loop(rhs_sessions, target):
                 rhs, s.chart, start, velocity, 60, 0.01))
             assert isinstance(want[0], list)
             assert _rk4_outcome(lambda: geo._rk4(
-                rhs, s.chart, start, velocity, 60, 0.01)[0]) == want
+                rhs, s.chart, start, velocity, 60, 0.01)) == want
 
 
 def test_rk4_loop_leaves_the_chart_where_the_tuple_state_loop_does(
@@ -696,7 +696,7 @@ def test_rk4_loop_leaves_the_chart_where_the_tuple_state_loop_does(
                                             200, 0.01))
     assert want[2] is True and 1 < want[1][0] < 201
     assert _rk4_outcome(lambda: geo._rk4(rhs, s.chart, start, velocity,
-                                         200, 0.01)[0]) == want
+                                         200, 0.01)) == want
 
 
 # a falling body du/ds = -g, with a log(x) term of no weight that faults
@@ -724,7 +724,7 @@ def test_rk4_stage_fault_raises_what_the_walk_raises(stage, u0, g):
         == "log of non-positive real in 'log(x)'"
     assert err.value.subexpr is walked.value.subexpr is log
     assert _rk4_outcome(lambda: geo._rk4(run, chart, [1.0], [u0], 5,
-                                         1.0)[0]) \
+                                         1.0)) \
         == _rk4_outcome(lambda: oracles.rk4(run, chart, [1.0], [u0], 5, 1.0))
 
 
@@ -775,6 +775,82 @@ def test_metric_non_real_on_the_path_raises(rhs_sessions):
                            s.sym_partial, s.forms_raised,
                            np.array([0.05, 0.0]), np.array([-1.0, 0.0]),
                            20, 0.01)
+
+
+# a metric of the plane that is regular at x in (0, 1), y > 0 and faults
+# at rows planted in a trajectory: non-finite at x >= 1e10 (1e300 x^2
+# overflows), non-real at y < 0, singular at x = y = 0 and a walk fault
+# (division by zero) at x = 5.  A planted row but a singular one names
+# its index, so a message tells two rows of one kind apart.
+_PLANTED = {"non-finite": lambda at: (1e10 + at, 1.0),
+            "non-real": lambda at: (0.5, -1.0 - at),
+            "singular": lambda at: (0.0, 0.0),
+            "walk": lambda at: (5.0, 1.0 + at)}
+
+
+def _planted_metric():
+    x, y = ex.sym("x"), ex.sym("y")
+    comps = np.array(
+        [[ex.add(ex.mul(1e300, x, x), ex.sqrt(y)), ex.ZERO],
+         [ex.ZERO, ex.div(ex.ONE, ex.add(x, -5))]], dtype=object)
+    return MetricField(Chart(("x", "y"), (1, 1), ((-1e11, 1e11),) * 2),
+                       comps)
+
+
+def _planted_rows(faults):
+    """Three and a half monitor blocks of regular rows, with the row of
+    each planted fault kind at its index."""
+    k = np.arange(int(3.5 * geo.MONITOR_BLOCK))
+    rows = np.stack([0.25 + 0.5 * k / len(k), 1.0 + k / len(k)], axis=1)
+    for kind, at in faults:
+        rows[at] = _PLANTED[kind](at)
+    return rows
+
+
+def _raised(read):
+    try:
+        read()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_B = geo.MONITOR_BLOCK
+
+
+@pytest.mark.parametrize("faults", [
+    [("singular", 3)],
+    [("singular", 2 * _B + 1), ("non-finite", 3 * _B)],
+    [("non-real", _B + 9)],
+    [("non-finite", 3 * _B + 2)],
+    [("walk", 2 * _B - 1)],
+    # a later kind in a later block outranks an earlier kind
+    [("singular", 10), ("non-finite", _B + 5)],
+    [("singular", 2), ("non-real", 3)],
+    [("non-real", 7), ("non-finite", 2 * _B + 7)],
+    [("singular", 1), ("non-real", _B), ("non-finite", 3 * _B + 1)],
+    [("non-finite", 5), ("walk", 2 * _B + 7)],
+    # the same kind in two blocks: the first point is named
+    [("non-finite", _B + 1), ("non-finite", 4)],
+    [("walk", 3 * _B + 3), ("walk", 2 * _B - 2), ("singular", 0)],
+], ids=lambda faults: "+".join(f"{kind}@{at}" for kind, at in faults))
+def test_monitor_judges_a_trajectory_as_one_read_of_its_points(faults):
+    g = _planted_metric()
+    rows = _planted_rows(faults)
+    u = np.ones_like(rows)
+    want = _raised(lambda: g.values([g.chart.point(r) for r in rows]))
+    assert want is not None
+    assert _raised(lambda: geo._metric_norms(g, rows, u)) == want
+
+
+def test_monitor_norms_are_the_per_point_products():
+    g = _planted_metric()
+    rows = _planted_rows([])
+    u = np.stack([np.linspace(-1, 1, len(rows)), np.full(len(rows), 0.5)],
+                 axis=1)
+    gs = g.values([g.chart.point(r) for r in rows])
+    want = [float(v @ gv @ v) for gv, v in zip(gs, u)]
+    np.testing.assert_array_equal(geo._metric_norms(g, rows, u), want)
 
 
 # ---------------------------------------------------------------------------

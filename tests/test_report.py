@@ -150,3 +150,39 @@ def test_geodesic_document_reads_back_to_the_same_bytes(capsys):
     assert len(doc["classical"]["x"]) == 101
     assert dumps_canonical(doc) == out.rstrip("\n")
     assert oracles.dumps_canonical(doc) == out.rstrip("\n")
+
+
+_B = report.ROW_BLOCK
+
+
+@pytest.mark.parametrize("rows", [1, 2, _B - 1, _B, _B + 1, 2 * _B + 3])
+@pytest.mark.parametrize("width", [None, 1, 4])
+def test_streamed_array_is_the_text_of_its_nested_list(rows, width):
+    # a float array, streamed a block of rows at a time, is written as the
+    # nested list of its floats; integral values take %.1f in any block
+    shape = (rows,) if width is None else (rows, width)
+    rng = np.random.default_rng(rows)
+    arr = rng.normal(size=shape) * 10.0 ** rng.integers(-5, 18, size=shape)
+    arr.flat[::7] = np.round(arr.flat[::7])
+    doc = {"name": "array", "a": arr, "rest": [arr[:2], -0.0, 3]}
+    pieces = []
+    assert dumps_canonical(doc, 1, write=pieces.append) is None
+    want = oracles.dumps_canonical(
+        {"name": "array", "a": arr.tolist(),
+         "rest": [arr[:2].tolist(), -0.0, 3]}, 1)
+    assert "".join(pieces) == dumps_canonical(doc, 1) == want
+    # one piece per block of rows, not one per number
+    assert len(pieces) < 20 + 2 * (rows // _B + 1)
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": np.array([[1.0, 2.0], [3.0, math.nan]]), "b": 1.0},
+    {"a": np.ones((3 * _B, 2)), "b": math.inf},
+    {"a": np.ones(2 * _B), "b": [np.full(3, -math.inf)]},
+    {"a": np.ones(2), "b": complex(0.0, math.nan)}])
+def test_streamed_document_with_a_non_finite_number_writes_nothing(doc):
+    pieces = []
+    with pytest.raises(ValueError, match="^reports must contain finite "
+                                         "numbers$"):
+        dumps_canonical(doc, write=pieces.append)
+    assert pieces == []

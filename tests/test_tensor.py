@@ -282,13 +282,14 @@ def test_the_metric_is_judged_in_one_place():
 
 
 def test_tapes_are_compiled_only_where_they_run_many_times():
-    # the two geodesic right-hand sides, called thousands of times; every
-    # other read walks its points at once
+    # the two geodesic right-hand sides, called thousands of times, and the
+    # norm monitor's read of the metric at every point of a trajectory;
+    # every other read walks its points at once
     calls, functions = _calls_by_function()
     assert [(scope, len(call.args), [k.arg for k in call.keywords])
             for scope, call in calls
             if ast.unparse(call.func) in ("Tape", "ex.Tape")] \
-        == [("_rhs", 2, ["state"])]
+        == [("_rhs", 2, ["state"]), ("_metric_norms", 2, [])]
     # a right-hand side is the state tape's compiled function itself, with
     # no Python function around it
     assert not {f for f in functions if f.startswith("_rhs.")}
