@@ -29,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chart import Chart
+from .derivative import tangents
 from .errors import ChartError, NumericFaultError
 from .expr import Expr, walk
 from .factorization import (
@@ -84,24 +85,24 @@ class GeometrySession:
 
     Only the symbolic objects of the rule (module docstring) pass through
     ``vals``: one walk of a tensor at all the points, cached per tensor,
-    over one memo from node to values that the tangents read too.  Nodes
-    are interned, so each distinct subtree is computed once per point.
-    Every other object is an array at the points, built by ``_checked``
-    under its own name.  The symbolic builders share one differentiator
-    per coordinate, ``diff``, so no (node, coordinate) pair is
-    differentiated twice, and the contractions several of them read
-    (``sym_partial``, ``forms_raised``) are built once.  Checks judge at
-    the scaled tolerances ``tol``.
+    over one memo from node to values that the tangents (``_gradient``,
+    computed on demand, not cached) read too.  Nodes are interned, so each
+    distinct subtree is computed once per point.  Every other object is an
+    array at the points, built by ``_checked`` under its own name from what
+    ``vals`` and ``_gradient`` read: no builder reads at the points.  The
+    symbolic builders share one differentiator per coordinate, ``diff``,
+    so no (node, coordinate) pair is differentiated twice, and the
+    contractions several of them read (``sym_partial``, ``forms_raised``)
+    are built once.  Checks judge at the scaled tolerances ``tol``.
     """
 
     def __init__(self, spec: ManifoldSpec, strategy: str = "auto",
                  seed: int = DEFAULT_SEED, n_points: int = DEFAULT_POINTS,
-                 constants: dict[str, float] | None = None,
                  tol_scale: float = 1.0):
         self.spec = spec
         self.seed = seed
         self.tol = Tolerances(*(tol * tol_scale for tol in Tolerances()))
-        self.metric = spec.metric(constants)
+        self.metric = spec.metric()
         self.chart: Chart = spec.chart
         if n_points < 1:
             raise ChartError("at least one sample point is required")
@@ -175,7 +176,7 @@ class GeometrySession:
     def sym_deriv(self) -> np.ndarray:
         """S via the direct covariant route."""
         return self._checked("sym_deriv", geo.sym_covariant_derivative,
-                             self.forms, self.conn, self.points, self._memo)
+                             *self._covariant(self.forms, 1))
 
     @cached_property
     def sym_deriv_alt(self) -> np.ndarray:
@@ -191,8 +192,8 @@ class GeometrySession:
 
     @cached_property
     def precurrent(self) -> np.ndarray:
-        return self._checked("precurrent", geo.precurrents, self.curl,
-                             self.conn, self.points, self._memo)
+        return self._checked("precurrent", geo.precurrents,
+                             *self._covariant(self.curl, 1))
 
     @cached_property
     def current(self) -> np.ndarray:
@@ -223,15 +224,16 @@ class GeometrySession:
     @cached_property
     def einstein_divergence(self) -> np.ndarray:
         """nabla^b G_ab at the points, stacked: numeric, from tangents of
-        G and the values of this session's memo."""
+        G."""
         return self._checked("einstein_divergence",
-                             geo.covariant_divergence_sym2, self.einstein,
-                             self.conn, self.g_inv, self.points, self._memo)
+                             geo.covariant_divergence_sym2,
+                             *self._covariant(self.einstein),
+                             self.vals(self.g_inv))
 
     @cached_property
     def metric_compat(self) -> np.ndarray:
         return self._checked("metric_compat", geo.metric_compatibility,
-                             self.metric, self.conn, self.points, self._memo)
+                             *self._covariant(self.metric))
 
     @cached_property
     def lie_deriv(self) -> np.ndarray:
@@ -283,14 +285,25 @@ class GeometrySession:
         return "a derived tensor"
 
     def _gradient(self, tensor: Tensor, labels: int = 0) -> np.ndarray:
-        """``geometry.gradient`` of a symbolic object at the points."""
-        return geo.gradient(tensor.comps, self.points, self.chart.coords,
-                            self._memo, labels)
+        """d[p, labels..., k, slots...] = d_k tensor[labels..., slots...] at
+        the points, from ``derivative.tangents`` over this session's memo:
+        the derivative slot follows the leading ``labels`` axes."""
+        comps = tensor.comps
+        d = tangents(comps.flat, self.points, self.chart.coords, self._memo)
+        d = d.reshape(*comps.shape, self.chart.dim, len(self.points))
+        return np.moveaxis(d, (-1, -2), (0, labels + 1))
+
+    def _covariant(self, tensor: Tensor, labels: int = 0) -> tuple:
+        """The values of ``tensor``, its tangents and Gamma^c_ab, as
+        ``geometry.covariant_derivative`` takes them."""
+        return (self.vals(tensor), self._gradient(tensor, labels),
+                self.vals(self.conn.mixed))
 
     @cached_property
     def metric_vals(self) -> np.ndarray:
-        """Stacked metric values, real and regular."""
-        return self.metric.values(self.points)
+        """The metric's ``vals``, judged real and regular by
+        ``MetricField.values``."""
+        return self.metric.values(self.points, self.vals(self.metric))
 
     # -- checks: reductions over stacked values -------------------------------
 
@@ -314,10 +327,9 @@ class GeometrySession:
         return geo.classify_flatness(self.vals(self.curl), self.riemann_lower,
                                      self.tol.second, self.tol.second)
 
-    def geodesic_spot_check(self, steps: int = GEODESIC_SPOT_STEPS,
-                            h: float = GEODESIC_SPOT_STEP_SIZE
-                            ) -> GeodesicComparison:
-        """Short two-route integration from the domain midpoint along the
+    def geodesic_spot_check(self) -> GeodesicComparison:
+        """Two-route integration of ``GEODESIC_SPOT_STEPS`` steps of
+        ``GEODESIC_SPOT_STEP_SIZE`` from the domain midpoint along the
         normalized first coordinate direction."""
         mid = self.chart.midpoint()
         start = np.array([mid[c] for c in self.chart.coords])
@@ -331,7 +343,8 @@ class GeometrySession:
         return geo.integrate_geodesic(self.metric, self.g_inv, self.conn,
                                       self.forms, self.curl, self.sym_partial,
                                       self.forms_raised, start, velocity,
-                                      steps, h)
+                                      GEODESIC_SPOT_STEPS,
+                                      GEODESIC_SPOT_STEP_SIZE)
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +420,10 @@ def _interchange_residual(vals: np.ndarray) -> float:
 
 def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
                  seed: int = DEFAULT_SEED, n_points: int = DEFAULT_POINTS,
-                 tol_scale: float = 1.0,
-                 constants: dict[str, float] | None = None) -> AnalysisReport:
+                 tol_scale: float = 1.0) -> AnalysisReport:
     """Build all derived objects and measure every identity of the suite."""
     started = time.perf_counter()
-    session = GeometrySession(spec, strategy, seed, n_points, constants,
-                              tol_scale)
+    session = GeometrySession(spec, strategy, seed, n_points, tol_scale)
     tol = session.tol
     rows: list[IdentityRow] = []
 

@@ -2,6 +2,10 @@
 
 Exit codes: 0 all checks pass, 2 identity failure, 3 input error,
 4 numeric fault (singular metric, pivot failure, non-convergence).
+
+Each handler returns its verdict, the exit code, and a writer of its
+output: when the reader of stdout closes it before the output ends, the
+rest is dropped and the exit code is still that verdict.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ import argparse
 import csv
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -82,6 +87,11 @@ def _parse_vector(text: str, dim: int, what: str) -> np.ndarray:
     return vec
 
 
+def _lines(*lines: str):
+    """A writer of ``lines`` to stdout, each ended by a newline."""
+    return lambda: sys.stdout.write("".join(f"{line}\n" for line in lines))
+
+
 def _complex_cell(value: complex) -> str:
     if abs(value.imag) < 1e-300:
         return f"{value.real:.12g}"
@@ -89,7 +99,7 @@ def _complex_cell(value: complex) -> str:
     return f"{value.real:.12g}{sign}{abs(value.imag):.12g}i"
 
 
-def cmd_factor(args) -> int:
+def cmd_factor(args) -> tuple:
     spec = get_manifold(args.metric)
     strategy = args.strategy
     if strategy == "numeric" and args.point is None:
@@ -120,17 +130,16 @@ def cmd_factor(args) -> int:
                                    for c in row] for row in v],
                 "residual": float(residual),
             }
-            print(dumps_canonical(doc))
-        else:
-            print(f"V at {env} ({strategy} strategy), rows are "
-                  "coordinate index a, columns form index I:")
-            for row in v:
-                print("  [" + ", ".join(_complex_cell(c) for c in row) + "]")
-            print(f"reconstruction residual |V Vt - g| = {residual:.3e}")
-        return EXIT_OK
+            return EXIT_OK, _lines(dumps_canonical(doc))
+        return EXIT_OK, _lines(
+            f"V at {env} ({strategy} strategy), rows are coordinate index "
+            "a, columns form index I:",
+            *("  [" + ", ".join(map(_complex_cell, row)) + "]" for row in v),
+            f"reconstruction residual |V Vt - g| = {residual:.3e}")
     session = GeometrySession(spec, strategy=strategy, seed=args.seed,
                               n_points=args.points)
     forms, check = session.forms, session.factorization
+    code = EXIT_OK if check.passed else EXIT_IDENTITY
     if args.json:
         doc = {
             "manifold": spec.name,
@@ -140,48 +149,46 @@ def cmd_factor(args) -> int:
             "min_abs_det": check.min_abs_det,
             "pass": check.passed,
         }
-        print(dumps_canonical(doc))
-    else:
-        print(f"form set for {spec.name} ({forms.strategy} strategy), "
-              "components A[I][a]:")
-        for i, row in enumerate(forms.comps, start=1):
-            rendered = ", ".join(to_source(c) for c in row)
-            print(f"  A_{i} = [{rendered}]")
-        if forms.permutation:
-            print(f"  pivot permutation: {forms.permutation}")
-        print(f"reconstruction residual over {len(session.points)} points: "
-              f"{check.max_residual:.3e}  min |det A|: "
-              f"{check.min_abs_det:.3e}  "
-              f"{'PASS' if check.passed else 'FAIL'}")
-    return EXIT_OK if check.passed else EXIT_IDENTITY
+        return code, _lines(dumps_canonical(doc))
+    return code, _lines(
+        f"form set for {spec.name} ({forms.strategy} strategy), "
+        "components A[I][a]:",
+        *(f"  A_{i} = [{', '.join(map(to_source, row))}]"
+          for i, row in enumerate(forms.comps, start=1)),
+        *([f"  pivot permutation: {forms.permutation}"]
+          if forms.permutation else []),
+        f"reconstruction residual over {len(session.points)} points: "
+        f"{check.max_residual:.3e}  min |det A|: {check.min_abs_det:.3e}  "
+        f"{'PASS' if check.passed else 'FAIL'}")
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple:
     spec = get_manifold(args.metric)
     report = run_analysis(spec, strategy=args.strategy, seed=args.seed,
                           n_points=args.points, tol_scale=args.tol_scale)
-    sys.stdout.write(render_json(report) if args.json
-                     else render_human(report))
-    return EXIT_OK if report.overall_pass else EXIT_IDENTITY
+    text = render_json(report) if args.json else render_human(report)
+    return (EXIT_OK if report.overall_pass else EXIT_IDENTITY,
+            lambda: sys.stdout.write(text))
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple:
     spec = get_manifold(args.metric)
     report = run_analysis(spec, strategy=args.strategy, seed=args.seed,
                           n_points=args.points, tol_scale=args.tol_scale)
-    for row in report.identities:
-        if row.asserted:
-            print(f"{'PASS' if row.passed else 'FAIL'}  {row.name}  "
-                  f"{row.residual:.3e} <= {row.tolerance:.1e}")
-    print(f"{'PASS' if report.overall_pass else 'FAIL'}  overall")
-    return EXIT_OK if report.overall_pass else EXIT_IDENTITY
+    return EXIT_OK if report.overall_pass else EXIT_IDENTITY, _lines(
+        *(f"{'PASS' if row.passed else 'FAIL'}  {row.name}  "
+          f"{row.residual:.3e} <= {row.tolerance:.1e}"
+          for row in report.identities if row.asserted),
+        f"{'PASS' if report.overall_pass else 'FAIL'}  overall")
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple:
     spec = get_manifold(args.metric)
     session = GeometrySession(spec, strategy=args.strategy, seed=args.seed,
                               n_points=args.points)
     verdict = session.classification
+    code = (EXIT_OK if verdict.verdict != geo.VERDICT_INCONSISTENT
+            else EXIT_IDENTITY)
     if args.json:
         doc = {
             "manifold": spec.name,
@@ -190,14 +197,11 @@ def cmd_classify(args) -> int:
             "max_riemann": verdict.r_max,
             "note": verdict.note,
         }
-        print(dumps_canonical(doc))
-    else:
-        print(verdict.line(spec.name))
-    return EXIT_OK if verdict.verdict != geo.VERDICT_INCONSISTENT \
-        else EXIT_IDENTITY
+        return code, _lines(dumps_canonical(doc))
+    return code, _lines(verdict.line(spec.name))
 
 
-def cmd_geodesic(args) -> int:
+def cmd_geodesic(args) -> tuple:
     spec = get_manifold(args.metric)
     session = GeometrySession(spec, strategy=args.strategy, seed=args.seed,
                               n_points=3)
@@ -210,6 +214,9 @@ def cmd_geodesic(args) -> int:
         velocity, args.steps, args.step_size)
     if args.out:
         _write_trajectory_csv(args.out, chart, comparison)
+    ok = (comparison.divergence <= session.tol.geodesic
+          and comparison.norm_drift <= session.tol.geodesic)
+    code = EXIT_OK if ok else EXIT_IDENTITY
     if args.json:
         doc = {
             "manifold": spec.name,
@@ -222,20 +229,19 @@ def cmd_geodesic(args) -> int:
             "route_divergence": comparison.divergence,
             "norm_drift": comparison.norm_drift,
         }
-        # streamed: the trajectories are formatted from their arrays
-        dumps_canonical(doc, write=sys.stdout.write)
-        sys.stdout.write("\n")
-    else:
-        print(f"integrated {len(comparison.classical.s) - 1} steps"
-              + (" (truncated at domain edge)"
-                 if comparison.classical.exited_domain else ""))
-        print(f"route divergence {comparison.divergence:.3e}   "
-              f"norm drift {comparison.norm_drift:.3e}")
-        if args.out:
-            print(f"trajectory written to {args.out}")
-    ok = (comparison.divergence <= session.tol.geodesic
-          and comparison.norm_drift <= session.tol.geodesic)
-    return EXIT_OK if ok else EXIT_IDENTITY
+
+        def stream():
+            # the trajectories are formatted from their arrays
+            dumps_canonical(doc, write=sys.stdout.write)
+            sys.stdout.write("\n")
+        return code, stream
+    return code, _lines(
+        f"integrated {len(comparison.classical.s) - 1} steps"
+        + (" (truncated at domain edge)"
+           if comparison.classical.exited_domain else ""),
+        f"route divergence {comparison.divergence:.3e}   "
+        f"norm drift {comparison.norm_drift:.3e}",
+        *([f"trajectory written to {args.out}"] if args.out else []))
 
 
 def _trajectory_doc(traj: geo.Trajectory) -> dict:
@@ -332,7 +338,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
-        return args.handler(args)
+        code, write = args.handler(args)
+        try:
+            write()
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout early: the rest goes to os.devnull,
+            # where the interpreter's last flush cannot fail as well
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return code
     except (ZeroPivotError, SingularMetricError, NumericFaultError,
             EvalDomainError, np.linalg.LinAlgError) as exc:
         print(f"numeric fault: {exc}", file=sys.stderr)

@@ -27,10 +27,12 @@ geodesic right-hand sides read g^-1, A, A^c, P = sym dA, F and Gamma),
 another symbolic object is built from it (Gamma_cab, R^a_bcd, Ric and
 the scalar).  Everything else is read only at the sample points, so it
 is numeric: ``np.einsum`` over the values of symbolic objects, stacked on
-a leading point axis, with coordinate derivatives from forward-mode
-tangents at the points (``gradient``).  One ``covariant_derivative``
-serves S, nabla g, the pre-currents and the divergence of G.  No second
-derivative of the forms and no third derivative is built.
+a leading point axis, and over their coordinate derivatives, the
+forward-mode tangents at the points.  The session reads both and hands
+them in; no builder here reads at the points.  One
+``covariant_derivative`` serves S, nabla g, the pre-currents and the
+divergence of G.  No second derivative of the forms and no third
+derivative is built.
 
 Builders that differentiate symbolically take ``diff``, one
 differentiator per coordinate (``differentiators``); a session hands
@@ -57,7 +59,7 @@ import numpy as np
 from .chart import Chart
 from .errors import EvalDomainError, MetricFormsError, NumericFaultError
 from . import expr as ex
-from .derivative import Differentiator, tangents
+from .derivative import Differentiator
 from .expr import Expr
 from .factorization import FormSet
 from .tape import Tape
@@ -67,7 +69,6 @@ from .tensor import (
     einsum,
     elementwise,
     max_abs,
-    values_at,
 )
 
 #: residual tolerances by derivative depth of the identity being checked
@@ -142,40 +143,28 @@ def exterior_derivative(forms: FormSet, diff=None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# objects read at the points
+# objects computed at the points
 # ---------------------------------------------------------------------------
 
-def gradient(comps: np.ndarray, points: list[dict[str, float]], coords,
-             known: dict | None = None, labels: int = 0) -> np.ndarray:
-    """d[p, labels..., k, slots...] = d_k comps[labels..., slots...] at
-    each of ``points``, stacked, from ``derivative.tangents`` (``known``
-    seeds its walk): the derivative slot follows the leading ``labels``
-    axes."""
-    d = tangents(comps.flat, points, coords, known)
-    d = d.reshape(*comps.shape, len(coords), len(points))
-    return np.moveaxis(d, (-1, -2), (0, labels + 1))
-
-
-def covariant_derivative(t: Tensor, conn: Connection,
-                         points: list[dict[str, float]],
-                         known: dict | None = None,
+def covariant_derivative(t: np.ndarray, dt: np.ndarray, gm: np.ndarray,
                          labels: int = 0) -> np.ndarray:
-    """nabla[p, labels..., c, slots...] = nabla_c t at each of ``points``,
-    stacked: d_c t from ``gradient``, less one term per lower slot x,
+    """nabla[p, labels..., c, slots...] = nabla_c t from stacked values
+    t[p, labels..., slots...], their tangents dt[p, labels..., c,
+    slots...] = d_c t and gm[p,c,a,b] = Gamma^c_ab: d_c t less one term
+    per lower slot x,
 
         Gamma^e_cx t[..., e, ...]    (e in the place of x)
 
     in slot order, the leading ``labels`` axes (a form index) taking
-    none; the values of t and Gamma^c_ab read over the memo ``known``."""
-    nabla = gradient(t.comps, points, conn.chart.coords, known, labels)
-    tv, gm = (values_at(x, points, known) for x in (t.comps, conn.mixed.comps))
+    none."""
     # einsum sublists: the point, the derivative slot, the summed e, then
     # t's own axes
-    p, c, e, *axes = range(3 + t.comps.ndim)
+    p, c, e, *axes = range(2 + t.ndim)
     out = [p, *axes[:labels], c, *axes[labels:]]
+    nabla = dt
     for k in range(labels, len(axes)):
         nabla = nabla - np.einsum(gm, [p, e, c, axes[k]],
-                                  tv, [p, *axes[:k], e, *axes[k + 1:]], out)
+                                  t, [p, *axes[:k], e, *axes[k + 1:]], out)
     return nabla
 
 
@@ -214,12 +203,12 @@ def _antisym_last(vals: np.ndarray) -> np.ndarray:
     return upper - np.swapaxes(upper, -1, -2)
 
 
-def sym_covariant_derivative(forms: FormSet, conn: Connection,
-                             points: list[dict[str, float]],
-                             known: dict | None = None) -> np.ndarray:
-    """S[p,I,a,b] = sym part of nabla_a A_Ib at each of ``points``, via the
-    classical connection (``covariant_derivative``)."""
-    nabla = covariant_derivative(forms, conn, points, known, 1)
+def sym_covariant_derivative(a: np.ndarray, da: np.ndarray,
+                             gm: np.ndarray) -> np.ndarray:
+    """S[p,I,a,b] = sym part of nabla_a A_Ib from stacked values of the
+    forms, their tangents and the classical Gamma^c_ab
+    (``covariant_derivative``)."""
+    nabla = covariant_derivative(a, da, gm, 1)
     return (nabla + np.swapaxes(nabla, -1, -2)) * 0.5
 
 
@@ -241,15 +230,14 @@ def sym_trace(s: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
     return np.einsum("pab,piab->pi", g_inv, s)
 
 
-def precurrents(f: Tensor, conn: Connection,
-                points: list[dict[str, float]],
-                known: dict | None = None) -> np.ndarray:
-    """J[p,I,a,b,c] = nabla_a F_Ibc at each of ``points``, stacked
-    (``covariant_derivative`` with the classical connection).  The pair
+def precurrents(f: np.ndarray, df: np.ndarray,
+                gm: np.ndarray) -> np.ndarray:
+    """J[p,I,a,b,c] = nabla_a F_Ibc from stacked values of F, its tangents
+    and the classical Gamma^c_ab (``covariant_derivative``).  The pair
     antisymmetry in (b,c) is structural (``_antisym_last``); the cyclic
     identity over (a,b,c) holds because dF = ddA = 0, checked downstream.
     """
-    return _antisym_last(covariant_derivative(f, conn, points, known, 1))
+    return _antisym_last(covariant_derivative(f, df, gm, 1))
 
 
 def currents(j_pre: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
@@ -374,23 +362,21 @@ def ricci_einstein_factored(a: np.ndarray, f: np.ndarray, s: np.ndarray,
                              t_sym, t_form + t_current + t_sym)
 
 
-def covariant_divergence_sym2(t: Tensor, conn: Connection, g_inv: Tensor,
-                              points: list[dict[str, float]],
-                              known: dict | None = None) -> np.ndarray:
-    """div[p,a] = g^bc nabla_c t_ab at each of ``points``, stacked, for a
-    symmetric rank-2 lower tensor (``covariant_derivative``); no
-    derivative of t is built."""
-    return np.einsum("pbc,pcab->pa", values_at(g_inv.comps, points, known),
-                     covariant_derivative(t, conn, points, known))
+def covariant_divergence_sym2(t: np.ndarray, dt: np.ndarray,
+                              gm: np.ndarray, g_inv: np.ndarray
+                              ) -> np.ndarray:
+    """div[p,a] = g^bc nabla_c t_ab from stacked values of a symmetric
+    rank-2 lower tensor, its tangents, Gamma^c_ab and g^-1
+    (``covariant_derivative``); no derivative of t is built."""
+    return np.einsum("pbc,pcab->pa", g_inv, covariant_derivative(t, dt, gm))
 
 
-def metric_compatibility(g: MetricField, conn: Connection,
-                         points: list[dict[str, float]],
-                         known: dict | None = None) -> np.ndarray:
-    """nabla[p,c,a,b] = nabla_c g_ab at each of ``points``
-    (``covariant_derivative``), identically zero for a Levi-Civita
-    connection."""
-    return covariant_derivative(g, conn, points, known)
+def metric_compatibility(g: np.ndarray, dg: np.ndarray,
+                         gm: np.ndarray) -> np.ndarray:
+    """nabla[p,c,a,b] = nabla_c g_ab from stacked values of g, its
+    tangents and Gamma^c_ab (``covariant_derivative``), identically zero
+    for a Levi-Civita connection."""
+    return covariant_derivative(g, dg, gm)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +387,8 @@ def lie_derivative_metric(g: np.ndarray, dg: np.ndarray, a_up: np.ndarray,
                           da_up: np.ndarray) -> np.ndarray:
     """(L_{A_I} g)_ab = A^c d_c g_ab + g_cb d_a A^c + g_ac d_b A^c from
     stacked values, with A_I^c = ``raise_forms`` and the coordinate
-    derivatives dg[p,c,a,b] = d_c g_ab and da_up[p,I,a,c] = d_a A_I^c from
-    ``gradient`` (no connection)."""
+    derivatives dg[p,c,a,b] = d_c g_ab and da_up[p,I,a,c] = d_a A_I^c, their
+    tangents (no connection)."""
     return (np.einsum("pic,pcab->piab", a_up, dg)
             + np.einsum("pcb,piac->piab", g, da_up)
             + np.einsum("pac,pibc->piab", g, da_up))

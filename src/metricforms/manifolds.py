@@ -47,36 +47,21 @@ class ManifoldSpec:
     name: str
     chart: Chart
     metric_source: dict[tuple[int, int], str]   # 0-based upper triangle
+    metric_entries: dict[tuple[int, int], Expr]  # the same, parsed once
     constants: dict[str, float] = field(default_factory=dict)
     expected_verdict: str | None = None
     expected_flat: bool | None = None           # does the curvature vanish?
     references: tuple[ReferenceValue, ...] = ()
 
-    def metric(self, constants: dict[str, float] | None = None) -> MetricField:
-        """Parse the stored components with the constants bound."""
-        binding = self.bound_constants(constants)
+    def metric(self) -> MetricField:
+        """The metric of the components the loader parsed."""
         comps = np.full((self.chart.dim,) * 2, ex.ZERO, dtype=object)
-        for (a, b), source in self.metric_source.items():
-            comps[a, b] = parse_expr(source, self.chart, binding)
+        for (a, b), entry in self.metric_entries.items():
+            comps[a, b] = entry
         return MetricField(self.chart, comps)
 
-    def bound_constants(self, constants: dict[str, float] | None = None
-                        ) -> dict[str, float]:
-        """The constants, each overridden by a finite one of ``constants``."""
-        binding = {**self.constants, **(constants or {})}
-        unknown = binding.keys() - self.constants.keys()
-        if unknown:
-            raise ChartError(
-                f"{self.name} has no constants named {sorted(unknown)}")
-        for cname, value in binding.items():
-            if not math.isfinite(value):
-                raise ChartError(f"constant '{cname}' is not finite")
-        return binding
-
-    def reference_expr(self, ref: ReferenceValue,
-                       constants: dict[str, float] | None = None) -> Expr:
-        return parse_expr(ref.value_source, self.chart,
-                          self.bound_constants(constants))
+    def reference_expr(self, ref: ReferenceValue) -> Expr:
+        return parse_expr(ref.value_source, self.chart, self.constants)
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +181,16 @@ def loads(text: str, origin: str = "<string>") -> ManifoldSpec:
     except ChartError as exc:
         raise ManifoldFormatError(f"{origin}: {exc}", 0) from None
 
-    source_map: dict[tuple[int, int], str] = {}
+    parsed: dict[tuple[int, int], Expr] = {}
     for key, (source, lineno) in entries.items():
         try:
-            parse_expr(source, chart, constants)
+            parsed[key] = parse_expr(source, chart, constants)
         except ParseError as exc:
             raise ManifoldFormatError(str(exc), lineno) from None
-        source_map[key] = source
-    if not source_map:
+    if not parsed:
         raise ManifoldFormatError(f"{origin}: no metric entries", 0)
-    return ManifoldSpec(name, chart, source_map, constants)
+    return ManifoldSpec(name, chart, {key: source for key, (source, _)
+                                      in entries.items()}, parsed, constants)
 
 
 def load_file(path: str) -> ManifoldSpec:

@@ -396,8 +396,8 @@ class MetricField(Tensor):
         SingularMetricError at the first point where det g = 0 or
         |det g| < SINGULAR_BOUND * prod_a max_b |g_ab|, a scale-free bound
         by Hadamard's inequality, compared in logs.  ``vals``, the complex
-        values at ``points`` read already (by a tape, bit for bit the
-        walk's), are judged in place of a walk."""
+        values at ``points`` read already (by a session's ``vals``, or by
+        a tape, bit for bit the walk's), are judged in place of a walk."""
         if vals is None:
             try:
                 vals = values_at(self.comps, points)

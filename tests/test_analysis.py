@@ -1,15 +1,16 @@
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from metricforms import GeometrySession, get_manifold, run_analysis
-from metricforms import analysis, geometry as geo
+from metricforms import analysis, geometry as geo, manifolds, tensor
 from metricforms import expr as ex
 from metricforms.derivative import Differentiator
 from metricforms.errors import (EvalDomainError, FactorizationError,
                                 NumericFaultError)
-from metricforms.manifolds import CATALOG_NAMES
+from metricforms.manifolds import CATALOG_NAMES, loads
 from metricforms.tape import Tape
 
 import oracles
@@ -113,14 +114,22 @@ class TestStrategies:
         with pytest.raises(FactorizationError):
             run_analysis(catalog["sphere2"], strategy="numeric")
 
-    def test_constant_override_changes_curvature(self, catalog):
-        from metricforms import GeometrySession
-
-        report = run_analysis(catalog["sphere2"], seed=42, n_points=6,
-                              constants={"r": 2.0})
+    def test_constant_line_changes_curvature(self):
+        # a sphere of radius 2, given by the file's own const line
+        spec = loads("""
+            name sphere-r2
+            dim 2
+            coords theta phi
+            signature 2 0
+            const r=2.0
+            domain theta 0.4 2.7
+            domain phi 0 7
+            g 1 1 = r^2
+            g 2 2 = r^2 * sin(theta)^2
+        """)
+        report = run_analysis(spec, seed=42, n_points=6)
         assert report.overall_pass
-        session = GeometrySession(catalog["sphere2"], seed=42, n_points=4,
-                                  constants={"r": 2.0})
+        session = GeometrySession(spec, seed=42, n_points=4)
         for scal in session.scalar_vals(session.scalar):
             assert complex(scal) == pytest.approx(0.5, rel=1e-10)
 
@@ -301,8 +310,10 @@ def test_only_symbolic_objects_are_walked(target, monkeypatch):
     # (g^-1, A, A^c, P, F, Gamma), tangents differentiate it (g, A, A^c,
     # F, G) or another symbolic object is built from it (Gamma_cab,
     # R^a_bcd, Ric): only those are walked, and the scalar curvature by
-    # scalar_vals; everything else is computed at the points
-    walked, scalars = [], []
+    # scalar_vals; everything else is computed at the points.  The session
+    # is the one reader at its points, and the loader's parse of each
+    # metric entry is the only one
+    walked, scalars, converted, differentiated, parsed = [], [], [], [], []
     vals, scalar_vals = GeometrySession.vals, GeometrySession.scalar_vals
 
     def spy(session, tensor):
@@ -313,9 +324,32 @@ def test_only_symbolic_objects_are_walked(target, monkeypatch):
         scalars.append(e)
         return scalar_vals(session, e)
 
+    def reader(module, name, log):
+        """Log each call of ``module.name`` with its arguments and the
+        code objects of its callers, innermost first."""
+        original = getattr(module, name)
+
+        def spied(comps, points, *args):
+            frame, codes = sys._getframe(1), []
+            while frame is not None:
+                codes.append(frame.f_code)
+                frame = frame.f_back
+            log.append((comps, points, codes))
+            return original(comps, points, *args)
+        monkeypatch.setattr(module, name, spied)
+
+    def parse_spy(source, *args, _parse=manifolds.parse_expr):
+        parsed.append(source)
+        return _parse(source, *args)
+
     monkeypatch.setattr(GeometrySession, "vals", spy)
     monkeypatch.setattr(GeometrySession, "scalar_vals", scalar_spy)
-    run_analysis(get_manifold(target), seed=42, n_points=4)
+    reader(tensor, "values_at", converted)
+    reader(analysis, "values_at", converted)
+    reader(analysis, "tangents", differentiated)
+    monkeypatch.setattr(manifolds, "parse_expr", parse_spy)
+    spec = get_manifold(target)
+    run_analysis(spec, seed=42, n_points=4)
     s = walked[0][0]
     symbolic = set(map(id, (
         s.forms, s.curl, s.sym_partial, s.forms_raised, s.metric, s.g_inv,
@@ -323,3 +357,24 @@ def test_only_symbolic_objects_are_walked(target, monkeypatch):
     assert all(session is s for session, _ in walked)
     assert [s._name_of(t) for _, t in walked if id(t) not in symbolic] == []
     assert scalars == [s.scalar]
+    # every conversion at the session's points is a vals walk, and each
+    # tensor walked is converted once; the rest read the metric at its
+    # three check points, g^-1 at each of them and g at the spot check's
+    # midpoint
+    at_points = [(comps, codes) for comps, points, codes in converted
+                 if points is s.points]
+    assert all(codes[0] is vals.__code__ for _, codes in at_points)
+    ids = [id(comps) for comps, _ in at_points]
+    assert len(ids) == len(set(ids))
+    assert set(ids) == {id(t.comps) for _, t in walked}
+    assert len(converted) == len(at_points) + 5
+    # the tangents are the session's, at its points
+    assert differentiated and all(
+        points is s.points and codes[0] is GeometrySession._gradient.__code__
+        for _, points, codes in differentiated)
+    # no geometry function reads at any point
+    assert not {"values_at", "tangents", "gradient"} & set(vars(geo))
+    assert not any(code.co_filename == geo.__file__
+                   for *_, codes in converted + differentiated
+                   for code in codes)
+    assert sorted(parsed) == sorted(spec.metric_source.values())

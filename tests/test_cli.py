@@ -398,6 +398,12 @@ def test_no_command_loads_numpy_random():
     assert json.loads(done.stdout) == [[EXIT_OK] * 5, False]
 
 
+#: a 2,500-step geodesic whose --json document is 1.36 MB
+LONG_GEODESIC = ["geodesic", "schwarzschild", "--steps", "2500",
+                 "--step-size", "0.001", "--start", "5.0,1.3,1.0,-1.8",
+                 "--velocity", "0.12,0.03,0.06,1.3", "--json"]
+
+
 class TestGeodesic:
     def test_trajectory_file(self, capsys, tmp_path):
         out_path = tmp_path / "traj.csv"
@@ -462,20 +468,33 @@ class TestGeodesic:
         # the trajectories are held once, as float arrays, from the RK4 loop
         # to the streamed document: one 2,500-step call, its output in a
         # StringIO, allocates at most 3 MB at its traced peak
-        argv = ["geodesic", "schwarzschild", "--steps", "2500",
-                "--step-size", "0.001", "--start", "5.0,1.3,1.0,-1.8",
-                "--velocity", "0.12,0.03,0.06,1.3", "--json"]
         buf = io.StringIO()
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(buf):
-                code = main(argv)
+                code = main(LONG_GEODESIC)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == EXIT_OK
         assert len(json.loads(buf.getvalue())["s"]) == 2501
         assert peak <= 3.0e6, f"traced peak {peak / 1e6:.2f} MB"
+
+    def test_reader_closing_early_gets_the_verdict_and_no_traceback(self):
+        # the 1.36 MB document overflows the pipe; its reader closes it
+        # after one line, as `| head -1` does, and the command still exits
+        # with its verdict, writing nothing to stderr
+        src = os.path.dirname(os.path.dirname(metricforms.__file__))
+        with subprocess.Popen(
+                [sys.executable, "-m", "metricforms.cli", *LONG_GEODESIC],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=src)) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert first == b"{\n"
+        assert (code, err) == (EXIT_OK, b"")
 
 
 class TestErrors:

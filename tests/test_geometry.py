@@ -69,15 +69,30 @@ def _at(points, *tensors):
     return [values_at(t.comps, points) for t in tensors]
 
 
+def _gradient(comps, points, coords, labels=0):
+    """d[p, labels..., k, slots...] = d_k comps[labels..., slots...] at
+    ``points``, stacked, from ``tangents``."""
+    d = tangents(comps.flat, points, coords)
+    d = d.reshape(*comps.shape, len(coords), len(points))
+    return np.moveaxis(d, (-1, -2), (0, labels + 1))
+
+
+def _covariant(t, conn, points, labels=0):
+    """What a covariant builder takes for ``t`` at ``points``: the values
+    of t, its tangents and the values of Gamma^c_ab."""
+    return (values_at(t.comps, points),
+            _gradient(t.comps, points, conn.chart.coords, labels),
+            values_at(conn.mixed.comps, points))
+
+
 def _lie(g, forms, g_inv, points):
     """L_{A_I} g at ``points``, from the values and tangents of g and of
     the raised forms."""
     a_up = raise_forms(forms, g_inv).comps
     coords = g.chart.coords
     return lie_derivative_metric(
-        values_at(g.comps, points), geo.gradient(g.comps, points, coords),
-        values_at(a_up, points),
-        geo.gradient(a_up, points, coords, labels=1))
+        values_at(g.comps, points), _gradient(g.comps, points, coords),
+        values_at(a_up, points), _gradient(a_up, points, coords, labels=1))
 
 
 class TestChristoffel:
@@ -150,7 +165,8 @@ class TestSymDerivative:
     def test_routes_agree_on_sphere(self, sphere):
         g, g_inv, forms, conn = sphere
         points = g.chart.sample_points(20, seed=42)
-        direct = sym_covariant_derivative(forms, conn, points)
+        direct = sym_covariant_derivative(*_covariant(forms, conn, points,
+                                                      1))
         via = sym_derivative_via_factors(*_at(
             points, forms, exterior_derivative(forms),
             raise_forms(forms, g_inv)))
@@ -174,7 +190,8 @@ class TestSymDerivative:
         g, g_inv, forms, conn = sphere
         f = exterior_derivative(forms)
         point = {"theta": 1.1, "phi": 2.0}
-        s = sym_covariant_derivative(forms, conn, [point])[0]
+        s = sym_covariant_derivative(*_covariant(forms, conn, [point],
+                                                 1))[0]
         assert max_abs(f.evaluate(point)[0]) == 0.0
         expected = 1.3 * math.sin(1.1) * math.cos(1.1)
         assert s[0, 1, 1] == pytest.approx(expected)
@@ -191,7 +208,7 @@ class TestCurrents:
         g, g_inv, forms, conn = sphere
         f = exterior_derivative(forms)
         points = g.chart.sample_points(10, seed=3)
-        j = currents(precurrents(f, conn, points),
+        j = currents(precurrents(*_covariant(f, conn, points, 1)),
                      stacked(g_inv.evaluate, points))
         for point, jv in zip(points, j):
             assert max_abs(jv[0]) <= 1e-12
@@ -216,7 +233,7 @@ class TestCurrents:
         g, g_inv, forms, conn = sphere
         f = exterior_derivative(forms)
         point = {"theta": 1.3, "phi": 4.0}
-        jp = precurrents(f, conn, [point])
+        jp = precurrents(*_covariant(f, conn, [point], 1))
         ginv_v = g_inv.evaluate(point)
         direct = np.einsum("ad,idab->ib", ginv_v, jp[0])
         assert max_abs(direct - currents(jp, ginv_v[None])[0]) <= 1e-14
@@ -346,7 +363,8 @@ class TestKilling:
         g, g_inv, forms, conn = sphere
         points = g.chart.sample_points(10, seed=5)
         report = killing_check(*_at(points, exterior_derivative(forms)),
-                               sym_covariant_derivative(forms, conn, points),
+                               sym_covariant_derivative(
+                                   *_covariant(forms, conn, points, 1)),
                                _lie(g, forms, g_inv, points))
         assert not report.set_closed
         assert report.f_max[1] > 1e-3
@@ -435,9 +453,10 @@ class TestSemiFlatLike:
         conn = christoffel_classical(g, g_inv)
         f = exterior_derivative(forms)
         point = {"r": 1.5, "phi": 1.0, "z": 0.0, "t": 0.0}
-        s = sym_covariant_derivative(forms, conn, [point])
+        s = sym_covariant_derivative(*_covariant(forms, conn, [point], 1))
         parts = riemann_decomposed(*_at([point], forms, f), s,
-                                   precurrents(f, conn, [point]))
+                                   precurrents(*_covariant(f, conn, [point],
+                                                           1)))
         assert max_abs(parts.total) <= 1e-12
         assert max_abs(s) <= 1e-12
 
@@ -462,7 +481,8 @@ class TestSemiFlatLike:
         f = exterior_derivative(forms)
         points = spec.chart.sample_points(10, seed=22)
         report = killing_check(*_at(points, f),
-                               sym_covariant_derivative(forms, conn, points),
+                               sym_covariant_derivative(
+                                   *_covariant(forms, conn, points, 1)),
                                _lie(g, forms, g_inv, points))
         assert report.set_closed
         assert report.killing_residual <= 1e-9

@@ -33,20 +33,18 @@ class TestLoader:
         assert g.evaluate({"u": 0.5, "v": 0.0})[0, 0] \
             == pytest.approx(1 + 2.0 * 0.25)
 
-    def test_constant_override(self):
-        spec = loads(GOOD_FILE)
-        g = spec.metric({"k": 3.0})
+    def test_constant_line_sets_the_metric(self):
+        spec = loads(GOOD_FILE.replace("const k=2.0", "const k=3.0"))
+        assert spec.constants == {"k": 3.0}
+        g = spec.metric()
         assert g.evaluate({"u": 1.0, "v": 0.0})[0, 0] == pytest.approx(4.0)
-        with pytest.raises(ChartError):
-            spec.metric({"nope": 1.0})
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_override_rejected(self, value):
-        # the rule the loader applies to the file's own constants
-        spec = loads(GOOD_FILE)
-        for build in (spec.metric, spec.bound_constants):
-            with pytest.raises(ChartError, match="constant 'k' is not finite"):
-                build({"k": value})
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_constant_rejected(self, value):
+        bad = GOOD_FILE.replace("const k=2.0", f"const k={value}")
+        with pytest.raises(ManifoldFormatError,
+                           match="line 7: constant 'k' is not finite"):
+            loads(bad)
 
     def test_constant_named_like_a_coordinate_rejected(self):
         # a constant u would silently replace the coordinate u
