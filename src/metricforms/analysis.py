@@ -2,11 +2,12 @@
 quantify every identity of the suite at seeded sample points.
 
 By the rule of ``geometry``, the symbolic objects are the forms, F, P,
-A^c, g, g^-1, the classical Gamma, R^a_bcd, Ric, the scalar and G, read
-at the points by walks.  Everything else (both S, the factored Gamma,
-nabla g, L_A g, R_abcd, the factored side past the first derivatives and
-the Einstein divergence) is computed at the points from forward-mode
-tangents and ``np.einsum``, and the session holds it as arrays.
+A^c, g, g^-1, the classical Gamma and the second partials of g, read at
+the points by walks.  Everything else (both S, the factored Gamma,
+nabla g, L_A g, the classical curvature from the jets of g and the
+factored side past the first derivatives) is computed at the points from
+forward-mode tangents and ``np.einsum``, and the session holds it as
+arrays.
 
 Residual tolerances, the ``TOL_*`` constants of ``geometry`` and
 ``factorization``, follow the derivative depth of each identity (the
@@ -24,6 +25,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -42,12 +44,14 @@ from .factorization import (
 )
 from . import geometry as geo
 from .geometry import (
+    ClassicalCurvature,
     Connection,
     ConnectionValues,
     FactoredCurvature,
     FlatnessReport,
     GeodesicComparison,
     KillingReport,
+    MetricJets,
     RiemannParts,
 )
 from .manifolds import ManifoldSpec
@@ -86,11 +90,11 @@ class GeometrySession:
     Only the symbolic objects of the rule (module docstring) pass through
     ``vals``: one walk of a tensor at all the points, cached per tensor,
     over one memo from node to values that the tangents (``_gradient``,
-    computed on demand, not cached) read too.  Nodes are interned, so each
-    distinct subtree is computed once per point.  Every other object is an
-    array at the points, built by ``_checked`` under its own name from what
-    ``vals`` and ``_gradient`` read: no builder reads at the points.  The
-    symbolic builders share one differentiator per coordinate, ``diff``,
+    computed on demand, cached for g alone) read too.  Nodes are interned,
+    so each distinct subtree is computed once per point.  Every other object
+    is an array at the points, built by ``_checked`` under its own name from
+    what ``vals`` and ``_gradient`` read: no builder reads at the points.
+    The symbolic builders share one differentiator per coordinate, ``diff``,
     so no (node, coordinate) pair is differentiated twice, and the
     contractions several of them read (``sym_partial``, ``forms_raised``)
     are built once.  Checks judge at the scaled tolerances ``tol``.
@@ -148,20 +152,9 @@ class GeometrySession:
         return geo.exterior_derivative(self.forms, self.diff)
 
     @cached_property
-    def riemann_mixed(self) -> Tensor:
-        return geo.riemann_classical(self.conn, self.diff)
-
-    @cached_property
-    def ricci(self) -> Tensor:
-        return geo.ricci_from_mixed(self.riemann_mixed)
-
-    @cached_property
-    def scalar(self) -> Expr:
-        return geo.scalar_curvature(self.ricci, self.g_inv)
-
-    @cached_property
-    def einstein(self) -> Tensor:
-        return geo.einstein_tensor(self.ricci, self.scalar, self.metric)
+    def metric_jets(self) -> MetricJets:
+        """d_k d_l g_ab (``geometry.metric_second_partials``)."""
+        return geo.metric_second_partials(self.metric, self.diff)
 
     # -- objects at the points ---------------------------------------------
 
@@ -204,7 +197,7 @@ class GeometrySession:
     def riemann_lower(self) -> np.ndarray:
         """R_abcd = g_ae R^e_bcd at the points."""
         return self._checked("riemann_lower", np.einsum, "pebcd,pae->pabcd",
-                             self.vals(self.riemann_mixed), self.metric_vals)
+                             self.riemann_mixed, self.metric_vals)
 
     @cached_property
     def parts(self) -> RiemannParts:
@@ -222,25 +215,37 @@ class GeometrySession:
             *map(self.vals, (self.g_inv, self.forms_raised)))
 
     @cached_property
-    def einstein_divergence(self) -> np.ndarray:
-        """nabla^b G_ab at the points, stacked: numeric, from tangents of
-        G."""
-        return self._checked("einstein_divergence",
-                             geo.covariant_divergence_sym2,
-                             *self._covariant(self.einstein),
-                             self.vals(self.g_inv))
+    def curvature(self) -> ClassicalCurvature:
+        """R^a_bcd, Ric, the scalar, G and nabla.G from the jets of g."""
+        jet2, pairs = self.metric_jets.second, self.metric_jets.pairs
+        if not pairs:   # no coordinate in g: every jet, so all, vanish
+            return ClassicalCurvature(*(
+                np.zeros((len(self.points),) + (self.chart.dim,) * rank)
+                for rank in (4, 2, 0, 2, 1)), 0.0)
+        return self._checked(
+            "curvature", geo.classical_curvature, self.metric_vals,
+            self.vals(self.g_inv), self.metric_grad, self.vals(jet2),
+            self._gradient(jet2, 1), pairs,
+            *map(self.vals, (self.conn.lower, self.conn.mixed)))
+
+    riemann_mixed = property(attrgetter("curvature.riemann_mixed"))
+    ricci = property(attrgetter("curvature.ricci"))
+    scalar = property(attrgetter("curvature.scalar"))
+    einstein = property(attrgetter("curvature.einstein"))
+    einstein_divergence = property(attrgetter("curvature.einstein_divergence"))
 
     @cached_property
     def metric_compat(self) -> np.ndarray:
         return self._checked("metric_compat", geo.metric_compatibility,
-                             *self._covariant(self.metric))
+                             self.vals(self.metric), self.metric_grad,
+                             self.vals(self.conn.mixed))
 
     @cached_property
     def lie_deriv(self) -> np.ndarray:
         """Lie derivative of the metric along each form, L_{A_I} g."""
         return self._checked(
             "lie_deriv", geo.lie_derivative_metric, self.metric_vals,
-            self._gradient(self.metric), self.vals(self.forms_raised),
+            self.metric_grad, self.vals(self.forms_raised),
             self._gradient(self.forms_raised, 1))
 
     # -- numeric evaluation ---------------------------------------------------
@@ -298,6 +303,11 @@ class GeometrySession:
         ``geometry.covariant_derivative`` takes them."""
         return (self.vals(tensor), self._gradient(tensor, labels),
                 self.vals(self.conn.mixed))
+
+    @cached_property
+    def metric_grad(self) -> np.ndarray:
+        """d_k g_ab at the points, read by nabla g, L_A g and curvature."""
+        return self._gradient(self.metric)
 
     @cached_property
     def metric_vals(self) -> np.ndarray:
@@ -495,18 +505,16 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
                                    max(per_point)))
 
     # Ricci / scalar / Einstein, both routes
-    ricci_vals = session.vals(session.ricci)
     factored = session.factored
     ricci_f_vals = factored.ricci
     rows.append(IdentityRow.report("ricci_factored_vs_classical",
-                                   max_abs(ricci_vals - ricci_f_vals)))
-    scalar_gap = max_abs(session.scalar_vals(session.scalar)
-                         - factored.scalar)
+                                   max_abs(session.ricci - ricci_f_vals)))
+    scalar_gap = max_abs(session.scalar - factored.scalar)
     rows.append(IdentityRow.report("scalar_curvature_factored_vs_classical",
                                    scalar_gap))
     rows.append(IdentityRow.report(
         "einstein_split_vs_classical",
-        max_abs(session.vals(session.einstein) - factored.einstein)))
+        max_abs(session.einstein - factored.einstein)))
 
     # contract the decomposed Riemann ourselves and compare with the
     # factored Ricci formula (printed-formula consistency)
@@ -529,9 +537,8 @@ def run_analysis(spec: ManifoldSpec, strategy: str = "auto",
                                    killing.killing_residual))
 
     # physical tensors must be real
-    imag = max(map(max_imag, (
-        *map(session.vals, (session.metric, conn.lower, conn.mixed,
-                            session.ricci, session.einstein)),
+    imag = max(session.curvature.imag_residue, *map(max_imag, (
+        *map(session.vals, (session.metric, conn.lower, conn.mixed)),
         factored_conn.lower, r_vals, parts.total, factored.ricci,
         factored.einstein, parts.current_part, parts.form_part,
         parts.sym_part)))
@@ -593,9 +600,9 @@ def _tensor_summaries(session: GeometrySession
              ("riemann_form_part", parts.form_part, True),
              ("riemann_sym_part", parts.sym_part, True),
              ("riemann_decomposed_sum", parts.total, True),
-             ("ricci_classical", v(session.ricci), True),
+             ("ricci_classical", session.ricci, True),
              ("ricci_factored", factored.ricci, True),
-             ("einstein_classical", v(session.einstein), True),
+             ("einstein_classical", session.einstein, True),
              ("stress_form", factored.stress_form, True),
              ("stress_current", factored.stress_current, True),
              ("stress_sym", factored.stress_sym, True))

@@ -23,16 +23,16 @@ first, d[k, ...] = d_k (...); numeric ones follow the set axis.
 
 An object is built as an expression only where a tape compiles it (the
 geodesic right-hand sides read g^-1, A, A^c, P = sym dA, F and Gamma),
-``derivative.tangents`` differentiates it (g, A, A^c, F and G), or
-another symbolic object is built from it (Gamma_cab, R^a_bcd, Ric and
-the scalar).  Everything else is read only at the sample points, so it
-is numeric: ``np.einsum`` over the values of symbolic objects, stacked on
-a leading point axis, and over their coordinate derivatives, the
-forward-mode tangents at the points.  The session reads both and hands
-them in; no builder here reads at the points.  One
-``covariant_derivative`` serves S, nabla g, the pre-currents and the
-divergence of G.  No second derivative of the forms and no third
-derivative is built.
+``derivative.tangents`` differentiates it (g, A, A^c, F and d d g), or
+another symbolic object is built from it (Gamma_cab, d g).  Everything
+else is numeric: ``np.einsum`` over the values of symbolic objects at the
+sample points, stacked on a leading axis, and over their forward-mode
+tangents there, which the session reads and hands in.  So is the
+classical curvature, from the jets of g to third order
+(``classical_curvature``); the symbolic ``riemann_classical``,
+``ricci_from_mixed``, ``scalar_curvature`` and ``einstein_tensor`` are
+the reference it is held to.  One ``covariant_derivative`` serves S,
+nabla g, the pre-currents and the divergence of G.
 
 Builders that differentiate symbolically take ``diff``, one
 differentiator per coordinate (``differentiators``); a session hands
@@ -69,6 +69,7 @@ from .tensor import (
     einsum,
     elementwise,
     max_abs,
+    max_imag,
 )
 
 #: residual tolerances by derivative depth of the identity being checked
@@ -250,9 +251,115 @@ def currents(j_pre: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
 # curvature
 # ---------------------------------------------------------------------------
 
+@dataclass
+class MetricJets:
+    """d[m,a,b] = d_l d_k g_ab over the pairs m = (k, l), k <= l, of the
+    coordinates along which some d_k g_ab is not identically zero."""
+
+    second: Tensor
+    pairs: list[tuple[int, int]]
+
+
+def metric_second_partials(g: MetricField, diff=None) -> MetricJets:
+    """d_l (d_k g_ab), with d_k g built through ``diff`` as
+    ``christoffel_classical`` builds it, so a session's nodes of it are
+    shared."""
+    diff = diff or differentiators(g.chart)
+    dg = _partials(g.chart, g.comps, diff)
+    active = [k for k in range(g.chart.dim)
+              if not all(map(ex._is_zero, dg[k].flat))]
+    pairs = [(k, l) for i, k in enumerate(active) for l in active[i:]]
+    return MetricJets(Tensor(np.array(
+        [elementwise(diff[l], dg[k]) for k, l in pairs],
+        dtype=object).reshape(-1, *g.comps.shape)), pairs)
+
+
+@dataclass
+class ClassicalCurvature:
+    """The classical route's curvature at the points, stacked, real."""
+
+    riemann_mixed: np.ndarray         # R^a_bcd
+    ricci: np.ndarray                 # Ric_ab
+    scalar: np.ndarray                # R
+    einstein: np.ndarray              # G_ab
+    einstein_divergence: np.ndarray   # nabla^b G_ab
+    imag_residue: float               # largest imaginary part cast away
+
+
+def classical_curvature(g: np.ndarray, g_inv: np.ndarray, dg: np.ndarray,
+                        ddg: np.ndarray, dddg: np.ndarray, pairs: list,
+                        gl: np.ndarray, gm: np.ndarray) -> ClassicalCurvature:
+    """R^a_bcd = d_c G^a_bd - d_d G^a_bc + G^a_ec G^e_bd - G^a_ed G^e_bc,
+    Ric_bd = R^a_bad, R = g^bd Ric_bd, G = Ric - g R / 2 and nabla^b G_ab
+    from stacked values of g, g^-1, dg[p,k,a,b] = d_k g_ab, ddg[p,m,a,b]
+    over the ``pairs`` of ``MetricJets``, dddg[p,m,j,a,b] = d_j of it and
+    Gamma (lower, mixed), read as complex and computed on as real.  The
+    partials of g^-1 and Gamma follow by the product rule; d Ric, from
+    traces of the second partials of Gamma, is formed but no partial of R.
+    """
+    imag = max(map(max_imag, (g_inv, dg, ddg, dddg, gl, gm)))
+    h, dg, ddg, dddg, gl, gm = (x.real for x in
+                                (g_inv, dg, ddg, dddg, gl, gm))
+    n, (ks, ls) = g.shape[1], np.array(pairs).T
+    slot = np.full((n, n), len(pairs))
+    slot[ks, ls] = slot[ls, ks] = np.arange(len(pairs))
+
+    def by_pair(x):     # x[p,m,...] as x[p,k,l,...], zero off the pairs
+        return np.concatenate((x, np.zeros_like(x[:, :1])), axis=1)[:, slot]
+
+    ddg = by_pair(ddg)                                  # d_k d_l g_ij
+    # the partials of g^-1, and those of Gamma_cab and Gamma^c_ab
+    h_dg = np.einsum("pia,pkab->pkib", h, dg)           # g^-1 d_k g
+    dh = -np.einsum("pkib,pbj->pkij", h_dg, h)
+    inner = (np.einsum("pkia,plab->pklib", dh, dg)
+             + np.einsum("pia,pklab->pklib", h, ddg))
+    ddh = -(np.einsum("pklib,pbj->pklij", inner, h)
+            + np.einsum("plib,pkbj->pklij", h_dg, dh))
+    dgl = 0.5 * (ddg.transpose(0, 1, 3, 2, 4) + ddg.transpose(0, 1, 3, 4, 2)
+                 - ddg)                                 # d_k Gamma_cab
+    dgm = (np.einsum("pkce,peab->pkcab", dh, gl)
+           + np.einsum("pce,pkeab->pkcab", h, dgl))     # d_k Gamma^c_ab
+
+    quad = np.einsum("paec,pebd->pabcd", gm, gm)
+    riemann = (dgm.transpose(0, 2, 3, 1, 4) - dgm.transpose(0, 2, 3, 4, 1)
+               + quad - quad.swapaxes(3, 4))
+    ricci = np.einsum("pabad->pbd", riemann)
+    scalar = np.einsum("pab,pab->p", h, ricci)
+    einstein = ricci - 0.5 * g * scalar[:, None, None]
+
+    # traces of the third partials of g against g^-1:
+    # y[k,l,j] = g^ai d_k d_l d_a g_ij, q[k,l,t] = g^ij d_k d_l d_t g_ij
+    # and z[t,i,j] = g^ae d_t d_a d_e g_ij
+    y = by_pair(np.einsum("pmtij,pti->pmj", dddg, h))
+    q = by_pair(np.einsum("pmtij,pij->pmt", dddg, h))
+    z = np.einsum("pm,pmtij->ptij", (2.0 * h - h * np.eye(n))[:, ks, ls],
+                  dddg)
+    # the traces of d_k d_l Gamma^a_bd: u[k,b,d] = d_k d_a Gamma^a_bd and
+    # v[k,l,b] = d_k d_l Gamma^a_ab, whose g^ae d_k d_l Gamma_eab is q / 2
+    u = (np.einsum("pkaae,pebd->pkbd", ddh, gl)
+         + np.einsum("paae,pkebd->pkbd", dh, dgl)
+         + np.einsum("pkae,paebd->pkbd", dh, dgl)
+         + 0.5 * (y + y.swapaxes(2, 3) - z))
+    v_half = np.einsum("plae,pkeab->pklb", dh, dgl)
+    v = (np.einsum("pklae,peab->pklb", ddh, gl) + v_half
+         + v_half.swapaxes(1, 2) + 0.5 * q)
+    d_ricci = (u - v.swapaxes(2, 3)    # d_k of the terms of R^a_bad
+               + np.einsum("pkaea,pebd->pkbd", dgm, gm)
+               + np.einsum("paea,pkebd->pkbd", gm, dgm)
+               - np.einsum("pkaed,peba->pkbd", dgm, gm)
+               - np.einsum("paed,pkeba->pkbd", gm, dgm))
+    d_scalar = (np.einsum("pkab,pab->pk", dh, ricci)
+                + np.einsum("pab,pkab->pk", h, d_ricci))
+    d_einstein = d_ricci - 0.5 * (dg * scalar[:, None, None, None]
+                                  + g[:, None] * d_scalar[:, :, None, None])
+    return ClassicalCurvature(riemann, ricci, scalar, einstein,
+                              covariant_divergence_sym2(einstein, d_einstein,
+                                                        gm, h), imag)
+
+
 def riemann_classical(conn: Connection, diff=None) -> Tensor:
-    """R^a_bcd = d_c G^a_bd - d_d G^a_bc + G^a_ec G^e_bd - G^a_ed G^e_bc.
-    This is the oracle route."""
+    """R^a_bcd = d_c G^a_bd - d_d G^a_bc + G^a_ec G^e_bd - G^a_ed G^e_bc,
+    symbolic: the reference that ``classical_curvature`` is held to."""
     gm = conn.mixed.comps
     dgm = _partials(conn.chart, gm, diff)
     return Tensor(einsum(

@@ -60,9 +60,6 @@ class ManifoldSpec:
             comps[a, b] = entry
         return MetricField(self.chart, comps)
 
-    def reference_expr(self, ref: ReferenceValue) -> Expr:
-        return parse_expr(ref.value_source, self.chart, self.constants)
-
 
 # ---------------------------------------------------------------------------
 # file format

@@ -109,7 +109,7 @@ def test_criterion_05_classical_curvature_oracle(sessions, reports):
     sphere = sessions("sphere2")
     radius = 1.0
     worst_rel = 0.0
-    for got in sphere.scalar_vals(sphere.scalar):
+    for got in sphere.scalar:
         expected = 2.0 / radius ** 2
         worst_rel = max(worst_rel, abs(got - expected) / abs(expected))
     ricci_max = dict((n, v) for n, v, _ in

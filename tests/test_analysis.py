@@ -130,8 +130,8 @@ class TestStrategies:
         report = run_analysis(spec, seed=42, n_points=6)
         assert report.overall_pass
         session = GeometrySession(spec, seed=42, n_points=4)
-        for scal in session.scalar_vals(session.scalar):
-            assert complex(scal) == pytest.approx(0.5, rel=1e-10)
+        for scal in session.scalar:
+            assert scal == pytest.approx(0.5, rel=1e-10)
 
 
 def _memo_nodes(*tensors):
@@ -240,14 +240,17 @@ def test_overflow_in_the_pre_currents_names_its_point_and_component(
     ids=lambda t: Path(str(t)).stem)
 def test_analysis_differentiates_each_node_once_and_never_einstein(
         target, strategy, monkeypatch):
-    # the Einstein divergence reads tangents of G, so no component of G
-    # reaches a Differentiator; one differentiator per coordinate serves
-    # the whole session, so no (node, coordinate) pair is differentiated
-    # twice
+    # the Einstein divergence is computed at the points from the jets of
+    # g, so no component of the symbolic G reaches a Differentiator; one
+    # differentiator per coordinate serves the whole session, so no
+    # (node, coordinate) pair is differentiated twice
     spec = get_manifold(target)
     built = GeometrySession(spec, strategy)
-    einstein = {e for e in built.einstein.comps.flat
-                if type(e) is not ex.Const}
+    ricci = geo.ricci_from_mixed(geo.riemann_classical(built.conn,
+                                                       built.diff))
+    einstein = {e for e in geo.einstein_tensor(
+        ricci, geo.scalar_curvature(ricci, built.g_inv), built.metric
+    ).comps.flat if type(e) is not ex.Const}
     assert einstein
     handed, pairs = [], []
     call, diff = Differentiator.__call__, Differentiator._diff
@@ -300,6 +303,11 @@ def test_shared_contractions_are_built_once_per_analysis(target,
 
 
 
+#: the symbolic builders of the classical curvature, the reference of the
+#: session's arrays
+CURVATURE_BUILDERS = ("riemann_classical", "ricci_from_mixed",
+                      "scalar_curvature", "einstein_tensor")
+
 ELEVEN = [*CATALOG_NAMES, *(str(DATA / f"{name}.metric") for name in (
     "painleve-gullstrand", "kerr-boyer-lindquist", "dense-4d"))]
 
@@ -308,13 +316,15 @@ ELEVEN = [*CATALOG_NAMES, *(str(DATA / f"{name}.metric") for name in (
 def test_only_symbolic_objects_are_walked(target, monkeypatch):
     # an object is built as an expression only where a tape compiles it
     # (g^-1, A, A^c, P, F, Gamma), tangents differentiate it (g, A, A^c,
-    # F, G) or another symbolic object is built from it (Gamma_cab,
-    # R^a_bcd, Ric): only those are walked, and the scalar curvature by
-    # scalar_vals; everything else is computed at the points.  The session
+    # F, d d g) or another symbolic object is built from it (Gamma_cab):
+    # only those are walked, and nothing by scalar_vals; everything else,
+    # the classical curvature too, is computed at the points.  The session
     # is the one reader at its points, and the loader's parse of each
     # metric entry is the only one
     walked, scalars, converted, differentiated, parsed = [], [], [], [], []
+    built, gradients = [], []
     vals, scalar_vals = GeometrySession.vals, GeometrySession.scalar_vals
+    gradient = GeometrySession._gradient
 
     def spy(session, tensor):
         walked.append((session, tensor))
@@ -342,8 +352,17 @@ def test_only_symbolic_objects_are_walked(target, monkeypatch):
         parsed.append(source)
         return _parse(source, *args)
 
+    def gradient_spy(session, tensor, *args):
+        gradients.append(tensor)
+        return gradient(session, tensor, *args)
+
+    builders = [getattr(geo, name) for name in CURVATURE_BUILDERS]
+    for name in CURVATURE_BUILDERS:
+        monkeypatch.setattr(geo, name, lambda *args, _name=name:
+                            built.append(_name))
     monkeypatch.setattr(GeometrySession, "vals", spy)
     monkeypatch.setattr(GeometrySession, "scalar_vals", scalar_spy)
+    monkeypatch.setattr(GeometrySession, "_gradient", gradient_spy)
     reader(tensor, "values_at", converted)
     reader(analysis, "values_at", converted)
     reader(analysis, "tangents", differentiated)
@@ -351,12 +370,25 @@ def test_only_symbolic_objects_are_walked(target, monkeypatch):
     spec = get_manifold(target)
     run_analysis(spec, seed=42, n_points=4)
     s = walked[0][0]
+    jet2 = s.metric_jets.second
     symbolic = set(map(id, (
         s.forms, s.curl, s.sym_partial, s.forms_raised, s.metric, s.g_inv,
-        s.conn.lower, s.conn.mixed, s.riemann_mixed, s.ricci, s.einstein)))
+        s.conn.lower, s.conn.mixed, jet2)))
     assert all(session is s for session, _ in walked)
     assert [s._name_of(t) for _, t in walked if id(t) not in symbolic] == []
-    assert scalars == [s.scalar]
+    assert scalars == []
+    # no symbolic curvature is built, so none is walked; one tangent pass
+    # each over A, F, g, A^c and, where a coordinate is in g, d d g
+    assert built == []
+    riemann, ricci, scalar, einstein = builders
+    r = riemann(s.conn, s.diff)
+    ric = ricci(r)
+    roots = [*r.comps.flat, *ric.comps.flat, *einstein(
+        ric, scalar(ric, s.g_inv), s.metric).comps.flat]
+    assert not {e for e in roots if type(e) is not ex.Const} & set(s._memo)
+    assert sorted(map(s._name_of, gradients)) == sorted([
+        "metric", "forms", "curl", "forms_raised",
+        *(["metric_jets.second"] if s.metric_jets.pairs else [])])
     # every conversion at the session's points is a vals walk, and each
     # tensor walked is converted once; the rest read the metric at its
     # three check points, g^-1 at each of them and g at the spot check's
@@ -370,7 +402,7 @@ def test_only_symbolic_objects_are_walked(target, monkeypatch):
     assert len(converted) == len(at_points) + 5
     # the tangents are the session's, at its points
     assert differentiated and all(
-        points is s.points and codes[0] is GeometrySession._gradient.__code__
+        points is s.points and codes[0] is gradient.__code__
         for _, points, codes in differentiated)
     # no geometry function reads at any point
     assert not {"values_at", "tangents", "gradient"} & set(vars(geo))

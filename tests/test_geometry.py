@@ -10,6 +10,7 @@ from metricforms import (
     christoffel_factored,
     classify_flatness,
     currents,
+    einstein_tensor,
     exterior_derivative,
     factor_diagonal,
     get_manifold,
@@ -256,7 +257,7 @@ class TestRiemannClassical:
 
     def test_schwarzschild_is_vacuum(self, sessions):
         s = sessions("schwarzschild")
-        assert max_abs(s.vals(s.ricci)) <= 1e-8
+        assert max_abs(s.ricci) <= 1e-8
 
     def test_minkowski_cylindrical_flat(self, sessions):
         s = sessions("minkowski-cylindrical")
@@ -323,14 +324,13 @@ class TestRicciEinstein:
 
     def test_schwarzschild_vacuum_einstein(self, sessions):
         s = sessions("schwarzschild")
-        assert max_abs(s.vals(s.einstein)) <= 1e-8
+        assert max_abs(s.einstein) <= 1e-8
 
     def test_factored_formulas_match_classical(self, sessions):
         for name in ("sphere2", "schwarzschild", "flrw-flat"):
             s = sessions(name)
-            assert max_abs(s.factored.ricci - s.vals(s.ricci)) <= 1e-9
-            assert max_abs(s.factored.einstein
-                           - s.vals(s.einstein)) <= 1e-9
+            assert max_abs(s.factored.ricci - s.ricci) <= 1e-9
+            assert max_abs(s.factored.einstein - s.einstein) <= 1e-9
 
     def test_contracted_bianchi(self, sessions):
         for name in ("sphere2", "schwarzschild"):
@@ -339,16 +339,14 @@ class TestRicciEinstein:
 
     def test_flrw_scalar_curvature(self, sessions):
         s = sessions("flrw-flat")
-        for point, scal in zip(s.points, s.scalar_vals(s.scalar)):
+        for point, scal in zip(s.points, s.scalar):
             assert scal == pytest.approx(6.0 / point["t"] ** 2, rel=1e-10)
 
     def test_einstein_definition_identity(self, sessions):
         s = sessions("flrw-flat")
         g_vals = s.vals(s.metric)
-        scal = s.scalar_vals(s.scalar)
-        g_term = 0.5 * g_vals * scal[:, None, None]
-        assert max_abs(s.vals(s.einstein)
-                       - (s.vals(s.ricci) - g_term)) <= 1e-12
+        g_term = 0.5 * g_vals * s.scalar[:, None, None]
+        assert max_abs(s.einstein - (s.ricci - g_term)) <= 1e-12
 
 
 class TestKilling:
@@ -972,7 +970,7 @@ def test_einsum_builders_return_the_loop_nodes(name, catalog):
                        _loop_precurrents(session.chart, session.curl.comps,
                                          conn.mixed.comps))
     r_mixed, r_lower = _loop_riemann(conn.mixed.comps, g)
-    assert _same_nodes(session.riemann_mixed.comps, r_mixed)
+    assert _same_nodes(riemann_classical(conn, session.diff).comps, r_mixed)
     # the symbolic reference of the numeric all-lower Riemann tensor
     assert _same_nodes(oracles.riemann_lower(g.comps, r_mixed), r_lower)
 
@@ -995,8 +993,11 @@ def test_nested_einsums_return_the_nodes_of_elementwise_arithmetic(
                        oracles.christoffel_lower(s.metric.comps, coords))
     assert _same_nodes(s.sym_partial.comps,
                        oracles.sym_partial(s.forms.comps, coords))
-    assert _same_nodes(s.einstein.comps, oracles.einstein_tensor(
-        s.ricci.comps, s.scalar, s.metric.comps))
+    ricci = ricci_from_mixed(riemann_classical(s.conn, s.diff))
+    scalar = scalar_curvature(ricci, s.g_inv)
+    assert _same_nodes(einstein_tensor(ricci, scalar, s.metric).comps,
+                       oracles.einstein_tensor(ricci.comps, scalar,
+                                               s.metric.comps))
     monkeypatch.setattr(geo, "_rhs", lambda chart, u, du: (u, du))
     u, du = classical_rhs(s.conn)
     assert _same_nodes(du, oracles.classical_du(s.conn.mixed.comps, u))
@@ -1014,9 +1015,8 @@ def test_nested_einsums_return_the_nodes_of_elementwise_arithmetic(
 #: every object a GeometrySession builds
 SESSION_TENSORS = ("g_inv", "conn", "conn_factored", "curl", "sym_deriv",
                    "sym_deriv_alt", "sym_trace", "precurrent", "current",
-                   "riemann_mixed", "riemann_lower", "parts", "ricci",
-                   "scalar", "einstein", "factored", "einstein_divergence",
-                   "metric_compat", "lie_deriv", "sym_partial",
+                   "metric_jets", "curvature", "riemann_lower", "parts",
+                   "factored", "metric_compat", "lie_deriv", "sym_partial",
                    "forms_raised")
 
 
@@ -1034,6 +1034,10 @@ def test_geometry_builders_never_simplify(target, monkeypatch):
     for name in SESSION_TENSORS:
         getattr(session, name)
     session.parts.total, session.factored.einstein
+    # the symbolic curvature builders, the reference of the curvature
+    ricci = ricci_from_mixed(riemann_classical(session.conn, session.diff))
+    einstein_tensor(ricci, scalar_curvature(ricci, session.g_inv),
+                    session.metric)
     classical_rhs(session.conn)
     factored_rhs(session.forms, session.curl, session.g_inv,
                  session.sym_partial, session.forms_raised)
@@ -1090,8 +1094,8 @@ def test_factored_side_matches_its_symbolic_formulas(target, strategy):
              (s.conn_factored.mixed, gamma[1]),
              (s.metric_compat, oracles.metric_compatibility(g, gm, coords)),
              (s.lie_deriv, oracles.lie_derivative_metric(g, a_up, coords)),
-             (s.riemann_lower,
-              oracles.riemann_lower(g, s.riemann_mixed.comps)),
+             (s.riemann_lower, oracles.riemann_lower(
+                 g, riemann_classical(s.conn, s.diff).comps)),
              (s.sym_trace, st), (s.precurrent, jp), (s.current, j),
              (s.parts.current_part, parts[0]), (s.parts.form_part, parts[1]),
              (s.parts.sym_part, parts[2]), (s.parts.total, sum(parts)),
@@ -1105,3 +1109,59 @@ def test_factored_side_matches_its_symbolic_formulas(target, strategy):
         want = values_at(formula, s.points)
         assert got.shape == want.shape
         assert max_abs(got - want) <= 1e-13 * (1 + max_abs(want))
+
+
+# ---------------------------------------------------------------------------
+# the classical curvature at the points against its symbolic builders
+# ---------------------------------------------------------------------------
+
+def _close(got, want):
+    """Each value within 1e-13 of ``want``, relative to max(1, |want|)."""
+    assert got.dtype == float and got.shape == want.shape
+    return bool(np.all(np.abs(got - want)
+                       <= 1e-13 * np.maximum(1.0, np.abs(want))))
+
+
+@pytest.mark.parametrize("strategy", ["auto", "ldl"])
+@pytest.mark.parametrize("target", ELEVEN, ids=lambda t: Path(t).stem)
+def test_classical_curvature_matches_its_symbolic_builders(target, strategy):
+    # R^a_bcd, Ric, the scalar and G, computed at the points from the jets
+    # of g, against walks of the four symbolic builders over the same
+    # session's Gamma; nabla.G against covariant_divergence_sym2 over the
+    # tangents of the symbolic G
+    s = GeometrySession(get_manifold(target), strategy, seed=42)
+    riemann = riemann_classical(s.conn, s.diff)
+    ricci = ricci_from_mixed(riemann)
+    scalar = scalar_curvature(ricci, s.g_inv)
+    einstein = einstein_tensor(ricci, scalar, s.metric)
+    n, p = s.chart.dim, len(s.points)
+    d_einstein = tangents(einstein.comps.flat, s.points, s.chart.coords)
+    divergence = geo.covariant_divergence_sym2(
+        values_at(einstein.comps, s.points),
+        d_einstein.reshape(n, n, n, p).transpose(3, 2, 0, 1),
+        values_at(s.conn.mixed.comps, s.points),
+        values_at(s.g_inv.comps, s.points))
+    for got, want in ((s.riemann_mixed, riemann.comps), (s.ricci, ricci.comps),
+                      (s.scalar, np.array(scalar)),
+                      (s.einstein, einstein.comps)):
+        assert _close(got, values_at(want, s.points).real)
+    assert _close(s.einstein_divergence, divergence.real)
+
+
+@pytest.mark.parametrize("name", ["minkowski", "euclidean2-cartesian",
+                                  "euclidean3-cartesian"])
+def test_curvature_is_exactly_zero_where_no_coordinate_is_in_g(name,
+                                                                sessions):
+    # no jet of g is built or read, as the symbolic route's walk gives
+    # exact zeros too
+    s = sessions(name)
+    assert s.metric_jets.pairs == []
+    assert s.metric_jets.second.comps.size == 0
+    p, n = len(s.points), s.chart.dim
+    curvature = s.curvature
+    for vals, rank in ((curvature.riemann_mixed, 4), (curvature.ricci, 2),
+                       (curvature.scalar, 0), (curvature.einstein, 2),
+                       (curvature.einstein_divergence, 1)):
+        assert vals.shape == (p,) + (n,) * rank and not vals.any()
+    assert not values_at(riemann_classical(s.conn, s.diff).comps,
+                         s.points).any()

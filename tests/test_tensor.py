@@ -14,9 +14,13 @@ from metricforms import (
     MetricField,
     Tape,
     Tensor,
+    einstein_tensor,
     invert_metric,
     parse_expr,
+    ricci_from_mixed,
+    riemann_classical,
     run_analysis,
+    scalar_curvature,
 )
 from metricforms import factorization, geometry
 from metricforms import tensor as tensor_module
@@ -454,10 +458,13 @@ class TestEinsum:
 def _built_tensors(spec, strategy):
     """The component arrays of every symbolic tensor a session builds."""
     s = GeometrySession(spec, strategy)
+    riemann = riemann_classical(s.conn, s.diff)
+    ricci = ricci_from_mixed(riemann)
+    scalar = scalar_curvature(ricci, s.g_inv)
     tensors = [s.g_inv, s.forms, s.conn.lower, s.conn.mixed, s.curl,
-               s.sym_partial, s.forms_raised, s.riemann_mixed, s.ricci,
-               s.einstein]
-    return [t.comps for t in tensors] + [np.array(s.scalar)]
+               s.sym_partial, s.forms_raised, s.metric_jets.second, riemann,
+               ricci, einstein_tensor(ricci, scalar, s.metric)]
+    return [t.comps for t in tensors] + [np.array(scalar)]
 
 
 _BUILD_TARGETS = [*[(name, strategy) for name in CATALOG_NAMES
@@ -627,8 +634,9 @@ def test_each_row_is_the_walk_of_its_component_alone(target):
     # conversion of a walk of that component on its own
     s = GeometrySession(get_manifold(target), seed=42, n_points=4)
     memo: dict = {}
-    for tensor in (s.conn.lower, s.conn.mixed, s.riemann_mixed, s.ricci,
-                   s.curl, s.sym_partial):
+    riemann = riemann_classical(s.conn, s.diff)
+    for tensor in (s.conn.lower, s.conn.mixed, riemann,
+                   ricci_from_mixed(riemann), s.curl, s.sym_partial):
         comps = tensor.comps
         assert len(set(map(id, comps.flat))) < comps.size
         got = values_at(comps, s.points)
